@@ -35,8 +35,6 @@ from .protocol import (
     ProtocolResult,
     control_denial_report,
     run_crio,
-    run_fivepartite,
-    run_tripartite,
 )
 from .gm import (
     GMResult,

@@ -34,6 +34,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0:
+            raise ValueError(f"zero denominator in angle {text!r}")
         return sign * num * math.pi / den
     try:
         return float(s)
@@ -118,6 +120,15 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
+def _random_targets(rng: np.random.Generator, n: int) -> list:
+    """n normalized single-qubit kets with Gaussian real and imaginary parts."""
+    targets = []
+    for _ in range(n):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        targets.append(v / np.linalg.norm(v))
+    return targets
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -171,10 +182,7 @@ def cmd_run_protocol(args) -> int:
         rng = np.random.default_rng(args.seed)
         axes = [parse_axis(args.axis)] * args.n if args.axis else [random_axis(rng) for _ in range(args.n)]
         betas = [parse_angle(args.alpha)] * args.n if args.alpha else list(rng.uniform(0, 2 * math.pi, args.n))
-        targets = []
-        for _ in range(args.n):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            targets.append(v / np.linalg.norm(v))
+        targets = _random_targets(rng, args.n)
         groups = frozenset(int(g) for g in args.groups.split(",")) if args.groups else None
         kwargs = {
             "n_systems": args.n, "axes": axes, "betas": betas, "targets": targets,
@@ -235,7 +243,9 @@ def cmd_gm(args) -> int:
 
 def cmd_control_power(args) -> int:
     config = {"command": "control-power", "alpha": args.alpha, "sweep": args.sweep}
-    if args.sweep:
+    if args.sweep is not None:
+        if args.sweep < 1:
+            raise ValueError("--sweep needs at least one angle")
         reports = []
         for m in range(args.sweep):
             alpha = 2 * math.pi * m / args.sweep
@@ -261,20 +271,21 @@ def _table1_csv(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _povm_row_csv(block: int, row, cells: list) -> str:
+    """block, the eight POVM angles, the table's own cells, then the realized alphas."""
+    p = row.params
+    angles = (p.theta1, p.theta2, p.phi1, p.phi2, p.lambda1, p.lambda2, p.omega1, p.omega2)
+    alphas = "|".join(format_angle(a) for a in row.alphas)
+    return ",".join([str(block), *(format_angle(a) for a in angles), *cells, alphas])
+
+
 def _table2_csv() -> str:
     lines = ["block,theta1,theta2,phi1,phi2,lambda1,lambda2,omega1,omega2,pair,c00,c01,c10,c11,alphas"]
     theta1, phi1 = math.pi / 4, 0.0
     for block, choice in ((1, "lambda1_zero"), (2, "lambda1_half_pi")):
         for row in povm_mod.enumerate_case1(theta1, phi1, choice):
-            p = row.params
-            c = row.coefficients
-            alphas = "|".join(format_angle(a) for a in row.alphas)
-            lines.append(
-                f"{block},{format_angle(p.theta1)},{format_angle(p.theta2)},{format_angle(p.phi1)},"
-                f"{format_angle(p.phi2)},{format_angle(p.lambda1)},{format_angle(p.lambda2)},"
-                f"{format_angle(p.omega1)},{format_angle(p.omega2)},M{row.pair[0]}N{row.pair[1]},"
-                f"{_fmt_complex(c.c00)},{_fmt_complex(c.c01)},{_fmt_complex(c.c10)},{_fmt_complex(c.c11)},{alphas}"
-            )
+            pair = f"M{row.pair[0]}N{row.pair[1]}"
+            lines.append(_povm_row_csv(block, row, [pair, *map(_fmt_complex, row.coefficients.as_tuple())]))
     return "\n".join(lines) + "\n"
 
 
@@ -282,16 +293,11 @@ def _table3_csv(lambda1_generic: float = 0.6) -> str:
     lines = ["block,theta1,theta2,phi1,phi2,lambda1,lambda2,omega1,omega2,success_rate,pair,K,c01,c10,alphas"]
     for block, lam1, rate in ((1, math.pi / 4, 0.5), (2, lambda1_generic, 0.25)):
         for row in povm_mod.enumerate_case2(lam1):
-            p = row.params
             c = row.coefficients
-            alphas = "|".join(format_angle(a) for a in row.alphas)
             k_str = _fmt_complex(row.K) if row.K is not None else ""
-            lines.append(
-                f"{block},{format_angle(p.theta1)},{format_angle(p.theta2)},{format_angle(p.phi1)},"
-                f"{format_angle(p.phi2)},{format_angle(p.lambda1)},{format_angle(p.lambda2)},"
-                f"{format_angle(p.omega1)},{format_angle(p.omega2)},{rate},M{row.pair[0]}N{row.pair[1]},"
-                f"{k_str},{_fmt_complex(c.c01)},{_fmt_complex(c.c10)},{alphas}"
-            )
+            pair = f"M{row.pair[0]}N{row.pair[1]}"
+            cells = [str(rate), pair, k_str, _fmt_complex(c.c01), _fmt_complex(c.c10)]
+            lines.append(_povm_row_csv(block, row, cells))
     return "\n".join(lines) + "\n"
 
 
@@ -317,11 +323,7 @@ def cmd_verify_all(args) -> int:
     for n in (1, 2):
         axes = [random_axis(rng) for _ in range(n)]
         betas = list(rng.uniform(0, 2 * math.pi, n))
-        targets = []
-        for _ in range(n):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            targets.append(v / np.linalg.norm(v))
-        res = proto.run_crio(n, axes, betas, targets)
+        res = proto.run_crio(n, axes, betas, _random_targets(rng, n))
         checks.append((f"protocol n_systems={n} all-branch fidelity", res.min_fidelity() >= 1 - 1e-10))
         checks.append((f"protocol n_systems={n} probabilities sum to 1", abs(res.total_probability() - 1) < 1e-10))
 

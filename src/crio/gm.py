@@ -4,8 +4,10 @@ Lambda^2 is the maximal squared overlap with a pure product state and
 G = -log2(Lambda^2).  For non-negative states the closest product state
 can itself be chosen non-negative, so the search runs over per-qubit
 angles theta in [0, pi/2] only; general mode adds a relative phase per
-qubit.  The ascent is derivative-free: coordinate-wise golden-section
-over theta with exact phase alignment, restarted from random points.
+qubit.  The ascent updates one qubit at a time in closed form: the phase
+aligns with its environment and theta = atan2(|env_1|, |env_0|), the
+higher-order power-method step (De Lathauwer, De Moor & Vandewalle,
+SIAM J. Matrix Anal. Appl. 21, 2000), restarted from random points.
 """
 from __future__ import annotations
 
@@ -97,27 +99,6 @@ def reduce_channel_state(n_systems: int) -> QuantumState:
 # ----------------------------------------------------------------------
 # optimizer
 
-_INVPHI = (math.sqrt(5) - 1) / 2
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 60):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
-
-
 def _environment(tensor_amp: np.ndarray, vectors: list, j: int) -> np.ndarray:
     """Contract every qubit except j with the conjugated ansatz vectors."""
     t = tensor_amp
@@ -156,22 +137,11 @@ def gm_optimize(
         for _sweep in range(max_sweeps):
             for j in range(n):
                 env = _environment(tensor_amp, vectors, j)
-                if mode == "nonneg":
-                    t0, t1 = float(env[0].real), float(env[1].real)
-
-                    def line(th, _t0=t0, _t1=t1):
-                        return (_t0 * math.cos(th) + _t1 * math.sin(th)) ** 2
-
-                else:
-                    m0, m1 = abs(env[0]), abs(env[1])
-                    if m1 > 1e-300 and m0 > 1e-300:
-                        phis[j] = float(np.angle(env[1]) - np.angle(env[0])) % (2 * math.pi)
-
-                    def line(th, _m0=m0, _m1=m1):
-                        return (_m0 * math.cos(th) + _m1 * math.sin(th)) ** 2
-
-                th_best, _ = _golden_max(line, 0.0, math.pi / 2)
-                thetas[j] = th_best
+                m0, m1 = abs(env[0]), abs(env[1])
+                if mode == "general" and m1 > 1e-300 and m0 > 1e-300:
+                    phis[j] = float(np.angle(env[1]) - np.angle(env[0])) % (2 * math.pi)
+                # (m0 cos + m1 sin)^2 peaks where (cos, sin) is parallel to (m0, m1)
+                thetas[j] = math.atan2(m1, m0)
                 vectors[j] = ProductAnsatz(thetas[j : j + 1], None if phis is None else phis[j : j + 1]).qubit_vectors()[0]
             value = abs(overlap(state, ProductAnsatz(thetas, phis))) ** 2
             history.append(value)

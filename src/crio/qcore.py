@@ -96,7 +96,8 @@ class QuantumState:
         labels = tuple(str(l) for l in labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate qubit labels")
-        amps = np.array(amplitudes, dtype=complex, copy=copy).reshape(-1)
+        amps = np.array(amplitudes, dtype=complex) if copy else np.asarray(amplitudes, dtype=complex)
+        amps = amps.reshape(-1)
         if amps.shape != (2 ** len(labels),):
             raise ValueError(
                 f"expected {2 ** len(labels)} amplitudes for {len(labels)} qubits, got {amps.shape[0]}"

@@ -28,6 +28,10 @@ class TestAngleParsing:
         with pytest.raises(ValueError):
             parse_angle("three")
 
+    def test_zero_denominator_exits_2(self, capsys):
+        assert main(["control-power", "--alpha", "2pi/0"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+
     def test_format_round_trip_quarter_multiples(self):
         for m in range(8):
             assert parse_angle(format_angle(m * math.pi / 4)) == pytest.approx(m * math.pi / 4, abs=1e-9)
@@ -118,6 +122,12 @@ class TestRunProtocol:
         assert main(["run-protocol", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["min_fidelity"] >= 1 - 1e-10
 
+    def test_config_missing_key_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_systems": 1, "axes": [[1.0, 0.0, 0.0]], "betas": [0.4]}))
+        assert main(["run-protocol", "--config", str(cfg_path), "--out", str(tmp_path / "run.json")]) == 2
+        assert "targets" in capsys.readouterr().err
+
 
 class TestReports:
     def test_gm_channel(self, tmp_path):
@@ -138,6 +148,12 @@ class TestReports:
         out = tmp_path / "cp.json"
         assert main(["control-power", "--alpha", "0.7", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["success_rate"] == 0.25
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_sweep_exits_2(self, tmp_path, count):
+        out = tmp_path / "cp.json"
+        assert main(["control-power", "--sweep", count, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_table_three_quarter_block(self, tmp_path):
         out = tmp_path / "t3.csv"

@@ -15,8 +15,6 @@ from crio.protocol import (
     run_config_from_dict,
     run_config_to_dict,
     run_crio,
-    run_fivepartite,
-    run_tripartite,
     step1_stator,
     symbolic_checkpoints,
 )
@@ -53,13 +51,13 @@ def expected_corrections(n, outcomes, participating_ks):
 class TestSingleSystem:
     def test_zero_angle_every_branch_exact(self):
         rng = np.random.default_rng(60)
-        res = run_tripartite(random_axis(rng), 0.0, random_qubit(rng))
+        res = run_crio(1, [random_axis(rng)], [0.0], [random_qubit(rng)])
         assert len(res.branches) == 8
         assert res.min_fidelity() >= 1 - 1e-10
 
     def test_controller_minus_branch_triggers_sigma_x(self):
         rng = np.random.default_rng(61)
-        res = run_tripartite(random_axis(rng), 1.1, random_qubit(rng))
+        res = run_crio(1, [random_axis(rng)], [1.1], [random_qubit(rng)])
         for branch in res.branches:
             if branch.outcomes[0] == "1":
                 assert "sigma_x a2" in branch.corrections
@@ -68,22 +66,12 @@ class TestSingleSystem:
 
     def test_quarter_turn_x_axis_flips_zero_ket(self):
         # exp(i pi/2 sigma_x)|0> = i|1>: 2x2 matrix application oracle
-        res = run_tripartite(X_AXIS, math.pi / 2, np.array([1.0, 0.0]))
+        res = run_crio(1, [X_AXIS], [math.pi / 2], [np.array([1.0, 0.0])])
         oracle = rotation(X_AXIS, math.pi / 2) @ np.array([1.0, 0.0])
         np.testing.assert_allclose(np.abs(oracle), [0, 1], atol=1e-12)
         target = basis_state(("O3",), "1")
         for branch in res.branches:
             assert fidelity_up_to_phase(branch.final_state, target) >= 1 - 1e-10
-
-    def test_matches_general_engine(self):
-        rng = np.random.default_rng(62)
-        axis, beta, psi = random_axis(rng), 0.8, random_qubit(rng)
-        a = run_tripartite(axis, beta, psi)
-        b = run_crio(1, [axis], [beta], [psi])
-        assert [x.outcomes for x in a.branches] == [x.outcomes for x in b.branches]
-        for ba, bb in zip(a.branches, b.branches):
-            assert ba.probability == pytest.approx(bb.probability, abs=1e-12)
-            assert fidelity_up_to_phase(ba.final_state, bb.final_state) >= 1 - 1e-12
 
     def test_final_stator_matches_pair_form(self):
         rng = np.random.default_rng(63)
@@ -98,7 +86,7 @@ class TestTwoSystems:
         axes = [random_axis(rng), random_axis(rng)]
         alpha, beta = rng.uniform(0, 2 * math.pi, 2)
         t1, t2 = random_qubit(rng), random_qubit(rng)
-        res = run_fivepartite(axes, alpha, beta, [t1, t2])
+        res = run_crio(2, axes, [alpha, beta], [t1, t2])
         assert len(res.branches) == 32
         # direct application oracle on the two target qubits
         oracle = np.kron(rotation(axes[0], alpha) @ t1, rotation(axes[1], beta) @ t2)
@@ -126,8 +114,8 @@ class TestTwoSystems:
 
     def test_holder_minus_outcomes_trigger_partner_sigma_z(self):
         rng = np.random.default_rng(66)
-        res = run_fivepartite([random_axis(rng), random_axis(rng)], 0.4, 1.9,
-                              [random_qubit(rng), random_qubit(rng)])
+        res = run_crio(2, [random_axis(rng), random_axis(rng)], [0.4, 1.9],
+                       [random_qubit(rng), random_qubit(rng)])
         for branch in res.branches:
             # outcome order: a1, a4, a5, a2, a3
             assert ("sigma_z a2" in branch.corrections) == (branch.outcomes[1] == "1")
@@ -136,7 +124,7 @@ class TestTwoSystems:
     def test_zero_angles_leave_targets_unchanged(self):
         rng = np.random.default_rng(67)
         t1, t2 = random_qubit(rng), random_qubit(rng)
-        res = run_fivepartite([random_axis(rng), random_axis(rng)], 0.0, 0.0, [t1, t2])
+        res = run_crio(2, [random_axis(rng), random_axis(rng)], [0.0, 0.0], [t1, t2])
         expected = product_state(("O4", "O5"), [t1, t2])
         for branch in res.branches:
             assert fidelity_up_to_phase(branch.final_state, expected) >= 1 - 1e-10
@@ -193,6 +181,37 @@ class TestBranchBookkeeping:
         rng = np.random.default_rng(77)
         tags = [t for t, _ in run_checkpoints(1, [random_axis(rng)], [0.4], [random_qubit(rng)], [0, 1, 0])]
         assert tags == ["step1", "step2", "step3", "step4", "step5", "step6"]
+
+
+class TestWalkMatchesCheckpoints:
+    """The branch walk and the forced-outcome checkpoint path read the same step
+    plan; on every enumerated branch they must end in the same state."""
+
+    @pytest.mark.parametrize(
+        "n,groups,permitted",
+        [
+            (1, None, True),
+            (2, None, True),
+            (3, None, True),
+            (2, frozenset(), True),
+            (3, frozenset({4}), True),
+            (1, None, False),
+            (2, None, False),
+            (3, None, False),
+        ],
+    )
+    def test_final_state_on_every_branch(self, n, groups, permitted):
+        rng = np.random.default_rng(90 + n)
+        axes = [random_axis(rng) for _ in range(n)]
+        betas = list(rng.uniform(0, 2 * math.pi, n))
+        targets = [random_qubit(rng) for _ in range(n)]
+        res = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
+        for branch in res.branches:
+            bits = [int(b) for b in branch.outcomes]
+            tag, final = run_checkpoints(n, axes, betas, targets, bits, permitted, groups)[-1]
+            assert tag == "step6"
+            assert final.labels == branch.final_state.labels
+            np.testing.assert_allclose(final.amplitudes, branch.final_state.amplitudes, rtol=0, atol=1e-12)
 
 
 class TestValidation:

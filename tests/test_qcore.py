@@ -276,3 +276,9 @@ class TestStateConstruction:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             QuantumState(("a",), np.array([1.0, 1.0]))
+
+    def test_real_amplitudes_without_copy(self):
+        amps = np.array([1.0, 0.0])
+        state = QuantumState(("a",), amps, copy=False)
+        assert state.amplitudes.dtype == complex
+        assert state.amplitude("0") == pytest.approx(1.0)
