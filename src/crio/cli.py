@@ -173,9 +173,7 @@ def cmd_build_state(args) -> int:
 
 def cmd_run_protocol(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        kwargs = proto.run_config_from_dict(raw)
+        kwargs = proto.load_run_config(args.config)
     else:
         if args.n is None:
             raise ValueError("run-protocol needs --config or --n")
@@ -289,9 +287,9 @@ def _table2_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table3_csv(lambda1_generic: float = 0.6) -> str:
+def _table3_csv() -> str:
     lines = ["block,theta1,theta2,phi1,phi2,lambda1,lambda2,omega1,omega2,success_rate,pair,K,c01,c10,alphas"]
-    for block, lam1, rate in ((1, math.pi / 4, 0.5), (2, lambda1_generic, 0.25)):
+    for block, lam1, rate in ((1, math.pi / 4, 0.5), (2, 0.6, 0.25)):
         for row in povm_mod.enumerate_case2(lam1):
             c = row.coefficients
             k_str = _fmt_complex(row.K) if row.K is not None else ""
@@ -377,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-list", help="build from an edge-list file instead")
     p.add_argument("--n", type=int, help="number of remote systems")
     p.add_argument("--groups", help="comma-separated controlled group indices (h2n1)")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.set_defaults(func=cmd_build_state)
 
     p = sub.add_parser("run-protocol", help="run the controlled remote-operation protocol")
@@ -387,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", help="comma-separated controlled group indices")
     p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p.add_argument("--permitted", choices=("true", "false"), default="true")
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_run_protocol)
 
     p = sub.add_parser("gm", help="geometric measure of entanglement reports")
@@ -395,24 +396,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="optimize a state from a JSON amplitude file instead")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--mode", choices=("nonneg", "general"), default="nonneg")
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_gm)
 
     p = sub.add_parser("control-power", help="controller-free success rate for a rotation angle")
     p.add_argument("--alpha", help="target angle (radians or pi fraction)")
     p.add_argument("--sweep", type=int, help="evaluate a grid of this many angles instead")
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_control_power)
 
     p = sub.add_parser("reproduce-tables", help="regenerate the quantitative tables as CSV")
     p.add_argument("table", help="I, II or III")
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_reproduce_tables)
 
     p = sub.add_parser("verify-all", help="run the condensed verification battery")
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_verify_all)
 
     for sp in sub.choices.values():
-        sp.add_argument("--seed", type=int, default=7)
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     return parser
 
 

@@ -20,6 +20,9 @@ import numpy as np
 from .graphstate import CrioTopology, crio_channel_state, phi_state
 from .qcore import HADAMARD, QuantumState, apply_1q
 
+OBJECTIVE_TOL = 1e-8  # a restart stops when a sweep gains under a tenth of it
+MAX_SWEEPS = 300      # per restart
+
 
 @dataclass
 class ProductAnsatz:
@@ -112,9 +115,7 @@ def gm_optimize(
     state: QuantumState,
     mode: str = "nonneg",
     restarts: int = 64,
-    tol: float = 1e-8,
     seed: int = 0,
-    max_sweeps: int = 300,
 ) -> GMResult:
     """Multi-start coordinate ascent maximizing |<product|state>|^2."""
     if mode not in ("nonneg", "general"):
@@ -134,7 +135,7 @@ def gm_optimize(
         vectors = ProductAnsatz(thetas, phis).qubit_vectors()
         best = abs(overlap(state, ProductAnsatz(thetas, phis))) ** 2
         history = [best]
-        for _sweep in range(max_sweeps):
+        for _sweep in range(MAX_SWEEPS):
             for j in range(n):
                 env = _environment(tensor_amp, vectors, j)
                 m0, m1 = abs(env[0]), abs(env[1])
@@ -147,7 +148,7 @@ def gm_optimize(
             history.append(value)
             if value < best - 1e-9:
                 raise RuntimeError("coordinate ascent decreased the objective")
-            if value - best < tol / 10:
+            if value - best < OBJECTIVE_TOL / 10:
                 best = max(best, value)
                 break
             best = value
@@ -155,7 +156,7 @@ def gm_optimize(
 
     results.sort(key=lambda r: (-r[0], tuple(np.round(r[1], 12))))
     best_val, best_thetas, best_phis, best_history = results[0]
-    converged = len(results) >= 2 and abs(results[0][0] - results[1][0]) <= tol
+    converged = len(results) >= 2 and abs(results[0][0] - results[1][0]) <= OBJECTIVE_TOL
     lam_sq = min(best_val, 1.0 + 1e-12)
     return GMResult(
         lambda_sq=lam_sq,
@@ -189,14 +190,14 @@ def closed_form_overlap(n_systems: int, thetas: Sequence[float]) -> float:
     return (math.cos(q[1]) * cos_prod + math.sin(q[1]) * sin_prod) / math.sqrt(2 ** (n_systems + 1))
 
 
-def gm_channel_family(n_systems: int, restarts: int = 64, tol: float = 1e-8, seed: int = 0) -> GMResult:
+def gm_channel_family(n_systems: int, restarts: int = 64, seed: int = 0) -> GMResult:
     """GM of the (2N+1)-qubit channel state, via its non-negative reduction."""
-    return gm_optimize(reduce_channel_state(n_systems), mode="nonneg", restarts=restarts, tol=tol, seed=seed)
+    return gm_optimize(reduce_channel_state(n_systems), mode="nonneg", restarts=restarts, seed=seed)
 
 
-def gm_phi(n_systems: int, restarts: int = 64, tol: float = 1e-8, seed: int = 0) -> GMResult:
+def gm_phi(n_systems: int, restarts: int = 64, seed: int = 0) -> GMResult:
     """GM of the controller-free 2N-qubit resource state (already non-negative)."""
-    return gm_optimize(phi_state(n_systems), mode="nonneg", restarts=restarts, tol=tol, seed=seed)
+    return gm_optimize(phi_state(n_systems), mode="nonneg", restarts=restarts, seed=seed)
 
 
 def gm_report_dict(state_id: str, n_systems: int, result: GMResult) -> dict:

@@ -64,10 +64,6 @@ class CrioTopology:
             raise ValueError(f"controlled groups must be a subset of {sorted(full)}")
         object.__setattr__(self, "controlled_groups", groups)
 
-    @property
-    def full_control(self) -> bool:
-        return self.controlled_groups == frozenset(range(3, self.n_systems + 2))
-
 
 def crio_graph(topology: CrioTopology) -> Graph:
     n_sys = topology.n_systems
@@ -169,11 +165,6 @@ def edge_list_text(graph: Graph) -> str:
     lines = [f"n={graph.num_vertices}"]
     lines += [f"{u} {v}" for u, v in graph.sorted_edges()]
     return "\n".join(lines) + "\n"
-
-
-def write_edge_list(graph: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(edge_list_text(graph))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -22,7 +22,6 @@ from .qcore import (
     apply_controlled_op,
     pauli_axis_matrix,
     product_state,
-    project_qubit,
     tensor,
 )
 from .stator import Stator, stator_from_state
@@ -30,6 +29,7 @@ from .protocol import step1_stator
 
 TWO_PI = 2 * math.pi
 ANGLE_TOL = 1e-9
+COEFF_TOL = 1e-10  # relative size below which a branch coefficient counts as zero
 
 
 def _ket(theta: float, phase: float) -> np.ndarray:
@@ -152,21 +152,18 @@ class RealizedOperation:
     K: complex | None
     alphas: tuple
 
-    def has_alpha(self, alpha: float, tol: float = ANGLE_TOL) -> bool:
-        return angle_in_set(alpha, self.alphas, tol)
-
 
 def angle_in_set(alpha: float, alphas, tol: float = ANGLE_TOL) -> bool:
     a = alpha % TWO_PI
     return any(min(abs(a - b), TWO_PI - abs(a - b)) <= tol for b in alphas)
 
 
-def _rotation_angles(r0: complex, r1: complex, tol: float = 1e-10) -> tuple:
+def _rotation_angles(r0: complex, r1: complex) -> tuple:
     """Angles alpha with (r0, r1) proportional to (cos a, i sin a)."""
     m0, m1 = abs(r0), abs(r1)
-    if m1 <= tol * max(1.0, m0):
+    if m1 <= COEFF_TOL * max(1.0, m0):
         return (0.0, math.pi)
-    if m0 <= tol * max(1.0, m1):
+    if m0 <= COEFF_TOL * max(1.0, m1):
         return (math.pi / 2, 3 * math.pi / 2)
     t = -1j * r1 / r0
     if abs(t.imag) > 1e-9 * max(1.0, abs(t)):
@@ -175,21 +172,21 @@ def _rotation_angles(r0: complex, r1: complex, tol: float = 1e-10) -> tuple:
     return tuple(sorted((a, (a + math.pi) % TWO_PI)))
 
 
-def separability_check(c: BranchCoefficients, tol: float = 1e-10) -> RealizedOperation:
+def separability_check(c: BranchCoefficients) -> RealizedOperation:
     """Cross-ratio test c00*c01 == c11*c10, then the realized rotation angles."""
     scale = max(abs(v) for v in c.as_tuple())
-    if scale <= tol:
+    if scale <= COEFF_TOL:
         return RealizedOperation(False, None, ())
-    realizable = abs(c.c00 * c.c01 - c.c11 * c.c10) <= tol * max(1.0, scale * scale)
+    realizable = abs(c.c00 * c.c01 - c.c11 * c.c10) <= COEFF_TOL * max(1.0, scale * scale)
     if not realizable:
         return RealizedOperation(False, None, ())
-    if abs(c.c10) > tol * scale:
+    if abs(c.c10) > COEFF_TOL * scale:
         K = c.c00 / c.c10
-    elif abs(c.c01) > tol * scale:
+    elif abs(c.c01) > COEFF_TOL * scale:
         K = c.c11 / c.c01
     else:
         K = None
-    if max(abs(c.c10), abs(c.c01)) > tol * scale:
+    if max(abs(c.c10), abs(c.c01)) > COEFF_TOL * scale:
         r0, r1 = c.c10, c.c01
     else:
         r0, r1 = c.c00, c.c11
@@ -204,6 +201,26 @@ def normalized_channel_stator(axis: PauliAxis) -> Stator:
     return step1_stator(1, [axis]).normalize()
 
 
+def _branch_maps(params: PovmParams, step1: np.ndarray) -> np.ndarray:
+    """The four 4x2 branch maps B_jk, ordered (1,1), (1,2), (2,1), (2,2).
+
+    `step1` is a step-1 channel written as a linear map of the target, with
+    axes (a1, a2, a3, O3, target).  Contracting a2 with <beta_j| and a3 with
+    <gamma_k| leaves B_jk, which takes a target ket to the unnormalized
+    (a1, O3) branch state; |B_jk psi|^2 is that branch's probability.
+    """
+    betas = np.array([params.beta(1), params.beta(2)]).conj()
+    gammas = np.array([params.gamma(1), params.gamma(2)]).conj()
+    return np.einsum("jb,kc,abcot->jkaot", betas, gammas, step1).reshape(4, 4, 2)
+
+
+def _pair_index(j: int, k: int) -> int:
+    """Position of outcome pair (j, k) in the branch-map order."""
+    if j not in (1, 2) or k not in (1, 2):
+        raise ValueError("j and k must be 1 or 2")
+    return 2 * (j - 1) + (k - 1)
+
+
 def outcome_probability(params: PovmParams, j: int, k: int, axis: PauliAxis = X_AXIS) -> float:
     """p(j,k) = Tr[ W^dag (I (x) M_j (x) N_k) W ]; equals 1/4 for any valid POVM.
 
@@ -212,27 +229,29 @@ def outcome_probability(params: PovmParams, j: int, k: int, axis: PauliAxis = X_
     term.  Conditioned on a specific target the branch probability is
     (1/4)(1 + sin(2 theta_j) sin(2 lambda_k) cos(phi_j) cos(omega_k) <sigma_n>),
     which is flat for every target exactly inside the realizable families.
+    With rank-1 effects the trace is |B_jk|^2 on the stator's W.
     """
     w = normalized_channel_stator(axis).as_matrix()  # maps target -> (a1,a2,a3) x target
-    m_ops = build_povm(params)
-    mj, nk = m_ops[j - 1], m_ops[k + 1]
-    e_control = np.kron(np.kron(IDENTITY_2, mj), nk)
-    e_full = np.kron(e_control, IDENTITY_2)
-    return float(np.trace(w.conj().T @ e_full @ w).real)
+    b = _branch_maps(params, w.reshape(2, 2, 2, 2, 2))[_pair_index(j, k)]
+    return float(np.vdot(b, b).real)
 
 
-def _measured_channel_state(axis: PauliAxis, target_vec) -> QuantumState:
-    """Tripartite channel tensor the target, after the step-1 coupling."""
-    state = crio_channel_state(CrioTopology(1))
-    state = tensor(state, product_state(["O3"], [target_vec]))
-    return apply_controlled_op(state, "a3", "O3", pauli_axis_matrix(axis))
+def _dense_step1(axis: PauliAxis) -> np.ndarray:
+    """The step-1 channel from the dense engine, axes (a1, a2, a3, O3, target):
+    the tripartite channel state with each basis target attached, after the
+    controlled sigma_n from a3 onto O3."""
+    channel = crio_channel_state(CrioTopology(1))
+    columns = []
+    for basis_target in np.eye(2, dtype=complex):
+        state = tensor(channel, product_state(["O3"], [basis_target]))
+        columns.append(apply_controlled_op(state, "a3", "O3", pauli_axis_matrix(axis)).tensor_view())
+    return np.stack(columns, axis=-1)
 
 
 @dataclass
 class PovmBranchSim:
     probability: float
     schmidt_ratio: float       # second/first singular value across the controller cut
-    controller_factor: np.ndarray | None
     target_factor: np.ndarray | None
 
     @property
@@ -241,52 +260,26 @@ class PovmBranchSim:
 
 
 def simulate_branch(params: PovmParams, j: int, k: int, axis: PauliAxis, target_vec) -> PovmBranchSim:
-    """Project the prepared state onto (|beta_j>, |gamma_k|) and analyze the cut."""
-    state = _measured_channel_state(axis, target_vec)
-    p_b, state = project_qubit(state, "a2", params.beta(j))
-    if state is None:
-        return PovmBranchSim(0.0, 0.0, None, None)
-    p_c, state = project_qubit(state, "a3", params.gamma(k))
-    if state is None:
-        return PovmBranchSim(0.0, 0.0, None, None)
-    mat = state.reordered(("a1", "O3")).amplitudes.reshape(2, 2)
-    u, s, vh = np.linalg.svd(mat)
+    """Project the prepared state onto (|beta_j>, |gamma_k>) and analyze the cut."""
+    psi = product_state(["O3"], [target_vec]).amplitudes
+    branch = _branch_maps(params, _dense_step1(axis))[_pair_index(j, k)] @ psi
+    p = float(np.vdot(branch, branch).real)
+    if p < 1e-15:
+        return PovmBranchSim(0.0, 0.0, None)
+    _, s, vh = np.linalg.svd(branch.reshape(2, 2) / math.sqrt(p))  # rows a1, columns O3
     ratio = float(s[1] / s[0]) if s[0] > 0 else 0.0
     return PovmBranchSim(
-        probability=float(p_b * p_c),
+        probability=p,
         schmidt_ratio=ratio,
-        controller_factor=u[:, 0] if ratio <= 1e-10 else None,
         target_factor=vh[0] if ratio <= 1e-10 else None,
     )
 
 
 def outcome_probabilities_simulated(params: PovmParams, axis: PauliAxis, target_vec) -> np.ndarray:
     """The four branch probabilities conditioned on a specific target state,
-    from statevector projections, ordered (1,1),(1,2),(2,1),(2,2)."""
-    return np.array(
-        [simulate_branch(params, j, k, axis, target_vec).probability for j in (1, 2) for k in (1, 2)]
-    )
-
-
-def _branch_maps(params: PovmParams, axis: PauliAxis) -> list:
-    """4x2 maps target ket -> unnormalized (controller, target) branch state.
-
-    Built by simulating the prepared channel on the two basis targets and
-    contracting the measured qubits with the POVM kets; the squared column
-    action gives the branch probability for any target state.
-    """
-    columns = {0: [], 1: []}
-    for basis_bit in (0, 1):
-        vec = np.zeros(2, dtype=complex)
-        vec[basis_bit] = 1.0
-        state = _measured_channel_state(axis, vec)
-        t = state.tensor_view()  # axes: a1, a2, a3, O3
-        for j in (1, 2):
-            for k in (1, 2):
-                proj = np.tensordot(params.beta(j).conj(), t, axes=([0], [1]))
-                proj = np.tensordot(params.gamma(k).conj(), proj, axes=([0], [1]))
-                columns[basis_bit].append(proj.reshape(-1))  # (a1, O3) flattened
-    return [np.column_stack([columns[0][i], columns[1][i]]) for i in range(4)]
+    from the dense engine, ordered (1,1),(1,2),(2,1),(2,2)."""
+    psi = product_state(["O3"], [target_vec]).amplitudes
+    return np.sum(np.abs(_branch_maps(params, _dense_step1(axis)) @ psi) ** 2, axis=1)
 
 
 def sample_outcomes(
@@ -307,10 +300,10 @@ def sample_outcomes(
     if target_vec is not None:
         probs = outcome_probabilities_simulated(params, axis, target_vec)
         return rng.multinomial(n_samples, probs / probs.sum())
-    maps = _branch_maps(params, axis)
+    maps = _branch_maps(params, _dense_step1(axis))
     psi = rng.normal(size=(2, n_samples)) + 1j * rng.normal(size=(2, n_samples))
     psi /= np.linalg.norm(psi, axis=0)
-    probs = np.stack([np.sum(np.abs(m @ psi) ** 2, axis=0) for m in maps])  # (4, n)
+    probs = np.sum(np.abs(maps @ psi) ** 2, axis=1)  # (4, n)
     probs /= probs.sum(axis=0)
     draws = rng.random(n_samples)
     outcome_index = (draws >= np.cumsum(probs, axis=0)).sum(axis=0)
@@ -323,14 +316,14 @@ def measured_stator(params: PovmParams, j: int, k: int, axis: PauliAxis) -> Stat
     The projection probability depends on the probe here, so each joint is
     handed over with its pre-normalization weight.
     """
+    branch_map = _branch_maps(params, _dense_step1(axis))[_pair_index(j, k)]
     joints, probes, scales = [], [], []
     for vec in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, 1.0j]) / math.sqrt(2)):
-        state = _measured_channel_state(axis, vec)
-        p_b, state = project_qubit(state, "a2", params.beta(j))
-        p_c, state = project_qubit(state, "a3", params.gamma(k))
-        joints.append(state)
+        branch = branch_map @ vec
+        scale = math.sqrt(float(np.vdot(branch, branch).real))
+        joints.append(QuantumState(("a1", "O3"), branch / scale))
         probes.append(product_state(["O3"], [vec]))
-        scales.append(math.sqrt(p_b * p_c))
+        scales.append(scale)
     return stator_from_state(joints, ("a1",), ("O3",), (axis,), probes, joint_scales=scales)
 
 
@@ -437,7 +430,7 @@ def success_rate(target_alpha: float) -> float:
     return control_power_report(target_alpha)["success_rate"]
 
 
-def guess_probability(lambda1: float, tol: float = ANGLE_TOL) -> float:
+def guess_probability(lambda1: float) -> float:
     """Second party's chance of guessing the rotation angle from its POVM choice.
 
     One over the number of distinct candidate angles that the family with
@@ -453,9 +446,8 @@ def guess_probability(lambda1: float, tol: float = ANGLE_TOL) -> float:
     ]
     distinct: list = []
     for a in candidates:
-        a = a % TWO_PI
-        if not any(min(abs(a - b), TWO_PI - abs(a - b)) <= tol for b in distinct):
-            distinct.append(a)
+        if not angle_in_set(a, distinct):
+            distinct.append(a % TWO_PI)
     return 1.0 / len(distinct)
 
 

@@ -489,21 +489,52 @@ def run_config_to_dict(n_systems, axes, betas, targets, mode, seed, permitted, c
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_numbers(value, count: int | None = None) -> bool:
+    """A list of finite JSON numbers, `count` of them when given."""
+    return isinstance(value, list) and (count is None or len(value) == count) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value
+    )
+
+
 def run_config_from_dict(data: dict) -> dict:
+    """run_crio keyword arguments from a parsed configuration; a missing key
+    or a value of the wrong shape raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("run configuration must be a JSON object")
     missing = [key for key in ("n_systems", "axes", "betas", "targets") if key not in data]
     if missing:
         raise ValueError(f"run configuration is missing {', '.join(missing)}")
-    axes = [PauliAxis(*xyz) for xyz in data["axes"]]
-    targets = [np.array([complex(re, im) for re, im in vec]) for vec in data["targets"]]
+    axes, targets = data["axes"], data["targets"]
+    seed, permitted = data.get("seed"), data.get("permitted", True)
     groups = data.get("controlled_groups")
+    checks = (
+        ("n_systems", _is_int(data["n_systems"]), "an integer"),
+        ("axes", isinstance(axes, list) and all(_is_numbers(xyz, 3) for xyz in axes),
+         "a list of [x, y, z] axes"),
+        ("betas", _is_numbers(data["betas"]), "a list of numbers"),
+        ("targets", isinstance(targets, list) and all(
+            isinstance(vec, list) and len(vec) == 2 and all(_is_numbers(c, 2) for c in vec) for vec in targets),
+         "a list of targets, each two [re, im] pairs"),
+        ("seed", seed is None or _is_int(seed), "an integer or null"),
+        ("permitted", isinstance(permitted, bool), "true or false"),
+        ("controlled_groups", groups is None or (isinstance(groups, list) and all(map(_is_int, groups))),
+         "a list of integers or null"),
+    )
+    for key, ok, shape in checks:
+        if not ok:
+            raise ValueError(f"run configuration: {key} must be {shape}, got {data.get(key)!r}")
     return {
-        "n_systems": int(data["n_systems"]),
-        "axes": axes,
+        "n_systems": data["n_systems"],
+        "axes": [PauliAxis(*xyz) for xyz in axes],
         "betas": [float(b) for b in data["betas"]],
-        "targets": targets,
+        "targets": [np.array([complex(re, im) for re, im in vec]) for vec in targets],
         "mode": data.get("mode", "enumerate"),
-        "seed": data.get("seed"),
-        "permitted": bool(data.get("permitted", True)),
+        "seed": seed,
+        "permitted": permitted,
         "controlled_groups": frozenset(groups) if groups is not None else None,
     }
 

@@ -263,7 +263,8 @@ def measure(
 
     Returns (MeasurementRecord, post_state). With remove=True the measured
     qubit is dropped from the register. When forced_outcome is None the
-    outcome is drawn from rng (a fresh generator if not supplied).
+    outcome is drawn from rng, which must then be given: every draw comes
+    from an explicitly seeded generator.
     """
     c0, c1 = _components(state, qubit, basis)
     probs = (float(np.vdot(c0, c0).real), float(np.vdot(c1, c1).real))
@@ -277,7 +278,7 @@ def measure(
             )
     else:
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("an unforced measurement needs an rng")
         outcome = 0 if rng.random() < probs[0] else 1
     comp = (c0, c1)[outcome] / math.sqrt(probs[outcome])
     record = MeasurementRecord(qubit, basis.upper(), outcome, probs[outcome])
@@ -290,30 +291,6 @@ def measure(
     full = ket[:, None] * comp[None, :]
     full = np.moveaxis(full.reshape([2] * state.num_qubits), 0, ax)
     return record, QuantumState(state.labels, full.reshape(-1), copy=False)
-
-
-def project_qubit(state: QuantumState, qubit: str, ket, remove: bool = True):
-    """Project one qubit onto an arbitrary normalized ket.
-
-    Returns (probability, post_state); post_state is None when the
-    projection annihilates the state.
-    """
-    ket = np.asarray(ket, dtype=complex).reshape(-1)
-    if ket.shape != (2,):
-        raise ValueError("projection ket must have length 2")
-    ax = state.axis_of(qubit)
-    t = np.moveaxis(state.tensor_view(), ax, 0).reshape(2, -1)
-    comp = ket.conj() @ t
-    p = float(np.vdot(comp, comp).real)
-    if p < 1e-15:
-        return 0.0, None
-    comp = comp / math.sqrt(p)
-    rest_labels = state.labels[:ax] + state.labels[ax + 1 :]
-    if remove:
-        return p, QuantumState(rest_labels, comp, copy=False)
-    full = ket[:, None] * comp[None, :]
-    full = np.moveaxis(full.reshape([2] * state.num_qubits), 0, ax)
-    return p, QuantumState(state.labels, full.reshape(-1), copy=False)
 
 
 def fidelity_up_to_phase(s1: QuantumState, s2: QuantumState) -> float:

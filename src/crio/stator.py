@@ -23,6 +23,7 @@ from .qcore import (
 )
 
 PRUNE_TOL = 1e-12
+FIT_TOL = 1e-10  # relative least-squares residual of a stator fit
 
 _BASIS_BRAS = {
     ("Z", 0): np.array([1, 0], dtype=complex),
@@ -43,7 +44,7 @@ def word_matrix(word: Sequence[int], axes: Sequence[PauliAxis]) -> np.ndarray:
 class Stator:
     __slots__ = ("control_labels", "target_axes", "terms")
 
-    def __init__(self, control_labels, target_axes, terms, prune_tol: float = PRUNE_TOL):
+    def __init__(self, control_labels, target_axes, terms):
         self.control_labels = tuple(str(l) for l in control_labels)
         self.target_axes = tuple(target_axes)
         n_c, n_t = len(self.control_labels), len(self.target_axes)
@@ -64,7 +65,7 @@ class Stator:
             if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
                 raise ValueError("non-finite coefficient")
             merged[(bits, word)] = merged.get((bits, word), 0j) + coeff
-        merged = {k: v for k, v in merged.items() if abs(v) > prune_tol}
+        merged = {k: v for k, v in merged.items() if abs(v) > PRUNE_TOL}
         if not merged:
             raise ValueError("stator has no nonzero terms")
         self.terms = merged
@@ -240,14 +241,13 @@ def stator_from_state(
     targets: Sequence[str],
     axes: Sequence[PauliAxis],
     probes,
-    tol: float = 1e-10,
     joint_scales: Sequence[float] | None = None,
 ) -> Stator:
     """Recover the unique stator S with joint_p = S |probe_p> for every pair.
 
     `joint` is one QuantumState or a sequence of them; `probes` are the
     matching target-space states.  Coefficients are solved per control
-    bitstring by stacked least squares; a residual above `tol` means the
+    bitstring by stacked least squares; a residual above FIT_TOL means the
     state is not of stator form, and rank-deficient probe sets are
     rejected as non-identifying.  `joint_scales` restores pre-normalization
     weights when the joints came out of renormalizing projections whose
@@ -283,7 +283,7 @@ def stator_from_state(
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - b))
     total = float(np.linalg.norm(b))
-    if residual > tol * max(1.0, total):
+    if residual > FIT_TOL * max(1.0, total):
         raise ValueError(f"state is not of stator form (residual {residual:.3e})")
 
     terms = []

@@ -128,6 +128,40 @@ class TestRunProtocol:
         assert main(["run-protocol", "--config", str(cfg_path), "--out", str(tmp_path / "run.json")]) == 2
         assert "targets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("axes", [[1, 0]]),
+            ("axes", 5),
+            ("axes", [[1, 0, "0"]]),
+            ("betas", [[0.4]]),
+            ("targets", [[[1.0, 0.0]]]),
+            ("targets", [[1.0, 0.0]]),
+            ("n_systems", [1]),
+            ("controlled_groups", 5),
+            ("controlled_groups", ["3"]),
+            ("seed", "x"),
+            ("seed", True),
+            ("permitted", "false"),
+        ],
+    )
+    def test_config_malformed_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = {
+            "n_systems": 1,
+            "axes": [[1.0, 0.0, 0.0]],
+            "betas": [0.4],
+            "targets": [[[1.0, 0.0], [0.0, 0.0]]],
+            "mode": "sample",
+            "seed": 1,
+        }
+        cfg[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run-protocol", "--config", str(cfg_path), "--out", str(tmp_path / "run.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run configuration: " + key) and err.count("\n") == 1
+        assert not (tmp_path / "run.json").exists()
+
 
 class TestReports:
     def test_gm_channel(self, tmp_path):
@@ -182,6 +216,25 @@ class TestReports:
 
     def test_unknown_table_exits_2(self, tmp_path):
         assert main(["reproduce-tables", "IV", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-protocol", "--n", "1", "--format", "csv"],
+        ["gm", "--family", "h3", "--format", "csv"],
+        ["control-power", "--alpha", "0.7", "--format", "csv"],
+        ["reproduce-tables", "I", "--format", "json"],
+        ["verify-all", "--format", "text"],
+        ["build-state", "h3", "--seed", "3"],
+        ["control-power", "--alpha", "0.7", "--seed", "3"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

@@ -117,6 +117,25 @@ class TestOutcomeProbability:
             probs = outcome_probabilities_simulated(p, random_axis(rng), random_qubit(rng))
             np.testing.assert_allclose(probs, 0.25, atol=1e-10)
 
+    def test_stator_probability_is_dense_average_over_basis_targets(self):
+        # stator source and dense engine meet in the one branch-map contraction:
+        # the target-averaged p(j,k) is the mean over |0> and |1>
+        rng = np.random.default_rng(120)
+        for _ in range(20):
+            p = PovmParams.random_valid(rng)
+            axis = random_axis(rng)
+            dense = np.mean([outcome_probabilities_simulated(p, axis, e) for e in np.eye(2)], axis=0)
+            stator = [outcome_probability(p, j, k, axis) for j in (1, 2) for k in (1, 2)]
+            np.testing.assert_allclose(stator, dense, rtol=0, atol=1e-12)
+
+    def test_outcome_pair_out_of_range_rejected(self):
+        p = PovmParams.random_valid(np.random.default_rng(121))
+        for j, k in ((3, 1), (1, 0), (0, 3)):
+            with pytest.raises(ValueError):
+                outcome_probability(p, j, k)
+            with pytest.raises(ValueError):
+                simulate_branch(p, j, k, X_AXIS, np.array([1.0, 0.0]))
+
     def test_monte_carlo_frequency(self):
         # fresh Haar target per shot: the marginal is the a-priori flat 1/4
         rng = np.random.default_rng(105)

@@ -213,6 +213,10 @@ class TestMeasure:
         rec_b, _ = measure(state, "a", "Z", rng=rng_b)
         assert rec_a.outcome == rec_b.outcome
 
+    def test_unforced_without_rng_raises(self):
+        with pytest.raises(ValueError, match="rng"):
+            measure(plus_state(("a",)), "a", "Z")
+
     def test_remove_drops_qubit(self):
         rng = np.random.default_rng(22)
         psi = random_qubit(rng)
