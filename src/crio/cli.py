@@ -36,11 +36,15 @@ def parse_angle(text: str) -> float:
         den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0:
             raise ValueError(f"zero denominator in angle {text!r}")
-        return sign * num * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        raise ValueError(f"cannot parse angle {text!r}") from None
+        value = sign * num * math.pi / den
+    else:
+        try:
+            value = float(s)
+        except ValueError:
+            raise ValueError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def format_angle(value: float) -> str:
@@ -67,6 +71,8 @@ def parse_axis(text: str) -> PauliAxis:
     parts = [float(p) for p in s.split(",")]
     if len(parts) != 3:
         raise ValueError(f"axis must be x, y, z or three comma-separated components, got {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"axis components must be finite, got {text!r}")
     return PauliAxis.unit(*parts)
 
 
@@ -177,6 +183,7 @@ def cmd_run_protocol(args) -> int:
     else:
         if args.n is None:
             raise ValueError("run-protocol needs --config or --n")
+        proto.check_system_count(args.n)
         rng = np.random.default_rng(args.seed)
         axes = [parse_axis(args.axis)] * args.n if args.axis else [random_axis(rng) for _ in range(args.n)]
         betas = [parse_angle(args.alpha)] * args.n if args.alpha else list(rng.uniform(0, 2 * math.pi, args.n))

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcore import QuantumState, apply_2q_cz, plus_state
+from .qcore import QuantumState, _cz_in_place, check_register_size, plus_state
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class CrioTopology:
     def __post_init__(self) -> None:
         if self.n_systems < 1:
             raise ValueError("need at least one remote system")
+        check_register_size(2 * self.n_systems + 1)  # before the O(N) group set below
         full = frozenset(range(3, self.n_systems + 2))
         groups = full if self.controlled_groups is None else frozenset(self.controlled_groups)
         if not groups <= full:
@@ -96,7 +97,8 @@ def role_names(topology: CrioTopology) -> dict:
 
 
 def build_graph_state(graph: Graph, labels: Sequence[str] | None = None) -> QuantumState:
-    """Apply CZ along every edge to |+>^n; edge order does not matter."""
+    """CZ along every edge of |+>^n, as sign flips in place on that one vector."""
+    check_register_size(graph.num_vertices)
     if labels is None:
         labels = tuple(str(v) for v in range(1, graph.num_vertices + 1))
     labels = tuple(labels)
@@ -104,7 +106,7 @@ def build_graph_state(graph: Graph, labels: Sequence[str] | None = None) -> Quan
         raise ValueError("one label per vertex required")
     state = plus_state(labels)
     for u, v in graph.sorted_edges():
-        state = apply_2q_cz(state, labels[u - 1], labels[v - 1])
+        _cz_in_place(state.amplitudes, u - 1, v - 1)
     return state
 
 
@@ -150,6 +152,7 @@ def phi_state(n_systems: int, labels: Sequence[str] | None = None) -> QuantumSta
     if n_systems < 1:
         raise ValueError("need at least one remote system")
     n = 2 * n_systems
+    check_register_size(n)
     if labels is None:
         labels = tuple(f"q{i}" for i in range(1, n + 1))
     amps = np.zeros(2 ** n, dtype=complex)

@@ -44,8 +44,10 @@ from .qcore import (
     PauliAxis,
     QuantumState,
     X_AXIS,
-    apply_1q,
-    apply_controlled_op,
+    _apply_1q,
+    _apply_controlled,
+    _check_unitary,
+    check_register_size,
     fidelity_up_to_phase,
     measure,
     measurement_probabilities,
@@ -186,9 +188,15 @@ class Step:
     on_one: tuple = ()
 
 
-def _validate_inputs(n_systems, axes, betas, targets):
+def check_system_count(n_systems: int) -> None:
+    """Refuse N < 1, or a channel plus targets (3N+1 qubits) above MAX_QUBITS."""
     if n_systems < 1:
         raise ValueError("need at least one remote system")
+    check_register_size(3 * n_systems + 1)
+
+
+def _validate_inputs(n_systems, axes, betas, targets):
+    check_system_count(n_systems)
     if not (len(axes) == len(betas) == len(targets) == n_systems):
         raise ValueError("axes, betas and targets must each have one entry per system")
     vecs = []
@@ -220,6 +228,8 @@ def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
 
     def step(tag, actor, qubit, matrix=None, control=None, basis=None, messages_to=(), on_one=()):
         assert_local(parties, actor, (qubit,) if control is None else (control, qubit))
+        if matrix is not None:
+            matrix = _check_unitary(matrix, 2)
         return Step(tag, actor, qubit, matrix, control, basis, messages_to, on_one)
 
     n = n_systems
@@ -247,8 +257,8 @@ def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
 
 def _apply(state: QuantumState, step: Step) -> QuantumState:
     if step.control is None:
-        return apply_1q(state, step.matrix, step.qubit)
-    return apply_controlled_op(state, step.control, step.qubit, step.matrix)
+        return _apply_1q(state, step.matrix, step.qubit)
+    return _apply_controlled(state, step.control, step.qubit, step.matrix)
 
 
 def _through_leading_gates(n_systems, target_vecs, controlled_groups, plan):

@@ -12,19 +12,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-ATOL_ALGEBRA = 1e-12   # single algebraic identities
-ATOL_PIPELINE = 1e-10  # accumulated multi-gate pipelines
+ATOL_ALGEBRA = 1e-12  # single algebraic identities
+MAX_QUBITS = 25       # 2**25 complex amplitudes: 512 MiB per state vector
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
-_KET_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
-_KET_MINUS = np.array([1, -1], dtype=complex) / math.sqrt(2)
-_KET_0 = np.array([1, 0], dtype=complex)
-_KET_1 = np.array([0, 1], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -36,15 +31,11 @@ class PauliAxis:
     z: float
 
     def __post_init__(self) -> None:
-        if abs(self.norm() - 1.0) > ATOL_ALGEBRA:
+        if not abs(self.norm() - 1.0) <= ATOL_ALGEBRA:  # also refuses NaN and inf
             raise ValueError(f"axis vector must have unit norm, got {self.norm()}")
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
     @staticmethod
     def unit(x: float, y: float, z: float) -> "PauliAxis":
@@ -137,6 +128,14 @@ class QuantumState:
         t = self.tensor_view().transpose(perm)
         return QuantumState(new_labels, t.reshape(-1), copy=True)
 
+    @classmethod
+    def _trusted(cls, labels: tuple, amplitudes: np.ndarray) -> "QuantumState":
+        """A kernel's result, valid by construction: nothing is re-checked."""
+        state = cls.__new__(cls)
+        state.labels = labels
+        state.amplitudes = amplitudes
+        return state
+
     def __repr__(self) -> str:
         return f"QuantumState(labels={self.labels}, dim={len(self.amplitudes)})"
 
@@ -151,9 +150,16 @@ def _bit_string(bits, length: int) -> str:
     return s
 
 
+def check_register_size(num_qubits: int) -> None:
+    """Refuse a register above MAX_QUBITS before its vector is allocated."""
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(f"a {num_qubits}-qubit register exceeds the limit of {MAX_QUBITS} qubits")
+
+
 def plus_state(labels: Iterable[str]) -> QuantumState:
     labels = tuple(labels)
     n = len(labels)
+    check_register_size(n)
     return QuantumState(labels, np.full(2 ** n, 2 ** (-n / 2), dtype=complex), copy=False)
 
 
@@ -182,6 +188,7 @@ def product_state(labels: Iterable[str], qubit_vectors: Sequence) -> QuantumStat
 def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     if set(a.labels) & set(b.labels):
         raise ValueError("tensor factors share qubit labels")
+    check_register_size(a.num_qubits + b.num_qubits)
     return QuantumState(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes), copy=False)
 
 
@@ -194,61 +201,88 @@ def _check_unitary(matrix, dim: int) -> np.ndarray:
     return m
 
 
+# Kernels act on reshape views that isolate the touched qubits: qubit ax splits
+# the vector as (2**ax, 2, rest).  The underscored forms trust their matrix.
+
+def _pair_view(amps: np.ndarray, first: int, second: int) -> np.ndarray:
+    """5-d view with qubit `first` on axis 1 and qubit `second` on axis 3."""
+    if first == second:
+        raise ValueError("a two-qubit gate needs two distinct qubits")
+    lo, hi = sorted((first, second))
+    v = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    return v if first < second else v.transpose(0, 3, 2, 1, 4)
+
+
+def _mix(m: np.ndarray, t0, t1, out0, out1) -> None:
+    """out_i = m[i, 0] * t0 + m[i, 1] * t1, for the two halves of one qubit."""
+    for i, out in ((0, out0), (1, out1)):
+        np.multiply(t0, m[i, 0], out=out)
+        out += m[i, 1] * t1
+
+
+def _apply_1q(state: QuantumState, m: np.ndarray, qubit: str) -> QuantumState:
+    v = state.amplitudes.reshape(1 << state.axis_of(qubit), 2, -1)
+    out = np.empty_like(v)
+    _mix(m, v[:, 0], v[:, 1], out[:, 0], out[:, 1])
+    return QuantumState._trusted(state.labels, out.reshape(-1))
+
+
+def _apply_controlled(state: QuantumState, control: str, target: str, m: np.ndarray) -> QuantumState:
+    ac, at = state.axis_of(control), state.axis_of(target)
+    out = np.empty_like(state.amplitudes)
+    v, w = _pair_view(state.amplitudes, ac, at), _pair_view(out, ac, at)
+    w[:, 0] = v[:, 0]
+    _mix(m, v[:, 1, :, 0], v[:, 1, :, 1], w[:, 1, :, 0], w[:, 1, :, 1])
+    return QuantumState._trusted(state.labels, out)
+
+
+def _cz_in_place(amps: np.ndarray, a1: int, a2: int) -> None:
+    """Negate the amplitudes where qubits at positions a1 and a2 both read 1."""
+    block = _pair_view(amps.view(np.float64), a1, a2)[:, 1, :, 1]  # (re, im) pairs
+    np.negative(block, out=block)
+
+
 def apply_1q(state: QuantumState, matrix, qubit: str) -> QuantumState:
-    m = _check_unitary(matrix, 2)
-    ax = state.axis_of(qubit)
-    t = np.moveaxis(state.tensor_view(), ax, -1) @ m.T
-    return QuantumState(state.labels, np.moveaxis(t, -1, ax).reshape(-1), copy=False)
+    return _apply_1q(state, _check_unitary(matrix, 2), qubit)
 
 
 def apply_2q_cz(state: QuantumState, q1: str, q2: str) -> QuantumState:
-    a1, a2 = state.axis_of(q1), state.axis_of(q2)
-    if a1 == a2:
-        raise ValueError("CZ requires two distinct qubits")
-    new = state.amplitudes.copy().reshape([2] * state.num_qubits)
-    idx = [slice(None)] * state.num_qubits
-    idx[a1] = 1
-    idx[a2] = 1
-    new[tuple(idx)] *= -1
-    return QuantumState(state.labels, new.reshape(-1), copy=False)
+    amps = state.amplitudes.copy()
+    _cz_in_place(amps, state.axis_of(q1), state.axis_of(q2))
+    return QuantumState._trusted(state.labels, amps)
 
 
 def apply_controlled_op(state: QuantumState, control: str, target: str, matrix) -> QuantumState:
     """|0><0| (x) I + |1><1| (x) U between two labeled qubits."""
-    m = _check_unitary(matrix, 2)
-    ac, at = state.axis_of(control), state.axis_of(target)
-    if ac == at:
-        raise ValueError("control and target must differ")
-    new = state.amplitudes.copy().reshape([2] * state.num_qubits)
-    idx = [slice(None)] * state.num_qubits
-    idx[ac] = 1
-    sub = new[tuple(idx)]
-    sub_t = at - 1 if at > ac else at
-    moved = np.moveaxis(sub, sub_t, -1) @ m.T
-    new[tuple(idx)] = np.moveaxis(moved, -1, sub_t)
-    return QuantumState(state.labels, new.reshape(-1), copy=False)
+    return _apply_controlled(state, control, target, _check_unitary(matrix, 2))
 
 
-def _basis_kets(basis: str):
-    basis = basis.upper()
-    if basis == "Z":
-        return _KET_0, _KET_1
-    if basis == "X":
-        return _KET_PLUS, _KET_MINUS
-    raise ValueError("basis must be 'Z' or 'X'")
+def _basis_kets(basis: str) -> np.ndarray:
+    """Rows are the basis kets |0>, |1> or |+>, |->."""
+    kets = {"Z": IDENTITY_2, "X": HADAMARD}.get(basis.upper())
+    if kets is None:
+        raise ValueError("basis must be 'Z' or 'X'")
+    return kets
 
 
 def _components(state: QuantumState, qubit: str, basis: str):
-    """Unnormalized rest-of-register components along the two basis kets."""
-    ax = state.axis_of(qubit)
-    t = np.moveaxis(state.tensor_view(), ax, 0).reshape(2, -1)
-    k0, k1 = _basis_kets(basis)
-    return k0.conj() @ t, k1.conj() @ t
+    """(2**ax, 2, rest) array whose [:, i] is the unnormalized rest-of-register
+    component along basis ket i, and the two outcome probabilities."""
+    kets = _basis_kets(basis)
+    v = state.amplitudes.reshape(1 << state.axis_of(qubit), 2, -1)
+    if kets is HADAMARD:  # <+| and <-| are (<0| +- <1|) / sqrt(2)
+        c = np.empty_like(v)
+        np.add(v[:, 0], v[:, 1], out=c[:, 0])
+        np.subtract(v[:, 0], v[:, 1], out=c[:, 1])
+        np.multiply(c.view(np.float64), 1 / math.sqrt(2), out=c.view(np.float64))  # a real scale
+        v = c
+    f = v.view(np.float64)
+    p0, p1 = np.einsum("ijk,ijk->j", f, f)
+    return v, (float(p0), float(p1))
 
 
 def measurement_probabilities(state: QuantumState, qubit: str, basis: str):
-    c0, c1 = _components(state, qubit, basis)
-    return float(np.vdot(c0, c0).real), float(np.vdot(c1, c1).real)
+    return _components(state, qubit, basis)[1]
 
 
 def measure(
@@ -266,8 +300,7 @@ def measure(
     outcome is drawn from rng, which must then be given: every draw comes
     from an explicitly seeded generator.
     """
-    c0, c1 = _components(state, qubit, basis)
-    probs = (float(np.vdot(c0, c0).real), float(np.vdot(c1, c1).real))
+    c, probs = _components(state, qubit, basis)
     if forced_outcome is not None:
         outcome = int(forced_outcome)
         if outcome not in (0, 1):
@@ -280,17 +313,16 @@ def measure(
         if rng is None:
             raise ValueError("an unforced measurement needs an rng")
         outcome = 0 if rng.random() < probs[0] else 1
-    comp = (c0, c1)[outcome] / math.sqrt(probs[outcome])
+    comp = c[:, outcome] / math.sqrt(probs[outcome])
     record = MeasurementRecord(qubit, basis.upper(), outcome, probs[outcome])
 
-    ax = state.axis_of(qubit)
-    rest_labels = state.labels[:ax] + state.labels[ax + 1 :]
     if remove:
-        return record, QuantumState(rest_labels, comp, copy=False)
-    ket = _basis_kets(basis)[outcome]
-    full = ket[:, None] * comp[None, :]
-    full = np.moveaxis(full.reshape([2] * state.num_qubits), 0, ax)
-    return record, QuantumState(state.labels, full.reshape(-1), copy=False)
+        ax = state.axis_of(qubit)
+        return record, QuantumState._trusted(state.labels[:ax] + state.labels[ax + 1 :], comp.reshape(-1))
+    full = np.empty_like(c)
+    for b, amp in enumerate(_basis_kets(basis)[outcome]):
+        np.multiply(comp, amp, out=full[:, b])
+    return record, QuantumState._trusted(state.labels, full.reshape(-1))
 
 
 def fidelity_up_to_phase(s1: QuantumState, s2: QuantumState) -> float:

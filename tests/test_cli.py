@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,44 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["run-protocol", "--n", "1", "--axis", "nan,0,0"], "nan,0,0"),
+        (["run-protocol", "--n", "1", "--axis", "inf,0,0"], "inf,0,0"),
+        (["run-protocol", "--n", "1", "--alpha", "nan"], "nan"),
+        (["run-protocol", "--n", "1", "--alpha", "inf"], "inf"),
+        (["control-power", "--alpha", "nan"], "nan"),
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, text):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{text!r}" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-protocol", "--n", "12"],
+        ["build-state", "--edge-list", "{edges}"],
+        ["build-state", "h2n1", "--n", "13"],
+        ["gm", "--family", "phi", "--n", "13"],
+        ["gm", "--family", "h2n1", "--n", "13"],
+    ],
+)
+def test_register_above_bound_exits_2_before_allocating(tmp_path, capsys, argv):
+    edges = tmp_path / "big.txt"
+    edges.write_text("n=40\n1 2\n")
+    start = time.perf_counter()
+    code = main([a.format(edges=edges) for a in argv] + ["--out", str(tmp_path / "out")])
+    assert code == 2 and time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "limit of 25 qubits" in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

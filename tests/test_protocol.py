@@ -242,6 +242,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_crio(2, [X_AXIS], [0.1, 0.2], [np.array([1.0, 0.0])] * 2)
 
+    @pytest.mark.parametrize("run", [run_crio, control_denial_report])
+    def test_register_above_bound_rejected(self, run):
+        n = 9  # 3N+1 = 28 qubits
+        with pytest.raises(ValueError, match="28-qubit register exceeds the limit"):
+            run(n, [X_AXIS] * n, [0.1] * n, [np.array([1.0, 0.0])] * n)
+
 
 class TestPartialControl:
     def test_uncontrolled_base_group_still_succeeds(self):

@@ -16,6 +16,7 @@ from crio.qcore import (
     apply_1q,
     apply_2q_cz,
     apply_controlled_op,
+    MAX_QUBITS,
     basis_state,
     fidelity_up_to_phase,
     measure,
@@ -47,6 +48,11 @@ class TestPauliAxis:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError):
             PauliAxis(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_axis_rejected(self, bad):
+        with pytest.raises(ValueError, match="unit norm"):
+            PauliAxis(bad, 0.0, 0.0)
 
     def test_involution_and_hermiticity_random(self):
         rng = np.random.default_rng(11)
@@ -286,3 +292,16 @@ class TestStateConstruction:
         state = QuantumState(("a",), amps, copy=False)
         assert state.amplitudes.dtype == complex
         assert state.amplitude("0") == pytest.approx(1.0)
+
+
+class TestRegisterBound:
+    def test_plus_state_refused_above_bound(self):
+        with pytest.raises(ValueError, match="limit"):
+            plus_state([f"q{i}" for i in range(MAX_QUBITS + 1)])
+
+    def test_tensor_refused_above_bound(self):
+        half = (MAX_QUBITS + 1) // 2
+        a = plus_state([f"a{i}" for i in range(half)])
+        b = plus_state([f"b{i}" for i in range(MAX_QUBITS + 1 - half)])
+        with pytest.raises(ValueError, match="limit"):
+            tensor(a, b)
