@@ -8,11 +8,13 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import re
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -122,6 +124,53 @@ def _write_report(path: str | None, payload: dict, fmt: str) -> None:
         _write_json(path, payload)
 
 
+_HOLE = "\0"  # a placeholder string no report value contains
+
+
+def _nested(value, depth: int) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) as it reads `depth` levels deep."""
+    return "  " * depth + json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_list(items, depth: int) -> str:
+    """A list `depth` levels deep whose items are already rendered one level deeper."""
+    items = ",\n".join(items)
+    return f"[\n{items}\n{'  ' * depth}]" if items else "[]"
+
+
+def _branch_list_json(branches: list) -> str:
+    """The branch list of a run-protocol report exactly as json.dumps(report,
+    sort_keys=True, indent=2) writes it.  The objects come from
+    protocol.branch_json and protocol.message_json; the frame of a branch, each
+    correction label and each distinct message are rendered once.  Floats go
+    through float.__repr__, as in the json encoder."""
+    shape = proto.branch_json(_HOLE, _HOLE, _HOLE, _HOLE, _HOLE)
+    keys = sorted(shape)  # the order in which the frame's holes appear
+    frame = _nested(shape, 2).split(json.dumps(_HOLE))
+    labels = {label: _nested(label, 4) for label in set(chain.from_iterable(b.corrections for b in branches))}
+    messages = {m: _nested(proto.message_json(m), 4) for m in set(chain.from_iterable(b.transcript for b in branches))}
+    items = []
+    for b in branches:
+        fields = proto.branch_json(
+            json.dumps(b.outcomes),
+            float.__repr__(b.probability),
+            _json_list(map(labels.__getitem__, b.corrections), 3),
+            float.__repr__(b.fidelity),
+            _json_list(map(messages.__getitem__, b.transcript), 3),
+        )
+        items.append("".join(chain.from_iterable(zip(frame, map(fields.__getitem__, keys)))) + frame[-1])
+    return _json_list(items, 1)
+
+
+def _write_protocol_report(path: str | None, report: dict, branches: list, fmt: str) -> None:
+    """A run-protocol report: `report` plus its branch list."""
+    if fmt == "text":  # the text form lists branches only as a count
+        _write_report(path, {**report, "branches": branches}, fmt)
+        return
+    text = json.dumps({**report, "branches": _HOLE}, sort_keys=True, indent=2)
+    _write_text(path, text.replace(json.dumps(_HOLE), _branch_list_json(branches), 1) + "\n")
+
+
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
@@ -199,10 +248,10 @@ def cmd_run_protocol(args) -> int:
         kwargs["mode"], kwargs["seed"], kwargs["permitted"], kwargs["controlled_groups"],
     )
     result = proto.run_crio(**kwargs)
-    payload = result.to_json_dict()
+    payload = dataclasses.replace(result, branches=[]).to_json_dict()  # the branches are rendered apart
     payload["min_fidelity"] = result.min_fidelity()
     payload["total_probability"] = result.total_probability()
-    _write_report(args.out, _report(payload, config), args.format)
+    _write_protocol_report(args.out, _report(payload, config), result.branches, args.format)
     if result.permitted and result.min_fidelity() < 1 - 1e-10:
         print("verification failed: a permitted branch missed unit fidelity", file=sys.stderr)
         return 2
@@ -218,7 +267,9 @@ def cmd_gm(args) -> int:
     if args.state:
         with open(args.state, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        state = gs.state_from_json_dict(data.get("state", data))
+        if isinstance(data, dict) and "state" in data:  # a build-state report
+            data = data["state"]
+        state = gs.state_from_json_dict(data)
         result = gm_mod.gm_optimize(state, mode=args.mode, restarts=args.restarts, seed=args.seed)
         payload = gm_mod.gm_report_dict(args.state, args.n or 0, result)
         _write_report(args.out, _report(payload, config), args.format)

@@ -120,6 +120,8 @@ def gm_optimize(
     """Multi-start coordinate ascent maximizing |<product|state>|^2."""
     if mode not in ("nonneg", "general"):
         raise ValueError("mode must be 'nonneg' or 'general'")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if mode == "nonneg":
         amps = state.amplitudes
         if np.max(np.abs(amps.imag)) > 1e-12 or np.min(amps.real) < -1e-12:
@@ -129,7 +131,7 @@ def gm_optimize(
     rng = np.random.default_rng(seed)
 
     results = []
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         thetas = rng.uniform(0.0, math.pi / 2, size=n)
         phis = rng.uniform(0.0, 2 * math.pi, size=n) if mode == "general" else None
         vectors = ProductAnsatz(thetas, phis).qubit_vectors()
@@ -162,7 +164,7 @@ def gm_optimize(
         lambda_sq=lam_sq,
         G=-math.log2(lam_sq) if lam_sq > 0 else math.inf,
         argmax=ProductAnsatz(best_thetas, best_phis),
-        restarts_used=max(1, restarts),
+        restarts_used=restarts,
         converged=converged,
         history=best_history,
     )

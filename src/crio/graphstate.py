@@ -207,6 +207,19 @@ def state_to_json_dict(state: QuantumState) -> dict:
 
 
 def state_from_json_dict(data: dict) -> QuantumState:
+    """The inverse of state_to_json_dict; a missing key or a value of the wrong
+    shape raises ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError("a state must be a JSON object with labels and amplitudes")
+    for key in ("labels", "amplitudes"):
+        if key not in data:
+            raise ValueError(f"state is missing {key}")
+        if not isinstance(data[key], list):
+            raise ValueError(f"state {key} must be a list, got {type(data[key]).__name__}")
+    for pair in data["amplitudes"]:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in pair)):
+            raise ValueError(f"state amplitudes must be [re, im] pairs of finite numbers, got {pair!r}")
     amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
     return QuantumState(tuple(data["labels"]), amps, copy=False)
 

@@ -16,16 +16,19 @@ the unknown state held by A_{k+N}, gated by controller A_1:
           the partner target
 
 The steps are written out once, as the step plan built by `_plan`; the
-branch walk, the forced-outcome checkpoint path (dense and symbolic) and
-the control-denial analysis all read that plan.  Branch enumeration
-forces every measurement outcome combination and tracks the exact
-probability of each branch.
+branch enumeration, the one-branch sample loop, the forced-outcome
+checkpoint path (dense and symbolic) and the control-denial analysis all
+read that plan.  Branch enumeration follows every measurement outcome
+combination at once, one array row per branch (deferred measurement), and
+tracks the exact probability of each branch.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import getitem
 from typing import Sequence
 
 import numpy as np
@@ -46,11 +49,11 @@ from .qcore import (
     X_AXIS,
     _apply_1q,
     _apply_controlled,
+    _basis_components,
     _check_unitary,
+    _gate,
     check_register_size,
-    fidelity_up_to_phase,
     measure,
-    measurement_probabilities,
     pauli_axis_matrix,
     product_state,
     purity,
@@ -123,19 +126,27 @@ class ProtocolResult:
             "seed": self.seed,
             "measurement_count": self.measurement_count,
             "branches": [
-                {
-                    "outcomes": b.outcomes,
-                    "probability": b.probability,
-                    "corrections": list(b.corrections),
-                    "fidelity": b.fidelity,
-                    "transcript": [
-                        {"from": m.sender, "to": m.recipient, "step": m.step, "payload": m.payload}
-                        for m in b.transcript
-                    ],
-                }
+                branch_json(b.outcomes, b.probability, list(b.corrections), b.fidelity,
+                            [message_json(m) for m in b.transcript])
                 for b in self.branches
             ],
         }
+
+
+def message_json(m: ClassicalMessage) -> dict:
+    """The JSON object of one message in a report's transcript."""
+    return {"from": m.sender, "to": m.recipient, "step": m.step, "payload": m.payload}
+
+
+def branch_json(outcomes, probability, corrections, fidelity, transcript) -> dict:
+    """The JSON object of one branch in a report, from its already converted fields."""
+    return {
+        "outcomes": outcomes,
+        "probability": probability,
+        "corrections": corrections,
+        "fidelity": fidelity,
+        "transcript": transcript,
+    }
 
 
 def build_parties(
@@ -284,45 +295,86 @@ def _expected_state(n_systems, axes, betas, target_vecs, ks) -> QuantumState:
     return product_state([labels[i] for i in order], [vecs[i] for i in order])
 
 
-def _branch_fidelity(state: QuantumState, expected: QuantumState) -> float:
-    if state.labels == expected.labels:
-        return fidelity_up_to_phase(state, expected)
-    rho = reduced_density(state, expected.labels)
-    val = float(np.real(expected.amplitudes.conj() @ rho @ expected.amplitudes))
-    return math.sqrt(min(max(val, 0.0), 1.0))
+def _fidelities(rows: np.ndarray, labels: tuple, expected: QuantumState) -> list:
+    """|<expected|row>| for each row of a (B, 2**n) array on `labels`; when the
+    rows hold more qubits than `expected`, sqrt(<expected|rho|expected>) of each
+    row's reduced state."""
+    e = expected.amplitudes.conj()
+    if labels == expected.labels:
+        return np.abs(rows @ e).tolist()
+    keep = [labels.index(lab) for lab in expected.labels]
+    rest = [i for i in range(len(labels)) if i not in keep]
+    t = rows.reshape((len(rows),) + (2,) * len(labels)).transpose([0] + [1 + i for i in keep + rest])
+    w = np.einsum("k,bkr->br", e, t.reshape(len(rows), len(e), -1))  # <expected| (x) I on each row
+    return np.sqrt(np.clip(np.einsum("br,br->b", w, w.conj()).real, 0.0, 1.0)).tolist()
 
 
-def _walk(state, plan, expected, rng) -> list:
-    """Depth-first expansion over measurement outcomes; rng=None enumerates, else draws one branch."""
-    branches = []
-    pending = [(state, 0, 1.0, "", (), ())]
-    while pending:
-        state, idx, prob, outcomes, corrections, transcript = pending.pop()
-        while idx < len(plan) and plan[idx].basis is None:
-            state = _apply(state, plan[idx])
-            idx += 1
-        if idx == len(plan):
-            fidelity = _branch_fidelity(state, expected)
-            branches.append(BranchRecord(outcomes, prob, corrections, state, fidelity, transcript))
+def _enumerate(state: QuantumState, plan, expected: QuantumState) -> list:
+    """Every branch of `plan` at once, by deferred measurement.
+
+    Row r of `rows` is the normalized state of the r-th live branch.  A
+    measurement splits each row into its two outcomes, outcome 0 first, so
+    rows stay in outcome-string order, the order of a depth-first walk;
+    outcomes below 1e-14 are dropped.  Every gate after the first
+    measurement acts on one qubit (steps 3-6).
+    """
+    labels, rows = state.labels, state.amplitudes.reshape(1, -1)
+    probs, bits, measured = np.ones(1), np.zeros((1, 0), dtype=np.uint8), []
+    for step in plan:
+        if step.control is not None:
+            raise ValueError("controlled gates must precede the first measurement")
+        ax = labels.index(step.qubit)
+        if step.basis is None:
+            rows = _gate(rows.reshape(len(rows) << ax, 2, -1), step.matrix).reshape(len(rows), -1)
             continue
-        step = plan[idx]
-        if rng is None:
-            probs = measurement_probabilities(state, step.qubit, step.basis)
-            forced = [outcome for outcome in (0, 1) if probs[outcome] >= 1e-14]
-        else:
-            forced = [None]
-        children = []
-        for outcome in forced:
-            record, post = measure(state, step.qubit, step.basis,
-                                   forced_outcome=outcome, rng=rng, remove=True)
-            applied = step.on_one if record.outcome == 1 else ()
-            for fix, _ in applied:
-                post = _apply(post, fix)
-            msgs = tuple(ClassicalMessage(step.actor, r, step.tag, record.outcome) for r in step.messages_to)
-            children.append((post, idx + 1, prob * record.probability, outcomes + str(record.outcome),
-                             corrections + tuple(label for _, label in applied), transcript + msgs))
-        pending.extend(reversed(children))  # outcome 0's subtree comes first
-    return branches
+        c = _basis_components(rows.reshape(len(rows), 1 << ax, 2, -1), step.basis)
+        f = c.view(np.float64)
+        p = np.einsum("bijk,bijk->bj", f, f)  # (B, 2): each row's outcome probabilities
+        keep = p >= 1e-14
+        post = np.empty((len(rows), 2) + c.shape[1:2] + c.shape[3:], dtype=complex)
+        np.divide(c.transpose(0, 2, 1, 3), np.sqrt(np.where(keep, p, 1.0))[:, :, None, None], out=post)
+        labels = labels[:ax] + labels[ax + 1:]
+        for fix, _ in step.on_one:  # on the outcome-1 half of every row
+            half = post[:, 1].reshape(len(rows), 1 << labels.index(fix.qubit), 2, -1)
+            half[...] = _gate(half, fix.matrix)
+        rows, probs = post.reshape(2 * len(rows), -1), (probs[:, None] * p).reshape(-1)
+        bits = np.hstack([np.repeat(bits, 2, axis=0), np.tile(np.array([[0], [1]], np.uint8), (len(p), 1))])
+        if not keep.all():
+            keep = keep.reshape(-1)
+            rows, probs, bits = rows[keep], probs[keep], bits[keep]
+        measured.append(step)
+
+    messages = [tuple(tuple(ClassicalMessage(s.actor, r, s.tag, b) for r in s.messages_to) for b in (0, 1))
+                for s in measured]
+    fixes = [((), tuple(label for _, label in s.on_one)) for s in measured]
+    m = len(measured)
+    text = (bits + ord("0")).tobytes().decode()
+    return [
+        BranchRecord(text[r * m:(r + 1) * m], prob, tuple(chain.from_iterable(map(getitem, fixes, row_bits))),
+                     QuantumState._trusted(labels, amps), fidelity,
+                     tuple(chain.from_iterable(map(getitem, messages, row_bits))))
+        for r, (row_bits, prob, amps, fidelity) in enumerate(
+            zip(bits.tolist(), probs.tolist(), rows, _fidelities(rows, labels, expected)))
+    ]
+
+
+def _sample(state: QuantumState, plan, expected: QuantumState, rng: np.random.Generator) -> list:
+    """One branch of `plan`, each measurement outcome drawn from rng."""
+    prob, outcomes, corrections, transcript = 1.0, "", (), ()
+    for step in plan:
+        if step.basis is None:
+            state = _apply(state, step)
+            continue
+        record, state = measure(state, step.qubit, step.basis, rng=rng, remove=True)
+        applied = step.on_one if record.outcome == 1 else ()
+        for fix, _ in applied:
+            state = _apply(state, fix)
+        prob *= record.probability
+        outcomes += str(record.outcome)
+        corrections += tuple(label for _, label in applied)
+        transcript += tuple(ClassicalMessage(step.actor, r, step.tag, record.outcome) for r in step.messages_to)
+    fidelity = _fidelities(state.amplitudes.reshape(1, -1), state.labels, expected)[0]
+    return [BranchRecord(outcomes, prob, corrections, state, fidelity, transcript)]
 
 
 def _forced_path(plan, tags, outcomes, state, unitary, project) -> list:
@@ -370,8 +422,10 @@ def run_crio(
     # then leaves about 14 MiB less heap resident under glibc malloc, which
     # otherwise adds to the peak RSS of the next large allocation.
     state, rest = _through_leading_gates(n_systems, target_vecs, controlled_groups, plan)
-    rng = np.random.default_rng(seed) if mode == "sample" else None
-    branches = _walk(state, rest, expected, rng)
+    if mode == "sample":
+        branches = _sample(state, rest, expected, np.random.default_rng(seed))
+    else:
+        branches = _enumerate(state, rest, expected)
     return ProtocolResult(
         n_systems=n_systems,
         permitted=permitted,
@@ -418,7 +472,7 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
         if guess == 1:
             for fix, _ in rest[0].on_one:  # rest[0] is the controller's step-3 measurement
                 start = _apply(start, fix)
-        guess_branches[guess] = _walk(start, rest[1:], expected, None)
+        guess_branches[guess] = _enumerate(start, rest[1:], expected)
 
     worst = {g: min(b.fidelity for b in brs) for g, brs in guess_branches.items()}
     best_guess = max(worst, key=lambda g: worst[g])

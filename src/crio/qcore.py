@@ -220,11 +220,16 @@ def _mix(m: np.ndarray, t0, t1, out0, out1) -> None:
         out += m[i, 1] * t1
 
 
+def _gate(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m applied to axis -2 of a (..., 2, rest) view, as a new array of that shape."""
+    out = np.empty(v.shape, dtype=v.dtype)
+    _mix(m, v[..., 0, :], v[..., 1, :], out[..., 0, :], out[..., 1, :])
+    return out
+
+
 def _apply_1q(state: QuantumState, m: np.ndarray, qubit: str) -> QuantumState:
     v = state.amplitudes.reshape(1 << state.axis_of(qubit), 2, -1)
-    out = np.empty_like(v)
-    _mix(m, v[:, 0], v[:, 1], out[:, 0], out[:, 1])
-    return QuantumState._trusted(state.labels, out.reshape(-1))
+    return QuantumState._trusted(state.labels, _gate(v, m).reshape(-1))
 
 
 def _apply_controlled(state: QuantumState, control: str, target: str, m: np.ndarray) -> QuantumState:
@@ -265,17 +270,22 @@ def _basis_kets(basis: str) -> np.ndarray:
     return kets
 
 
+def _basis_components(v: np.ndarray, basis: str) -> np.ndarray:
+    """A (..., 2, rest) view rewritten in `basis`: [..., i, :] is the unnormalized
+    component along basis ket i (v itself for Z)."""
+    if _basis_kets(basis) is IDENTITY_2:
+        return v
+    c = np.empty(v.shape, dtype=v.dtype)  # <+| and <-| are (<0| +- <1|) / sqrt(2)
+    np.add(v[..., 0, :], v[..., 1, :], out=c[..., 0, :])
+    np.subtract(v[..., 0, :], v[..., 1, :], out=c[..., 1, :])
+    np.multiply(c.view(np.float64), 1 / math.sqrt(2), out=c.view(np.float64))  # a real scale
+    return c
+
+
 def _components(state: QuantumState, qubit: str, basis: str):
     """(2**ax, 2, rest) array whose [:, i] is the unnormalized rest-of-register
     component along basis ket i, and the two outcome probabilities."""
-    kets = _basis_kets(basis)
-    v = state.amplitudes.reshape(1 << state.axis_of(qubit), 2, -1)
-    if kets is HADAMARD:  # <+| and <-| are (<0| +- <1|) / sqrt(2)
-        c = np.empty_like(v)
-        np.add(v[:, 0], v[:, 1], out=c[:, 0])
-        np.subtract(v[:, 0], v[:, 1], out=c[:, 1])
-        np.multiply(c.view(np.float64), 1 / math.sqrt(2), out=c.view(np.float64))  # a real scale
-        v = c
+    v = _basis_components(state.amplitudes.reshape(1 << state.axis_of(qubit), 2, -1), basis)
     f = v.view(np.float64)
     p0, p1 = np.einsum("ijk,ijk->j", f, f)
     return v, (float(p0), float(p1))

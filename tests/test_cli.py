@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from crio.cli import format_angle, main, parse_angle, parse_axis
+from crio import protocol as proto
+from crio.cli import _report, format_angle, main, parse_angle, parse_axis
 from crio.graphstate import CrioTopology, crio_channel_state
 from crio.qcore import X_AXIS
 
@@ -190,6 +191,34 @@ class TestReports:
         assert main(["control-power", "--sweep", count, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_gm_restarts_below_one_exits_2(self, tmp_path, capsys, count):
+        out = tmp_path / "gm.json"
+        assert main(["gm", "--n", "2", "--restarts", count, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: restarts must be at least 1") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data,named",
+        [
+            ({"labels": ["a"]}, "amplitudes"),
+            ({"state": {"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}}, "labels"),
+            ({"labels": "a", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "labels"),
+            ({"labels": ["a"], "amplitudes": {"0": [1.0, 0.0]}}, "amplitudes"),
+            ({"labels": ["a"], "amplitudes": [[1.0, 0.0], [0.0]]}, "amplitudes"),
+            ({"labels": ["a"], "amplitudes": [[1.0, 0.0], ["0", 0.0]]}, "amplitudes"),
+            ([[1.0, 0.0], [0.0, 0.0]], "labels and amplitudes"),
+        ],
+    )
+    def test_malformed_state_file_exits_2(self, tmp_path, capsys, data, named):
+        path, out = tmp_path / "state.json", tmp_path / "gm.json"
+        path.write_text(json.dumps(data))
+        assert main(["gm", "--state", str(path), "--mode", "general", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_table_three_quarter_block(self, tmp_path):
         out = tmp_path / "t3.csv"
         assert main(["reproduce-tables", "III", "--out", str(out)]) == 0
@@ -274,6 +303,41 @@ def test_register_above_bound_exits_2_before_allocating(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "limit of 25 qubits" in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "1", "--seed", "4"],  # includes a branch with an empty corrections list
+        ["--n", "3"],
+        ["--n", "4", "--groups", "3,5"],
+        ["--n", "2", "--permitted", "false"],
+        ["--n", "3", "--mode", "sample", "--seed", "5"],
+    ],
+)
+def test_run_protocol_report_is_json_dumps_of_the_result(tmp_path, monkeypatch, argv):
+    """The branch-list writer reproduces json.dumps(sort_keys=True, indent=2) of
+    ProtocolResult.to_json_dict byte for byte."""
+    runs = []
+    run_crio = proto.run_crio
+
+    def recording_run(**kwargs):
+        runs.append((kwargs, run_crio(**kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(proto, "run_crio", recording_run)
+    out = tmp_path / "run.json"
+    assert main(["run-protocol", *argv, "--out", str(out)]) == 0
+    (kwargs, result), = runs
+    config = proto.run_config_to_dict(
+        kwargs["n_systems"], kwargs["axes"], kwargs["betas"], kwargs["targets"],
+        kwargs["mode"], kwargs["seed"], kwargs["permitted"], kwargs["controlled_groups"],
+    )
+    payload = result.to_json_dict()
+    payload["min_fidelity"] = result.min_fidelity()
+    payload["total_probability"] = result.total_probability()
+    assert out.read_text() == json.dumps(_report(payload, config), sort_keys=True, indent=2) + "\n"
+    assert any(not b.corrections for b in result.branches) or kwargs["mode"] == "sample"
 
 
 class TestDeterminism:

@@ -179,3 +179,19 @@ class TestSerialization:
         round_trip = state_from_json_dict(state_to_json_dict(state))
         np.testing.assert_allclose(round_trip.amplitudes, state.amplitudes, atol=1e-15)
         assert round_trip.labels == qubit_labels(1)
+
+    @pytest.mark.parametrize(
+        "data,named",
+        [
+            ({"labels": ["a"]}, "amplitudes"),
+            ({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "labels"),
+            ({"labels": ["a"], "amplitudes": "1,0"}, "amplitudes"),
+            ({"labels": ["a"], "amplitudes": [[1.0, 0.0], [0.0, 0.0, 0.0]]}, "amplitudes"),
+            ({"labels": ["a"], "amplitudes": [[1.0, 0.0], [float("nan"), 0.0]]}, "amplitudes"),
+            ({"labels": ["a"], "amplitudes": [[1.0, 0.0], [True, 0.0]]}, "amplitudes"),
+            ([], "labels and amplitudes"),
+        ],
+    )
+    def test_state_schema_errors_name_the_key(self, data, named):
+        with pytest.raises(ValueError, match=named):
+            state_from_json_dict(data)

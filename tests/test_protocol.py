@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_qubit
+from crio import protocol
 from crio.protocol import (
+    BranchRecord,
+    ClassicalMessage,
     LocalityError,
+    Step,
     assert_local,
     build_parties,
     control_denial_report,
@@ -19,16 +24,23 @@ from crio.protocol import (
     symbolic_checkpoints,
 )
 from crio.qcore import (
+    HADAMARD,
+    PAULI_X,
+    PAULI_Z,
     PauliAxis,
     QuantumState,
     X_AXIS,
     Z_AXIS,
     basis_state,
     fidelity_up_to_phase,
+    measure,
+    measurement_probabilities,
     pauli_axis_matrix,
     product_state,
     random_axis,
+    reduced_density,
     rotation,
+    tensor,
 )
 from crio.stator import diagonal_stator, stator_from_state
 
@@ -184,8 +196,9 @@ class TestBranchBookkeeping:
 
 
 class TestWalkMatchesCheckpoints:
-    """The branch walk and the forced-outcome checkpoint path read the same step
-    plan; on every enumerated branch they must end in the same state."""
+    """The branch enumeration and the forced-outcome checkpoint path read the
+    same step plan; on every enumerated branch (a seeded subset of 32 at N=4)
+    they must end in the same state."""
 
     @pytest.mark.parametrize(
         "n,groups,permitted",
@@ -198,6 +211,9 @@ class TestWalkMatchesCheckpoints:
             (1, None, False),
             (2, None, False),
             (3, None, False),
+            (4, None, True),
+            (4, frozenset({3, 5}), True),
+            (4, None, False),
         ],
     )
     def test_final_state_on_every_branch(self, n, groups, permitted):
@@ -206,12 +222,132 @@ class TestWalkMatchesCheckpoints:
         betas = list(rng.uniform(0, 2 * math.pi, n))
         targets = [random_qubit(rng) for _ in range(n)]
         res = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
-        for branch in res.branches:
+        branches = res.branches
+        if n == 4:
+            branches = [branches[i] for i in sorted(rng.choice(len(branches), 32, replace=False))]
+        for branch in branches:
             bits = [int(b) for b in branch.outcomes]
             tag, final = run_checkpoints(n, axes, betas, targets, bits, permitted, groups)[-1]
             assert tag == "step6"
             assert final.labels == branch.final_state.labels
             np.testing.assert_allclose(final.amplitudes, branch.final_state.amplitudes, rtol=0, atol=1e-12)
+
+
+def reference_fidelity(state, expected):
+    if state.labels == expected.labels:
+        return fidelity_up_to_phase(state, expected)
+    rho = reduced_density(state, expected.labels)
+    val = float(np.real(expected.amplitudes.conj() @ rho @ expected.amplitudes))
+    return math.sqrt(min(max(val, 0.0), 1.0))
+
+
+def reference_walk(state, plan, expected):
+    """Depth-first, one state per node: the loop the batched enumeration replaced.
+    Each kept outcome (probability at least 1e-14) is a forced measurement;
+    outcome 0's subtree comes first."""
+    def visit(state, idx, prob, outcomes, corrections, transcript):
+        while idx < len(plan) and plan[idx].basis is None:
+            state = protocol._apply(state, plan[idx])
+            idx += 1
+        if idx == len(plan):
+            yield BranchRecord(outcomes, prob, corrections, state, reference_fidelity(state, expected), transcript)
+            return
+        step = plan[idx]
+        probs = measurement_probabilities(state, step.qubit, step.basis)
+        for outcome in (0, 1):
+            if probs[outcome] < 1e-14:
+                continue
+            record, post = measure(state, step.qubit, step.basis, forced_outcome=outcome, remove=True)
+            applied = step.on_one if outcome == 1 else ()
+            for fix, _ in applied:
+                post = protocol._apply(post, fix)
+            msgs = tuple(ClassicalMessage(step.actor, r, step.tag, outcome) for r in step.messages_to)
+            yield from visit(post, idx + 1, prob * record.probability, outcomes + str(outcome),
+                             corrections + tuple(label for _, label in applied), transcript + msgs)
+
+    return list(visit(state, 0, 1.0, "", (), ()))
+
+
+def assert_same_branch(got, ref):
+    assert (got.outcomes, got.corrections, got.transcript) == (ref.outcomes, ref.corrections, ref.transcript)
+    assert got.final_state.labels == ref.final_state.labels
+    assert got.probability == pytest.approx(ref.probability, rel=0, abs=1e-12)
+    assert got.fidelity == pytest.approx(ref.fidelity, rel=0, abs=1e-12)
+    np.testing.assert_allclose(got.final_state.amplitudes, ref.final_state.amplitudes, rtol=0, atol=1e-12)
+
+
+def assert_same_branches(got, ref):
+    assert [b.outcomes for b in got] == [b.outcomes for b in ref]
+    for g, r in zip(got, ref):
+        assert_same_branch(g, r)
+
+
+def random_inputs(rng, n):
+    return ([random_axis(rng) for _ in range(n)], list(rng.uniform(0, 2 * math.pi, n)),
+            [random_qubit(rng) for _ in range(n)])
+
+
+class TestBatchedEnumeration:
+    """The batched enumeration against the per-node reference walk and against
+    sample mode, which follows one branch with plain measurements."""
+
+    @pytest.mark.parametrize(
+        "n,groups,permitted",
+        [(1, None, True), (2, None, False), (3, frozenset({4}), True), (4, None, True), (4, frozenset({5}), False)],
+    )
+    def test_run_matches_reference_walk(self, monkeypatch, n, groups, permitted):
+        args = random_inputs(np.random.default_rng(110 + n), n)
+        batched = run_crio(n, *args, permitted=permitted, controlled_groups=groups)
+        monkeypatch.setattr(protocol, "_enumerate", reference_walk)
+        walked = run_crio(n, *args, permitted=permitted, controlled_groups=groups)
+        assert len(batched.branches) == 2 ** batched.measurement_count
+        assert_same_branches(batched.branches, walked.branches)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_denial_guesses_match_reference_walk(self, monkeypatch, n):
+        args = random_inputs(np.random.default_rng(120 + n), n)
+        batched = control_denial_report(n, *args)
+        monkeypatch.setattr(protocol, "_enumerate", reference_walk)
+        walked = control_denial_report(n, *args)
+        for guess in (0, 1):
+            assert_same_branches(batched.guess_branches[guess], walked.guess_branches[guess])
+        assert batched.best_guess == walked.best_guess
+        assert batched.best_guess_min_fidelity == pytest.approx(walked.best_guess_min_fidelity, abs=1e-12)
+
+    def test_zero_probability_outcomes_are_pruned(self):
+        """Protocol measurements are unbiased, so a hand-made plan exercises the
+        pruning: a reads 1 in Z with probability 9e-16, below the 1e-14 cut, and
+        b reads |-> in X with probability 0."""
+        rng = np.random.default_rng(130)
+        state = tensor(product_state(("a", "b"), [[1, 3e-8], [1 / math.sqrt(2), 1 / math.sqrt(2)]]),
+                       product_state(("c", "d", "e"), [random_qubit(rng) for _ in range(3)]))
+        state = protocol._apply(state, Step("s0", "P", "d", matrix=PAULI_X, control="c"))  # entangles c, d
+        plan = [
+            Step("s1", "P", "c", matrix=HADAMARD),
+            Step("s2", "P", "a", basis="Z", messages_to=("Q",), on_one=((Step("f", "P", "d", PAULI_X), "x d"),)),
+            Step("s3", "P", "b", basis="X", messages_to=("Q", "R"), on_one=((Step("f", "P", "c", PAULI_Z), "z c"),)),
+            Step("s4", "P", "c", basis="Z", messages_to=("R",), on_one=((Step("f", "P", "d", PAULI_Z), "z d"),)),
+            Step("s5", "P", "d", matrix=HADAMARD),
+        ]
+        expected = product_state(("e",), [random_qubit(rng)])
+        got = protocol._enumerate(state, plan, expected)
+        assert [b.outcomes for b in got] == ["000", "001"]
+        assert_same_branches(got, reference_walk(state, plan, expected))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), control=st.sampled_from(["full", "partial", "denied"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sampled_branches_are_enumerated_branches(self, n, control, seed):
+        rng = np.random.default_rng(seed)
+        args = random_inputs(rng, n)
+        groups = frozenset(int(g) for g in range(3, n + 2) if rng.random() < 0.5) if control == "partial" else None
+        kwargs = {"permitted": control != "denied", "controlled_groups": groups}
+        result = run_crio(n, *args, **kwargs)
+        enumerated = {b.outcomes: b for b in result.branches}
+        assert len(enumerated) == 2 ** result.measurement_count
+        for sample_seed in range(4):
+            (sampled,) = run_crio(n, *args, mode="sample", seed=sample_seed, **kwargs).branches
+            assert_same_branch(enumerated[sampled.outcomes], sampled)
 
 
 class TestValidation:
