@@ -6,8 +6,8 @@ can itself be chosen non-negative, so the search runs over per-qubit
 angles theta in [0, pi/2] only; general mode adds a relative phase per
 qubit.  The ascent updates one qubit at a time in closed form: the phase
 aligns with its environment and theta = atan2(|env_1|, |env_0|), the
-higher-order power-method step (De Lathauwer, De Moor & Vandewalle,
-SIAM J. Matrix Anal. Appl. 21, 2000), restarted from random points.
+alternating higher-order power method (De Lathauwer, De Moor & Vandewalle,
+SIAM J. Matrix Anal. Appl. 21, 2000), from random starts swept as rows of one array.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .qcore import HADAMARD, QuantumState, apply_1q
 
 OBJECTIVE_TOL = 1e-8  # a restart stops when a sweep gains under a tenth of it
 MAX_SWEEPS = 300      # per restart
+BLOCK_AMPLITUDES = 1 << 16  # restarts swept together hold about this many amplitudes
 
 
 @dataclass
@@ -37,20 +38,16 @@ class ProductAnsatz:
             self.phis = np.asarray(self.phis, dtype=float).reshape(-1)
             if self.phis.shape != self.thetas.shape:
                 raise ValueError("phis must match thetas in length")
-        else:
-            if np.any(self.thetas < -1e-12) or np.any(self.thetas > math.pi / 2 + 1e-12):
-                raise ValueError("non-negative mode keeps every theta in [0, pi/2]")
+        elif np.any(self.thetas < -1e-12) or np.any(self.thetas > math.pi / 2 + 1e-12):
+            raise ValueError("non-negative mode keeps every theta in [0, pi/2]")
 
     @property
     def num_qubits(self) -> int:
         return len(self.thetas)
 
     def qubit_vectors(self) -> list:
-        phases = np.exp(1j * self.phis) if self.phis is not None else np.ones(self.num_qubits)
-        return [
-            np.array([math.cos(t), p * math.sin(t)], dtype=complex)
-            for t, p in zip(self.thetas, phases)
-        ]
+        angles = np.stack([self.thetas] if self.phis is None else [self.thetas, self.phis])
+        return list(_bra(angles[None])[0].conj().astype(complex))
 
 
 @dataclass
@@ -102,72 +99,81 @@ def reduce_channel_state(n_systems: int) -> QuantumState:
 # ----------------------------------------------------------------------
 # optimizer
 
-def _environment(tensor_amp: np.ndarray, vectors: list, j: int) -> np.ndarray:
-    """Contract every qubit except j with the conjugated ansatz vectors."""
-    t = tensor_amp
-    n = t.ndim
-    for i in sorted(set(range(n)) - {j}, reverse=True):
-        t = np.tensordot(t, vectors[i].conj(), axes=([i], [0]))
-    return t  # shape (2,)
+def _bra(angles: np.ndarray) -> np.ndarray:
+    """(cos theta, e^{-i phi} sin theta) on a new last axis, for rows (b, 1 or 2, ...) of thetas[, phis]."""
+    sin = np.sin(angles[:, 0]) if angles.shape[1] == 1 else np.sin(angles[:, 0]) * np.exp(-1j * angles[:, 1])
+    return np.stack([np.cos(angles[:, 0]), sin], axis=-1)  # real without phases
 
 
-def gm_optimize(
-    state: QuantumState,
-    mode: str = "nonneg",
-    restarts: int = 64,
-    seed: int = 0,
-) -> GMResult:
-    """Multi-start coordinate ascent maximizing |<product|state>|^2."""
+def _ascend(psi: np.ndarray, angles: np.ndarray) -> tuple:
+    """Sweep restarts, rows of `angles` (b, 1 or 2, n), in place until each gains
+    under OBJECTIVE_TOL/10 in a sweep; return their best values and histories.
+    A sweep builds the right products of the conjugated vectors from the last
+    qubit back, then walks a left partial forward from the state: qubit j's
+    environment is its contraction with right[j], and it then absorbs the new
+    vector, so after the last qubit it is the sweep's overlap."""
+    general, n = angles.shape[1] == 2, angles.shape[2]
+    active = np.arange(len(angles))
+    # set by the start points' overlap at j == 0 (a zero-qubit state has none; its first sweep sets them)
+    best, histories = np.full(len(angles), -np.inf), [[] for _ in angles]
+    for sweep in range(MAX_SWEEPS):
+        ang, b = angles[active], len(active)
+        bra = _bra(ang)
+        right = [np.ones((b, 1))]
+        for j in range(n - 1, 0, -1):
+            right.insert(0, (bra[:, j, :, None] * right[0][:, None]).reshape(b, -1))
+        amp = np.broadcast_to(psi, (b, psi.size))
+        for j in range(n):
+            left = amp.reshape(b, 2, -1)
+            env = np.einsum("bak,bk->ba", left, right[j])
+            if sweep == 0 and j == 0:
+                best = np.abs(np.einsum("ba,ba->b", bra[:, 0], env)) ** 2
+                histories = [[float(v)] for v in best]
+            mag = np.abs(env)
+            # (m0 cos + m1 sin)^2 peaks where (cos, sin) is parallel to (m0, m1)
+            ang[:, 0, j] = np.arctan2(mag[:, 1], mag[:, 0])
+            if general:
+                ok = (mag[:, 0] > 1e-300) & (mag[:, 1] > 1e-300)
+                ang[ok, 1, j] = (np.angle(env[ok, 1]) - np.angle(env[ok, 0])) % (2 * math.pi)
+            bra[:, j] = _bra(ang[:, :, j])
+            amp = np.einsum("ba,bak->bk", bra[:, j], left)
+        value, prev = np.abs(amp[:, 0]) ** 2, best[active]
+        if np.any(value < prev - 1e-9):
+            raise RuntimeError("coordinate ascent decreased the objective")
+        for r, v in zip(active, value):
+            histories[r].append(float(v))
+        best[active], angles[active] = np.maximum(prev, value), ang
+        active = active[value - prev >= OBJECTIVE_TOL / 10]
+        if not active.size:
+            break
+    return best, histories
+
+
+def gm_optimize(state: QuantumState, mode: str = "nonneg", restarts: int = 64, seed: int = 0) -> GMResult:
+    """Multi-start coordinate ascent maximizing |<product|state>|^2.  Restarts
+    sweep in blocks of max(1, BLOCK_AMPLITUDES >> n) rows; no row depends on its block."""
     if mode not in ("nonneg", "general"):
         raise ValueError("mode must be 'nonneg' or 'general'")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if mode == "nonneg":
-        amps = state.amplitudes
-        if np.max(np.abs(amps.imag)) > 1e-12 or np.min(amps.real) < -1e-12:
-            raise ValueError("non-negative mode needs a non-negative state; reduce it first")
+    amps = state.amplitudes
+    if mode == "nonneg" and (np.max(np.abs(amps.imag)) > 1e-12 or np.min(amps.real) < -1e-12):
+        raise ValueError("non-negative mode needs a non-negative state; reduce it first")
     n = state.num_qubits
-    tensor_amp = state.tensor_view()
     rng = np.random.default_rng(seed)
-
-    results = []
-    for _ in range(restarts):
-        thetas = rng.uniform(0.0, math.pi / 2, size=n)
-        phis = rng.uniform(0.0, 2 * math.pi, size=n) if mode == "general" else None
-        vectors = ProductAnsatz(thetas, phis).qubit_vectors()
-        best = abs(overlap(state, ProductAnsatz(thetas, phis))) ** 2
-        history = [best]
-        for _sweep in range(MAX_SWEEPS):
-            for j in range(n):
-                env = _environment(tensor_amp, vectors, j)
-                m0, m1 = abs(env[0]), abs(env[1])
-                if mode == "general" and m1 > 1e-300 and m0 > 1e-300:
-                    phis[j] = float(np.angle(env[1]) - np.angle(env[0])) % (2 * math.pi)
-                # (m0 cos + m1 sin)^2 peaks where (cos, sin) is parallel to (m0, m1)
-                thetas[j] = math.atan2(m1, m0)
-                vectors[j] = ProductAnsatz(thetas[j : j + 1], None if phis is None else phis[j : j + 1]).qubit_vectors()[0]
-            value = abs(overlap(state, ProductAnsatz(thetas, phis))) ** 2
-            history.append(value)
-            if value < best - 1e-9:
-                raise RuntimeError("coordinate ascent decreased the objective")
-            if value - best < OBJECTIVE_TOL / 10:
-                best = max(best, value)
-                break
-            best = value
-        results.append((best, thetas.copy(), None if phis is None else phis.copy(), history))
-
-    results.sort(key=lambda r: (-r[0], tuple(np.round(r[1], 12))))
-    best_val, best_thetas, best_phis, best_history = results[0]
-    converged = len(results) >= 2 and abs(results[0][0] - results[1][0]) <= OBJECTIVE_TOL
-    lam_sq = min(best_val, 1.0 + 1e-12)
-    return GMResult(
-        lambda_sq=lam_sq,
-        G=-math.log2(lam_sq) if lam_sq > 0 else math.inf,
-        argmax=ProductAnsatz(best_thetas, best_phis),
-        restarts_used=restarts,
-        converged=converged,
-        history=best_history,
-    )
+    highs = (math.pi / 2, 2 * math.pi) if mode == "general" else (math.pi / 2,)
+    # each restart draws its angles, then its phases, so a seed keeps its start points
+    starts = np.array([[rng.uniform(0.0, hi, size=n) for hi in highs] for _ in range(restarts)])
+    block = max(1, BLOCK_AMPLITUDES >> n)
+    best, histories = [], []
+    for lo in range(0, restarts, block):
+        values, more = _ascend(amps.real if mode == "nonneg" else amps, starts[lo : lo + block])
+        best, histories = best + values.tolist(), histories + more
+    win, *others = sorted(range(restarts), key=lambda r: (-best[r], tuple(np.round(starts[r, 0], 12))))
+    converged = bool(others) and abs(best[win] - best[others[0]]) <= OBJECTIVE_TOL
+    lam_sq = min(best[win], 1.0 + 1e-12)
+    argmax = ProductAnsatz(starts[win, 0], starts[win, 1] if mode == "general" else None)
+    return GMResult(lam_sq, -math.log2(lam_sq) if lam_sq > 0 else math.inf, argmax, restarts, converged, histories[win])
 
 
 # ----------------------------------------------------------------------
@@ -203,16 +209,10 @@ def gm_phi(n_systems: int, restarts: int = 64, seed: int = 0) -> GMResult:
 
 
 def gm_report_dict(state_id: str, n_systems: int, result: GMResult) -> dict:
-    out = {"state_id": state_id, "N": n_systems}
-    out.update(result.to_json_dict())
-    return out
+    return {"state_id": state_id, "N": n_systems, **result.to_json_dict()}
 
 
 def entanglement_table_rows(n_max: int, restarts: int = 48, seed: int = 0):
     """Rows (N, channel state id, GM, reference state id, GM) for both families."""
-    rows = []
-    for n in range(1, n_max + 1):
-        g_h = gm_channel_family(n, restarts=restarts, seed=seed)
-        g_p = gm_phi(n, restarts=restarts, seed=seed)
-        rows.append((n, f"h{2 * n + 1}", g_h.G, f"phi{2 * n}", g_p.G))
-    return rows
+    return [(n, f"h{2 * n + 1}", gm_channel_family(n, restarts=restarts, seed=seed).G,
+             f"phi{2 * n}", gm_phi(n, restarts=restarts, seed=seed).G) for n in range(1, n_max + 1)]

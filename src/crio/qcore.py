@@ -94,7 +94,7 @@ class QuantumState:
                 f"expected {2 ** len(labels)} amplitudes for {len(labels)} qubits, got {amps.shape[0]}"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-8:
+        if not abs(nrm - 1.0) <= 1e-8:  # a NaN norm fails this too
             raise ValueError(f"state is not normalized: norm = {nrm}")
         self.labels = labels
         self.amplitudes = amps

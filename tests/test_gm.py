@@ -1,10 +1,16 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_qubit
+from crio import gm
 from crio.gm import (
+    MAX_SWEEPS,
+    OBJECTIVE_TOL,
     GMResult,
     ProductAnsatz,
     closed_form_overlap,
@@ -18,7 +24,7 @@ from crio.gm import (
     reduce_channel_state,
 )
 from crio.graphstate import CrioTopology, crio_channel_state, phi_state
-from crio.qcore import QuantumState, plus_state
+from crio.qcore import QuantumState, plus_state, product_state
 
 
 def exact_product_overlap(state, thetas):
@@ -27,6 +33,47 @@ def exact_product_overlap(state, thetas):
     for t in thetas:
         vec = np.kron(vec, np.array([math.cos(t), math.sin(t)]))
     return complex(np.vdot(vec, state.amplitudes))
+
+
+def reference_gm(state, mode="nonneg", restarts=64, seed=0):
+    """The one-restart-at-a-time ascent that `gm_optimize` batches: each
+    coordinate contracts the other qubits one tensordot at a time.  It builds
+    its own qubit vectors and overlaps, sharing no code with the optimizer."""
+    def contract(vectors, skip=None):  # skip=None gives <product|state>
+        t = state.tensor_view()
+        for i in sorted(set(range(state.num_qubits)) - {skip}, reverse=True):
+            t = np.tensordot(t, vectors[i].conj(), axes=([i], [0]))
+        return t
+
+    def vector(theta, phi):
+        return np.array([math.cos(theta), (1 if phi is None else np.exp(1j * phi)) * math.sin(theta)], dtype=complex)
+
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(restarts):
+        thetas = rng.uniform(0.0, math.pi / 2, size=state.num_qubits)
+        phis = rng.uniform(0.0, 2 * math.pi, size=state.num_qubits) if mode == "general" else None
+        vectors = [vector(t, None if phis is None else phis[j]) for j, t in enumerate(thetas)]
+        best = abs(complex(contract(vectors))) ** 2
+        history = [best]
+        for _sweep in range(MAX_SWEEPS):
+            for j in range(state.num_qubits):
+                env = contract(vectors, j)
+                m0, m1 = abs(env[0]), abs(env[1])
+                if mode == "general" and m1 > 1e-300 and m0 > 1e-300:
+                    phis[j] = float(np.angle(env[1]) - np.angle(env[0])) % (2 * math.pi)
+                thetas[j] = math.atan2(m1, m0)
+                vectors[j] = vector(thetas[j], None if phis is None else phis[j])
+            value = abs(complex(contract(vectors))) ** 2
+            history.append(value)
+            assert value >= best - 1e-9
+            if value - best < OBJECTIVE_TOL / 10:
+                best = max(best, value)
+                break
+            best = value
+        results.append((best, thetas.copy(), None if phis is None else phis.copy(), history))
+    results.sort(key=lambda r: (-r[0], tuple(np.round(r[1], 12))))
+    return results
 
 
 class TestOverlap:
@@ -204,3 +251,75 @@ class TestClosedForm:
                 dn[j] -= eps
                 grad.append((closed_form_overlap(n, up) - closed_form_overlap(n, dn)) / (2 * eps))
             assert np.linalg.norm(grad) <= 1e-6
+
+
+def ascent_case(kind, n, mode, seed):
+    """A random, basis or product state on n qubits; non-negative in nonneg mode.
+    Basis states give environments with an exact zero entry, which the phase
+    update must skip."""
+    rng = np.random.default_rng(seed)
+    labels = [f"q{i}" for i in range(n)]
+    if kind == "random":
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    elif kind == "basis":
+        amps = np.eye(2**n)[rng.integers(2**n)]
+    else:
+        amps = product_state(labels, [random_qubit(rng) for _ in labels]).amplitudes
+    if mode == "nonneg":
+        amps = np.abs(amps)
+    return QuantumState(labels, amps / np.linalg.norm(amps))
+
+
+ascent_cases = given(n=st.integers(1, 8), kind=st.sampled_from(["random", "basis", "product"]),
+                     mode=st.sampled_from(["nonneg", "general"]), seed=st.integers(0, 2**32 - 1))
+
+
+class TestBatchedAscent:
+    """`gm_optimize` sweeps all restarts as rows of one array; `reference_gm`
+    runs the same ascent one restart and one coordinate at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @ascent_cases
+    def test_one_restart_is_the_reference_ascent(self, n, kind, mode, seed):
+        state = ascent_case(kind, n, mode, seed)
+        ref_value, ref_thetas, ref_phis, ref_history = reference_gm(state, mode, restarts=1, seed=seed)[0]
+        got = gm_optimize(state, mode, restarts=1, seed=seed)
+        assert got.lambda_sq == pytest.approx(ref_value, abs=1e-12)
+        np.testing.assert_allclose(got.argmax.thetas, ref_thetas, rtol=0, atol=1e-12)
+        if mode == "general":  # phases compared on the circle
+            np.testing.assert_allclose(np.angle(np.exp(1j * (got.argmax.phis - ref_phis))), 0, atol=1e-12)
+        assert len(got.history) == len(ref_history)
+        np.testing.assert_allclose(got.history, ref_history, rtol=0, atol=1e-12)
+
+    @settings(max_examples=8, deadline=None)
+    @ascent_cases
+    def test_sixteen_restarts_match_the_reference(self, n, kind, mode, seed):
+        state = ascent_case(kind, n, mode, seed)
+        ref_value = reference_gm(state, mode, restarts=16, seed=seed)[0][0]
+        got = gm_optimize(state, mode, restarts=16, seed=seed)
+        assert got.lambda_sq == pytest.approx(ref_value, abs=1e-12)
+        assert got.G == pytest.approx(-math.log2(ref_value), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["nonneg", "general"])
+    def test_blocks_change_no_number(self, monkeypatch, mode):
+        state = ascent_case("random", 5, mode, 140)
+        whole = gm_optimize(state, mode, restarts=7, seed=140)
+        monkeypatch.setattr(gm, "BLOCK_AMPLITUDES", 2 * 2**5)  # blocks of two rows
+        split = gm_optimize(state, mode, restarts=7, seed=140)
+        assert split.lambda_sq == whole.lambda_sq and split.history == whole.history
+        np.testing.assert_array_equal(split.argmax.thetas, whole.argmax.thetas)
+
+    def test_zero_qubit_state(self):
+        res = gm_optimize(QuantumState((), [1.0]), restarts=2)
+        assert res.lambda_sq == 1.0 and res.history == [1.0, 1.0] and res.converged
+
+    def test_peak_memory_within_three_state_vectors(self):
+        # 64 restarts on 16 qubits run one row at a time, not as one 64-row block
+        state = phi_state(8)
+        tracemalloc.start()
+        try:
+            gm_optimize(state, restarts=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * state.amplitudes.nbytes

@@ -287,6 +287,11 @@ class TestStateConstruction:
         with pytest.raises(ValueError):
             QuantumState(("a",), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps", [[math.nan, 0.0], [1.0, math.nan], [math.nan, math.inf], [math.inf, 0.0]])
+    def test_non_finite_amplitudes_rejected(self, amps):
+        with pytest.raises(ValueError, match="normalized"):
+            QuantumState(("a",), amps)
+
     def test_real_amplitudes_without_copy(self):
         amps = np.array([1.0, 0.0])
         state = QuantumState(("a",), amps, copy=False)
