@@ -216,6 +216,8 @@ def state_from_json_dict(data: dict) -> QuantumState:
             raise ValueError(f"state is missing {key}")
         if not isinstance(data[key], list):
             raise ValueError(f"state {key} must be a list, got {type(data[key]).__name__}")
+    if not data["labels"]:
+        raise ValueError("state labels must name at least one qubit")
     for pair in data["amplitudes"]:
         if not (isinstance(pair, list) and len(pair) == 2 and all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in pair)):

@@ -515,12 +515,11 @@ def step1_stator(n_systems: int, axes: Sequence[PauliAxis]) -> Stator:
     if len(axes) != n_systems:
         raise ValueError("one axis per remote system")
     n = 2 * n_systems + 1
-    terms = []
-    for x in range(2 ** n):
-        bits = format(x, f"0{n}b")
-        word = tuple(int(bits[j - 1]) for j in range(n_systems + 2, 2 * n_systems + 2))
-        terms.append((bits, word, amplitude_oracle(n_systems, bits)))
-    return Stator(qubit_labels(n_systems), axes, terms)
+    x = np.arange(2 ** n)
+    coeffs = np.zeros((2 ** n, 2 ** n_systems), dtype=complex)
+    # the word exponents are the bits of a_{N+2}..a_{2N+1}, the low N bits of x
+    coeffs[x, x % 2 ** n_systems] = [amplitude_oracle(n_systems, format(v, f"0{n}b")) for v in x]
+    return Stator(qubit_labels(n_systems), axes, coeffs.reshape((2,) * (n + n_systems)))
 
 
 def symbolic_checkpoints(n_systems, axes, betas, outcomes: Sequence[int]):

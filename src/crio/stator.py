@@ -1,15 +1,20 @@
 """Hybrid state-operators: weighted sums of (control ket) x (target operator word).
 
-A term (bits, word) -> coeff stands for coeff * |bits> (x) W(word) where
-W(word) = (x)_j sigma_{n_j}^{w_j} over the target systems, w_j in {0, 1}
-and exponent 0 meaning the identity.  Viewed as a matrix, a stator maps
-the target space into control (x) target space.
+A stator on c control qubits and t target systems is one complex array of
+shape (2,)*c + (2,)*t: entry [b_1..b_c, w_1..w_t] is the coefficient of
+|b_1..b_c> (x) W(w), where W(w) = (x)_j sigma_{n_j}^{w_j} over the target
+systems and exponent 0 means the identity.  Entries at or below PRUNE_TOL
+are stored as zero; the nonzero entries are the stator's terms, keyed
+(bits, word) and listed in C order, which is lexicographic in (bits, word).
+Viewed as a matrix, a stator maps the target space into control (x) target
+space.  The constructor takes the array; `Stator.from_terms` is the one
+parser of hand-written (bits, word, coeff) lists.
 """
 from __future__ import annotations
 
 import math
-from itertools import product
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,42 +38,47 @@ _BASIS_BRAS = {
 }
 
 
-def word_matrix(word: Sequence[int], axes: Sequence[PauliAxis]) -> np.ndarray:
-    """Kronecker product of sigma_n^w over the targets; empty word gives [[1]]."""
-    m = np.array([[1.0 + 0j]])
-    for w, axis in zip(word, axes):
-        m = np.kron(m, pauli_axis_matrix(axis) if w else IDENTITY_2)
-    return m
+def word_table(axes: Sequence[PauliAxis]) -> np.ndarray:
+    """W(w) for every word w in C order, shape (2**t, 2**t, 2**t); no axes give [[[1]]]."""
+    table = np.ones((1, 1, 1), dtype=complex)
+    for axis in axes:
+        pair = np.stack([IDENTITY_2, pauli_axis_matrix(axis)])
+        n, d = 2 * table.shape[0], 2 * table.shape[1]
+        table = np.einsum("aij,bkl->abikjl", table, pair).reshape(n, d, d)
+    return table
 
 
 class Stator:
-    __slots__ = ("control_labels", "target_axes", "terms")
+    __slots__ = ("control_labels", "target_axes", "coeffs")
 
-    def __init__(self, control_labels, target_axes, terms):
+    def __init__(self, control_labels, target_axes, coeffs):
         self.control_labels = tuple(str(l) for l in control_labels)
         self.target_axes = tuple(target_axes)
-        n_c, n_t = len(self.control_labels), len(self.target_axes)
-        merged: dict = {}
-        items = terms.items() if isinstance(terms, dict) else ((b, w, c) for b, w, c in terms)
-        for entry in items:
-            if isinstance(terms, dict):
-                (bits, word), coeff = entry
-            else:
-                bits, word, coeff = entry
-            bits = str(bits)
-            word = tuple(int(w) for w in word)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        shape = (2,) * (len(self.control_labels) + len(self.target_axes))
+        if coeffs.shape != shape:
+            raise ValueError(f"coefficient array has shape {coeffs.shape}, expected {shape}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("non-finite coefficient")
+        kept = np.abs(coeffs) > PRUNE_TOL
+        if not kept.any():
+            raise ValueError("stator has no nonzero terms")
+        self.coeffs = np.where(kept, coeffs, 0) + 0j  # + 0j turns -0.0 parts into 0.0
+        self.coeffs.flags.writeable = False
+
+    @classmethod
+    def from_terms(cls, control_labels, target_axes, terms) -> "Stator":
+        """Stator from (bits, word, coeff) triples; duplicate terms add up."""
+        n_c, n_t = len(control_labels), len(target_axes)
+        coeffs = np.zeros((2,) * (n_c + n_t), dtype=complex)
+        for bits, word, coeff in terms:
+            bits, word = str(bits), tuple(int(w) for w in word)
             if len(bits) != n_c or any(c not in "01" for c in bits):
                 raise ValueError(f"bad control bitstring {bits!r}")
             if len(word) != n_t or any(w not in (0, 1) for w in word):
                 raise ValueError(f"bad operator word {word!r}")
-            coeff = complex(coeff)
-            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
-                raise ValueError("non-finite coefficient")
-            merged[(bits, word)] = merged.get((bits, word), 0j) + coeff
-        merged = {k: v for k, v in merged.items() if abs(v) > PRUNE_TOL}
-        if not merged:
-            raise ValueError("stator has no nonzero terms")
-        self.terms = merged
+            coeffs[tuple(map(int, bits)) + word] += complex(coeff)
+        return cls(control_labels, target_axes, coeffs)
 
     # -- shape ----------------------------------------------------------
 
@@ -88,27 +98,30 @@ class Stator:
     def target_dim(self) -> int:
         return 2 ** self.n_targets
 
+    @property
+    def terms(self) -> Mapping:
+        """Read-only {(bits, word): coeff} of the nonzero entries, in C order."""
+        index = np.nonzero(self.coeffs)
+        n_c = self.n_controls
+        return MappingProxyType({
+            ("".join(map(str, pos[:n_c])), tuple(pos[n_c:])): coeff
+            for pos, coeff in zip(np.transpose(index).tolist(), self.coeffs[index].tolist())
+        })
+
     def coefficient(self, bits: str, word) -> complex:
         return self.terms.get((bits, tuple(int(w) for w in word)), 0j)
 
     def canonical_terms(self):
-        """Terms sorted lexicographically by bitstring, then word."""
-        return sorted((b, w, c) for (b, w), c in self.terms.items())
+        """Terms as (bits, word, coeff), lexicographic by bitstring, then word."""
+        return [(b, w, c) for (b, w), c in self.terms.items()]
 
     # -- linear algebra ---------------------------------------------------
 
     def as_matrix(self) -> np.ndarray:
         """(control_dim * target_dim) x target_dim map from target space."""
-        d_t = self.target_dim
-        m = np.zeros((self.control_dim * d_t, d_t), dtype=complex)
-        for (bits, word), coeff in self.terms.items():
-            r0 = int(bits, 2) * d_t
-            m[r0 : r0 + d_t, :] += coeff * word_matrix(word, self.target_axes)
-        return m
-
-    def apply(self, target_state: QuantumState | np.ndarray) -> np.ndarray:
-        vec = target_state.amplitudes if isinstance(target_state, QuantumState) else np.asarray(target_state)
-        return self.as_matrix() @ vec
+        d_t = self.target_dim  # also the number of words
+        table = word_table(self.target_axes).reshape(d_t, d_t * d_t)
+        return (self.coeffs.reshape(self.control_dim, d_t) @ table).reshape(-1, d_t)
 
     # -- transforms -------------------------------------------------------
 
@@ -123,13 +136,7 @@ class Stator:
         if m.shape != (2, 2):
             raise ValueError("control unitary must be 2x2")
         pos = self._pos(qubit)
-        out = []
-        for (bits, word), coeff in self.terms.items():
-            b = int(bits[pos])
-            for nb in (0, 1):
-                amp = m[nb, b] * coeff
-                if amp != 0:
-                    out.append((bits[:pos] + str(nb) + bits[pos + 1 :], word, amp))
+        out = np.moveaxis(np.tensordot(m, self.coeffs, axes=([1], [pos])), 0, pos)
         return Stator(self.control_labels, self.target_axes, out)
 
     def project_control(self, qubit: str, basis: str, outcome: int) -> "Stator":
@@ -138,11 +145,7 @@ class Stator:
         if bra is None:
             raise ValueError("basis must be 'Z' or 'X' with outcome 0/1")
         pos = self._pos(qubit)
-        out = []
-        for (bits, word), coeff in self.terms.items():
-            amp = np.conj(bra[int(bits[pos])]) * coeff
-            if amp != 0:
-                out.append((bits[:pos] + bits[pos + 1 :], word, amp))
+        out = np.tensordot(bra.conj(), self.coeffs, axes=([0], [pos]))
         labels = self.control_labels[:pos] + self.control_labels[pos + 1 :]
         try:
             return Stator(labels, self.target_axes, out)
@@ -150,16 +153,15 @@ class Stator:
             raise ValueError("projection annihilates every stator term") from None
 
     def scaled(self, factor: complex) -> "Stator":
-        return Stator(
-            self.control_labels,
-            self.target_axes,
-            {k: v * factor for k, v in self.terms.items()},
-        )
+        return Stator(self.control_labels, self.target_axes, self.coeffs * factor)
 
     def normalize(self) -> "Stator":
-        """Scale so Tr(S^dag S) = 1; idempotent and scale-invariant."""
-        m = self.as_matrix()
-        t = float(np.trace(m.conj().T @ m).real)
+        """Scale so Tr(S^dag S) = 1; idempotent and scale-invariant.
+
+        Pauli words are trace-orthogonal with Tr(W^dag W) = target_dim, so
+        Tr(S^dag S) = target_dim * sum |c|^2.
+        """
+        t = self.target_dim * float(np.vdot(self.coeffs, self.coeffs).real)
         if t <= PRUNE_TOL:
             raise ValueError("cannot normalize a vanishing stator")
         return self.scaled(1.0 / math.sqrt(t))
@@ -192,12 +194,11 @@ class Stator:
             return False
         scale = 1.0 + 0j
         if up_to_scale:
-            key = max(self.terms, key=lambda k: abs(self.terms[k]))
-            if key not in other.terms:
+            key = np.unravel_index(np.argmax(np.abs(self.coeffs)), self.coeffs.shape)
+            if other.coeffs[key] == 0:
                 return False
-            scale = other.terms[key] / self.terms[key]
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(other.terms.get(k, 0j) - scale * self.terms.get(k, 0j)) <= tol for k in keys)
+            scale = other.coeffs[key] / self.coeffs[key]
+        return bool(np.all(np.abs(other.coeffs - scale * self.coeffs) <= tol))
 
     # -- presentation -------------------------------------------------------
 
@@ -228,11 +229,7 @@ def diagonal_stator(control_labels: Sequence[str], axes: Sequence[PauliAxis]) ->
     if len(labels) != len(axes):
         raise ValueError("one axis per control qubit")
     n = len(labels)
-    terms = []
-    for q in range(2 ** n):
-        bits = format(q, f"0{n}b")
-        terms.append((bits, tuple(int(c) for c in bits), 1.0))
-    return Stator(labels, axes, terms)
+    return Stator(labels, axes, np.eye(2 ** n).reshape((2,) * (2 * n)))
 
 
 def stator_from_state(
@@ -266,13 +263,12 @@ def stator_from_state(
     if len(axes) != len(targets):
         raise ValueError("one axis per target system")
     d_c, d_t = 2 ** len(controls), 2 ** len(targets)
-    words = [tuple(w) for w in product((0, 1), repeat=len(targets))]
+    table = word_table(axes)
 
     blocks, rhs = [], []
     for js, ps, scale in zip(joints, probe_list, scales):
         v = scale * js.reordered(controls + targets).amplitudes.reshape(d_c, d_t)
-        psi = ps.reordered(targets).amplitudes
-        blocks.append(np.column_stack([word_matrix(w, axes) @ psi for w in words]))
+        blocks.append((table @ ps.reordered(targets).amplitudes).T)  # column w: W(w) |probe>
         rhs.append(v)
     a = np.vstack(blocks)
     svals = np.linalg.svd(a, compute_uv=False)
@@ -285,12 +281,4 @@ def stator_from_state(
     total = float(np.linalg.norm(b))
     if residual > FIT_TOL * max(1.0, total):
         raise ValueError(f"state is not of stator form (residual {residual:.3e})")
-
-    terms = []
-    for bi in range(d_c):
-        bits = format(bi, f"0{len(controls)}b")
-        for wi, w in enumerate(words):
-            c = coeffs[wi, bi]
-            if abs(c) > PRUNE_TOL:
-                terms.append((bits, w, c))
-    return Stator(controls, axes, terms)
+    return Stator(controls, axes, coeffs.T.reshape((2,) * (len(controls) + len(axes))))

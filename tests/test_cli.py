@@ -209,6 +209,7 @@ class TestReports:
             ({"labels": ["a"], "amplitudes": [[1.0, 0.0], [0.0]]}, "amplitudes"),
             ({"labels": ["a"], "amplitudes": [[1.0, 0.0], ["0", 0.0]]}, "amplitudes"),
             ([[1.0, 0.0], [0.0, 0.0]], "labels and amplitudes"),
+            ({"labels": [], "amplitudes": [[1.0, 0.0]]}, "labels"),
         ],
     )
     def test_malformed_state_file_exits_2(self, tmp_path, capsys, data, named):

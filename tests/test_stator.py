@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_qubit
 from crio.graphstate import amplitude_oracle, qubit_labels
@@ -13,13 +14,14 @@ from crio.qcore import (
     PAULI_X,
     PAULI_Z,
     X_AXIS,
+    Y_AXIS,
     Z_AXIS,
     pauli_axis_matrix,
     product_state,
     random_axis,
     rotation,
 )
-from crio.stator import Stator, diagonal_stator, stator_from_state, word_matrix
+from crio.stator import Stator, diagonal_stator, stator_from_state, word_table
 from crio.qcore import QuantumState
 
 PROBE_VECTORS = [
@@ -29,8 +31,26 @@ PROBE_VECTORS = [
 ]
 
 
+def word_matrix(word, axes):
+    """Kronecker product of sigma_n^w over the targets; the reference for the word table."""
+    m = np.array([[1.0 + 0j]])
+    for w, axis in zip(word, axes):
+        m = np.kron(m, pauli_axis_matrix(axis) if w else IDENTITY_2)
+    return m
+
+
+def reference_matrix(s):
+    """Term-by-term matrix of a stator, each word rebuilt with np.kron."""
+    d_t = s.target_dim
+    m = np.zeros((s.control_dim * d_t, d_t), dtype=complex)
+    for (bits, word), coeff in s.terms.items():
+        r0 = int(bits, 2) * d_t
+        m[r0 : r0 + d_t, :] += coeff * word_matrix(word, s.target_axes)
+    return m
+
+
 def pair_stator(axis, label="b"):
-    return Stator((label,), (axis,), [("0", (0,), 1.0), ("1", (1,), 1.0)])
+    return Stator.from_terms((label,), (axis,), [("0", (0,), 1.0), ("1", (1,), 1.0)])
 
 
 def probe_runs(n_systems, axes, betas, outcomes, tag):
@@ -108,21 +128,21 @@ class TestTransforms:
     def test_sigma_x_flips_term_bits(self):
         rng = np.random.default_rng(36)
         axis = random_axis(rng)
-        s = Stator(("b", "c"), (axis,), [("10", (0,), 1.0), ("01", (1,), 1.0)])
+        s = Stator.from_terms(("b", "c"), (axis,), [("10", (0,), 1.0), ("01", (1,), 1.0)])
         out = s.apply_control_unitary("b", PAULI_X)
         assert set(out.terms) == {("00", (0,)), ("11", (1,))}
 
     def test_x_projection_then_sigma_z_restores_pair(self):
         rng = np.random.default_rng(37)
         axis = random_axis(rng)
-        s = Stator(("b", "c"), (axis,), [("00", (0,), 1.0), ("11", (1,), 1.0)])
+        s = Stator.from_terms(("b", "c"), (axis,), [("00", (0,), 1.0), ("11", (1,), 1.0)])
         minus_branch = s.project_control("c", "X", 1)
         assert minus_branch.control_labels == ("b",)
         corrected = minus_branch.apply_control_unitary("b", PAULI_Z)
         assert corrected.equal_terms(pair_stator(axis), up_to_scale=True)
 
     def test_projection_annihilation(self):
-        s = Stator(("b",), (X_AXIS,), [("0", (0,), 1.0)])
+        s = Stator.from_terms(("b",), (X_AXIS,), [("0", (0,), 1.0)])
         with pytest.raises(ValueError, match="annihilates"):
             s.project_control("b", "Z", 1)
 
@@ -130,7 +150,7 @@ class TestTransforms:
         # H sends a |+> control component to |0>: a two-term stator on the
         # +/- axis becomes a single computational term
         axis = X_AXIS
-        s = Stator(("c",), (axis,), [("0", (1,), 1.0), ("1", (1,), 1.0)])  # sqrt2 |+> (x) sigma
+        s = Stator.from_terms(("c",), (axis,), [("0", (1,), 1.0), ("1", (1,), 1.0)])  # sqrt2 |+> (x) sigma
         out = s.apply_control_unitary("c", HADAMARD)
         assert set(out.terms) == {("0", (1,))}
         assert out.terms[("0", (1,))] == pytest.approx(math.sqrt(2))
@@ -155,7 +175,7 @@ class TestTransforms:
             for first, sign_anti in (("0", +1), ("1", -1)):
                 terms[(first + aligned, q)] = terms.get((first + aligned, q), 0) + inv_sqrt2
                 terms[(first + anti, qbar)] = terms.get((first + anti, qbar), 0) + sign_anti * inv_sqrt2
-        expected = Stator(qubit_labels(n), axes, [(b, w, c) for (b, w), c in terms.items()])
+        expected = Stator.from_terms(qubit_labels(n), axes, [(b, w, c) for (b, w), c in terms.items()])
         assert s.equal_terms(expected, up_to_scale=True, tol=1e-10)
 
 
@@ -232,7 +252,7 @@ class TestNormalize:
 
     def test_zero_stator_rejected(self):
         with pytest.raises(ValueError):
-            Stator(("b",), (X_AXIS,), [("0", (0,), 0.0)])
+            Stator.from_terms(("b",), (X_AXIS,), [("0", (0,), 0.0)])
 
 
 class TestDualPath:
@@ -263,7 +283,7 @@ class TestDualPath:
 
 class TestPresentation:
     def test_pretty_uses_ket_and_word_notation(self):
-        s = Stator(("b", "c"), (X_AXIS,), [("01", (1,), 1.0)])
+        s = Stator.from_terms(("b", "c"), (X_AXIS,), [("01", (1,), 1.0)])
         text = s.pretty()
         assert "|01⟩" in text and "σ_n" in text
 
@@ -273,5 +293,139 @@ class TestPresentation:
         assert data["controls"] == ["b"]
         assert {tuple(t["word"]) for t in data["terms"]} == {(0,), (1,)}
 
-    def test_word_matrix_empty_word(self):
-        np.testing.assert_allclose(word_matrix((), ()), [[1.0]])
+    def test_word_table_without_targets(self):
+        np.testing.assert_allclose(word_table(()), [[[1.0]]])
+
+
+class TestConstruction:
+    def test_duplicate_terms_add_up(self):
+        s = Stator.from_terms(("b",), (X_AXIS,), [("1", (0,), 0.25), ("0", (1,), 1.0), ("1", (0,), 0.5)])
+        assert list(s.terms.items()) == [(("0", (1,)), 1.0), (("1", (0,)), 0.75)]
+
+    def test_terms_cancelling_to_zero_are_dropped(self):
+        s = Stator.from_terms(("b",), (X_AXIS,), [("0", (0,), 1.0), ("1", (1,), 1.0), ("1", (1,), -1.0)])
+        assert set(s.terms) == {("0", (0,))}
+        assert s.coefficient("1", (1,)) == 0j
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [(("2", (0,), 1.0), "bitstring"), (("00", (0,), 1.0), "bitstring"),
+         (("0", (2,), 1.0), "word"), (("0", (0, 1), 1.0), "word"), (("0", (0,), math.inf), "non-finite")],
+    )
+    def test_malformed_term_rejected(self, term, message):
+        with pytest.raises(ValueError, match=message):
+            Stator.from_terms(("b",), (X_AXIS,), [term])
+
+    @pytest.mark.parametrize("coeffs", [np.ones(4), np.ones((2, 2, 2)), [[1.0, math.nan], [0.0, 0.0]]])
+    def test_malformed_array_rejected(self, coeffs):
+        with pytest.raises(ValueError):
+            Stator(("b",), (X_AXIS,), coeffs)
+
+    def test_terms_and_array_are_read_only(self):
+        s = pair_stator(X_AXIS)
+        with pytest.raises(TypeError):
+            s.terms[("0", (1,))] = 1.0
+        with pytest.raises(ValueError):
+            s.coeffs[0, 0] = 2.0
+
+
+@st.composite
+def stators(draw):
+    """Random stators on 1-3 controls and 1-2 targets, some entries exactly zero."""
+    n_c, n_t = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2,) * (n_c + n_t)
+    coeffs = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.7)
+    coeffs.flat[rng.integers(coeffs.size)] = 1.0
+    labels = [f"c{k}" for k in range(n_c)]
+    return Stator(labels, [random_axis(rng) for _ in range(n_t)], coeffs), rng
+
+
+def _on_control(s, pos, op):
+    """op acting on control qubit `pos` of a stator matrix's rows."""
+    return np.kron(np.kron(np.eye(2**pos), op), np.eye(2 ** (s.n_controls - pos - 1) * s.target_dim))
+
+
+class TestTransformsMatchMatrix:
+    """Every transform equals the same operation on as_matrix(), to 1e-12."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stators(), st.data())
+    def test_transforms_act_on_the_matrix(self, drawn, data):
+        s, rng = drawn
+        m = s.as_matrix()
+        np.testing.assert_allclose(m, reference_matrix(s), rtol=0, atol=1e-12)
+
+        pos = data.draw(st.integers(0, s.n_controls - 1))
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        out = s.apply_control_unitary(s.control_labels[pos], u)
+        np.testing.assert_allclose(out.as_matrix(), _on_control(s, pos, u) @ m, rtol=0, atol=1e-12)
+
+        basis, outcome = data.draw(st.sampled_from(["Z", "X"])), data.draw(st.integers(0, 1))
+        bra = np.eye(2)[outcome] if basis == "Z" else np.array([1, (-1) ** outcome]) / math.sqrt(2)
+        projected = _on_control(s, pos, bra[None, :]) @ m
+        if np.abs(projected).max() > 1e-9:
+            out = s.project_control(s.control_labels[pos], basis, outcome)
+            assert out.control_labels == s.control_labels[:pos] + s.control_labels[pos + 1 :]
+            np.testing.assert_allclose(out.as_matrix(), projected, rtol=0, atol=1e-12)
+        else:
+            with pytest.raises(ValueError, match="annihilates"):
+                s.project_control(s.control_labels[pos], basis, outcome)
+
+        factor = complex(rng.normal(), rng.normal())
+        np.testing.assert_allclose(s.scaled(factor).as_matrix(), factor * m, rtol=0, atol=1e-12)
+        expected = m / math.sqrt(np.trace(m.conj().T @ m).real)
+        np.testing.assert_allclose(s.normalize().as_matrix(), expected, rtol=0, atol=1e-12)
+
+
+class TestGoldenPresentation:
+    """pretty() and to_json_dict() as the dict-of-terms implementation printed them."""
+
+    CASES = {
+        "pair": (
+            lambda: pair_stator(X_AXIS),
+            "(+1+0j)|0⟩⊗I + (+1+0j)|1⟩⊗σ_n",
+            ["b"], [[1.0, 0.0, 0.0]],
+            [("0", [0], 1.0, 0.0), ("1", [1], 1.0, 0.0)],
+        ),
+        "step1": (
+            lambda: step1_stator(1, [Z_AXIS]),
+            "(+0.353553+0j)|000⟩⊗I + (+0.353553+0j)|001⟩⊗σ_n + (+0.353553+0j)|010⟩⊗I"
+            " + (+0.353553+0j)|011⟩⊗σ_n + (+0.353553+0j)|100⟩⊗I + (-0.353553+0j)|101⟩⊗σ_n"
+            " + (-0.353553+0j)|110⟩⊗I + (+0.353553+0j)|111⟩⊗σ_n",
+            ["a1", "a2", "a3"], [[0.0, 0.0, 1.0]],
+            [(format(x, "03b"), [x % 2], (-1) ** (x in (5, 6)) * 0.35355339059327373, 0.0)
+             for x in range(8)],
+        ),
+        "step4": (
+            lambda: dict(symbolic_checkpoints(2, [X_AXIS, Y_AXIS], [0.3, 1.1], [1, 0, 1, 1, 0]))["step4"],
+            "(+0.176777+0j)|00⟩⊗I·I + (+0.176777+0j)|01⟩⊗I·σ_n + (+0.176777+0j)|10⟩⊗σ_n·I"
+            " + (+0.176777+0j)|11⟩⊗σ_n·σ_n",
+            ["a2", "a3"], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            [(b, [int(c) for c in b], 0.1767766952966368, 0.0) for b in ("00", "01", "10", "11")],
+        ),
+        # a rotation whose two contributions to a real part are both -0.0: the sum prints as +0
+        "step5": (
+            lambda: dict(symbolic_checkpoints(1, [X_AXIS], [2.0], [0, 0, 0]))["step5"],
+            "(-0.14713+0j)|0⟩⊗I + (+0+0.321485j)|0⟩⊗σ_n + (+0+0.321485j)|1⟩⊗I + (-0.14713+0j)|1⟩⊗σ_n",
+            ["a2"], [[1.0, 0.0, 0.0]],
+            [("0", [0], -0.14713012504590706, 0.0), ("0", [1], 0.0, 0.32148518831195894),
+             ("1", [0], 0.0, 0.32148518831195894), ("1", [1], -0.14713012504590706, 0.0)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pretty_and_json_match_recorded_output(self, case):
+        build, pretty, controls, target_axes, terms = self.CASES[case]
+        s = build()
+        assert s.pretty() == pretty
+        data = s.to_json_dict()
+        assert list(data) == ["controls", "target_axes", "terms"]
+        assert data["controls"] == controls and data["target_axes"] == target_axes
+        assert [list(t) for t in data["terms"]] == [["bits", "word", "re", "im"]] * len(terms)
+        assert [(t["bits"], t["word"]) for t in data["terms"]] == [(b, w) for b, w, _, _ in terms]
+        for t, (_, _, re, im) in zip(data["terms"], terms):
+            assert type(t["re"]) is float and type(t["im"]) is float
+            assert abs(t["re"] - re) <= 1e-12 and abs(t["im"] - im) <= 1e-12
+            signs = [math.copysign(1, v) for v in (t["re"], t["im"], re, im)]
+            assert signs[:2] == signs[2:]
