@@ -1,4 +1,12 @@
-"""Graphs, CZ-built graph states, the control-channel graph family, and exports.
+"""Graphs, graph states, the control-channel graph family, and exports.
+
+A graph state is CZ along every edge of |+>^n.  build_graph_state writes it
+by vertex doubling in one 2**n buffer: vertices join from last to first,
+each as a copy of the state so far (its |+> factor), and its CZs to the
+vertices already present negate blocks of that copy.  CZs commute and are
+diagonal, so this is the CZ circuit applied in another order: each amplitude
+is negated once per edge whose two ends read 1, and the result is the same
+vector, bit for bit, that edge-by-edge apply_2q_cz calls produce.
 
 The channel family: for N remote systems, 2N+1 vertices are wired as
 edges {1,2}, {1,N+2}, plus {2,k}, {k,N+2}, {k,k+N} for each controlled
@@ -14,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcore import QuantumState, _cz_in_place, check_register_size, plus_state
+from .qcore import QuantumState, check_register_size
 
 
 @dataclass(frozen=True)
@@ -97,17 +105,34 @@ def role_names(topology: CrioTopology) -> dict:
 
 
 def build_graph_state(graph: Graph, labels: Sequence[str] | None = None) -> QuantumState:
-    """CZ along every edge of |+>^n, as sign flips in place on that one vector."""
-    check_register_size(graph.num_vertices)
+    """CZ along every edge of |+>^n, built by vertex doubling in one buffer.
+
+    Vertices join from last to first.  With the state of vertices u+1..n in
+    buf[:L], vertex u joins in |+>: buf[:L] is copied into buf[L:2L], the
+    x_u = 1 half, and u's CZ to each later neighbour v negates the x_v = 1
+    block of that half.  The module docstring says why this is the CZ
+    circuit, bit for bit.
+    """
+    n = graph.num_vertices
+    check_register_size(n)
     if labels is None:
-        labels = tuple(str(v) for v in range(1, graph.num_vertices + 1))
+        labels = tuple(str(v) for v in range(1, n + 1))
     labels = tuple(labels)
-    if len(labels) != graph.num_vertices:
+    if len(labels) != n:
         raise ValueError("one label per vertex required")
-    state = plus_state(labels)
-    for u, v in graph.sorted_edges():
-        _cz_in_place(state.amplitudes, u - 1, v - 1)
-    return state
+    later = [[] for _ in range(n + 1)]
+    for u, v in graph.edges:
+        later[u].append(v)
+    buf = np.empty(2 ** n, dtype=complex)
+    buf[0] = 2 ** (-n / 2)
+    for u in range(n, 0, -1):
+        size = 1 << (n - u)
+        half = buf[size:2 * size]
+        half[:] = buf[:size]
+        for v in later[u]:
+            block = half.view(np.float64).reshape(1 << (v - u - 1), 2, -1)[:, 1]  # (re, im) pairs
+            np.negative(block, out=block)
+    return QuantumState(labels, buf, copy=False)
 
 
 def _bits_tuple(bits, length: int) -> tuple:
@@ -156,8 +181,8 @@ def phi_state(n_systems: int, labels: Sequence[str] | None = None) -> QuantumSta
     if labels is None:
         labels = tuple(f"q{i}" for i in range(1, n + 1))
     amps = np.zeros(2 ** n, dtype=complex)
-    for q in range(2 ** n_systems):
-        amps[(q << n_systems) | q] = 2 ** (-n_systems / 2)
+    q = np.arange(2 ** n_systems)
+    amps[(q << n_systems) | q] = 2 ** (-n_systems / 2)
     return QuantumState(labels, amps, copy=False)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 import numpy as np
 
 from .graphstate import CrioTopology, crio_channel_state
@@ -196,8 +197,12 @@ def separability_check(c: BranchCoefficients) -> RealizedOperation:
 # ----------------------------------------------------------------------
 # outcome probabilities
 
+@lru_cache(maxsize=64)
 def normalized_channel_stator(axis: PauliAxis) -> Stator:
-    """The step-1 stator of the tripartite channel, scaled to Tr(S^dag S) = 1."""
+    """The step-1 stator of the tripartite channel, scaled to Tr(S^dag S) = 1.
+
+    Cached per axis: a Stator is immutable, and outcome_probability asks for
+    the same one on every call."""
     return step1_stator(1, [axis]).normalize()
 
 

@@ -165,6 +165,7 @@ def plus_state(labels: Iterable[str]) -> QuantumState:
 
 def basis_state(labels: Iterable[str], bits) -> QuantumState:
     labels = tuple(labels)
+    check_register_size(len(labels))
     bits = _bit_string(bits, len(labels))
     amps = np.zeros(2 ** len(labels), dtype=complex)
     amps[int(bits, 2)] = 1.0
@@ -176,6 +177,7 @@ def product_state(labels: Iterable[str], qubit_vectors: Sequence) -> QuantumStat
     labels = tuple(labels)
     if len(qubit_vectors) != len(labels):
         raise ValueError("one qubit vector per label required")
+    check_register_size(len(labels))
     amps = np.array([1.0], dtype=complex)
     for v in qubit_vectors:
         v = np.asarray(v, dtype=complex).reshape(-1)

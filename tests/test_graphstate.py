@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crio.graphstate import (
     CrioTopology,
@@ -24,6 +25,7 @@ from crio.graphstate import (
 from crio.qcore import apply_2q_cz, plus_state
 
 INV_2SQRT2 = 1 / (2 * math.sqrt(2))
+LABEL_POOL = ("a", "b", "x", "y", "z", "q0", "q1", "O3", "7", "a10", "a2", "ctl")
 
 # the 3-qubit channel state, sign per basis string (frozen from its defining expansion)
 H3_SIGNS = {
@@ -72,6 +74,34 @@ class TestBuildGraphState:
             if ref is None:
                 ref = state.amplitudes
             np.testing.assert_allclose(state.amplitudes, ref, atol=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_matches_cz_circuit_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 10), label="vertices")
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = data.draw(st.permutations(pairs).flatmap(
+            lambda p: st.integers(0, len(p)).map(lambda k: p[:k])), label="edges")
+        labels = data.draw(st.permutations(LABEL_POOL), label="labels")[:n]
+        circuit = plus_state(labels)
+        for u, v in edges:  # drawn in a shuffled order
+            circuit = apply_2q_cz(circuit, labels[u - 1], labels[v - 1])
+        built = build_graph_state(Graph.of(n, edges), labels)
+        assert built.labels == tuple(labels)
+        assert built.amplitudes.tobytes() == circuit.amplitudes.tobytes()  # equal, zero signs too
+
+    def test_partial_control_channels_match_edge_signs(self):
+        for n_sys in range(1, 6):
+            optional = range(3, n_sys + 2)
+            for mask in range(2 ** len(optional)):
+                topo = CrioTopology(n_sys, frozenset(k for i, k in enumerate(optional) if mask >> i & 1))
+                n = 2 * n_sys + 1
+                x = np.arange(2 ** n)
+                f = np.zeros(2 ** n, dtype=int)
+                for u, v in crio_graph(topo).edges:
+                    f ^= (x >> (n - u)) & (x >> (n - v)) & 1
+                expected = (1 - 2 * f) * 2 ** (-n / 2)
+                assert np.array_equal(crio_channel_state(topo).amplitudes, expected), topo
 
     def test_uniform_amplitude_magnitudes(self):
         for n, edges in ((3, [(1, 2), (1, 3)]), (4, [(1, 2), (2, 3), (3, 4), (1, 4)])):
@@ -146,6 +176,13 @@ class TestPhiState:
         for bits in ("0000", "0101", "1010", "1111"):
             expected[int(bits, 2)] = 0.5
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+
+    def test_matches_loop_reference(self):
+        for n in range(1, 6):
+            expected = np.zeros(2 ** (2 * n), dtype=complex)
+            for q in range(2 ** n):
+                expected[(q << n) | q] = 2 ** (-n / 2)
+            assert phi_state(n).amplitudes.tobytes() == expected.tobytes()
 
     def test_mismatched_halves_vanish(self):
         state = phi_state(3)

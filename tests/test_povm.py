@@ -16,6 +16,7 @@ from crio.povm import (
     enumerate_case2,
     guess_probability,
     measured_stator,
+    normalized_channel_stator,
     outcome_probability,
     outcome_probabilities_simulated,
     sample_outcomes,
@@ -23,7 +24,8 @@ from crio.povm import (
     simulate_branch,
     success_rate,
 )
-from crio.qcore import IDENTITY_2, PAULI_X, X_AXIS, pauli_axis_matrix, random_axis, rotation
+from crio.protocol import step1_stator
+from crio.qcore import IDENTITY_2, PAULI_X, X_AXIS, PauliAxis, pauli_axis_matrix, random_axis, rotation
 
 PI = math.pi
 
@@ -71,6 +73,14 @@ class TestOutcomeProbability:
             for j in (1, 2):
                 for k in (1, 2):
                     assert outcome_probability(p, j, k, axis) == pytest.approx(0.25, abs=1e-10)
+
+    def test_channel_stator_built_once_per_axis(self):
+        # the cache may share one Stator between calls only because it cannot change
+        stator = normalized_channel_stator(PauliAxis.unit(1.0, 2.0, 3.0))
+        assert normalized_channel_stator(PauliAxis.unit(1.0, 2.0, 3.0)) is stator
+        assert not stator.coeffs.flags.writeable
+        fresh = step1_stator(1, [PauliAxis.unit(1.0, 2.0, 3.0)]).normalize()
+        assert np.array_equal(stator.coeffs, fresh.coeffs) and stator.target_axes == fresh.target_axes
 
     def test_four_outcomes_sum_to_one(self):
         rng = np.random.default_rng(102)

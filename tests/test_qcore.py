@@ -299,7 +299,40 @@ class TestStateConstruction:
         assert state.amplitude("0") == pytest.approx(1.0)
 
 
+class _LargeAllocation(Exception):
+    """Stands in for an allocation the register bound should have refused."""
+
+
+@pytest.fixture
+def refuse_large_allocations(monkeypatch):
+    """Make np.zeros and np.kron raise instead of building more than 2**16 amplitudes."""
+    zeros, kron = np.zeros, np.kron
+
+    def small_zeros(shape, *args, **kwargs):
+        if np.prod(shape) > 2 ** 16:
+            raise _LargeAllocation(f"np.zeros of shape {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    def small_kron(a, b):
+        if np.size(a) * np.size(b) > 2 ** 16:
+            raise _LargeAllocation(f"np.kron to {np.size(a) * np.size(b)} entries")
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    monkeypatch.setattr(np, "kron", small_kron)
+
+
 class TestRegisterBound:
+    @pytest.mark.parametrize("build", [
+        lambda labels: basis_state(labels, "0" * len(labels)),
+        lambda labels: product_state(labels, [np.array([1, 0])] * len(labels)),
+    ], ids=["basis_state", "product_state"])
+    def test_builders_refused_before_allocating(self, build, refuse_large_allocations):
+        labels = [f"q{i}" for i in range(MAX_QUBITS + 1)]
+        with pytest.raises(ValueError) as err:
+            build(labels)
+        assert str(err.value) == f"a {MAX_QUBITS + 1}-qubit register exceeds the limit of {MAX_QUBITS} qubits"
+
     def test_plus_state_refused_above_bound(self):
         with pytest.raises(ValueError, match="limit"):
             plus_state([f"q{i}" for i in range(MAX_QUBITS + 1)])
