@@ -115,11 +115,11 @@ def build_graph_state(graph: Graph, labels: Sequence[str] | None = None) -> Quan
     """
     n = graph.num_vertices
     check_register_size(n)
-    if labels is None:
-        labels = tuple(str(v) for v in range(1, n + 1))
-    labels = tuple(labels)
+    labels = tuple(map(str, range(1, n + 1) if labels is None else labels))
     if len(labels) != n:
         raise ValueError("one label per vertex required")
+    if len(set(labels)) != n:
+        raise ValueError("duplicate qubit labels")
     later = [[] for _ in range(n + 1)]
     for u, v in graph.edges:
         later[u].append(v)
@@ -132,7 +132,7 @@ def build_graph_state(graph: Graph, labels: Sequence[str] | None = None) -> Quan
         for v in later[u]:
             block = half.view(np.float64).reshape(1 << (v - u - 1), 2, -1)[:, 1]  # (re, im) pairs
             np.negative(block, out=block)
-    return QuantumState(labels, buf, copy=False)
+    return QuantumState._trusted(labels, buf)  # unit norm by construction: every amplitude is +-2**(-n/2)
 
 
 def _bits_tuple(bits, length: int) -> tuple:

@@ -206,6 +206,15 @@ def normalized_channel_stator(axis: PauliAxis) -> Stator:
     return step1_stator(1, [axis]).normalize()
 
 
+@lru_cache(maxsize=64)
+def _channel_map(axis: PauliAxis) -> np.ndarray:
+    """normalized_channel_stator(axis) as the map _branch_maps takes, axes
+    (a1, a2, a3, O3, target); cached per axis, so it is read-only."""
+    w = normalized_channel_stator(axis).as_matrix().reshape(2, 2, 2, 2, 2)
+    w.flags.writeable = False
+    return w
+
+
 def _branch_maps(params: PovmParams, step1: np.ndarray) -> np.ndarray:
     """The four 4x2 branch maps B_jk, ordered (1,1), (1,2), (2,1), (2,2).
 
@@ -236,8 +245,7 @@ def outcome_probability(params: PovmParams, j: int, k: int, axis: PauliAxis = X_
     which is flat for every target exactly inside the realizable families.
     With rank-1 effects the trace is |B_jk|^2 on the stator's W.
     """
-    w = normalized_channel_stator(axis).as_matrix()  # maps target -> (a1,a2,a3) x target
-    b = _branch_maps(params, w.reshape(2, 2, 2, 2, 2))[_pair_index(j, k)]
+    b = _branch_maps(params, _channel_map(axis))[_pair_index(j, k)]
     return float(np.vdot(b, b).real)
 
 

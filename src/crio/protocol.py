@@ -15,12 +15,14 @@ the unknown state held by A_{k+N}, gated by controller A_1:
   step 6  A_2..A_{N+1} measure in Z; a 1 outcome triggers i*sigma_n on
           the partner target
 
-The steps are written out once, as the step plan built by `_plan`; the
-branch enumeration, the one-branch sample loop, the forced-outcome
-checkpoint path (dense and symbolic) and the control-denial analysis all
-read that plan.  Branch enumeration follows every measurement outcome
-combination at once, one array row per branch (deferred measurement), and
-tracks the exact probability of each branch.
+The steps are written out once, as the step plan built by `_plan`.  One
+executor, `_walk`, runs a plan over dense states: one array row per live
+branch (deferred measurement), with the exact probability of each.  At a
+measurement it asks an outcome rule which outcomes to keep: both (each of
+probability at least 1e-14) for enumeration and the control-denial guesses,
+one drawn from a seeded generator for sample mode, or one forced outcome
+per measurement for the checkpoints.  The symbolic checkpoints follow the
+same plan on stators.
 """
 from __future__ import annotations
 
@@ -47,13 +49,11 @@ from .qcore import (
     PauliAxis,
     QuantumState,
     X_AXIS,
-    _apply_1q,
     _apply_controlled,
     _basis_components,
     _check_unitary,
     _gate,
     check_register_size,
-    measure,
     pauli_axis_matrix,
     product_state,
     purity,
@@ -266,21 +266,96 @@ def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
     return plan
 
 
-def _apply(state: QuantumState, step: Step) -> QuantumState:
-    if step.control is None:
-        return _apply_1q(state, step.matrix, step.qubit)
-    return _apply_controlled(state, step.control, step.qubit, step.matrix)
+_ONE = np.eye(2, dtype=bool)[:, None]  # _ONE[o]: the (1, 2) keep mask of outcome o alone
+
+
+def _keep_both(step: Step, p: np.ndarray) -> np.ndarray:
+    """The enumeration's outcome rule: every outcome of probability at least 1e-14."""
+    return p >= 1e-14
+
+
+def _drawn(rng: np.random.Generator):
+    """Sample mode's outcome rule: one outcome drawn from rng, as `qcore.measure` draws it."""
+    return lambda step, p: _ONE[0 if rng.random() < p[0, 0] else 1]
+
+
+def _forced(outcomes):
+    """The checkpoints' outcome rule: the next of `outcomes`, refused as `qcore.measure` refuses it."""
+    bits = iter(outcomes)
+
+    def rule(step, p):
+        outcome = int(next(bits))
+        if outcome not in (0, 1):
+            raise ValueError("outcome must be 0 or 1")
+        if p[0, outcome] <= 1e-12:
+            raise ValueError(f"forcing a zero-probability outcome ({step.qubit}, basis {step.basis}, outcome {outcome})")
+        return _ONE[outcome]
+    return rule
+
+
+def _project(rows: np.ndarray, ax: int, step: Step, rule):
+    """Each row of a (B, 2**n) array measured by `step` on qubit position `ax`: (B, 2) probabilities,
+    `rule`'s keep mask, the slice of outcomes some row keeps, and only their normalized rows."""
+    c = _basis_components(rows.reshape(len(rows), 1 << ax, 2, -1), step.basis)
+    f = c.view(np.float64)
+    p = np.einsum("bijk,bijk->bj", f, f)
+    keep = rule(step, p)
+    kept = slice(0 if keep[:, 0].any() else 1, 2 if keep[:, 1].any() else 1)
+    post = np.empty((len(rows), kept.stop - kept.start) + c.shape[1:2] + c.shape[3:], dtype=complex)
+    np.divide(c[:, :, kept].transpose(0, 2, 1, 3), np.sqrt(np.where(keep, p, 1.0))[:, kept, None, None], out=post)
+    return p, keep, kept, post
+
+
+def _walk(state: QuantumState, plan, rule):
+    """The one dense executor of a plan: every branch that `rule` keeps, at once.
+
+    Row r of `rows` is the normalized state of the r-th live branch, of probability probs[r]
+    and outcome bits bits[r].  A measurement splits each row into the outcomes `rule` keeps,
+    outcome 0 first, so rows stay in the order of a depth-first walk; outcome-1 rows get the
+    step's corrections.  Returns the final labels, rows, probs and bits, and the measured steps.
+    """
+    labels, rows = state.labels, state.amplitudes.reshape(1, -1)
+    del state  # so the first kernel frees a state passed as a temporary: a lower heap peak on large registers
+    probs, bits, measured = np.ones(1), np.zeros((1, 0), dtype=np.uint8), []
+    for step in plan:
+        ax = labels.index(step.qubit)
+        if step.control is not None:
+            rows = _apply_controlled(rows, labels.index(step.control), ax, step.matrix)
+            continue
+        if step.basis is None:
+            rows = _gate(rows.reshape(len(rows) << ax, 2, -1), step.matrix).reshape(len(rows), -1)
+            continue
+        p, keep, kept, rows = _project(rows, ax, step, rule)  # rebinding rows frees the measured ones
+        labels = labels[:ax] + labels[ax + 1:]
+        for fix, _ in step.on_one if kept.stop == 2 else ():  # on the outcome-1 half of every row
+            pos = labels.index(fix.qubit)
+            if kept.start == 1:  # outcome 1 alone: the new rows replace the old, which are freed at once
+                rows = _gate(rows.reshape(len(p), 1 << pos, 2, -1), fix.matrix)
+            else:
+                half = rows[:, 1].reshape(len(p), 1 << pos, 2, -1)
+                half[...] = _gate(half, fix.matrix)
+        outcomes = np.arange(2, dtype=np.uint8)[kept, None]
+        rows, probs = rows.reshape(len(p) * len(outcomes), -1), (probs[:, None] * p[:, kept]).reshape(-1)
+        bits = np.hstack([np.repeat(bits, len(outcomes), axis=0), np.tile(outcomes, (len(p), 1))])
+        keep = keep[:, kept].reshape(-1)
+        if not keep.all():
+            rows, probs, bits = rows[keep], probs[keep], bits[keep]
+        measured.append(step)
+    return labels, rows, probs, bits, measured
+
+
+def _state_after(state: QuantumState, plan, rule=_keep_both) -> QuantumState:
+    """`state` after a plan on which `rule` keeps one branch, as on any plan without measurements."""
+    labels, rows, *_ = _walk(state, plan, rule)
+    return QuantumState._trusted(labels, rows.reshape(-1))
 
 
 def _through_leading_gates(n_systems, target_vecs, controlled_groups, plan):
     """The initial state taken through the gates before the plan's first
     measurement (steps 1 and 2), and the steps that remain."""
-    state = _initial_state(n_systems, target_vecs, controlled_groups)
-    idx = 0
-    while plan[idx].basis is None:
-        state = _apply(state, plan[idx])
-        idx += 1
-    return state, plan[idx:]
+    lead = next(i for i, step in enumerate(plan) if step.basis is not None)
+    labels, rows, *_ = _walk(_initial_state(n_systems, target_vecs, controlled_groups), plan[:lead], _keep_both)
+    return QuantumState._trusted(labels, rows.reshape(-1)), plan[lead:]
 
 
 def _expected_state(n_systems, axes, betas, target_vecs, ks) -> QuantumState:
@@ -309,41 +384,9 @@ def _fidelities(rows: np.ndarray, labels: tuple, expected: QuantumState) -> list
     return np.sqrt(np.clip(np.einsum("br,br->b", w, w.conj()).real, 0.0, 1.0)).tolist()
 
 
-def _enumerate(state: QuantumState, plan, expected: QuantumState) -> list:
-    """Every branch of `plan` at once, by deferred measurement.
-
-    Row r of `rows` is the normalized state of the r-th live branch.  A
-    measurement splits each row into its two outcomes, outcome 0 first, so
-    rows stay in outcome-string order, the order of a depth-first walk;
-    outcomes below 1e-14 are dropped.  Every gate after the first
-    measurement acts on one qubit (steps 3-6).
-    """
-    labels, rows = state.labels, state.amplitudes.reshape(1, -1)
-    probs, bits, measured = np.ones(1), np.zeros((1, 0), dtype=np.uint8), []
-    for step in plan:
-        if step.control is not None:
-            raise ValueError("controlled gates must precede the first measurement")
-        ax = labels.index(step.qubit)
-        if step.basis is None:
-            rows = _gate(rows.reshape(len(rows) << ax, 2, -1), step.matrix).reshape(len(rows), -1)
-            continue
-        c = _basis_components(rows.reshape(len(rows), 1 << ax, 2, -1), step.basis)
-        f = c.view(np.float64)
-        p = np.einsum("bijk,bijk->bj", f, f)  # (B, 2): each row's outcome probabilities
-        keep = p >= 1e-14
-        post = np.empty((len(rows), 2) + c.shape[1:2] + c.shape[3:], dtype=complex)
-        np.divide(c.transpose(0, 2, 1, 3), np.sqrt(np.where(keep, p, 1.0))[:, :, None, None], out=post)
-        labels = labels[:ax] + labels[ax + 1:]
-        for fix, _ in step.on_one:  # on the outcome-1 half of every row
-            half = post[:, 1].reshape(len(rows), 1 << labels.index(fix.qubit), 2, -1)
-            half[...] = _gate(half, fix.matrix)
-        rows, probs = post.reshape(2 * len(rows), -1), (probs[:, None] * p).reshape(-1)
-        bits = np.hstack([np.repeat(bits, 2, axis=0), np.tile(np.array([[0], [1]], np.uint8), (len(p), 1))])
-        if not keep.all():
-            keep = keep.reshape(-1)
-            rows, probs, bits = rows[keep], probs[keep], bits[keep]
-        measured.append(step)
-
+def _branches(state: QuantumState, plan, expected: QuantumState, rule) -> list:
+    """The branches of `plan` that `rule` keeps, with their fidelity to `expected`."""
+    labels, rows, probs, bits, measured = _walk(state, plan, rule)
     messages = [tuple(tuple(ClassicalMessage(s.actor, r, s.tag, b) for r in s.messages_to) for b in (0, 1))
                 for s in measured]
     fixes = [((), tuple(label for _, label in s.on_one)) for s in measured]
@@ -356,49 +399,6 @@ def _enumerate(state: QuantumState, plan, expected: QuantumState) -> list:
         for r, (row_bits, prob, amps, fidelity) in enumerate(
             zip(bits.tolist(), probs.tolist(), rows, _fidelities(rows, labels, expected)))
     ]
-
-
-def _sample(state: QuantumState, plan, expected: QuantumState, rng: np.random.Generator) -> list:
-    """One branch of `plan`, each measurement outcome drawn from rng."""
-    prob, outcomes, corrections, transcript = 1.0, "", (), ()
-    for step in plan:
-        if step.basis is None:
-            state = _apply(state, step)
-            continue
-        record, state = measure(state, step.qubit, step.basis, rng=rng, remove=True)
-        applied = step.on_one if record.outcome == 1 else ()
-        for fix, _ in applied:
-            state = _apply(state, fix)
-        prob *= record.probability
-        outcomes += str(record.outcome)
-        corrections += tuple(label for _, label in applied)
-        transcript += tuple(ClassicalMessage(step.actor, r, step.tag, record.outcome) for r in step.messages_to)
-    fidelity = _fidelities(state.amplitudes.reshape(1, -1), state.labels, expected)[0]
-    return [BranchRecord(outcomes, prob, corrections, state, fidelity, transcript)]
-
-
-def _forced_path(plan, tags, outcomes, state, unitary, project) -> list:
-    """Follow `plan` along one outcome string, recording the state after each step in `tags`.
-
-    `unitary(state, step)` applies a gate step and `project(state, step,
-    outcome)` a measurement, so one walk serves both dense and symbolic states.
-    """
-    bits = iter(outcomes)
-    checkpoints = []
-    for tag in tags:
-        for step in plan:
-            if step.tag != tag:
-                continue
-            if step.basis is None:
-                state = unitary(state, step)
-                continue
-            outcome = int(next(bits))
-            state = project(state, step, outcome)
-            if outcome == 1:
-                for fix, _ in step.on_one:
-                    state = unitary(state, fix)
-        checkpoints.append((tag, state))
-    return checkpoints
 
 
 def run_crio(
@@ -422,10 +422,8 @@ def run_crio(
     # then leaves about 14 MiB less heap resident under glibc malloc, which
     # otherwise adds to the peak RSS of the next large allocation.
     state, rest = _through_leading_gates(n_systems, target_vecs, controlled_groups, plan)
-    if mode == "sample":
-        branches = _sample(state, rest, expected, np.random.default_rng(seed))
-    else:
-        branches = _enumerate(state, rest, expected)
+    rule = _drawn(np.random.default_rng(seed)) if mode == "sample" else _keep_both
+    branches = _branches(state, rest, expected, rule)
     return ProtocolResult(
         n_systems=n_systems,
         permitted=permitted,
@@ -466,13 +464,9 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
     pur = purity(reduced_density(state, others))
     expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
 
-    guess_branches = {}
-    for guess in (0, 1):
-        start = state
-        if guess == 1:
-            for fix, _ in rest[0].on_one:  # rest[0] is the controller's step-3 measurement
-                start = _apply(start, fix)
-        guess_branches[guess] = _enumerate(start, rest[1:], expected)
+    fixes = [fix for fix, _ in rest[0].on_one]  # rest[0] is the controller's step-3 measurement
+    guess_branches = {guess: _branches(_state_after(state, fixes if guess else []), rest[1:], expected, _keep_both)
+                      for guess in (0, 1)}
 
     worst = {g: min(b.fidelity for b in brs) for g, brs in guess_branches.items()}
     best_guess = max(worst, key=lambda g: worst[g])
@@ -501,13 +495,12 @@ def run_checkpoints(
     """Single forced-outcome path, recording the state after each step."""
     target_vecs = _validate_inputs(n_systems, axes, betas, target_vecs)
     plan = _plan(n_systems, axes, betas, _participating_ks(n_systems, controlled_groups), permitted)
-    tags = [tag for tag in STEPS if permitted or tag != "step3"]
-
-    def project(state, step, outcome):
-        return measure(state, step.qubit, step.basis, forced_outcome=outcome, remove=True)[1]
-
-    state = _initial_state(n_systems, target_vecs, controlled_groups)
-    return _forced_path(plan, tags, outcomes, state, _apply, project)
+    state, rule, checkpoints = _initial_state(n_systems, target_vecs, controlled_groups), _forced(outcomes), []
+    for tag in STEPS:
+        if permitted or tag != "step3":
+            state = _state_after(state, [step for step in plan if step.tag == tag], rule)
+            checkpoints.append((tag, state))
+    return checkpoints
 
 
 def step1_stator(n_systems: int, axes: Sequence[PauliAxis]) -> Stator:
@@ -525,15 +518,19 @@ def step1_stator(n_systems: int, axes: Sequence[PauliAxis]) -> Stator:
 def symbolic_checkpoints(n_systems, axes, betas, outcomes: Sequence[int]):
     """Stator transforms mirroring run_checkpoints on a permitted full run."""
     plan = _plan(n_systems, axes, betas, _participating_ks(n_systems, None))
-    s = step1_stator(n_systems, axes)
-
-    def unitary(stator, step):
-        return stator.apply_control_unitary(step.qubit, step.matrix)
-
-    def project(stator, step, outcome):
-        return stator.project_control(step.qubit, step.basis, outcome)
-
-    return [("step1", s)] + _forced_path(plan, STEPS[1:5], outcomes, s, unitary, project)
+    s, bits = step1_stator(n_systems, axes), iter(outcomes)
+    checkpoints = [("step1", s)]
+    for tag in STEPS[1:5]:
+        for step in (step for step in plan if step.tag == tag):
+            if step.basis is None:
+                s = s.apply_control_unitary(step.qubit, step.matrix)
+                continue
+            outcome = int(next(bits))
+            s = s.project_control(step.qubit, step.basis, outcome)
+            for fix, _ in step.on_one if outcome == 1 else ():
+                s = s.apply_control_unitary(fix.qubit, fix.matrix)
+        checkpoints.append((tag, s))
+    return checkpoints
 
 
 # ----------------------------------------------------------------------

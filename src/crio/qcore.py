@@ -191,7 +191,7 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     if set(a.labels) & set(b.labels):
         raise ValueError("tensor factors share qubit labels")
     check_register_size(a.num_qubits + b.num_qubits)
-    return QuantumState(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes), copy=False)
+    return QuantumState._trusted(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes))  # of two unit vectors
 
 
 def _check_unitary(matrix, dim: int) -> np.ndarray:
@@ -207,11 +207,12 @@ def _check_unitary(matrix, dim: int) -> np.ndarray:
 # the vector as (2**ax, 2, rest).  The underscored forms trust their matrix.
 
 def _pair_view(amps: np.ndarray, first: int, second: int) -> np.ndarray:
-    """5-d view with qubit `first` on axis 1 and qubit `second` on axis 3."""
+    """5-d view of a (..., 2**n) array: qubit `first` on axis 1, `second` on axis 3, rows folded into axis 0."""
     if first == second:
         raise ValueError("a two-qubit gate needs two distinct qubits")
     lo, hi = sorted((first, second))
-    v = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    tail = amps.shape[-1] >> (hi + 1)  # also right for a float64 view, whose rows are twice as long
+    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, tail)
     return v if first < second else v.transpose(0, 3, 2, 1, 4)
 
 
@@ -229,18 +230,13 @@ def _gate(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_1q(state: QuantumState, m: np.ndarray, qubit: str) -> QuantumState:
-    v = state.amplitudes.reshape(1 << state.axis_of(qubit), 2, -1)
-    return QuantumState._trusted(state.labels, _gate(v, m).reshape(-1))
-
-
-def _apply_controlled(state: QuantumState, control: str, target: str, m: np.ndarray) -> QuantumState:
-    ac, at = state.axis_of(control), state.axis_of(target)
-    out = np.empty_like(state.amplitudes)
-    v, w = _pair_view(state.amplitudes, ac, at), _pair_view(out, ac, at)
+def _apply_controlled(amps: np.ndarray, ac: int, at: int, m: np.ndarray) -> np.ndarray:
+    """|0><0| (x) I + |1><1| (x) m from qubit position ac onto at, on each row of a (..., 2**n) array."""
+    out = np.empty_like(amps)
+    v, w = _pair_view(amps, ac, at), _pair_view(out, ac, at)
     w[:, 0] = v[:, 0]
     _mix(m, v[:, 1, :, 0], v[:, 1, :, 1], w[:, 1, :, 0], w[:, 1, :, 1])
-    return QuantumState._trusted(state.labels, out)
+    return out
 
 
 def _cz_in_place(amps: np.ndarray, a1: int, a2: int) -> None:
@@ -250,7 +246,9 @@ def _cz_in_place(amps: np.ndarray, a1: int, a2: int) -> None:
 
 
 def apply_1q(state: QuantumState, matrix, qubit: str) -> QuantumState:
-    return _apply_1q(state, _check_unitary(matrix, 2), qubit)
+    m = _check_unitary(matrix, 2)
+    v = state.amplitudes.reshape(1 << state.axis_of(qubit), 2, -1)
+    return QuantumState._trusted(state.labels, _gate(v, m).reshape(-1))
 
 
 def apply_2q_cz(state: QuantumState, q1: str, q2: str) -> QuantumState:
@@ -261,7 +259,9 @@ def apply_2q_cz(state: QuantumState, q1: str, q2: str) -> QuantumState:
 
 def apply_controlled_op(state: QuantumState, control: str, target: str, matrix) -> QuantumState:
     """|0><0| (x) I + |1><1| (x) U between two labeled qubits."""
-    return _apply_controlled(state, control, target, _check_unitary(matrix, 2))
+    m = _check_unitary(matrix, 2)
+    out = _apply_controlled(state.amplitudes, state.axis_of(control), state.axis_of(target), m)
+    return QuantumState._trusted(state.labels, out)
 
 
 def _basis_kets(basis: str) -> np.ndarray:

@@ -23,19 +23,13 @@ from .qcore import (
     PauliAxis,
     QuantumState,
     X_AXIS,
+    _basis_kets,
     pauli_axis_matrix,
     rotation,
 )
 
 PRUNE_TOL = 1e-12
 FIT_TOL = 1e-10  # relative least-squares residual of a stator fit
-
-_BASIS_BRAS = {
-    ("Z", 0): np.array([1, 0], dtype=complex),
-    ("Z", 1): np.array([0, 1], dtype=complex),
-    ("X", 0): np.array([1, 1], dtype=complex) / math.sqrt(2),
-    ("X", 1): np.array([1, -1], dtype=complex) / math.sqrt(2),
-}
 
 
 def word_table(axes: Sequence[PauliAxis]) -> np.ndarray:
@@ -141,11 +135,11 @@ class Stator:
 
     def project_control(self, qubit: str, basis: str, outcome: int) -> "Stator":
         """Project one control qubit onto a Z/X basis outcome and drop it."""
-        bra = _BASIS_BRAS.get((basis.upper(), int(outcome)))
-        if bra is None:
-            raise ValueError("basis must be 'Z' or 'X' with outcome 0/1")
+        kets, outcome = _basis_kets(basis), int(outcome)
+        if outcome not in (0, 1):
+            raise ValueError("outcome must be 0 or 1")
         pos = self._pos(qubit)
-        out = np.tensordot(bra.conj(), self.coeffs, axes=([0], [pos]))
+        out = np.tensordot(kets[outcome].conj(), self.coeffs, axes=([0], [pos]))
         labels = self.control_labels[:pos] + self.control_labels[pos + 1 :]
         try:
             return Stator(labels, self.target_axes, out)

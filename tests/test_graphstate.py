@@ -47,6 +47,10 @@ class TestGraph:
 
 
 class TestBuildGraphState:
+    def test_duplicate_labels_refused(self):
+        with pytest.raises(ValueError, match="duplicate qubit labels"):
+            build_graph_state(Graph.of(3, [(1, 2)]), labels=("a", "b", "a"))
+
     def test_empty_edges_gives_plus_product(self):
         state = build_graph_state(Graph.of(2, []))
         np.testing.assert_allclose(state.amplitudes, plus_state(("1", "2")).amplitudes, atol=1e-15)

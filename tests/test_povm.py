@@ -6,6 +6,7 @@ import pytest
 from conftest import random_qubit
 from crio.povm import (
     BranchCoefficients,
+    _channel_map,
     PovmParams,
     angle_in_set,
     branch_coefficients,
@@ -81,6 +82,14 @@ class TestOutcomeProbability:
         assert not stator.coeffs.flags.writeable
         fresh = step1_stator(1, [PauliAxis.unit(1.0, 2.0, 3.0)]).normalize()
         assert np.array_equal(stator.coeffs, fresh.coeffs) and stator.target_axes == fresh.target_axes
+
+    def test_channel_map_cached_read_only(self):
+        axis = PauliAxis.unit(3.0, -1.0, 2.0)
+        w = _channel_map(axis)
+        assert _channel_map(PauliAxis.unit(3.0, -1.0, 2.0)) is w
+        assert not w.flags.writeable
+        fresh = step1_stator(1, [axis]).normalize().as_matrix()
+        np.testing.assert_array_equal(w, fresh.reshape(2, 2, 2, 2, 2))
 
     def test_four_outcomes_sum_to_one(self):
         rng = np.random.default_rng(102)

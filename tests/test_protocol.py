@@ -31,6 +31,8 @@ from crio.qcore import (
     QuantumState,
     X_AXIS,
     Z_AXIS,
+    apply_1q,
+    apply_controlled_op,
     basis_state,
     fidelity_up_to_phase,
     measure,
@@ -233,6 +235,30 @@ class TestWalkMatchesCheckpoints:
             np.testing.assert_allclose(final.amplitudes, branch.final_state.amplitudes, rtol=0, atol=1e-12)
 
 
+class TestCheckpointsMatchReferenceWalk:
+    """The forced-outcome checkpoints against the per-node reference walk,
+    which is built from the public kernels alone, on every branch."""
+
+    @pytest.mark.parametrize(
+        "n,groups,permitted",
+        [(1, None, True), (2, None, True), (3, None, True), (2, frozenset(), True), (3, frozenset({4}), True),
+         (1, None, False), (2, None, False), (3, None, False)],
+    )
+    def test_step6_state_on_every_branch(self, n, groups, permitted):
+        axes, betas, targets = random_inputs(np.random.default_rng(140 + n), n)
+        ks = protocol._participating_ks(n, groups)
+        plan = protocol._plan(n, axes, betas, ks, permitted)
+        expected = protocol._expected_state(n, axes, betas, targets, ks)
+        branches = reference_walk(protocol._initial_state(n, targets, groups), plan, expected)
+        assert len(branches) == 2 ** sum(step.basis is not None for step in plan)
+        for branch in branches:
+            bits = [int(b) for b in branch.outcomes]
+            tag, final = run_checkpoints(n, axes, betas, targets, bits, permitted, groups)[-1]
+            assert tag == "step6"
+            assert final.labels == branch.final_state.labels
+            np.testing.assert_allclose(final.amplitudes, branch.final_state.amplitudes, rtol=0, atol=1e-12)
+
+
 def reference_fidelity(state, expected):
     if state.labels == expected.labels:
         return fidelity_up_to_phase(state, expected)
@@ -241,13 +267,22 @@ def reference_fidelity(state, expected):
     return math.sqrt(min(max(val, 0.0), 1.0))
 
 
-def reference_walk(state, plan, expected):
+def apply_step(state, step):
+    """A gate step through the public kernels, independent of the executor."""
+    if step.control is None:
+        return apply_1q(state, step.matrix, step.qubit)
+    return apply_controlled_op(state, step.control, step.qubit, step.matrix)
+
+
+def reference_walk(state, plan, expected, rule=protocol._keep_both):
     """Depth-first, one state per node: the loop the batched enumeration replaced.
-    Each kept outcome (probability at least 1e-14) is a forced measurement;
-    outcome 0's subtree comes first."""
+    It follows the keep-both rule: each outcome of probability at least 1e-14 is
+    a forced measurement; outcome 0's subtree comes first."""
+    assert rule is protocol._keep_both
+
     def visit(state, idx, prob, outcomes, corrections, transcript):
         while idx < len(plan) and plan[idx].basis is None:
-            state = protocol._apply(state, plan[idx])
+            state = apply_step(state, plan[idx])
             idx += 1
         if idx == len(plan):
             yield BranchRecord(outcomes, prob, corrections, state, reference_fidelity(state, expected), transcript)
@@ -260,12 +295,27 @@ def reference_walk(state, plan, expected):
             record, post = measure(state, step.qubit, step.basis, forced_outcome=outcome, remove=True)
             applied = step.on_one if outcome == 1 else ()
             for fix, _ in applied:
-                post = protocol._apply(post, fix)
+                post = apply_step(post, fix)
             msgs = tuple(ClassicalMessage(step.actor, r, step.tag, outcome) for r in step.messages_to)
             yield from visit(post, idx + 1, prob * record.probability, outcomes + str(outcome),
                              corrections + tuple(label for _, label in applied), transcript + msgs)
 
     return list(visit(state, 0, 1.0, "", (), ()))
+
+
+def reference_sample(state, plan, rng):
+    """One branch drawn by seeded `measure` calls, the sample loop the executor replaced:
+    its outcome string and final state."""
+    outcomes = ""
+    for step in plan:
+        if step.basis is None:
+            state = apply_step(state, step)
+            continue
+        record, state = measure(state, step.qubit, step.basis, rng=rng, remove=True)
+        outcomes += str(record.outcome)
+        for fix, _ in step.on_one if record.outcome == 1 else ():
+            state = apply_step(state, fix)
+    return outcomes, state
 
 
 def assert_same_branch(got, ref):
@@ -287,9 +337,26 @@ def random_inputs(rng, n):
             [random_qubit(rng) for _ in range(n)])
 
 
+def biased_plan(rng):
+    """A state and a hand-made plan with two measurements of (almost) no
+    probability: a reads 1 in Z with probability 9e-16 and b reads |-> in X
+    with probability 0."""
+    state = tensor(product_state(("a", "b"), [[1, 3e-8], [1 / math.sqrt(2), 1 / math.sqrt(2)]]),
+                   product_state(("c", "d", "e"), [random_qubit(rng) for _ in range(3)]))
+    state = apply_controlled_op(state, "c", "d", PAULI_X)  # entangles c, d
+    plan = [
+        Step("s1", "P", "c", matrix=HADAMARD),
+        Step("s2", "P", "a", basis="Z", messages_to=("Q",), on_one=((Step("f", "P", "d", PAULI_X), "x d"),)),
+        Step("s3", "P", "b", basis="X", messages_to=("Q", "R"), on_one=((Step("f", "P", "c", PAULI_Z), "z c"),)),
+        Step("s4", "P", "c", basis="Z", messages_to=("R",), on_one=((Step("f", "P", "d", PAULI_Z), "z d"),)),
+        Step("s5", "P", "d", matrix=HADAMARD),
+    ]
+    return state, plan
+
+
 class TestBatchedEnumeration:
-    """The batched enumeration against the per-node reference walk and against
-    sample mode, which follows one branch with plain measurements."""
+    """The executor's enumeration against the per-node reference walk, and its
+    sample mode against the enumeration and against seeded `measure` calls."""
 
     @pytest.mark.parametrize(
         "n,groups,permitted",
@@ -298,7 +365,7 @@ class TestBatchedEnumeration:
     def test_run_matches_reference_walk(self, monkeypatch, n, groups, permitted):
         args = random_inputs(np.random.default_rng(110 + n), n)
         batched = run_crio(n, *args, permitted=permitted, controlled_groups=groups)
-        monkeypatch.setattr(protocol, "_enumerate", reference_walk)
+        monkeypatch.setattr(protocol, "_branches", reference_walk)
         walked = run_crio(n, *args, permitted=permitted, controlled_groups=groups)
         assert len(batched.branches) == 2 ** batched.measurement_count
         assert_same_branches(batched.branches, walked.branches)
@@ -307,7 +374,7 @@ class TestBatchedEnumeration:
     def test_denial_guesses_match_reference_walk(self, monkeypatch, n):
         args = random_inputs(np.random.default_rng(120 + n), n)
         batched = control_denial_report(n, *args)
-        monkeypatch.setattr(protocol, "_enumerate", reference_walk)
+        monkeypatch.setattr(protocol, "_branches", reference_walk)
         walked = control_denial_report(n, *args)
         for guess in (0, 1):
             assert_same_branches(batched.guess_branches[guess], walked.guess_branches[guess])
@@ -316,23 +383,33 @@ class TestBatchedEnumeration:
 
     def test_zero_probability_outcomes_are_pruned(self):
         """Protocol measurements are unbiased, so a hand-made plan exercises the
-        pruning: a reads 1 in Z with probability 9e-16, below the 1e-14 cut, and
-        b reads |-> in X with probability 0."""
+        pruning: a's 1 (9e-16) is below the 1e-14 cut, and b's |-> has probability 0."""
         rng = np.random.default_rng(130)
-        state = tensor(product_state(("a", "b"), [[1, 3e-8], [1 / math.sqrt(2), 1 / math.sqrt(2)]]),
-                       product_state(("c", "d", "e"), [random_qubit(rng) for _ in range(3)]))
-        state = protocol._apply(state, Step("s0", "P", "d", matrix=PAULI_X, control="c"))  # entangles c, d
-        plan = [
-            Step("s1", "P", "c", matrix=HADAMARD),
-            Step("s2", "P", "a", basis="Z", messages_to=("Q",), on_one=((Step("f", "P", "d", PAULI_X), "x d"),)),
-            Step("s3", "P", "b", basis="X", messages_to=("Q", "R"), on_one=((Step("f", "P", "c", PAULI_Z), "z c"),)),
-            Step("s4", "P", "c", basis="Z", messages_to=("R",), on_one=((Step("f", "P", "d", PAULI_Z), "z d"),)),
-            Step("s5", "P", "d", matrix=HADAMARD),
-        ]
+        state, plan = biased_plan(rng)
         expected = product_state(("e",), [random_qubit(rng)])
-        got = protocol._enumerate(state, plan, expected)
+        got = protocol._branches(state, plan, expected, protocol._keep_both)
         assert [b.outcomes for b in got] == ["000", "001"]
         assert_same_branches(got, reference_walk(state, plan, expected))
+
+    @pytest.mark.parametrize("outcomes, qubit, basis, bit", [("100", "a", "Z", 1), ("010", "b", "X", 1)])
+    def test_forcing_a_zero_probability_outcome_raises(self, outcomes, qubit, basis, bit):
+        state, plan = biased_plan(np.random.default_rng(131))
+        protocol._walk(state, plan, protocol._forced("001"))  # a kept branch is followed
+        with pytest.raises(ValueError, match=rf"zero-probability outcome \({qubit}, basis {basis}, outcome {bit}\)"):
+            protocol._walk(state, plan, protocol._forced(outcomes))
+
+    @pytest.mark.parametrize("n,groups,permitted", [(1, None, True), (2, frozenset(), True), (3, None, False)])
+    def test_sample_draws_as_measure_draws(self, n, groups, permitted):
+        axes, betas, targets = random_inputs(np.random.default_rng(150 + n), n)
+        ks = protocol._participating_ks(n, groups)
+        plan = protocol._plan(n, axes, betas, ks, permitted)
+        for seed in range(8):
+            (sampled,) = run_crio(n, axes, betas, targets, mode="sample", seed=seed, permitted=permitted,
+                                  controlled_groups=groups).branches
+            outcomes, final = reference_sample(protocol._initial_state(n, targets, groups), plan,
+                                               np.random.default_rng(seed))
+            assert sampled.outcomes == outcomes
+            np.testing.assert_allclose(sampled.final_state.amplitudes, final.amplitudes, rtol=0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 4), control=st.sampled_from(["full", "partial", "denied"]),

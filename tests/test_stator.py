@@ -141,6 +141,12 @@ class TestTransforms:
         corrected = minus_branch.apply_control_unitary("b", PAULI_Z)
         assert corrected.equal_terms(pair_stator(axis), up_to_scale=True)
 
+    @pytest.mark.parametrize("basis, outcome, message", [("Y", 0, "basis must be"), ("X", 2, "outcome must be")])
+    def test_bad_basis_or_outcome_refused(self, basis, outcome, message):
+        s = Stator.from_terms(("b",), (X_AXIS,), [("0", (0,), 1.0)])
+        with pytest.raises(ValueError, match=message):
+            s.project_control("b", basis, outcome)
+
     def test_projection_annihilation(self):
         s = Stator.from_terms(("b",), (X_AXIS,), [("0", (0,), 1.0)])
         with pytest.raises(ValueError, match="annihilates"):

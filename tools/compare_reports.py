@@ -36,8 +36,10 @@ def report_matrix() -> list:
             runs += [base, base + ["--permitted", "false"], base + ["--mode", "sample"]]
     runs += [
         ["run-protocol", "--n", "5", "--groups", "4,6"],
+        ["run-protocol", "--n", "5", "--groups", "4,6", "--mode", "sample"],
         ["run-protocol", "--n", "5"],
         ["run-protocol", "--n", "5", "--permitted", "false"],
+        ["run-protocol", "--n", "3", "--permitted", "false", "--mode", "sample"],
         ["run-protocol", "--n", "3", "--format", "text"],
         ["run-protocol", "--n", "6", "--mode", "sample"],
         ["verify-all"],
