@@ -328,12 +328,8 @@ def _walk(state: QuantumState, plan, rule):
         p, keep, kept, rows = _project(rows, ax, step, rule)  # rebinding rows frees the measured ones
         labels = labels[:ax] + labels[ax + 1:]
         for fix, _ in step.on_one if kept.stop == 2 else ():  # on the outcome-1 half of every row
-            pos = labels.index(fix.qubit)
-            if kept.start == 1:  # outcome 1 alone: the new rows replace the old, which are freed at once
-                rows = _gate(rows.reshape(len(p), 1 << pos, 2, -1), fix.matrix)
-            else:
-                half = rows[:, 1].reshape(len(p), 1 << pos, 2, -1)
-                half[...] = _gate(half, fix.matrix)
+            half = rows[:, -1].reshape(len(p), 1 << labels.index(fix.qubit), 2, -1)
+            half[...] = _gate(half, fix.matrix)
         outcomes = np.arange(2, dtype=np.uint8)[kept, None]
         rows, probs = rows.reshape(len(p) * len(outcomes), -1), (probs[:, None] * p[:, kept]).reshape(-1)
         bits = np.hstack([np.repeat(bits, len(outcomes), axis=0), np.tile(outcomes, (len(p), 1))])
