@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -138,37 +139,49 @@ def _json_list(items, depth: int) -> str:
     return f"[\n{items}\n{'  ' * depth}]" if items else "[]"
 
 
-def _branch_list_json(branches: list) -> str:
-    """The branch list of a run-protocol report exactly as json.dumps(report,
-    sort_keys=True, indent=2) writes it.  The objects come from
-    protocol.branch_json and protocol.message_json; the frame of a branch, each
-    correction label and each distinct message are rendered once.  Floats go
-    through float.__repr__, as in the json encoder."""
+def _branch_list_parts(result: proto.ProtocolResult) -> list:
+    """The strings whose concatenation is the branch list of a run-protocol
+    report exactly as json.dumps(report, sort_keys=True, indent=2) writes it.
+    The objects come from protocol.branch_json and protocol.message_json; the
+    frame of a branch and the corrections and messages of each outcome of each
+    measurement are rendered once, and a branch picks its pieces by its
+    outcome bits.  Floats go through float.__repr__, as in the json encoder."""
     shape = proto.branch_json(_HOLE, _HOLE, _HOLE, _HOLE, _HOLE)
     keys = sorted(shape)  # the order in which the frame's holes appear
     frame = _nested(shape, 2).split(json.dumps(_HOLE))
-    labels = {label: _nested(label, 4) for label in set(chain.from_iterable(b.corrections for b in branches))}
-    messages = {m: _nested(proto.message_json(m), 4) for m in set(chain.from_iterable(b.transcript for b in branches))}
-    items = []
-    for b in branches:
+    corrections, transcripts = [], []  # per measurement: outcome bit "0"/"1" -> its rendered items
+    for step in result.measurements:
+        records = {str(bit): record for bit, record in enumerate(proto.outcome_records(step))}
+        corrections.append({bit: [_nested(label, 4) for label in labels] for bit, (labels, _) in records.items()})
+        transcripts.append({bit: [_nested(proto.message_json(m), 4) for m in messages]
+                            for bit, (_, messages) in records.items()})
+    parts = []
+    for b in result.branches:
         fields = proto.branch_json(
             json.dumps(b.outcomes),
             float.__repr__(b.probability),
-            _json_list(map(labels.__getitem__, b.corrections), 3),
+            _json_list(chain.from_iterable(map(dict.__getitem__, corrections, b.outcomes)), 3),
             float.__repr__(b.fidelity),
-            _json_list(map(messages.__getitem__, b.transcript), 3),
+            _json_list(chain.from_iterable(map(dict.__getitem__, transcripts, b.outcomes)), 3),
         )
-        items.append("".join(chain.from_iterable(zip(frame, map(fields.__getitem__, keys)))) + frame[-1])
-    return _json_list(items, 1)
+        parts.append(",\n")
+        parts += chain.from_iterable(zip(frame, map(fields.__getitem__, keys)))
+        parts.append(frame[-1])
+    if not parts:
+        return ["[]"]
+    parts[0] = "[\n"
+    parts.append("\n  ]")
+    return parts
 
 
-def _write_protocol_report(path: str | None, report: dict, branches: list, fmt: str) -> None:
-    """A run-protocol report: `report` plus its branch list."""
+def _write_protocol_report(path: str | None, report: dict, result: proto.ProtocolResult, fmt: str) -> None:
+    """A run-protocol report: `report` plus the branch list of `result`,
+    joined once, so no full-size intermediate copy of the report is made."""
     if fmt == "text":  # the text form lists branches only as a count
-        _write_report(path, {**report, "branches": branches}, fmt)
+        _write_report(path, {**report, "branches": result.branches}, fmt)
         return
-    text = json.dumps({**report, "branches": _HOLE}, sort_keys=True, indent=2)
-    _write_text(path, text.replace(json.dumps(_HOLE), _branch_list_json(branches), 1) + "\n")
+    head, tail = json.dumps({**report, "branches": _HOLE}, sort_keys=True, indent=2).split(json.dumps(_HOLE))
+    _write_text(path, "".join([head, *_branch_list_parts(result), tail, "\n"]))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -251,7 +264,7 @@ def cmd_run_protocol(args) -> int:
     payload = dataclasses.replace(result, branches=[]).to_json_dict()  # the branches are rendered apart
     payload["min_fidelity"] = result.min_fidelity()
     payload["total_probability"] = result.total_probability()
-    _write_protocol_report(args.out, _report(payload, config), result.branches, args.format)
+    _write_protocol_report(args.out, _report(payload, config), result, args.format)
     if result.permitted and result.min_fidelity() < 1 - 1e-10:
         print("verification failed: a permitted branch missed unit fidelity", file=sys.stderr)
         return 2
@@ -423,7 +436,10 @@ def cmd_verify_all(args) -> int:
 
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The crio argument parser, built once per process: parse_args reads it
+    without changing it and fills a fresh namespace on every call."""
     parser = argparse.ArgumentParser(prog="crio", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -479,8 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -197,19 +197,16 @@ def separability_check(c: BranchCoefficients) -> RealizedOperation:
 # ----------------------------------------------------------------------
 # outcome probabilities
 
-@lru_cache(maxsize=64)
 def normalized_channel_stator(axis: PauliAxis) -> Stator:
-    """The step-1 stator of the tripartite channel, scaled to Tr(S^dag S) = 1.
-
-    Cached per axis: a Stator is immutable, and outcome_probability asks for
-    the same one on every call."""
+    """The step-1 stator of the tripartite channel, scaled to Tr(S^dag S) = 1."""
     return step1_stator(1, [axis]).normalize()
 
 
 @lru_cache(maxsize=64)
 def _channel_map(axis: PauliAxis) -> np.ndarray:
     """normalized_channel_stator(axis) as the map _branch_maps takes, axes
-    (a1, a2, a3, O3, target); cached per axis, so it is read-only."""
+    (a1, a2, a3, O3, target).  Cached per axis, since outcome_probability
+    asks for it on every call; the shared array is read-only."""
     w = normalized_channel_stator(axis).as_matrix().reshape(2, 2, 2, 2, 2)
     w.flags.writeable = False
     return w

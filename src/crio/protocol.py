@@ -15,6 +15,13 @@ the unknown state held by A_{k+N}, gated by controller A_1:
   step 6  A_2..A_{N+1} measure in Z; a 1 outcome triggers i*sigma_n on
           the partner target
 
+Under partial control an optional group k that is not wired to the
+controller keeps only its edge (a_k, a_{k+N}), so that pair and its target
+O_{k+N} are a product factor of the channel state that no step touches.
+Runs therefore build and walk only the participating register: a1 and, for
+each participating group k, a_k, a_{k+N} and O_{k+N}.  Their final states
+and checkpoint states do not list the unwired groups' qubits.
+
 The steps are written out once, as the step plan built by `_plan`.  One
 executor, `_walk`, runs a plan over dense states: one array row per live
 branch (deferred measurement), with the exact probability of each.  At a
@@ -37,8 +44,10 @@ import numpy as np
 
 from .graphstate import (
     CrioTopology,
+    Graph,
     amplitude_oracle,
-    crio_channel_state,
+    build_graph_state,
+    crio_graph,
     qubit_labels,
     target_label,
 )
@@ -103,9 +112,13 @@ class ProtocolResult:
     participating_systems: tuple  # target indices j in channel numbering
     expected_target: QuantumState
     branches: list
-    measurement_count: int
+    measurements: tuple  # the measurement Steps, in the order of each branch's outcome bits
     mode: str
     seed: int | None = None
+
+    @property
+    def measurement_count(self) -> int:
+        return len(self.measurements)
 
     @property
     def transcript(self) -> tuple:
@@ -227,10 +240,18 @@ def _participating_ks(n_systems: int, controlled_groups) -> list:
 
 
 def _initial_state(n_systems, target_vecs, controlled_groups) -> QuantumState:
-    """Channel state tensor the targets, before step 1."""
-    state = crio_channel_state(CrioTopology(n_systems, controlled_groups))
-    t_labels = [target_label(j) for j in range(n_systems + 2, 2 * n_systems + 2)]
-    return tensor(state, product_state(t_labels, target_vecs))
+    """The participating register before step 1: the channel graph state on a1
+    and each participating group's a_k, a_{k+N}, in channel order, tensor
+    their targets O_{k+N}, in the same order.  An unwired group's edge
+    (a_k, a_{k+N}) joins no participating vertex, so the graph restricted to
+    these vertices gives the channel state with that product factor left out."""
+    ks = _participating_ks(n_systems, controlled_groups)
+    js = [k + n_systems for k in ks]
+    position = {v: i for i, v in enumerate([1] + ks + js, 1)}
+    graph = crio_graph(CrioTopology(n_systems, controlled_groups))
+    edges = [(position[u], position[v]) for u, v in graph.edges if u in position and v in position]
+    channel = build_graph_state(Graph.of(len(position), edges), [f"a{v}" for v in position])
+    return tensor(channel, product_state([target_label(j) for j in js], [target_vecs[k - 2] for k in ks]))
 
 
 def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
@@ -380,12 +401,20 @@ def _fidelities(rows: np.ndarray, labels: tuple, expected: QuantumState) -> list
     return np.sqrt(np.clip(np.einsum("br,br->b", w, w.conj()).real, 0.0, 1.0)).tolist()
 
 
+def outcome_records(step: Step) -> tuple:
+    """What outcomes 0 and 1 of measurement `step` append to a branch: a
+    (corrections, messages) pair for each."""
+    labels = tuple(label for _, label in step.on_one)
+    return tuple((labels if bit else (), tuple(ClassicalMessage(step.actor, r, step.tag, bit) for r in step.messages_to))
+                 for bit in (0, 1))
+
+
 def _branches(state: QuantumState, plan, expected: QuantumState, rule) -> list:
     """The branches of `plan` that `rule` keeps, with their fidelity to `expected`."""
     labels, rows, probs, bits, measured = _walk(state, plan, rule)
-    messages = [tuple(tuple(ClassicalMessage(s.actor, r, s.tag, b) for r in s.messages_to) for b in (0, 1))
-                for s in measured]
-    fixes = [((), tuple(label for _, label in s.on_one)) for s in measured]
+    records = [outcome_records(s) for s in measured]
+    fixes = [(zero[0], one[0]) for zero, one in records]
+    messages = [(zero[1], one[1]) for zero, one in records]
     m = len(measured)
     text = (bits + ord("0")).tobytes().decode()
     return [
@@ -426,7 +455,7 @@ def run_crio(
         participating_systems=tuple(k + n_systems for k in ks),
         expected_target=expected,
         branches=branches,
-        measurement_count=sum(1 for step in plan if step.basis is not None),
+        measurements=tuple(step for step in plan if step.basis is not None),
         mode=mode,
         seed=seed,
     )
@@ -488,7 +517,10 @@ def run_checkpoints(
     permitted: bool = True,
     controlled_groups=None,
 ):
-    """Single forced-outcome path, recording the state after each step."""
+    """Single forced-outcome path, recording the state after each step.
+
+    The states hold the participating register only: under partial control
+    they do not list the unwired groups' qubits."""
     target_vecs = _validate_inputs(n_systems, axes, betas, target_vecs)
     plan = _plan(n_systems, axes, betas, _participating_ks(n_systems, controlled_groups), permitted)
     state, rule, checkpoints = _initial_state(n_systems, target_vecs, controlled_groups), _forced(outcomes), []

@@ -314,6 +314,8 @@ def test_register_above_bound_exits_2_before_allocating(tmp_path, capsys, argv):
         ["--n", "4", "--groups", "3,5"],
         ["--n", "2", "--permitted", "false"],
         ["--n", "3", "--mode", "sample", "--seed", "5"],
+        ["--n", "4", "--groups", "3"],
+        ["--n", "4", "--groups", "5", "--permitted", "false"],
     ],
 )
 def test_run_protocol_report_is_json_dumps_of_the_result(tmp_path, monkeypatch, argv):
@@ -348,6 +350,18 @@ class TestDeterminism:
         assert main(argv + [str(a)]) == 0
         assert main(argv + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reused_parser_keeps_no_values_between_calls(self, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["run-protocol", "--n", "1", "--seed", "3", "--out", str(first)]) == 0
+        assert main(["run-protocol", "--n", "1", "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["seed"] == 3
+        assert json.loads(second.read_text())["seed"] == 7
+        with pytest.raises(SystemExit) as exc:
+            main(["run-protocol", "--n", "one"])
+        assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
+        assert main(["run-protocol", "--n", "1", "--out", str(second)]) == 0
+        assert json.loads(second.read_text())["seed"] == 7
 
     def test_table_output_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_qubit
 from crio import protocol
+from crio.graphstate import CrioTopology, crio_channel_state
 from crio.protocol import (
     BranchRecord,
     ClassicalMessage,
@@ -425,6 +427,33 @@ class TestBatchedEnumeration:
         for sample_seed in range(4):
             (sampled,) = run_crio(n, *args, mode="sample", seed=sample_seed, **kwargs).branches
             assert_same_branch(enumerated[sampled.outcomes], sampled)
+
+
+class TestParticipatingRegister:
+    """Runs build and walk only a1 and the participating groups.  The oracle is
+    the full 2N+1 channel tensor every target, walked by the same plan: an
+    unwired group's pair and target are a product factor no step touches."""
+
+    @pytest.mark.parametrize("permitted", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_control_subset_matches_full_register(self, n, permitted):
+        axes, betas, targets = random_inputs(np.random.default_rng(170 + n), n)
+        t_labels = [f"O{j}" for j in range(n + 2, 2 * n + 2)]
+        for size in range(n):
+            for groups in map(frozenset, combinations(range(3, n + 2), size)):
+                result = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
+                plan = protocol._plan(n, axes, betas, protocol._participating_ks(n, groups), permitted)
+                full = tensor(crio_channel_state(CrioTopology(n, groups)), product_state(t_labels, targets))
+                oracle = protocol._branches(full, plan, result.expected_target, protocol._keep_both)
+                got = result.branches
+                assert [(b.outcomes, b.corrections, b.transcript) for b in got] == \
+                    [(b.outcomes, b.corrections, b.transcript) for b in oracle]
+                for field in ("probability", "fidelity"):
+                    np.testing.assert_allclose([getattr(b, field) for b in got], [getattr(b, field) for b in oracle],
+                                               rtol=0, atol=1e-12)
+                # a1 stays unmeasured when control is denied
+                kept = result.expected_target.labels if permitted else ("a1",) + result.expected_target.labels
+                assert all(b.final_state.labels == kept for b in got)
 
 
 class TestValidation:

@@ -37,6 +37,8 @@ def report_matrix() -> list:
     runs += [
         ["run-protocol", "--n", "5", "--groups", "4,6"],
         ["run-protocol", "--n", "5", "--groups", "4,6", "--mode", "sample"],
+        ["run-protocol", "--n", "4", "--groups", "3"],
+        ["run-protocol", "--n", "4", "--groups", "5", "--permitted", "false"],
         ["run-protocol", "--n", "5"],
         ["run-protocol", "--n", "5", "--permitted", "false"],
         ["run-protocol", "--n", "3", "--permitted", "false", "--mode", "sample"],
