@@ -8,7 +8,6 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -27,6 +26,7 @@ from . import protocol as proto
 from .qcore import PauliAxis, X_AXIS, Y_AXIS, Z_AXIS, random_axis
 
 _PI_FRACTION = re.compile(r"^(-?)(\d*)pi(?:/(\d+))?$")
+MAX_SWEEP = 4096  # most control-power --sweep angles: each adds one report, all held until written
 
 
 def parse_angle(text: str) -> float:
@@ -51,17 +51,14 @@ def parse_angle(text: str) -> float:
 
 
 def format_angle(value: float) -> str:
-    """Render exact multiples of pi/4 symbolically, decimals otherwise."""
+    """Render angles within 1e-9 of a multiple of pi/4 (modulo 2pi) symbolically, decimals otherwise."""
     v = value % (2 * math.pi)
-    for m in range(8):
+    for m in range(9):
         if abs(v - m * math.pi / 4) < 1e-9:
-            if m == 0:
-                return "0"
+            m %= 8  # just below 2pi reads as 0
             if m % 4 == 0:
-                return f"{m // 4}pi" if m > 4 else "pi"
-            num, den = m, 4
-            if m % 2 == 0:
-                num, den = m // 2, 2
+                return "pi" if m else "0"
+            num, den = (m // 2, 2) if m % 2 == 0 else (m, 4)
             return f"{num}pi/{den}" if num > 1 else f"pi/{den}"
     return f"{v:.12g}"
 
@@ -107,22 +104,18 @@ def _render_text(payload: dict, indent: str = "") -> str:
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(_render_text(value, indent + "  "))
-        elif isinstance(value, list):
+        elif isinstance(value, (list, proto.Branches)):
             lines.append(f"{indent}{key}: [{len(value)} entries]")
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(lines)
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _write_report(path: str | None, payload: dict, fmt: str) -> None:
     if fmt == "text":
         _write_text(path, _render_text(payload) + "\n")
     else:
-        _write_json(path, payload)
+        _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 _HOLE = "\0"  # a placeholder string no report value contains
@@ -139,31 +132,22 @@ def _json_list(items, depth: int) -> str:
     return f"[\n{items}\n{'  ' * depth}]" if items else "[]"
 
 
-def _branch_list_parts(result: proto.ProtocolResult) -> list:
+def _branch_list_parts(branches: proto.Branches) -> list:
     """The strings whose concatenation is the branch list of a run-protocol
     report exactly as json.dumps(report, sort_keys=True, indent=2) writes it.
     The objects come from protocol.branch_json and protocol.message_json; the
-    frame of a branch and the corrections and messages of each outcome of each
-    measurement are rendered once, and a branch picks its pieces by its
-    outcome bits.  Floats go through float.__repr__, as in the json encoder."""
+    frame of a branch is rendered once, and each (measurement, bit) pair's
+    corrections and messages once, by `Branches.fields`, which also builds
+    `ProtocolResult.to_json_dict`.  Floats go through float.__repr__, as in the
+    json encoder."""
     shape = proto.branch_json(_HOLE, _HOLE, _HOLE, _HOLE, _HOLE)
     keys = sorted(shape)  # the order in which the frame's holes appear
     frame = _nested(shape, 2).split(json.dumps(_HOLE))
-    corrections, transcripts = [], []  # per measurement: outcome bit "0"/"1" -> its rendered items
-    for step in result.measurements:
-        records = {str(bit): record for bit, record in enumerate(proto.outcome_records(step))}
-        corrections.append({bit: [_nested(label, 4) for label in labels] for bit, (labels, _) in records.items()})
-        transcripts.append({bit: [_nested(proto.message_json(m), 4) for m in messages]
-                            for bit, (_, messages) in records.items()})
     parts = []
-    for b in result.branches:
-        fields = proto.branch_json(
-            json.dumps(b.outcomes),
-            float.__repr__(b.probability),
-            _json_list(chain.from_iterable(map(dict.__getitem__, corrections, b.outcomes)), 3),
-            float.__repr__(b.fidelity),
-            _json_list(chain.from_iterable(map(dict.__getitem__, transcripts, b.outcomes)), 3),
-        )
+    for outcomes, probability, corrections, fidelity, transcript in branches.fields(
+            lambda label: _nested(label, 4), lambda m: _nested(proto.message_json(m), 4)):
+        fields = proto.branch_json(json.dumps(outcomes), float.__repr__(probability), _json_list(corrections, 3),
+                                   float.__repr__(fidelity), _json_list(transcript, 3))
         parts.append(",\n")
         parts += chain.from_iterable(zip(frame, map(fields.__getitem__, keys)))
         parts.append(frame[-1])
@@ -181,7 +165,7 @@ def _write_protocol_report(path: str | None, report: dict, result: proto.Protoco
         _write_report(path, {**report, "branches": result.branches}, fmt)
         return
     head, tail = json.dumps({**report, "branches": _HOLE}, sort_keys=True, indent=2).split(json.dumps(_HOLE))
-    _write_text(path, "".join([head, *_branch_list_parts(result), tail, "\n"]))
+    _write_text(path, "".join([head, *_branch_list_parts(result.branches), tail, "\n"]))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -190,11 +174,7 @@ def _fmt_complex(z: complex) -> str:
 
 def _random_targets(rng: np.random.Generator, n: int) -> list:
     """n normalized single-qubit kets with Gaussian real and imaginary parts."""
-    targets = []
-    for _ in range(n):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        targets.append(v / np.linalg.norm(v))
-    return targets
+    return [v / np.linalg.norm(v) for v in (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(n))]
 
 
 # ----------------------------------------------------------------------
@@ -210,12 +190,10 @@ def cmd_build_state(args) -> int:
                 "edges": [list(e) for e in graph.sorted_edges()]}
     else:
         fam = (args.family or "").lower()
-        if fam == "h3":
-            state = gs.crio_channel_state(gs.CrioTopology(1))
-            meta = {"family": "h3", "n_systems": 1}
-        elif fam == "h5":
-            state = gs.crio_channel_state(gs.CrioTopology(2))
-            meta = {"family": "h5", "n_systems": 2}
+        if fam in ("h3", "h5"):
+            n = {"h3": 1, "h5": 2}[fam]
+            state = gs.crio_channel_state(gs.CrioTopology(n))
+            meta = {"family": fam, "n_systems": n}
         elif fam == "h2n1":
             if args.n is None:
                 raise ValueError("h2n1 requires --n")
@@ -256,14 +234,10 @@ def cmd_run_protocol(args) -> int:
             "mode": args.mode, "seed": args.seed, "permitted": args.permitted == "true",
             "controlled_groups": groups,
         }
-    config = proto.run_config_to_dict(
-        kwargs["n_systems"], kwargs["axes"], kwargs["betas"], kwargs["targets"],
-        kwargs["mode"], kwargs["seed"], kwargs["permitted"], kwargs["controlled_groups"],
-    )
+    config = proto.run_config_to_dict(**kwargs)
     result = proto.run_crio(**kwargs)
-    payload = dataclasses.replace(result, branches=[]).to_json_dict()  # the branches are rendered apart
-    payload["min_fidelity"] = result.min_fidelity()
-    payload["total_probability"] = result.total_probability()
+    payload = {**result.summary_json(), "min_fidelity": result.min_fidelity(),
+               "total_probability": result.total_probability()}
     _write_protocol_report(args.out, _report(payload, config), result, args.format)
     if result.permitted and result.min_fidelity() < 1 - 1e-10:
         print("verification failed: a permitted branch missed unit fidelity", file=sys.stderr)
@@ -315,10 +289,9 @@ def cmd_control_power(args) -> int:
     if args.sweep is not None:
         if args.sweep < 1:
             raise ValueError("--sweep needs at least one angle")
-        reports = []
-        for m in range(args.sweep):
-            alpha = 2 * math.pi * m / args.sweep
-            reports.append(povm_mod.control_power_report(alpha))
+        if args.sweep > MAX_SWEEP:
+            raise ValueError(f"--sweep takes at most {MAX_SWEEP} angles, got {args.sweep}")
+        reports = [povm_mod.control_power_report(2 * math.pi * m / args.sweep) for m in range(args.sweep)]
         payload = {"sweep": reports}
         rates_ok = all(r["success_rate"] in (0.25, 0.5) for r in reports)
     else:
@@ -375,12 +348,7 @@ def cmd_reproduce_tables(args) -> int:
     if which is None:
         raise ValueError("table must be one of I, II, III")
     config = {"command": "reproduce-tables", "table": which, "seed": args.seed}
-    if which == "I":
-        text = _table1_csv(args.seed)
-    elif which == "II":
-        text = _table2_csv()
-    else:
-        text = _table3_csv()
+    text = {"I": lambda: _table1_csv(args.seed), "II": _table2_csv, "III": _table3_csv}[which]()
     _write_text(args.out, _provenance_line(config) + "\n" + text)
     return 0
 
@@ -396,12 +364,8 @@ def cmd_verify_all(args) -> int:
         checks.append((f"protocol n_systems={n} all-branch fidelity", res.min_fidelity() >= 1 - 1e-10))
         checks.append((f"protocol n_systems={n} probabilities sum to 1", abs(res.total_probability() - 1) < 1e-10))
 
-    ok = True
-    for n in (1, 2, 3):
-        state = gs.crio_channel_state(gs.CrioTopology(n))
-        for i, bits in enumerate(gs.all_bitstrings(2 * n + 1)):
-            if abs(state.amplitudes[i] - gs.amplitude_oracle(n, bits)) > 1e-12:
-                ok = False
+    ok = all(abs(amp - gs.amplitude_oracle(n, bits)) <= 1e-12 for n in (1, 2, 3)
+             for amp, bits in zip(gs.crio_channel_state(gs.CrioTopology(n)).amplitudes, gs.all_bitstrings(2 * n + 1)))
     checks.append(("channel amplitudes match the sign oracle", ok))
 
     g = gm_mod.gm_channel_family(2, restarts=24, seed=args.seed)
@@ -423,14 +387,12 @@ def cmd_verify_all(args) -> int:
     checks.append(("control denial defeats every guess",
                    denial.best_guess_min_fidelity < 1 - 1e-6))
 
-    failures = 0
     for name, passed in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}")
-        if not passed:
-            failures += 1
+    failures = sum(not passed for _, passed in checks)
     payload = {"checks": [{"name": n, "passed": bool(p)} for n, p in checks], "failures": failures}
     if args.out:
-        _write_json(args.out, _report(payload, {"command": "verify-all", "seed": args.seed}))
+        _write_report(args.out, _report(payload, {"command": "verify-all", "seed": args.seed}), "json")
     return 0 if failures == 0 else 2
 
 

@@ -23,6 +23,7 @@ from .qcore import HADAMARD, QuantumState, apply_1q
 OBJECTIVE_TOL = 1e-8  # a restart stops when a sweep gains under a tenth of it
 MAX_SWEEPS = 300      # per restart
 BLOCK_AMPLITUDES = 1 << 16  # restarts swept together hold about this many amplitudes
+MAX_RESTARTS = 100_000  # refused above: the start points are drawn in a Python loop
 
 
 @dataclass
@@ -156,6 +157,8 @@ def gm_optimize(state: QuantumState, mode: str = "nonneg", restarts: int = 64, s
         raise ValueError("mode must be 'nonneg' or 'general'")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if restarts > MAX_RESTARTS:
+        raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
     amps = state.amplitudes
     if mode == "nonneg" and (np.max(np.abs(amps.imag)) > 1e-12 or np.min(amps.real) < -1e-12):
         raise ValueError("non-negative mode needs a non-negative state; reduce it first")

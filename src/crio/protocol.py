@@ -28,17 +28,19 @@ branch (deferred measurement), with the exact probability of each.  At a
 measurement it asks an outcome rule which outcomes to keep: both (each of
 probability at least 1e-14) for enumeration and the control-denial guesses,
 one drawn from a seeded generator for sample mode, or one forced outcome
-per measurement for the checkpoints.  The symbolic checkpoints follow the
-same plan on stators.
+per measurement for the checkpoints.  A run's branches are the walk's own
+arrays, a `Branches` table; each branch's corrections and messages follow
+from its outcome bits.  The symbolic checkpoints follow the same plan on
+stators.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from operator import getitem
-from typing import Sequence
 
 import numpy as np
 
@@ -105,32 +107,80 @@ class BranchRecord:
     transcript: tuple
 
 
+@dataclass(frozen=True, eq=False)
+class Branches(Sequence):
+    """The branches a walk kept, as columns: row r of each array is branch r, in
+    the order of a depth-first walk with outcome 0 first.
+
+    A branch's corrections and messages follow from its outcome bits and the
+    measured steps (`outcome_records`), so they are not stored; `branches[r]`
+    and iteration build each branch's BranchRecord on demand."""
+
+    steps: tuple               # the measured Steps, in the order of each row's bits
+    bits: np.ndarray           # (B, m) uint8 outcome bits
+    probabilities: np.ndarray  # (B,)
+    fidelities: np.ndarray     # (B,) fidelity to the expected target
+    labels: tuple              # the qubits of every final state
+    rows: np.ndarray           # (B, 2**len(labels)) final states
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __getitem__(self, r) -> BranchRecord:
+        r = range(len(self))[r]  # IndexError past either end, as for a list
+        return next(self._records(slice(r, r + 1)))
+
+    def __iter__(self):
+        return self._records(slice(None))
+
+    def _records(self, rows: slice):
+        for amps, (outcomes, p, corrections, fidelity, transcript) in zip(self.rows[rows], self.fields(rows=rows)):
+            yield BranchRecord(outcomes, p, tuple(corrections), QuantumState._trusted(self.labels, amps), fidelity,
+                               tuple(transcript))
+
+    def fields(self, label=lambda c: c, message=lambda m: m, rows=slice(None)):
+        """(outcomes, probability, corrections, fidelity, transcript) of each branch
+        in `rows`, with its corrections and transcript as iterators over label(c)
+        and message(m).  The pieces of each (measurement, bit) pair are made once,
+        and each branch picks its pieces by its bits row."""
+        records = [outcome_records(step) for step in self.steps]
+        fixes = [[[label(c) for c in labels] for labels, _ in pair] for pair in records]
+        messages = [[[message(m) for m in msgs] for _, msgs in pair] for pair in records]
+        bits, m = self.bits[rows], len(self.steps)
+        text = (bits + ord("0")).tobytes().decode()
+        for r, (row, probability, fidelity) in enumerate(
+                zip(bits.tolist(), self.probabilities[rows].tolist(), self.fidelities[rows].tolist())):
+            yield (text[r * m:(r + 1) * m], probability, chain.from_iterable(map(getitem, fixes, row)), fidelity,
+                   chain.from_iterable(map(getitem, messages, row)))
+
+
 @dataclass
 class ProtocolResult:
     n_systems: int
     permitted: bool
     participating_systems: tuple  # target indices j in channel numbering
     expected_target: QuantumState
-    branches: list
-    measurements: tuple  # the measurement Steps, in the order of each branch's outcome bits
+    branches: Branches
     mode: str
     seed: int | None = None
+
+    @property
+    def measurements(self) -> tuple:
+        """The measurement Steps, in the order of each branch's outcome bits."""
+        return self.branches.steps
 
     @property
     def measurement_count(self) -> int:
         return len(self.measurements)
 
-    @property
-    def transcript(self) -> tuple:
-        return self.branches[0].transcript if self.branches else ()
-
     def min_fidelity(self) -> float:
-        return min(b.fidelity for b in self.branches)
+        return float(self.branches.fidelities.min())
 
     def total_probability(self) -> float:
-        return sum(b.probability for b in self.branches)
+        return sum(self.branches.probabilities.tolist())  # left to right: np.sum's pairwise order moves the last bit
 
-    def to_json_dict(self) -> dict:
+    def summary_json(self) -> dict:
+        """The JSON fields of the report other than its branch list."""
         return {
             "n_systems": self.n_systems,
             "permitted": self.permitted,
@@ -138,12 +188,13 @@ class ProtocolResult:
             "mode": self.mode,
             "seed": self.seed,
             "measurement_count": self.measurement_count,
-            "branches": [
-                branch_json(b.outcomes, b.probability, list(b.corrections), b.fidelity,
-                            [message_json(m) for m in b.transcript])
-                for b in self.branches
-            ],
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.summary_json(), "branches": [
+            branch_json(outcomes, probability, list(corrections), fidelity, [message_json(m) for m in transcript])
+            for outcomes, probability, corrections, fidelity, transcript in self.branches.fields()
+        ]}
 
 
 def message_json(m: ClassicalMessage) -> dict:
@@ -376,29 +427,23 @@ def _through_leading_gates(n_systems, target_vecs, controlled_groups, plan):
 
 
 def _expected_state(n_systems, axes, betas, target_vecs, ks) -> QuantumState:
-    labels, vecs = [], []
-    for k in ks:
-        j = k + n_systems
-        idx = j - (n_systems + 2)
-        labels.append(target_label(j))
-        vecs.append(rotation(axes[idx], betas[idx]) @ target_vecs[idx])
-    # keep channel ordering O_{N+2}..O_{2N+1}
-    order = sorted(range(len(labels)), key=lambda i: int(labels[i][1:]))
-    return product_state([labels[i] for i in order], [vecs[i] for i in order])
+    """Each participating target O_{k+N} rotated by its exp(i*beta*sigma_n); `ks` ascend, so O order."""
+    return product_state([target_label(k + n_systems) for k in ks],
+                         [rotation(axes[k - 2], betas[k - 2]) @ target_vecs[k - 2] for k in ks])
 
 
-def _fidelities(rows: np.ndarray, labels: tuple, expected: QuantumState) -> list:
+def _fidelities(rows: np.ndarray, labels: tuple, expected: QuantumState) -> np.ndarray:
     """|<expected|row>| for each row of a (B, 2**n) array on `labels`; when the
     rows hold more qubits than `expected`, sqrt(<expected|rho|expected>) of each
     row's reduced state."""
     e = expected.amplitudes.conj()
     if labels == expected.labels:
-        return np.abs(rows @ e).tolist()
+        return np.abs(rows @ e)
     keep = [labels.index(lab) for lab in expected.labels]
     rest = [i for i in range(len(labels)) if i not in keep]
     t = rows.reshape((len(rows),) + (2,) * len(labels)).transpose([0] + [1 + i for i in keep + rest])
     w = np.einsum("k,bkr->br", e, t.reshape(len(rows), len(e), -1))  # <expected| (x) I on each row
-    return np.sqrt(np.clip(np.einsum("br,br->b", w, w.conj()).real, 0.0, 1.0)).tolist()
+    return np.sqrt(np.clip(np.einsum("br,br->b", w, w.conj()).real, 0.0, 1.0))
 
 
 def outcome_records(step: Step) -> tuple:
@@ -409,21 +454,10 @@ def outcome_records(step: Step) -> tuple:
                  for bit in (0, 1))
 
 
-def _branches(state: QuantumState, plan, expected: QuantumState, rule) -> list:
+def _branches(state: QuantumState, plan, expected: QuantumState, rule) -> Branches:
     """The branches of `plan` that `rule` keeps, with their fidelity to `expected`."""
     labels, rows, probs, bits, measured = _walk(state, plan, rule)
-    records = [outcome_records(s) for s in measured]
-    fixes = [(zero[0], one[0]) for zero, one in records]
-    messages = [(zero[1], one[1]) for zero, one in records]
-    m = len(measured)
-    text = (bits + ord("0")).tobytes().decode()
-    return [
-        BranchRecord(text[r * m:(r + 1) * m], prob, tuple(chain.from_iterable(map(getitem, fixes, row_bits))),
-                     QuantumState._trusted(labels, amps), fidelity,
-                     tuple(chain.from_iterable(map(getitem, messages, row_bits))))
-        for r, (row_bits, prob, amps, fidelity) in enumerate(
-            zip(bits.tolist(), probs.tolist(), rows, _fidelities(rows, labels, expected)))
-    ]
+    return Branches(tuple(measured), bits, probs, _fidelities(rows, labels, expected), labels, rows)
 
 
 def run_crio(
@@ -455,7 +489,6 @@ def run_crio(
         participating_systems=tuple(k + n_systems for k in ks),
         expected_target=expected,
         branches=branches,
-        measurements=tuple(step for step in plan if step.basis is not None),
         mode=mode,
         seed=seed,
     )
@@ -468,7 +501,7 @@ def run_crio(
 class ControlDenialReport:
     n_systems: int
     purity_without_controller: float
-    guess_branches: dict          # guess bit -> list[BranchRecord]
+    guess_branches: dict          # guess bit -> Branches
     best_guess: int
     best_guess_min_fidelity: float
     control_defeated: bool        # some guess reaches fidelity 1 on every branch
@@ -493,7 +526,7 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
     guess_branches = {guess: _branches(_state_after(state, fixes if guess else []), rest[1:], expected, _keep_both)
                       for guess in (0, 1)}
 
-    worst = {g: min(b.fidelity for b in brs) for g, brs in guess_branches.items()}
+    worst = {g: float(brs.fidelities.min()) for g, brs in guess_branches.items()}
     best_guess = max(worst, key=lambda g: worst[g])
     return ControlDenialReport(
         n_systems=n_systems,

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crio import protocol as proto
 from crio.cli import _report, format_angle, main, parse_angle, parse_axis
@@ -38,6 +42,8 @@ class TestAngleParsing:
         for m in range(8):
             assert parse_angle(format_angle(m * math.pi / 4)) == pytest.approx(m * math.pi / 4, abs=1e-9)
         assert format_angle(0.7) == "0.7"
+        # within 1e-9 of 0 modulo 2pi, from either side
+        assert format_angle(1e-12) == format_angle(-1e-12) == format_angle(2 * math.pi - 1e-13) == "0"
 
     def test_parse_axis(self):
         assert parse_axis("x") == X_AXIS
@@ -285,6 +291,31 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, text):
     assert not (tmp_path / "out").exists()
 
 
+_NUMBER = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str), st.text("0123456789.e-+_ ", max_size=8))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    alpha=st.one_of(st.none(), st.text(max_size=12), _NUMBER,
+                    st.from_regex(r"\s*-?\d{0,4}\s*[pP][iI]\s*(/\d{0,5})?\s*", fullmatch=True)),
+    axis=st.one_of(st.none(), st.text(max_size=12), st.sampled_from(["x", "Y", " z ", "xy"]),
+                   st.lists(st.one_of(_NUMBER, st.text(max_size=3)), min_size=1, max_size=4).map(",".join)),
+    groups=st.one_of(st.none(), st.text(max_size=8),
+                     st.lists(st.one_of(_NUMBER, st.integers(-3, 6).map(str)), max_size=4).map(",".join)),
+)
+def test_run_protocol_text_inputs_exit_0_or_2_in_one_line(alpha, axis, groups):
+    """Any --alpha, --axis and --groups text ends in exit 0, or in exit 2 with
+    one line on stderr; anything else escapes main as a traceback."""
+    argv = ["run-protocol", "--n", "2", "--out", os.devnull]
+    argv += [f"{flag}={text}" for flag, text in (("--alpha", alpha), ("--axis", axis), ("--groups", groups))
+             if text is not None]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert code == 0 or err.getvalue().count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -303,6 +334,24 @@ def test_register_above_bound_exits_2_before_allocating(tmp_path, capsys, argv):
     assert code == 2 and time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "limit of 25 qubits" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gm", "--family", "h2n1", "--n", "2", "--restarts", "100001"], "restarts must be at most 100000"),
+        (["gm", "--family", "phi", "--n", "2", "--restarts", "100001"], "restarts must be at most 100000"),
+        (["control-power", "--sweep", "4097"], "--sweep takes at most 4096 angles"),
+    ],
+)
+def test_count_above_bound_exits_2_before_any_work(tmp_path, capsys, argv, message):
+    """One past each bound: refused in one line before the first restart or angle."""
+    start = time.perf_counter()
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2 and time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -364,24 +364,32 @@ class TestBatchedEnumeration:
         "n,groups,permitted",
         [(1, None, True), (2, None, False), (3, frozenset({4}), True), (4, None, True), (4, frozenset({5}), False)],
     )
-    def test_run_matches_reference_walk(self, monkeypatch, n, groups, permitted):
-        args = random_inputs(np.random.default_rng(110 + n), n)
-        batched = run_crio(n, *args, permitted=permitted, controlled_groups=groups)
-        monkeypatch.setattr(protocol, "_branches", reference_walk)
-        walked = run_crio(n, *args, permitted=permitted, controlled_groups=groups)
-        assert len(batched.branches) == 2 ** batched.measurement_count
-        assert_same_branches(batched.branches, walked.branches)
+    def test_run_matches_reference_walk(self, n, groups, permitted):
+        axes, betas, targets = random_inputs(np.random.default_rng(110 + n), n)
+        result = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
+        plan = protocol._plan(n, axes, betas, protocol._participating_ks(n, groups), permitted)
+        walked = reference_walk(protocol._initial_state(n, targets, groups), plan, result.expected_target)
+        assert len(result.branches) == 2 ** result.measurement_count
+        assert_same_branches(result.branches, walked)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_denial_guesses_match_reference_walk(self, monkeypatch, n):
-        args = random_inputs(np.random.default_rng(120 + n), n)
-        batched = control_denial_report(n, *args)
-        monkeypatch.setattr(protocol, "_branches", reference_walk)
-        walked = control_denial_report(n, *args)
+    def test_denial_guesses_match_reference_walk(self, n):
+        """Each guess is the plan with the controller's step-3 measurement replaced
+        by its outcome-1 corrections (guess 1) or by nothing (guess 0)."""
+        axes, betas, targets = random_inputs(np.random.default_rng(120 + n), n)
+        report = control_denial_report(n, axes, betas, targets)
+        ks = protocol._participating_ks(n, None)
+        plan = protocol._plan(n, axes, betas, ks)
+        expected = protocol._expected_state(n, axes, betas, targets, ks)
+        i = next(i for i, step in enumerate(plan) if step.basis is not None)  # A1's step-3 measurement
+        worst = {}
         for guess in (0, 1):
-            assert_same_branches(batched.guess_branches[guess], walked.guess_branches[guess])
-        assert batched.best_guess == walked.best_guess
-        assert batched.best_guess_min_fidelity == pytest.approx(walked.best_guess_min_fidelity, abs=1e-12)
+            guessed = plan[:i] + [fix for fix, _ in plan[i].on_one if guess] + plan[i + 1:]
+            walked = reference_walk(protocol._initial_state(n, targets, None), guessed, expected)
+            assert_same_branches(report.guess_branches[guess], walked)
+            worst[guess] = min(b.fidelity for b in walked)
+        assert report.best_guess == max(worst, key=worst.get)
+        assert report.best_guess_min_fidelity == pytest.approx(worst[report.best_guess], abs=1e-12)
 
     def test_zero_probability_outcomes_are_pruned(self):
         """Protocol measurements are unbiased, so a hand-made plan exercises the
