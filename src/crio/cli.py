@@ -8,6 +8,7 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -85,12 +86,11 @@ def _report(payload: dict, config: dict) -> dict:
     return {"artifact_version": __version__, "config_hash": _config_hash(config), **payload}
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_text(path: str | None, text: str, more=()) -> None:
+    """`text`, then each string of `more`, to `path`, or to stdout when path is None or '-'."""
+    with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+        fh.writelines(more)
 
 
 def _provenance_line(config: dict) -> str:
@@ -118,54 +118,14 @@ def _write_report(path: str | None, payload: dict, fmt: str) -> None:
         _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-_HOLE = "\0"  # a placeholder string no report value contains
-
-
-def _nested(value, depth: int) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) as it reads `depth` levels deep."""
-    return "  " * depth + json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
-
-
-def _json_list(items, depth: int) -> str:
-    """A list `depth` levels deep whose items are already rendered one level deeper."""
-    items = ",\n".join(items)
-    return f"[\n{items}\n{'  ' * depth}]" if items else "[]"
-
-
-def _branch_list_parts(branches: proto.Branches) -> list:
-    """The strings whose concatenation is the branch list of a run-protocol
-    report exactly as json.dumps(report, sort_keys=True, indent=2) writes it.
-    The objects come from protocol.branch_json and protocol.message_json; the
-    frame of a branch is rendered once, and each (measurement, bit) pair's
-    corrections and messages once, by `Branches.fields`, which also builds
-    `ProtocolResult.to_json_dict`.  Floats go through float.__repr__, as in the
-    json encoder."""
-    shape = proto.branch_json(_HOLE, _HOLE, _HOLE, _HOLE, _HOLE)
-    keys = sorted(shape)  # the order in which the frame's holes appear
-    frame = _nested(shape, 2).split(json.dumps(_HOLE))
-    parts = []
-    for outcomes, probability, corrections, fidelity, transcript in branches.fields(
-            lambda label: _nested(label, 4), lambda m: _nested(proto.message_json(m), 4)):
-        fields = proto.branch_json(json.dumps(outcomes), float.__repr__(probability), _json_list(corrections, 3),
-                                   float.__repr__(fidelity), _json_list(transcript, 3))
-        parts.append(",\n")
-        parts += chain.from_iterable(zip(frame, map(fields.__getitem__, keys)))
-        parts.append(frame[-1])
-    if not parts:
-        return ["[]"]
-    parts[0] = "[\n"
-    parts.append("\n  ]")
-    return parts
-
-
 def _write_protocol_report(path: str | None, report: dict, result: proto.ProtocolResult, fmt: str) -> None:
-    """A run-protocol report: `report` plus the branch list of `result`,
-    joined once, so no full-size intermediate copy of the report is made."""
+    """A run-protocol report: `report` plus the branch list of `result`, written
+    block by block (`Branches.json_blocks`), so no full-size copy of the report is made."""
     if fmt == "text":  # the text form lists branches only as a count
         _write_report(path, {**report, "branches": result.branches}, fmt)
         return
-    head, tail = json.dumps({**report, "branches": _HOLE}, sort_keys=True, indent=2).split(json.dumps(_HOLE))
-    _write_text(path, "".join([head, *_branch_list_parts(result.branches), tail, "\n"]))
+    head, tail = json.dumps({**report, "branches": proto._HOLE}, sort_keys=True, indent=2).split(json.dumps(proto._HOLE))
+    _write_text(path, head, chain(result.branches.json_blocks(), [tail, "\n"]))
 
 
 def _fmt_complex(z: complex) -> str:

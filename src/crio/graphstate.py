@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcore import QuantumState, check_register_size
+from .qcore import QuantumState, check_register_size, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -244,8 +244,7 @@ def state_from_json_dict(data: dict) -> QuantumState:
     if not data["labels"]:
         raise ValueError("state labels must name at least one qubit")
     for pair in data["amplitudes"]:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in pair)):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_finite_number, pair))):
             raise ValueError(f"state amplitudes must be [re, im] pairs of finite numbers, got {pair!r}")
     amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
     return QuantumState(tuple(data["labels"]), amps, copy=False)

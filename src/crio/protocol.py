@@ -36,7 +36,6 @@ stators.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -65,6 +64,7 @@ from .qcore import (
     _check_unitary,
     _gate,
     check_register_size,
+    is_finite_number,
     pauli_axis_matrix,
     product_state,
     purity,
@@ -75,6 +75,8 @@ from .qcore import (
 from .stator import Stator
 
 FIDELITY_TOL = 1e-10
+BLOCK_ROWS = 256  # branches per string of Branches.json_blocks: a lower peak RSS than one string per report
+_HOLE = "\0"  # a placeholder string no report value contains
 
 
 class LocalityError(ValueError):
@@ -113,8 +115,8 @@ class Branches(Sequence):
     the order of a depth-first walk with outcome 0 first.
 
     A branch's corrections and messages follow from its outcome bits and the
-    measured steps (`outcome_records`), so they are not stored; `branches[r]`
-    and iteration build each branch's BranchRecord on demand."""
+    measured steps (`outcome_records`), so they are not stored: `branches[r]`,
+    slices and iteration pick each branch's records by its bits row."""
 
     steps: tuple               # the measured Steps, in the order of each row's bits
     bits: np.ndarray           # (B, m) uint8 outcome bits
@@ -126,7 +128,9 @@ class Branches(Sequence):
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __getitem__(self, r) -> BranchRecord:
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return list(self._records(r))
         r = range(len(self))[r]  # IndexError past either end, as for a list
         return next(self._records(slice(r, r + 1)))
 
@@ -134,24 +138,74 @@ class Branches(Sequence):
         return self._records(slice(None))
 
     def _records(self, rows: slice):
-        for amps, (outcomes, p, corrections, fidelity, transcript) in zip(self.rows[rows], self.fields(rows=rows)):
-            yield BranchRecord(outcomes, p, tuple(corrections), QuantumState._trusted(self.labels, amps), fidelity,
-                               tuple(transcript))
-
-    def fields(self, label=lambda c: c, message=lambda m: m, rows=slice(None)):
-        """(outcomes, probability, corrections, fidelity, transcript) of each branch
-        in `rows`, with its corrections and transcript as iterators over label(c)
-        and message(m).  The pieces of each (measurement, bit) pair are made once,
-        and each branch picks its pieces by its bits row."""
         records = [outcome_records(step) for step in self.steps]
-        fixes = [[[label(c) for c in labels] for labels, _ in pair] for pair in records]
-        messages = [[[message(m) for m in msgs] for _, msgs in pair] for pair in records]
-        bits, m = self.bits[rows], len(self.steps)
-        text = (bits + ord("0")).tobytes().decode()
-        for r, (row, probability, fidelity) in enumerate(
-                zip(bits.tolist(), self.probabilities[rows].tolist(), self.fidelities[rows].tolist())):
-            yield (text[r * m:(r + 1) * m], probability, chain.from_iterable(map(getitem, fixes, row)), fidelity,
-                   chain.from_iterable(map(getitem, messages, row)))
+        for row, amps, p, fidelity in zip(self.bits[rows].tolist(), self.rows[rows],
+                                          self.probabilities[rows].tolist(), self.fidelities[rows].tolist()):
+            picked = list(map(getitem, records, row))
+            yield BranchRecord("".join(map(str, row)), p, tuple(chain.from_iterable(c for c, _ in picked)),
+                               QuantumState._trusted(self.labels, amps), fidelity,
+                               tuple(chain.from_iterable(m for _, m in picked)))
+
+    def json_blocks(self):
+        """The branch list as json.dumps(report, sort_keys=True, indent=2) writes it under a
+        top-level key, in strings of at most BLOCK_ROWS branches.  A branch is a fixed sequence
+        of columns, each an object array of shared strings picked from a small piece table by
+        the rows' bits, so no Python code runs per branch; a block joins its rows of the table."""
+        if not len(self):
+            yield "[]"
+            return
+        bits, records = self.bits, [outcome_records(step) for step in self.steps]
+        quoted = np.pad(bits + ord("0"), ((0, 0), (1, 1)), constant_values=ord('"'))
+        messages = [[[{"from": m.sender, "to": m.recipient, "step": m.step, "payload": m.payload} for m in msgs]
+                     for _, msgs in pair] for pair in records]
+        values = {  # the columns of each key of a branch's JSON object, in sorted key order
+            "corrections": _list_columns([[fixes for fixes, _ in pair] for pair in records], bits),
+            "fidelity": [_float_column(self.fidelities)],
+            "outcomes": [quoted.view(f"S{quoted.shape[1]}")[:, 0].astype(str).astype(object)],
+            "probability": [_float_column(self.probabilities)],
+            "transcript": _list_columns(messages, bits),
+        }
+        frame = _nested(dict.fromkeys(values, _HOLE), 2).split(json.dumps(_HOLE))
+        columns = [",\n" + frame[0]]
+        for column, piece in zip(values.values(), frame[1:]):
+            columns += [*column, piece]
+        table = np.hstack([np.full((len(bits), 1), c, dtype=object) if isinstance(c, str) else c.reshape(len(bits), -1)
+                           for c in columns])
+        table[0, 0] = "[\n" + frame[0]
+        for start in range(0, len(table), BLOCK_ROWS):
+            yield "".join(table[start:start + BLOCK_ROWS].ravel().tolist())
+        yield "\n  ]"
+
+
+def _nested(value, depth: int) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) as it reads `depth` levels deep."""
+    return "  " * depth + json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _pick(pieces: list, index: np.ndarray) -> np.ndarray:
+    """The column pieces[index[r]] of shared strings."""
+    return np.array(pieces, dtype=object)[index]
+
+
+def _float_column(values: np.ndarray) -> np.ndarray:
+    """float.__repr__ of each value, as the json encoder writes a finite float,
+    rendered once per bit pattern, so -0.0 and NaN keep their own text."""
+    patterns, index = np.unique(values.view(np.uint64), return_inverse=True)
+    return _pick([float.__repr__(v) for v in patterns.view(np.float64).tolist()], index)
+
+
+def _list_columns(items: list, bits: np.ndarray) -> list:
+    """The columns of a JSON list three levels deep to which measurement i adds items[i][b] on bit
+    b: an opener, a (B, k) block of pieces for the k measurements that add any item, a closer.  A
+    piece leads with the item separator unless the row's items start there; no items read []."""
+    texts = [[",\n".join(_nested(item, 4) for item in added) for added in pair] for pair in items]
+    adding = [i for i, pair in enumerate(texts) if any(pair)]  # the measurements that add any item
+    bit = np.ascontiguousarray(bits[:, adding])  # C order, so the column table and its row blocks are too
+    added = np.array([[bool(t) for t in texts[i]] for i in adding], dtype=bool).reshape(-1, 2)[range(len(adding)), bit]
+    pieces = [t and sep + t for i in adding for sep in ("", ",\n") for t in texts[i]]
+    block = _pick(pieces, 4 * np.arange(len(adding)) + 2 * (added.cumsum(axis=1) > added) + bit)
+    nonempty = added.any(axis=1).view(np.uint8)
+    return [_pick(["[]", "[\n"], nonempty), block, _pick(["", "\n      ]"], nonempty)]
 
 
 @dataclass
@@ -191,26 +245,7 @@ class ProtocolResult:
         }
 
     def to_json_dict(self) -> dict:
-        return {**self.summary_json(), "branches": [
-            branch_json(outcomes, probability, list(corrections), fidelity, [message_json(m) for m in transcript])
-            for outcomes, probability, corrections, fidelity, transcript in self.branches.fields()
-        ]}
-
-
-def message_json(m: ClassicalMessage) -> dict:
-    """The JSON object of one message in a report's transcript."""
-    return {"from": m.sender, "to": m.recipient, "step": m.step, "payload": m.payload}
-
-
-def branch_json(outcomes, probability, corrections, fidelity, transcript) -> dict:
-    """The JSON object of one branch in a report, from its already converted fields."""
-    return {
-        "outcomes": outcomes,
-        "probability": probability,
-        "corrections": corrections,
-        "fidelity": fidelity,
-        "transcript": transcript,
-    }
+        return {**self.summary_json(), "branches": json.loads("".join(self.branches.json_blocks()))}
 
 
 def build_parties(
@@ -279,8 +314,9 @@ def _validate_inputs(n_systems, axes, betas, targets):
         v = t.amplitudes if isinstance(t, QuantumState) else np.asarray(t, dtype=complex).reshape(-1)
         if v.shape != (2,):
             raise ValueError("target systems are single qubits")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise ValueError("target states must be normalized")
+        with np.errstate(over="ignore"):  # a norm beyond the float range reads inf and is refused
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # so is a NaN norm
+                raise ValueError("target states must be normalized")
         vecs.append(v)
     return vecs
 
@@ -616,9 +652,7 @@ def _is_int(value) -> bool:
 
 def _is_numbers(value, count: int | None = None) -> bool:
     """A list of finite JSON numbers, `count` of them when given."""
-    return isinstance(value, list) and (count is None or len(value) == count) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value
-    )
+    return isinstance(value, list) and (count is None or len(value) == count) and all(map(is_finite_number, value))
 
 
 def run_config_from_dict(data: dict) -> dict:
@@ -640,7 +674,7 @@ def run_config_from_dict(data: dict) -> dict:
         ("targets", isinstance(targets, list) and all(
             isinstance(vec, list) and len(vec) == 2 and all(_is_numbers(c, 2) for c in vec) for vec in targets),
          "a list of targets, each two [re, im] pairs"),
-        ("seed", seed is None or _is_int(seed), "an integer or null"),
+        ("seed", seed is None or _is_int(seed) and seed >= 0, "a non-negative integer or null"),
         ("permitted", isinstance(permitted, bool), "true or false"),
         ("controlled_groups", groups is None or (isinstance(groups, list) and all(map(_is_int, groups))),
          "a list of integers or null"),

@@ -7,6 +7,7 @@ label order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,6 +52,11 @@ Y_AXIS = PauliAxis(0.0, 1.0, 0.0)
 Z_AXIS = PauliAxis(0.0, 0.0, 1.0)
 
 
+def is_finite_number(value) -> bool:
+    """A JSON number that converts to a finite float: no bool, NaN, inf or int beyond the float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def random_axis(rng: np.random.Generator) -> PauliAxis:
     """Uniformly random unit axis."""
     while True:
@@ -93,7 +99,8 @@ class QuantumState:
             raise ValueError(
                 f"expected {2 ** len(labels)} amplitudes for {len(labels)} qubits, got {amps.shape[0]}"
             )
-        nrm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # a norm beyond the float range reads inf and is refused below
+            nrm = np.linalg.norm(amps)
         if not abs(nrm - 1.0) <= 1e-8:  # a NaN norm fails this too
             raise ValueError(f"state is not normalized: norm = {nrm}")
         self.labels = labels

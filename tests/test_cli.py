@@ -4,13 +4,15 @@ import json
 import math
 import os
 import time
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crio import protocol as proto
-from crio.cli import _report, format_angle, main, parse_angle, parse_axis
+from crio.cli import _report, _write_protocol_report, format_angle, main, parse_angle, parse_axis
 from crio.graphstate import CrioTopology, crio_channel_state
 from crio.qcore import X_AXIS
 
@@ -150,6 +152,8 @@ class TestRunProtocol:
             ("controlled_groups", ["3"]),
             ("seed", "x"),
             ("seed", True),
+            ("seed", -1),
+            ("targets", [[[10**400, 0.0], [0.0, 0.0]]]),
             ("permitted", "false"),
         ],
     )
@@ -216,6 +220,7 @@ class TestReports:
             ({"labels": ["a"], "amplitudes": [[1.0, 0.0], ["0", 0.0]]}, "amplitudes"),
             ([[1.0, 0.0], [0.0, 0.0]], "labels and amplitudes"),
             ({"labels": [], "amplitudes": [[1.0, 0.0]]}, "labels"),
+            ({"labels": ["a"], "amplitudes": [[10**400, 0.0], [0.0, 0.0]]}, "amplitudes"),
         ],
     )
     def test_malformed_state_file_exits_2(self, tmp_path, capsys, data, named):
@@ -316,6 +321,99 @@ def test_run_protocol_text_inputs_exit_0_or_2_in_one_line(alpha, axis, groups):
     assert code == 0 or err.getvalue().count("\n") == 1
 
 
+_FINITE_CONFIG = {"n_systems": 1, "axes": [[1.0, 0.0, 0.0]], "betas": [0.4], "targets": [[[1.0, 0.0], [0.0, 0.0]]]}
+_HUGE = [[1e300, 0.0], [1e300, 0.0]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "flag,data,message",
+    [
+        ("--config", {**_FINITE_CONFIG, "targets": [_HUGE]}, "error: target states must be normalized"),
+        ("--state", {"labels": ["a"], "amplitudes": _HUGE}, "error: state is not normalized: norm = inf"),
+    ],
+)
+def test_huge_finite_amplitudes_exit_2_in_one_line(tmp_path, capsys, flag, data, message):
+    """|v|^2 overflows the float range: the norm check refuses the input with no overflow warning."""
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(data))
+    assert main([{"--config": "run-protocol", "--state": "gm"}[flag], flag, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FUZZ_NUMBER = st.one_of(st.integers(), st.floats(), st.sampled_from([1e300, -1e300, 10**400]))
+
+
+@st.composite
+def _fuzzed(draw, valid: dict):
+    """`valid`, with up to two of its keys (or one more) set to any JSON value,
+    or any JSON value in place of the whole file."""
+    data = dict(valid)
+    for key in draw(st.sets(st.sampled_from(sorted(data) + ["extra"]), max_size=2)):
+        data[key] = draw(_JSON)
+    return draw(st.sampled_from([data, data, data, draw(_JSON)]))
+
+
+def _exit_0_or_2_in_one_line(argv) -> None:
+    """main(argv) exits 0 with nothing on stderr, or 2 with one line; a
+    warning, a traceback or any other exit fails."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2)
+    assert err.getvalue().count("\n") == (code == 2) and err.getvalue().endswith("\n") == (code == 2)
+
+
+@st.composite
+def _run_configs(draw):
+    n = draw(st.integers(1, 2))
+    axis = st.sampled_from([[1, 0, 0], [0.6, 0, -0.8]]) | st.lists(_FUZZ_NUMBER, min_size=3, max_size=3)
+    beta = st.sampled_from([0, 0.4, -7]) | _FUZZ_NUMBER
+    target = st.sampled_from([[[1, 0], [0, 0]], [[0.6, 0], [0, -0.8]]]) | st.lists(
+        st.lists(_FUZZ_NUMBER, min_size=2, max_size=2), min_size=2, max_size=2)
+    return draw(_fuzzed({
+        "n_systems": n,
+        **{key: draw(st.lists(values, min_size=n, max_size=n))
+           for key, values in (("axes", axis), ("betas", beta), ("targets", target))},
+        **draw(st.fixed_dictionaries({}, optional={
+            "mode": st.sampled_from(["enumerate", "sample"]), "seed": st.none() | st.integers(),
+            "permitted": st.booleans(), "controlled_groups": st.none() | st.lists(st.integers(-1, 4), max_size=2)})),
+    }))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_run_configs())
+def test_run_protocol_config_json_exits_0_or_2_in_one_line(json_dir, config):
+    """Any run-protocol --config JSON: configurations of one or two systems
+    with fuzzed values, then fuzzed keys, or any JSON value."""
+    path = json_dir / "config.json"
+    path.write_text(json.dumps(config))
+    _exit_0_or_2_in_one_line(["run-protocol", "--config", str(path), "--out", os.devnull])
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=st.integers(1, 2).flatmap(lambda n: _fuzzed({
+    "labels": [f"q{i}" for i in range(n)],
+    "amplitudes": [[1, 0]] + [[0, 0]] * ((1 << n) - 1),
+}) | st.fixed_dictionaries({
+    "labels": st.lists(st.text(max_size=2), min_size=n, max_size=n),
+    "amplitudes": st.lists(st.lists(_FUZZ_NUMBER, min_size=2, max_size=2), min_size=1 << n, max_size=1 << n),
+})), wrapped=st.booleans())
+def test_gm_state_json_exits_0_or_2_in_one_line(json_dir, state, wrapped):
+    """Any gm --state JSON: states of one or two qubits with fuzzed labels,
+    amplitudes or keys, bare or inside a build-state report, or any JSON value."""
+    path = json_dir / "state.json"
+    path.write_text(json.dumps({"state": state} if wrapped else state))
+    _exit_0_or_2_in_one_line(["gm", "--state", str(path), "--restarts", "2", "--out", os.devnull])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -390,6 +488,73 @@ def test_run_protocol_report_is_json_dumps_of_the_result(tmp_path, monkeypatch, 
     payload["total_probability"] = result.total_probability()
     assert out.read_text() == json.dumps(_report(payload, config), sort_keys=True, indent=2) + "\n"
     assert any(not b.corrections for b in result.branches) or kwargs["mode"] == "sample"
+
+
+def _plain_branch_list(branches) -> list:
+    """Each branch's JSON object, rebuilt in a plain loop from the table's
+    columns and outcome_records: no code shared with the report writer."""
+    out = []
+    for row, p, f in zip(branches.bits.tolist(), branches.probabilities.tolist(), branches.fidelities.tolist()):
+        corrections, transcript = [], []
+        for step, bit in zip(branches.steps, row):
+            fixes, messages = proto.outcome_records(step)[bit]
+            corrections += fixes
+            transcript += [{"from": m.sender, "to": m.recipient, "step": m.step, "payload": m.payload} for m in messages]
+        out.append({"outcomes": "".join(str(b) for b in row), "probability": p, "corrections": corrections,
+                    "fidelity": f, "transcript": transcript})
+    return out
+
+
+def _control_cases(max_n: int):
+    for n in range(1, max_n + 1):
+        for size in range(n):
+            for groups in combinations(range(3, n + 2), size):
+                for permitted in (True, False):
+                    yield n, list(groups), permitted, "enumerate"
+    yield 3, None, True, "sample"
+    yield 3, [4], False, "sample"
+
+
+@pytest.mark.parametrize("n,groups,permitted,mode", list(_control_cases(3)))
+def test_written_branch_list_is_json_dumps_of_a_plain_rebuild(tmp_path, n, groups, permitted, mode):
+    """The run-protocol report, written to a file and to stdout, equals
+    json.dumps(sort_keys=True, indent=2) of its branches rebuilt one by one, on
+    every control subset for N <= 3, permitted and denied, and in sample mode."""
+    rng = np.random.default_rng(400 + n)
+    config = proto.run_config_to_dict(n, [proto.PauliAxis(0.6, 0.0, -0.8)] * n, list(rng.uniform(0, 6, n)),
+                                      [np.array([0.6, 0.8j])] * n, mode, 5, permitted, groups)
+    path, out = tmp_path / "config.json", tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["run-protocol", "--config", str(path), "--out", str(out)]) == 0
+    text = out.read_text()
+    report = json.loads(text)
+    report["branches"] = _plain_branch_list(proto.run_crio(**proto.load_run_config(path)).branches)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert len(report["branches"]) == (1 if mode == "sample" else 2 ** report["measurement_count"])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["run-protocol", "--config", str(path)]) == 0
+    assert stdout.getvalue() == text
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 1000])
+def test_branch_list_blocks_join_to_one_list(monkeypatch, block_rows):
+    monkeypatch.setattr(proto, "BLOCK_ROWS", block_rows)
+    result = proto.run_crio(2, [X_AXIS] * 2, [0.3, 1.2], [np.array([0.6, 0.8])] * 2)
+    blocks = list(result.branches.json_blocks())
+    assert len(blocks) == 1 + -(-len(result.branches) // block_rows)
+    assert json.loads("".join(blocks)) == _plain_branch_list(result.branches)
+
+
+def test_zero_row_branch_table_writes_an_empty_list(tmp_path):
+    steps = tuple(s for s in proto._plan(1, [X_AXIS], [0.3], [2]) if s.basis is not None)
+    empty = proto.Branches(steps, np.zeros((0, len(steps)), dtype=np.uint8), np.zeros(0), np.zeros(0), ("O3",),
+                           np.zeros((0, 2), dtype=complex))
+    result = proto.ProtocolResult(1, True, (3,), None, empty, "enumerate")
+    out = tmp_path / "run.json"
+    _write_protocol_report(str(out), {"n": 1}, result, "json")
+    assert out.read_text() == json.dumps({"branches": [], "n": 1}, sort_keys=True, indent=2) + "\n"
+    assert result.to_json_dict()["branches"] == [] and list(empty) == [] and empty[:] == []
 
 
 class TestDeterminism:

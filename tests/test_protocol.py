@@ -193,6 +193,16 @@ class TestBranchBookkeeping:
         )
         assert a.branches[0].fidelity >= 1 - 1e-10
 
+    @pytest.mark.parametrize("rows", [slice(1, 3), slice(None, None, -3), slice(5, 2), slice(-4, None)])
+    def test_slice_lists_the_records_of_its_rows(self, rows):
+        """A slice of the branch table is the list of its rows' records, as it
+        was when the branches were a list."""
+        res = run_crio(2, *random_inputs(np.random.default_rng(78), 2))
+        got, ref = res.branches[rows], list(res.branches)[rows]
+        assert isinstance(got, list) and len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert_same_branch(g, r)
+
     def test_checkpoints_cover_all_steps(self):
         rng = np.random.default_rng(77)
         tags = [t for t, _ in run_checkpoints(1, [random_axis(rng)], [0.4], [random_qubit(rng)], [0, 1, 0])]
@@ -483,6 +493,12 @@ class TestValidation:
     def test_unnormalized_target_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             run_crio(1, [X_AXIS], [0.1], [np.array([1.0, 1.0])])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target", [[1e300, 1e300], [float("nan"), 0.0]])
+    def test_huge_or_nan_target_rejected_without_warning(self, target):
+        with pytest.raises(ValueError, match="normalized"):
+            run_crio(1, [X_AXIS], [0.1], [np.array(target)])
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,13 @@ with PYTHONPATH set to one of them, and its standard output is the report.
 For every report the script prints "identical" (same exit code, same bytes)
 or the largest numeric difference and where it occurs. JSON reports are
 compared as trees; CSV and text output token by token, reading numeric
-tokens (including complex cells) as numbers.
+tokens (including complex cells) as numbers. Each run-protocol report of
+NEW_SRC is also written once through `--out FILE`, and the file must hold
+the bytes the command wrote to standard output.
 
 Exit status 1 when any report differs in exit code, structure or a
-non-numeric value, or in a number by more than 1e-12; 0 otherwise. Passing
+non-numeric value, or in a number by more than 1e-12, or when a report file
+differs from its standard output; 0 otherwise. Passing
 the same directory twice checks that repeated runs are byte-identical.
 """
 from __future__ import annotations
@@ -23,6 +26,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 TOLERANCE = 1e-12
 
@@ -59,6 +63,15 @@ def run_report(src: str, argv: list) -> tuple:
     proc = subprocess.run([sys.executable, "-m", "crio.cli", *argv],
                           capture_output=True, text=True, env=env, check=False)
     return proc.returncode, proc.stdout
+
+
+def file_matches_stdout(src: str, argv: list, stdout: str) -> bool:
+    """Whether `argv` run with `--out FILE` writes to FILE the bytes it wrote to standard output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report")
+        run_report(src, [*argv, "--out", path])
+        with open(path, "rb") as fh:
+            return fh.read() == stdout.encode()
 
 
 class Mismatch(Exception):
@@ -128,6 +141,8 @@ def main(argv=None) -> int:
         try:
             if old_code != new_code:
                 raise Mismatch(f"exit code {old_code} vs {new_code}")
+            if cmd[0] == "run-protocol" and not file_matches_stdout(new_src, cmd, new_out):
+                raise Mismatch("the --out file differs from standard output")
             if old_out == new_out:
                 print(f"{name:<50} identical")
                 continue
