@@ -199,7 +199,7 @@ def cmd_run_protocol(args) -> int:
     payload = {**result.summary_json(), "min_fidelity": result.min_fidelity(),
                "total_probability": result.total_probability()}
     _write_protocol_report(args.out, _report(payload, config), result, args.format)
-    if result.permitted and result.min_fidelity() < 1 - 1e-10:
+    if result.permitted and result.min_fidelity() < 1 - proto.FIDELITY_TOL:
         print("verification failed: a permitted branch missed unit fidelity", file=sys.stderr)
         return 2
     if abs(result.total_probability() - 1.0) > 1e-10 and kwargs["mode"] == "enumerate":
@@ -321,7 +321,7 @@ def cmd_verify_all(args) -> int:
         axes = [random_axis(rng) for _ in range(n)]
         betas = list(rng.uniform(0, 2 * math.pi, n))
         res = proto.run_crio(n, axes, betas, _random_targets(rng, n))
-        checks.append((f"protocol n_systems={n} all-branch fidelity", res.min_fidelity() >= 1 - 1e-10))
+        checks.append((f"protocol n_systems={n} all-branch fidelity", res.min_fidelity() >= 1 - proto.FIDELITY_TOL))
         checks.append((f"protocol n_systems={n} probabilities sum to 1", abs(res.total_probability() - 1) < 1e-10))
 
     ok = all(abs(amp - gs.amplitude_oracle(n, bits)) <= 1e-12 for n in (1, 2, 3)
@@ -418,6 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy would refuse it mid-command without naming the flag
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except OSError as exc:

@@ -6,11 +6,13 @@ qubits, trying to cut the controller's qubit free.  Every outcome pair
 occurs with probability 1/4; a branch implements a remote rotation only
 when its four coefficients satisfy the cross-ratio condition and the
 residual target operator is proportional to exp(i*alpha*sigma_n).
+classify_branches says in closed form where both hold, which bounds what
+the witness families of control_power_report can reach.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 import numpy as np
 
@@ -192,6 +194,68 @@ def separability_check(c: BranchCoefficients) -> RealizedOperation:
     else:
         r0, r1 = c.c00, c.c11
     return RealizedOperation(True, K, _rotation_angles(r0, r1))
+
+
+MAX_SHARED_BRANCHES = 2  # most branches of one POVM enacting one angle (classify_branches)
+
+
+def classify_branches(params: PovmParams) -> tuple:
+    """What each branch enacts, from the closed-form classification of the
+    realizable POVM pairs, ordered (1,1), (1,2), (2,1), (2,2): None where
+    the branch is not realizable, else its rotation angles in [0, 2pi),
+    empty when it enacts none.
+
+    Derivation.  With |beta> = (b0, b1) and |gamma> = (g0, g1) the branch
+    coefficients are c_st = conj(b_s) conj(g_t), so the cross ratio is
+
+        c00 c01 - c11 c10 = conj(g0 g1) (conj(b0)^2 - conj(b1)^2).
+
+    g0 g1 = cos(lambda) sin(lambda) e^{i omega} vanishes exactly when
+    lambda is 0 or pi/2, and b0^2 - b1^2 = cos^2(theta) - e^{2i phi} sin^2(theta)
+    exactly when theta = pi/4 and phi is 0 or pi.  Completeness
+    (lambda2 = pi/2 - lambda1, theta2 = pi/2 - theta1, phi2 = phi1 + pi)
+    carries each condition from one outcome to the other, so either all
+    four branches are realizable or none is, and they are exactly when
+    the POVMs lie on one of two strata:
+
+    Z stratum, lambda1 in {0, pi/2}: the second party measures Z.  A
+      branch with lambda_k = 0 keeps only (c00, c10) and enacts {0, pi};
+      one with lambda_k = pi/2 keeps (c01, c11) and enacts {pi/2, 3pi/2}.
+      Two branches enact each pair.
+    X stratum, theta1 = pi/4 with phi1 in {0, pi}: the first party
+      measures X.  With s_j = e^{i phi_j} = +-1, the branch enacts
+      exp(i alpha sigma_n) when tan(alpha) = -i c01 / c10
+      = -i s_j e^{-i omega_k} tan(lambda_k) is real.  Off the Z stratum that
+      holds exactly when omega1 is pi/2 or 3pi/2; otherwise the branch
+      factorizes but enacts no rotation.  Writing e^{-i omega_k} = -i w_k
+      with w_k = sin(omega_k) = +-1, branch (j, k) enacts
+      alpha = -s_j w_k lambda_k, that is +-lambda_k mod pi.
+
+    So no angle is enacted on more than two branches.  On the X stratum the
+    four pairs +-lambda1, +-lambda2 mod pi are distinct unless lambda1 is
+    0, pi/4 or pi/2, where they coincide two by two on multiples of pi/4; on
+    the Z stratum the two pairs are multiples of pi/2.  Hence no angle off
+    the pi/4 multiples is enacted on more than one branch, and as every
+    branch occurs with probability 1/4, a rotation succeeds without the
+    controller with probability at most 1/2 on multiples of pi/4 and 1/4
+    elsewhere.
+    """
+    on_z = angle_in_set(params.lambda1, (0.0, math.pi / 2))
+    on_x = abs(params.theta1 - math.pi / 4) <= ANGLE_TOL and angle_in_set(params.phi1, (0.0, math.pi))
+    if not (on_z or on_x):
+        return (None,) * 4
+    rotates_x = on_x and angle_in_set(params.omega1, (math.pi / 2, 3 * math.pi / 2))
+    if not (on_z or rotates_x):
+        return ((),) * 4
+    # branch (j, k) has sign -s_j w_k, and completeness gives s_2 = -s_1, w_2 = -w_1;
+    # on the Z stratum alone the sign is moot, as +-lambda_k agree mod pi there
+    sign = -round(math.cos(params.phi1) * math.sin(params.omega1)) if rotates_x else 1
+    branches = []
+    for j in (1, 2):
+        for k, lam in ((1, params.lambda1), (2, params.lambda2)):
+            a = (sign * (-1) ** (j + k) * lam) % math.pi
+            branches.append((a, a + math.pi))
+    return tuple(branches)
 
 
 # ----------------------------------------------------------------------
@@ -385,25 +449,31 @@ def enumerate_case1(
     ))
 
 
+def _interior_params(lambda1: float) -> PovmParams:
+    """The interior family at lambda1: theta = pi/4, phases (0, pi) and (pi/2, 3pi/2)."""
+    return PovmParams(
+        math.pi / 4, math.pi / 4, 0.0, math.pi,
+        lambda1, math.pi / 2 - lambda1, math.pi / 2, 3 * math.pi / 2,
+    )
+
+
 def enumerate_case2(lambda1: float):
     """The interior family: theta = pi/4, phases (0, pi) and (pi/2, 3pi/2).
 
     Requires lambda1 strictly inside (0, pi/2); the endpoints belong to
-    the endpoint family.  Each branch realizes one (alpha, alpha+pi) pair
-    determined by lambda1.
+    the endpoint family.  Branch (j, k) realizes the pair
+    (-1)^(j+k+1) lambda_k mod pi (classify_branches).
     """
     if not (1e-12 < lambda1 < math.pi / 2 - 1e-12):
         raise ValueError("lambda1 must lie strictly inside (0, pi/2)")
-    return _family_rows(PovmParams(
-        math.pi / 4, math.pi / 4, 0.0, math.pi,
-        lambda1, math.pi / 2 - lambda1, math.pi / 2, 3 * math.pi / 2,
-    ))
+    return _family_rows(_interior_params(lambda1))
 
 
 def case2_lambda1_for_alpha(alpha: float) -> float:
     """Which lambda1 the second party must request to reach a generic alpha."""
     a = alpha % TWO_PI
-    if abs(a % (math.pi / 2)) < 1e-12:
+    r = a % (math.pi / 2)
+    if min(r, math.pi / 2 - r) < 1e-12:
         raise ValueError("multiples of pi/2 are covered by the endpoint family")
     if 0 < a < math.pi / 2:
         return a
@@ -414,28 +484,28 @@ def case2_lambda1_for_alpha(alpha: float) -> float:
     return a - 3 * math.pi / 2
 
 
-def _candidate_families(target_alpha: float) -> list:
-    """(name, rows) for the completeness-respecting families worth trying at this angle."""
-    families = [
-        ("endpoint_lambda1_zero", enumerate_case1(math.pi / 4, 0.0, "lambda1_zero")),
-        ("endpoint_lambda1_half_pi", enumerate_case1(math.pi / 4, 0.0, "lambda1_half_pi")),
-        ("interior_lambda1_quarter_pi", enumerate_case2(math.pi / 4)),
-    ]
-    try:
-        lam1 = case2_lambda1_for_alpha(target_alpha)
-        if abs(lam1 - math.pi / 4) > 1e-12:
-            families.append((f"interior_lambda1={lam1:.12g}", enumerate_case2(lam1)))
-    except ValueError:
-        pass
-    return families
+def _witness_families(target_alpha: float):
+    """(name, rows) of the families control_power_report scans, built one at a time.
+
+    The Z-stratum families enact every multiple of pi/2 on two branches, the
+    interior family at pi/4 every odd multiple of pi/4 on two, and the one at
+    case2_lambda1_for_alpha any other angle on one.  The last is reached
+    only off the multiples of pi/2, where that map is defined.
+    """
+    yield "endpoint_lambda1_zero", enumerate_case1(math.pi / 4, 0.0, "lambda1_zero")
+    yield "endpoint_lambda1_half_pi", enumerate_case1(math.pi / 4, 0.0, "lambda1_half_pi")
+    yield "interior_lambda1_quarter_pi", enumerate_case2(math.pi / 4)
+    lam1 = case2_lambda1_for_alpha(target_alpha)
+    yield f"interior_lambda1={lam1:.12g}", enumerate_case2(lam1)
 
 
 def success_rate(target_alpha: float) -> float:
     """Best achievable probability of enacting exp(i*alpha*sigma_n) controller-free.
 
-    Constructive: the best favorable-branch count over the candidate
-    families, over 4 (each branch occurs with probability 1/4).  Comes out
-    1/2 on multiples of pi/4 and 1/4 elsewhere.
+    The most branches enacting alpha in one realizable POVM, over 4 (each
+    branch occurs with probability 1/4).  classify_branches proves the
+    bound: 1/2 on multiples of pi/4 and 1/4 elsewhere, and the witness
+    families of control_power_report reach it.
     """
     return control_power_report(target_alpha)["success_rate"]
 
@@ -443,46 +513,36 @@ def success_rate(target_alpha: float) -> float:
 def guess_probability(lambda1: float) -> float:
     """Second party's chance of guessing the rotation angle from its POVM choice.
 
-    One over the number of distinct candidate angles that the family with
-    this lambda1 can realize: four at lambda1 in {0, pi/4, pi/2}, eight
-    otherwise.
+    One over the number of distinct angles that the rows of the interior
+    family with this lambda1 enact: four at lambda1 in {0, pi/4, pi/2},
+    eight otherwise.
     """
-    if lambda1 < -1e-12 or lambda1 > math.pi / 2 + 1e-12:
+    if not -1e-12 <= lambda1 <= math.pi / 2 + 1e-12:
         raise ValueError("lambda1 must lie in [0, pi/2]")
-    lam = float(lambda1)
-    candidates = [
-        math.pi - lam, TWO_PI - lam, 3 * math.pi / 2 - lam, math.pi / 2 - lam,
-        lam, lam + math.pi, lam + 3 * math.pi / 2, lam + math.pi / 2,
-    ]
     distinct: list = []
-    for a in candidates:
-        if not angle_in_set(a, distinct):
-            distinct.append(a % TWO_PI)
+    for row in _family_rows(_interior_params(min(max(float(lambda1), 0.0), math.pi / 2))):
+        distinct += [a for a in row.alphas if not angle_in_set(a, distinct)]
     return 1.0 / len(distinct)
 
 
 def control_power_report(target_alpha: float) -> dict:
-    """Machine-readable summary for one target rotation angle."""
-    scanned = [
-        (name, rows, [row.pair for row in rows if angle_in_set(target_alpha, row.alphas)])
-        for name, rows in _candidate_families(target_alpha)
-    ]
-    rate = max(len(fav) / 4.0 for _, _, fav in scanned)
-    witness: dict | None = None
-    favorable = []
-    for name, rows, fav in scanned:
-        if len(fav) / 4.0 == rate and rate > 0:
-            p = rows[0].params
-            witness = {
-                "family": name,
-                "theta1": p.theta1, "theta2": p.theta2, "phi1": p.phi1, "phi2": p.phi2,
-                "lambda1": p.lambda1, "lambda2": p.lambda2, "omega1": p.omega1, "omega2": p.omega2,
-            }
-            favorable = [list(pair) for pair in fav]
+    """Machine-readable summary for one target rotation angle.
+
+    The witness is the first family of _witness_families with the most
+    branches enacting the angle, read from each row's computed alphas; the
+    scan stops at the proven maximum of MAX_SHARED_BRANCHES.
+    """
+    best = None
+    for name, rows in _witness_families(target_alpha):
+        favorable = [list(row.pair) for row in rows if angle_in_set(target_alpha, row.alphas)]
+        if best is None or len(favorable) > len(best[2]):
+            best = (name, rows[0].params, favorable)
+        if len(favorable) == MAX_SHARED_BRANCHES:
             break
+    name, p, favorable = best
     return {
         "target_alpha": target_alpha % TWO_PI,
-        "success_rate": rate,
-        "witness_params": witness,
+        "success_rate": len(favorable) / 4.0,
+        "witness_params": {"family": name, **asdict(p)},
         "favorable_branches": favorable,
     }

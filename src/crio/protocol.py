@@ -36,6 +36,7 @@ stators.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -309,6 +310,8 @@ def _validate_inputs(n_systems, axes, betas, targets):
     check_system_count(n_systems)
     if not (len(axes) == len(betas) == len(targets) == n_systems):
         raise ValueError("axes, betas and targets must each have one entry per system")
+    if not all(map(math.isfinite, betas)):
+        raise ValueError("betas must be finite")
     vecs = []
     for t in targets:
         v = t.amplitudes if isinstance(t, QuantumState) else np.asarray(t, dtype=complex).reshape(-1)

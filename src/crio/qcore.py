@@ -205,7 +205,7 @@ def _check_unitary(matrix, dim: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix")
-    if np.max(np.abs(m @ m.conj().T - np.eye(dim))) > 1e-10:
+    if not np.max(np.abs(m @ m.conj().T - np.eye(dim))) <= 1e-10:  # a NaN entry fails too
         raise ValueError("matrix is not unitary within 1e-10")
     return m
 

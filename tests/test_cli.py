@@ -456,6 +456,23 @@ def test_count_above_bound_exits_2_before_any_work(tmp_path, capsys, argv, messa
 @pytest.mark.parametrize(
     "argv",
     [
+        ["run-protocol", "--n", "1"],
+        ["gm", "--n", "2"],
+        ["reproduce-tables", "I"],
+        ["verify-all"],
+    ],
+)
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    code = main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be non-negative, got -1\n" and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["--n", "1", "--seed", "4"],  # includes a branch with an empty corrections list
         ["--n", "3"],
         ["--n", "4", "--groups", "3,5"],

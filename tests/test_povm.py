@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_qubit
 from crio.povm import (
     BranchCoefficients,
+    MAX_SHARED_BRANCHES,
     _channel_map,
     PovmParams,
     angle_in_set,
     branch_coefficients,
     build_povm,
     case2_lambda1_for_alpha,
+    classify_branches,
     control_power_report,
     enumerate_case1,
     enumerate_case2,
@@ -356,6 +359,11 @@ class TestCaseFamilies:
         with pytest.raises(ValueError):
             case2_lambda1_for_alpha(PI / 2)
 
+    @pytest.mark.parametrize("alpha", [PI / 2 - 1e-13, PI / 2 + 1e-13, 2 * PI - 1e-13, 1e-13, -1e-13, PI - 1e-13])
+    def test_lambda1_map_refuses_both_sides_of_a_half_pi_multiple(self, alpha):
+        with pytest.raises(ValueError, match="endpoint family"):
+            case2_lambda1_for_alpha(alpha)
+
     def test_realizable_family_is_forced(self):
         """Random interior parameters admit a rotation-realizing branch only
         inside the theta=pi/4, phi in {0,pi}, omega in {pi/2,3pi/2} family.
@@ -403,6 +411,61 @@ class TestCaseFamilies:
                     assert abs(p.theta1 - PI / 4) < 1e-8
                     assert min(p.phi1 % PI, PI - p.phi1 % PI) < 1e-8
                     assert min(abs(p.omega1 - PI / 2), abs(p.omega1 - 3 * PI / 2)) < 1e-8
+
+
+_FREE = st.floats(0, 2 * PI)
+_OFF = 1e-3  # how far off-strata points stay from both strata
+
+
+def _off(centres):
+    """An angle in [0, 2pi) at least _OFF from every centre (taken mod 2pi)."""
+    return _FREE.filter(lambda a: not angle_in_set(a, centres, _OFF))
+
+
+@st.composite
+def _povm_points(draw):
+    """(kind, params): a point on the Z or X stratum, on the X stratum with no
+    rotation, or at least _OFF off both strata."""
+    kind = draw(st.sampled_from(["z", "x", "x_no_rotation", "off_theta", "off_phi"]))
+    theta1, phi1 = draw(st.floats(0, PI / 2)), draw(_FREE)
+    lambda1, omega1, omega2 = draw(st.floats(0, PI / 2)), draw(_FREE), draw(_FREE)
+    interior = st.floats(_OFF, PI / 2 - _OFF)
+    if kind == "z":
+        lambda1 = draw(st.sampled_from([0.0, PI / 2]))  # omega2 stays free: gamma_2 is |0> or |1>
+    elif kind in ("x", "x_no_rotation"):
+        theta1, phi1 = PI / 4, draw(st.sampled_from([0.0, PI]))
+        if kind == "x":
+            omega1 = draw(st.sampled_from([PI / 2, 3 * PI / 2]))
+        else:
+            lambda1, omega1 = draw(interior), draw(_off((PI / 2, 3 * PI / 2)))
+    else:
+        lambda1 = draw(interior)
+        if kind == "off_theta":
+            theta1 = draw(st.floats(0, PI / 2).filter(lambda t: abs(t - PI / 4) >= _OFF))
+        else:
+            theta1, phi1 = PI / 4, draw(_off((0.0, PI)))
+    if kind != "z":
+        omega2 = (omega1 + PI) % (2 * PI)
+    return kind, PovmParams(theta1, PI / 2 - theta1, phi1 % (2 * PI), (phi1 + PI) % (2 * PI),
+                            lambda1, PI / 2 - lambda1, omega1, omega2)
+
+
+class TestClassification:
+    @settings(max_examples=200, deadline=None)
+    @given(point=_povm_points())
+    def test_separability_check_agrees_with_the_classification(self, point):
+        kind, params = point
+        predicted = classify_branches(params)
+        ops = [separability_check(branch_coefficients(params, j, k)) for j in (1, 2) for k in (1, 2)]
+        assert all(op.realizable == (kind not in ("off_theta", "off_phi")) for op in ops)
+        for op, alphas in zip(ops, predicted):
+            assert op.realizable == (alphas is not None)
+            assert not op.realizable or angle_sets_equal(op.alphas, alphas)
+        assert any(op.alphas for op in ops) == (kind in ("z", "x"))
+        for alpha in {a for op in ops for a in op.alphas}:
+            shared = sum(angle_in_set(alpha, op.alphas) for op in ops)
+            assert shared <= MAX_SHARED_BRANCHES
+            assert shared == 1 or angle_in_set(alpha, [m * PI / 4 for m in range(8)])
 
 
 class TestSuccessRate:
@@ -455,3 +518,9 @@ class TestGuessProbability:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             guess_probability(-0.1)
+        with pytest.raises(ValueError):
+            guess_probability(math.nan)
+
+    def test_just_past_the_endpoints_clamps(self):
+        assert guess_probability(PI / 2 + 1e-12) == 0.25
+        assert guess_probability(-1e-12) == 0.25

@@ -500,6 +500,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="normalized"):
             run_crio(1, [X_AXIS], [0.1], [np.array(target)])
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", ["run_crio", "control_denial_report", "run_checkpoints"])
+    def test_non_finite_beta_rejected_by_name(self, entry, beta):
+        args = (1, [X_AXIS], [beta], [np.array([1.0, 0.0])])
+        with pytest.raises(ValueError, match="betas must be finite"):
+            if entry == "run_checkpoints":
+                run_checkpoints(*args, [0, 0, 0])
+            else:
+                {"run_crio": run_crio, "control_denial_report": control_denial_report}[entry](*args)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             run_crio(1, [X_AXIS], [0.1], [np.array([1.0, 0.0])], mode="both")

@@ -149,6 +149,14 @@ class TestGates:
         with pytest.raises(ValueError):
             apply_1q(state, np.array([[1, 0], [0, 2]]), "a")
 
+    def test_nan_matrix_rejected(self):
+        state = plus_state(("c", "t"))
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_1q(state, nan, "t")
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_controlled_op(state, "c", "t", nan)
+
     def test_norm_preserved_over_random_circuit(self):
         rng = np.random.default_rng(19)
         state = random_state(rng, ("a", "b", "c", "d"))

@@ -50,6 +50,7 @@ def report_matrix() -> list:
         ["run-protocol", "--n", "6", "--mode", "sample"],
         ["verify-all"],
         ["control-power", "--sweep", "64"],
+        *(["control-power", "--alpha", a] for a in ("0", "pi/4", "3pi/4", "3pi/2", "0.7", "1.5707963267947966")),
         ["reproduce-tables", "I"],
         ["reproduce-tables", "II"],
         ["reproduce-tables", "III"],
