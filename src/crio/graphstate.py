@@ -135,36 +135,34 @@ def build_graph_state(graph: Graph, labels: Sequence[str] | None = None) -> Quan
     return QuantumState._trusted(labels, buf)  # unit norm by construction: every amplitude is +-2**(-n/2)
 
 
-def _bits_tuple(bits, length: int) -> tuple:
-    if isinstance(bits, str):
-        vals = [c for c in bits]
-        if any(c not in "01" for c in vals):
-            raise ValueError(f"not a bitstring: {bits!r}")
-        vals = [int(c) for c in vals]
-    else:
-        vals = [int(b) for b in bits]
-        if any(b not in (0, 1) for b in vals):
-            raise ValueError(f"bits must be 0/1, got {bits!r}")
-    if len(vals) != length:
-        raise ValueError(f"expected {length} bits, got {len(vals)}")
-    return tuple(vals)
+def basis_bits(num_qubits: int) -> np.ndarray:
+    """The (num_qubits, 2**num_qubits) 0/1 array of every basis index: column x holds
+    the bits of x, most significant first, so row i runs over qubit i+1."""
+    return (np.arange(2 ** num_qubits) >> np.arange(num_qubits - 1, -1, -1)[:, None]) & 1
 
 
-def sign_exponent(n_systems: int, bits) -> int:
-    """The quadratic boolean form f(x) defining the channel-state signs."""
-    q = (0,) + _bits_tuple(bits, 2 * n_systems + 1)  # 1-based indexing
+def sign_exponent(n_systems: int, bits):
+    """The quadratic boolean form f(x) defining the channel-state signs.
+
+    `bits` is a bitstring, or a 0/1 array whose first axis runs over
+    a1..a(2N+1); f is an int for one bitstring and an array over the
+    remaining axes otherwise."""
+    q = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0") if isinstance(bits, str) else np.asarray(bits)
+    if q.shape[:1] != (2 * n_systems + 1,) or not np.isin(q, (0, 1)).all():
+        raise ValueError(f"expected {2 * n_systems + 1} bits of 0 or 1, got {bits!r}")
+    q = np.concatenate([np.zeros_like(q[:1]), q]).astype(np.int64)  # 1-based rows
     val = (q[1] & q[2]) ^ (q[1] & q[n_systems + 2])
     for k in range(3, n_systems + 2):
         val ^= (q[2] & q[k]) ^ (q[k] & q[n_systems + 2]) ^ (q[k] & q[k + n_systems])
-    return val
+    return int(val) if val.ndim == 0 else val
 
 
-def amplitude_oracle(n_systems: int, bits) -> float:
-    """Direct amplitude (-1)^f(x) / (2^N sqrt(2)) of the full-control channel state."""
+def amplitude_oracle(n_systems: int, bits):
+    """Direct amplitude (-1)^f(x) / (2^N sqrt(2)) of the full-control channel state,
+    for one bitstring or for each column of a bit array, as sign_exponent reads them."""
     if n_systems < 1:
         raise ValueError("need at least one remote system")
-    f = sign_exponent(n_systems, bits)
-    return (-1) ** f / (2 ** n_systems * math.sqrt(2))
+    return (1 - 2 * sign_exponent(n_systems, bits)) / (2 ** n_systems * math.sqrt(2))
 
 
 def crio_channel_state(topology: CrioTopology) -> QuantumState:

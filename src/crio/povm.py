@@ -62,11 +62,11 @@ class PovmParams:
     def __post_init__(self) -> None:
         for name in ("theta1", "theta2", "lambda1", "lambda2"):
             v = getattr(self, name)
-            if v < -1e-12 or v > math.pi / 2 + 1e-12:
+            if not -1e-12 <= v <= math.pi / 2 + 1e-12:  # a NaN angle fails this too
                 raise ValueError(f"{name} must lie in [0, pi/2]")
         for m, k1, k2 in (("beta", self.beta(1), self.beta(2)), ("gamma", self.gamma(1), self.gamma(2))):
             total = np.outer(k1, k1.conj()) + np.outer(k2, k2.conj())
-            if np.max(np.abs(total - IDENTITY_2)) > 1e-10:
+            if not np.max(np.abs(total - IDENTITY_2)) <= 1e-10:  # so does a NaN phase
                 raise ValueError(f"{m} kets do not satisfy POVM completeness within 1e-10")
 
     def beta(self, j: int) -> np.ndarray:
@@ -532,6 +532,8 @@ def control_power_report(target_alpha: float) -> dict:
     branches enacting the angle, read from each row's computed alphas; the
     scan stops at the proven maximum of MAX_SHARED_BRANCHES.
     """
+    if not math.isfinite(target_alpha):
+        raise ValueError(f"target_alpha must be finite, got {target_alpha!r}")
     best = None
     for name, rows in _witness_families(target_alpha):
         favorable = [list(row.pair) for row in rows if angle_in_set(target_alpha, row.alphas)]

@@ -22,7 +22,8 @@ Runs therefore build and walk only the participating register: a1 and, for
 each participating group k, a_k, a_{k+N} and O_{k+N}.  Their final states
 and checkpoint states do not list the unwired groups' qubits.
 
-The steps are written out once, as the step plan built by `_plan`.  One
+The steps are written out once, as the step plan built by `_plan`; every
+entry point checks its inputs once, in `_setup`, which builds it.  One
 executor, `_walk`, runs a plan over dense states: one array row per live
 branch (deferred measurement), with the exact probability of each.  At a
 measurement it asks an outcome rule which outcomes to keep: both (each of
@@ -46,8 +47,8 @@ import numpy as np
 
 from .graphstate import (
     CrioTopology,
-    Graph,
     amplitude_oracle,
+    basis_bits,
     build_graph_state,
     crio_graph,
     qubit_labels,
@@ -62,7 +63,6 @@ from .qcore import (
     X_AXIS,
     _apply_controlled,
     _basis_components,
-    _check_unitary,
     _gate,
     check_register_size,
     is_finite_number,
@@ -306,52 +306,52 @@ def check_system_count(n_systems: int) -> None:
     check_register_size(3 * n_systems + 1)
 
 
-def _validate_inputs(n_systems, axes, betas, targets):
+def _check_axes(n_systems, axes) -> None:
+    """Refuse a bad system count, or axes that are not one PauliAxis per system."""
     check_system_count(n_systems)
-    if not (len(axes) == len(betas) == len(targets) == n_systems):
+    if len(axes) != n_systems or not all(isinstance(axis, PauliAxis) for axis in axes):
+        raise ValueError("axes must be one PauliAxis per remote system")
+
+
+def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitted=True):
+    """Every input of a protocol entry point, checked once before anything is allocated.
+    Returns the participating groups ks (2 and the controlled optional groups,
+    ascending), their step plan, and the target kets (None without targets)."""
+    _check_axes(n_systems, axes)
+    if len(betas) != n_systems or targets is not None and len(targets) != n_systems:
         raise ValueError("axes, betas and targets must each have one entry per system")
     if not all(map(math.isfinite, betas)):
         raise ValueError("betas must be finite")
-    vecs = []
-    for t in targets:
-        v = t.amplitudes if isinstance(t, QuantumState) else np.asarray(t, dtype=complex).reshape(-1)
+    target_vecs = None if targets is None else [
+        t.amplitudes if isinstance(t, QuantumState) else np.asarray(t, dtype=complex).reshape(-1) for t in targets]
+    for v in target_vecs or ():
         if v.shape != (2,):
             raise ValueError("target systems are single qubits")
         with np.errstate(over="ignore"):  # a norm beyond the float range reads inf and is refused
             if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # so is a NaN norm
                 raise ValueError("target states must be normalized")
-        vecs.append(v)
-    return vecs
+    ks = [2] + sorted(CrioTopology(n_systems, controlled_groups).controlled_groups)
+    return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
 
 
-def _participating_ks(n_systems: int, controlled_groups) -> list:
-    topo = CrioTopology(n_systems, controlled_groups)
-    return [2] + sorted(topo.controlled_groups)
-
-
-def _initial_state(n_systems, target_vecs, controlled_groups) -> QuantumState:
+def _initial_state(n_systems, ks, target_vecs) -> QuantumState:
     """The participating register before step 1: the channel graph state on a1
     and each participating group's a_k, a_{k+N}, in channel order, tensor
     their targets O_{k+N}, in the same order.  An unwired group's edge
-    (a_k, a_{k+N}) joins no participating vertex, so the graph restricted to
-    these vertices gives the channel state with that product factor left out."""
-    ks = _participating_ks(n_systems, controlled_groups)
+    (a_k, a_{k+N}) joins no participating vertex, so these vertices carry the
+    full-control channel graph of len(ks) systems."""
     js = [k + n_systems for k in ks]
-    position = {v: i for i, v in enumerate([1] + ks + js, 1)}
-    graph = crio_graph(CrioTopology(n_systems, controlled_groups))
-    edges = [(position[u], position[v]) for u, v in graph.edges if u in position and v in position]
-    channel = build_graph_state(Graph.of(len(position), edges), [f"a{v}" for v in position])
+    channel = build_graph_state(crio_graph(CrioTopology(len(ks))), [f"a{v}" for v in [1] + ks + js])
     return tensor(channel, product_state([target_label(j) for j in js], [target_vecs[k - 2] for k in ks]))
 
 
 def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
-    """The six steps for participating groups `ks`, each owned by its actor."""
+    """The six steps for participating groups `ks`, each owned by its actor.  The inputs
+    are trusted, as `_setup` checked them: each gate is unitary by construction."""
     parties = build_parties(n_systems, axes, betas)
 
     def step(tag, actor, qubit, matrix=None, control=None, basis=None, messages_to=(), on_one=()):
         assert_local(parties, actor, (qubit,) if control is None else (control, qubit))
-        if matrix is not None:
-            matrix = _check_unitary(matrix, 2)
         return Step(tag, actor, qubit, matrix, control, basis, messages_to, on_one)
 
     n = n_systems
@@ -390,12 +390,19 @@ def _drawn(rng: np.random.Generator):
     return lambda step, p: _ONE[0 if rng.random() < p[0, 0] else 1]
 
 
+def _next_outcome(bits) -> int:
+    """The next of an iterator of forced outcomes; running out is a ValueError."""
+    for outcome in bits:
+        return int(outcome)
+    raise ValueError("too few outcomes: the plan measures more qubits")
+
+
 def _forced(outcomes):
     """The checkpoints' outcome rule: the next of `outcomes`, refused as `qcore.measure` refuses it."""
     bits = iter(outcomes)
 
     def rule(step, p):
-        outcome = int(next(bits))
+        outcome = _next_outcome(bits)
         if outcome not in (0, 1):
             raise ValueError("outcome must be 0 or 1")
         if p[0, outcome] <= 1e-12:
@@ -457,14 +464,6 @@ def _state_after(state: QuantumState, plan, rule=_keep_both) -> QuantumState:
     return QuantumState._trusted(labels, rows.reshape(-1))
 
 
-def _through_leading_gates(n_systems, target_vecs, controlled_groups, plan):
-    """The initial state taken through the gates before the plan's first
-    measurement (steps 1 and 2), and the steps that remain."""
-    lead = next(i for i, step in enumerate(plan) if step.basis is not None)
-    labels, rows, *_ = _walk(_initial_state(n_systems, target_vecs, controlled_groups), plan[:lead], _keep_both)
-    return QuantumState._trusted(labels, rows.reshape(-1)), plan[lead:]
-
-
 def _expected_state(n_systems, axes, betas, target_vecs, ks) -> QuantumState:
     """Each participating target O_{k+N} rotated by its exp(i*beta*sigma_n); `ks` ascend, so O order."""
     return product_state([target_label(k + n_systems) for k in ks],
@@ -510,18 +509,19 @@ def run_crio(
     controlled_groups=None,
 ) -> ProtocolResult:
     """Run the full protocol, enumerating every branch or sampling one."""
-    target_vecs = _validate_inputs(n_systems, axes, betas, targets)
+    ks, plan, target_vecs = _setup(n_systems, axes, betas, targets, controlled_groups, permitted)
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
-    ks = _participating_ks(n_systems, controlled_groups)
-    plan = _plan(n_systems, axes, betas, ks, permitted)
     expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
-    # Steps 1 and 2 run here rather than inside the walk: an N=6 sample run
-    # then leaves about 14 MiB less heap resident under glibc malloc, which
-    # otherwise adds to the peak RSS of the next large allocation.
-    state, rest = _through_leading_gates(n_systems, target_vecs, controlled_groups, plan)
+    # Steps 1 and 2 (the gates before the first measurement) run here rather than inside the
+    # walk: an N=6 sample run then leaves about 14 MiB less heap resident under glibc malloc,
+    # which otherwise adds to the peak RSS of the next large allocation.  The initial state goes
+    # in as a temporary, freed by the first gate; _state_after's argument would keep it alive.
+    lead = next(i for i, step in enumerate(plan) if step.basis is not None)
+    labels, rows, *_ = _walk(_initial_state(n_systems, ks, target_vecs), plan[:lead], _keep_both)
+    state = QuantumState._trusted(labels, rows.reshape(-1))
     rule = _drawn(np.random.default_rng(seed)) if mode == "sample" else _keep_both
-    branches = _branches(state, rest, expected, rule)
+    branches = _branches(state, plan[lead:], expected, rule)
     return ProtocolResult(
         n_systems=n_systems,
         permitted=permitted,
@@ -553,17 +553,16 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
     broadcast, and we enumerate what they can achieve.  The report also
     carries the purity of the non-controller reduced state after step 2.
     """
-    target_vecs = _validate_inputs(n_systems, axes, betas, targets)
-    ks = _participating_ks(n_systems, None)
-    plan = _plan(n_systems, axes, betas, ks)
-    state, rest = _through_leading_gates(n_systems, target_vecs, None, plan)
+    ks, plan, target_vecs = _setup(n_systems, axes, betas, targets)
+    lead = next(i for i, step in enumerate(plan) if step.basis is not None)  # the controller's step-3 measurement
+    state = _state_after(_initial_state(n_systems, ks, target_vecs), plan[:lead])
     others = [lab for lab in state.labels if lab != "a1"]
     pur = purity(reduced_density(state, others))
     expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
 
-    fixes = [fix for fix, _ in rest[0].on_one]  # rest[0] is the controller's step-3 measurement
-    guess_branches = {guess: _branches(_state_after(state, fixes if guess else []), rest[1:], expected, _keep_both)
-                      for guess in (0, 1)}
+    fixes = [fix for fix, _ in plan[lead].on_one]
+    guess_branches = {g: _branches(state, fixes[:g * len(fixes)] + plan[lead + 1:], expected, _keep_both)
+                      for g in (0, 1)}
 
     worst = {g: float(brs.fidelities.min()) for g, brs in guess_branches.items()}
     best_guess = max(worst, key=lambda g: worst[g])
@@ -593,9 +592,8 @@ def run_checkpoints(
 
     The states hold the participating register only: under partial control
     they do not list the unwired groups' qubits."""
-    target_vecs = _validate_inputs(n_systems, axes, betas, target_vecs)
-    plan = _plan(n_systems, axes, betas, _participating_ks(n_systems, controlled_groups), permitted)
-    state, rule, checkpoints = _initial_state(n_systems, target_vecs, controlled_groups), _forced(outcomes), []
+    ks, plan, target_vecs = _setup(n_systems, axes, betas, target_vecs, controlled_groups, permitted)
+    state, rule, checkpoints = _initial_state(n_systems, ks, target_vecs), _forced(outcomes), []
     for tag in STEPS:
         if permitted or tag != "step3":
             state = _state_after(state, [step for step in plan if step.tag == tag], rule)
@@ -605,19 +603,19 @@ def run_checkpoints(
 
 def step1_stator(n_systems: int, axes: Sequence[PauliAxis]) -> Stator:
     """Symbolic stator after step 1, read off the channel amplitude oracle."""
-    if len(axes) != n_systems:
-        raise ValueError("one axis per remote system")
+    _check_axes(n_systems, axes)
     n = 2 * n_systems + 1
     x = np.arange(2 ** n)
     coeffs = np.zeros((2 ** n, 2 ** n_systems), dtype=complex)
     # the word exponents are the bits of a_{N+2}..a_{2N+1}, the low N bits of x
-    coeffs[x, x % 2 ** n_systems] = [amplitude_oracle(n_systems, format(v, f"0{n}b")) for v in x]
+    coeffs[x, x % 2 ** n_systems] = amplitude_oracle(n_systems, basis_bits(n))
     return Stator(qubit_labels(n_systems), axes, coeffs.reshape((2,) * (n + n_systems)))
 
 
 def symbolic_checkpoints(n_systems, axes, betas, outcomes: Sequence[int]):
-    """Stator transforms mirroring run_checkpoints on a permitted full run."""
-    plan = _plan(n_systems, axes, betas, _participating_ks(n_systems, None))
+    """Stator transforms mirroring run_checkpoints on a permitted full run; it
+    reads the first 1+N outcomes, those of steps 3 and 4."""
+    _, plan, _ = _setup(n_systems, axes, betas)
     s, bits = step1_stator(n_systems, axes), iter(outcomes)
     checkpoints = [("step1", s)]
     for tag in STEPS[1:5]:
@@ -625,7 +623,7 @@ def symbolic_checkpoints(n_systems, axes, betas, outcomes: Sequence[int]):
             if step.basis is None:
                 s = s.apply_control_unitary(step.qubit, step.matrix)
                 continue
-            outcome = int(next(bits))
+            outcome = _next_outcome(bits)
             s = s.project_control(step.qubit, step.basis, outcome)
             for fix, _ in step.on_one if outcome == 1 else ():
                 s = s.apply_control_unitary(fix.qubit, fix.matrix)

@@ -8,6 +8,7 @@ from crio.graphstate import (
     CrioTopology,
     Graph,
     all_bitstrings,
+    basis_bits,
     amplitude_oracle,
     build_graph_state,
     crio_channel_state,
@@ -167,6 +168,21 @@ class TestAmplitudeOracle:
     def test_sign_exponent_is_boolean(self):
         for bits in all_bitstrings(5):
             assert sign_exponent(2, bits) in (0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_array_form_matches_bitstrings(self, n):
+        """One call on the bit array of every basis index gives, bit for bit, the
+        per-bitstring values; extra axes of the array are kept."""
+        bits = basis_bits(2 * n + 1)
+        expected = np.array([amplitude_oracle(n, b) for b in all_bitstrings(2 * n + 1)])
+        np.testing.assert_array_equal(amplitude_oracle(n, bits), expected)
+        np.testing.assert_array_equal(amplitude_oracle(n, bits.reshape(2 * n + 1, 2, -1)), expected.reshape(2, -1))
+        assert sign_exponent(n, bits[:, -1].tolist()) == sign_exponent(n, "1" * (2 * n + 1))
+
+    @pytest.mark.parametrize("bits", ["1a1", [0, 1, 2], np.zeros((2, 4), dtype=int), np.full((3, 4), 2)])
+    def test_malformed_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="expected 3 bits of 0 or 1"):
+            sign_exponent(1, bits)
 
 
 class TestPhiState:

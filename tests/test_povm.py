@@ -59,6 +59,17 @@ class TestBuildPovm:
         with pytest.raises(ValueError, match="completeness"):
             PovmParams(PI / 4, PI / 4, 0.0, PI / 2, 0.0, PI / 2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: PovmParams(math.nan, math.nan, 0.0, 0.0, 0.0, PI / 2, 0.0, 0.0),
+        lambda: PovmParams(PI / 4, PI / 4, math.nan, PI, 0.0, PI / 2, 0.0, 0.0),
+        lambda: PovmParams(0.0, PI / 2, 0.0, 0.0, PI / 4, PI / 4, 0.0, math.nan),
+        lambda: PovmParams.from_free(math.nan, 0.0, 0.0, 0.0),
+        lambda: PovmParams.from_free(PI / 4, math.inf, 0.0, 0.0),
+    ], ids=["nan-thetas", "nan-phi1", "nan-omega2", "from-free-nan-theta", "from-free-inf-phi"])
+    def test_nan_angles_rejected(self, build):
+        with pytest.raises(ValueError, match=r"must lie in \[0, pi/2\]|completeness"):
+            build()
+
     def test_random_valid_satisfies_completeness(self):
         rng = np.random.default_rng(100)
         for _ in range(100):
@@ -485,6 +496,13 @@ class TestSuccessRate:
         assert success_rate(3 * PI / 4) == 0.5
         assert success_rate(0.7) == 0.25
         assert success_rate(0.0) == 0.5
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected_by_name(self, alpha):
+        with pytest.raises(ValueError, match="target_alpha must be finite"):
+            success_rate(alpha)
+        with pytest.raises(ValueError, match="target_alpha must be finite"):
+            control_power_report(alpha)
 
     def test_report_carries_witness(self):
         rep = control_power_report(0.7)

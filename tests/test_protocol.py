@@ -258,10 +258,9 @@ class TestCheckpointsMatchReferenceWalk:
     )
     def test_step6_state_on_every_branch(self, n, groups, permitted):
         axes, betas, targets = random_inputs(np.random.default_rng(140 + n), n)
-        ks = protocol._participating_ks(n, groups)
-        plan = protocol._plan(n, axes, betas, ks, permitted)
-        expected = protocol._expected_state(n, axes, betas, targets, ks)
-        branches = reference_walk(protocol._initial_state(n, targets, groups), plan, expected)
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups, permitted)
+        expected = protocol._expected_state(n, axes, betas, vecs, ks)
+        branches = reference_walk(protocol._initial_state(n, ks, vecs), plan, expected)
         assert len(branches) == 2 ** sum(step.basis is not None for step in plan)
         for branch in branches:
             bits = [int(b) for b in branch.outcomes]
@@ -377,8 +376,8 @@ class TestBatchedEnumeration:
     def test_run_matches_reference_walk(self, n, groups, permitted):
         axes, betas, targets = random_inputs(np.random.default_rng(110 + n), n)
         result = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
-        plan = protocol._plan(n, axes, betas, protocol._participating_ks(n, groups), permitted)
-        walked = reference_walk(protocol._initial_state(n, targets, groups), plan, result.expected_target)
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups, permitted)
+        walked = reference_walk(protocol._initial_state(n, ks, vecs), plan, result.expected_target)
         assert len(result.branches) == 2 ** result.measurement_count
         assert_same_branches(result.branches, walked)
 
@@ -388,14 +387,13 @@ class TestBatchedEnumeration:
         by its outcome-1 corrections (guess 1) or by nothing (guess 0)."""
         axes, betas, targets = random_inputs(np.random.default_rng(120 + n), n)
         report = control_denial_report(n, axes, betas, targets)
-        ks = protocol._participating_ks(n, None)
-        plan = protocol._plan(n, axes, betas, ks)
-        expected = protocol._expected_state(n, axes, betas, targets, ks)
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets)
+        expected = protocol._expected_state(n, axes, betas, vecs, ks)
         i = next(i for i, step in enumerate(plan) if step.basis is not None)  # A1's step-3 measurement
         worst = {}
         for guess in (0, 1):
             guessed = plan[:i] + [fix for fix, _ in plan[i].on_one if guess] + plan[i + 1:]
-            walked = reference_walk(protocol._initial_state(n, targets, None), guessed, expected)
+            walked = reference_walk(protocol._initial_state(n, ks, vecs), guessed, expected)
             assert_same_branches(report.guess_branches[guess], walked)
             worst[guess] = min(b.fidelity for b in walked)
         assert report.best_guess == max(worst, key=worst.get)
@@ -421,12 +419,11 @@ class TestBatchedEnumeration:
     @pytest.mark.parametrize("n,groups,permitted", [(1, None, True), (2, frozenset(), True), (3, None, False)])
     def test_sample_draws_as_measure_draws(self, n, groups, permitted):
         axes, betas, targets = random_inputs(np.random.default_rng(150 + n), n)
-        ks = protocol._participating_ks(n, groups)
-        plan = protocol._plan(n, axes, betas, ks, permitted)
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups, permitted)
         for seed in range(8):
             (sampled,) = run_crio(n, axes, betas, targets, mode="sample", seed=seed, permitted=permitted,
                                   controlled_groups=groups).branches
-            outcomes, final = reference_sample(protocol._initial_state(n, targets, groups), plan,
+            outcomes, final = reference_sample(protocol._initial_state(n, ks, vecs), plan,
                                                np.random.default_rng(seed))
             assert sampled.outcomes == outcomes
             np.testing.assert_allclose(sampled.final_state.amplitudes, final.amplitudes, rtol=0, atol=1e-12)
@@ -460,7 +457,7 @@ class TestParticipatingRegister:
         for size in range(n):
             for groups in map(frozenset, combinations(range(3, n + 2), size)):
                 result = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
-                plan = protocol._plan(n, axes, betas, protocol._participating_ks(n, groups), permitted)
+                _, plan, _ = protocol._setup(n, axes, betas, targets, groups, permitted)
                 full = tensor(crio_channel_state(CrioTopology(n, groups)), product_state(t_labels, targets))
                 oracle = protocol._branches(full, plan, result.expected_target, protocol._keep_both)
                 got = result.branches
@@ -472,6 +469,10 @@ class TestParticipatingRegister:
                 # a1 stays unmeasured when control is denied
                 kept = result.expected_target.labels if permitted else ("a1",) + result.expected_target.labels
                 assert all(b.final_state.labels == kept for b in got)
+
+
+ENTRY_POINTS = ("run_crio", "control_denial_report", "run_checkpoints", "symbolic_checkpoints", "step1_stator")
+TAKE_BETAS = ENTRY_POINTS[:4]  # all but step1_stator
 
 
 class TestValidation:
@@ -517,6 +518,39 @@ class TestValidation:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             run_crio(2, [X_AXIS], [0.1, 0.2], [np.array([1.0, 0.0])] * 2)
+
+    @pytest.mark.parametrize(
+        "n,axes,betas,outcomes,entries,match",
+        [
+            pytest.param(2, [X_AXIS], [0.1, 0.2], [0] * 5, ENTRY_POINTS, "one PauliAxis per remote system",
+                         id="short-axes"),
+            pytest.param(2, [X_AXIS] * 2, [0.1], [0] * 5, TAKE_BETAS, "one entry per system", id="short-betas"),
+            pytest.param(1, [(1.0, 0.0, 0.0)], [0.1], [0] * 3, ENTRY_POINTS, "one PauliAxis per remote system",
+                         id="tuple-axis"),
+            pytest.param(1, [X_AXIS], [math.nan], [0] * 3, TAKE_BETAS, "betas must be finite", id="nan-beta"),
+            pytest.param(1, [X_AXIS], [math.inf], [0] * 3, TAKE_BETAS, "betas must be finite", id="inf-beta"),
+            pytest.param(1, [X_AXIS], [0.1], [0], ("run_checkpoints", "symbolic_checkpoints"),
+                         "too few outcomes", id="too-few-outcomes"),
+            pytest.param(3, [X_AXIS] * 3, [0.1] * 3, [0] * 7, ("symbolic_checkpoints", "step1_stator"),
+                         "10-qubit register exceeds", id="above-bound"),
+        ],
+    )
+    def test_entry_points_refuse_bad_input(self, monkeypatch, n, axes, betas, outcomes, entries, match):
+        """Each entry point refuses each malformed input with a ValueError naming it, from
+        its one setup.  The bound case lowers MAX_QUBITS to 9 so that N=3 (3N+1 = 10 qubits)
+        stands in for a register too large to allocate."""
+        monkeypatch.setattr("crio.qcore.MAX_QUBITS", 9)
+        targets = [np.array([1.0, 0.0])] * n
+        calls = {
+            "run_crio": lambda: run_crio(n, axes, betas, targets),
+            "control_denial_report": lambda: control_denial_report(n, axes, betas, targets),
+            "run_checkpoints": lambda: run_checkpoints(n, axes, betas, targets, outcomes),
+            "symbolic_checkpoints": lambda: symbolic_checkpoints(n, axes, betas, outcomes),
+            "step1_stator": lambda: step1_stator(n, axes),
+        }
+        for entry in entries:
+            with pytest.raises(ValueError, match=match):
+                calls[entry]()
 
     @pytest.mark.parametrize("run", [run_crio, control_denial_report])
     def test_register_above_bound_rejected(self, run):
