@@ -23,9 +23,10 @@ each participating group k, a_k, a_{k+N} and O_{k+N}.  Their final states
 and checkpoint states do not list the unwired groups' qubits.
 
 The steps are written out once, as the step plan built by `_plan`; every
-entry point checks its inputs once, in `_setup`, which builds it.  One
-executor, `_walk`, runs a plan over dense states: one array row per live
-branch (deferred measurement), with the exact probability of each.  At a
+entry point checks its inputs once, in `_setup`, which builds it.
+`_initial_state` builds steps 1-2 into the register as one product; one
+executor, `_walk`, runs the rest of a plan over dense states: one array row
+per live branch (deferred measurement), with the exact probability of each.  At a
 measurement it asks an outcome rule which outcomes to keep: both (each of
 probability at least 1e-14) for enumeration and the control-denial guesses,
 one drawn from a seeded generator for sample mode, or one forced outcome
@@ -40,6 +41,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from operator import getitem
 
@@ -61,7 +63,6 @@ from .qcore import (
     PauliAxis,
     QuantumState,
     X_AXIS,
-    _apply_controlled,
     _basis_components,
     _gate,
     check_register_size,
@@ -71,7 +72,6 @@ from .qcore import (
     purity,
     reduced_density,
     rotation,
-    tensor,
 )
 from .stator import Stator
 
@@ -334,15 +334,35 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
     return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
 
 
-def _initial_state(n_systems, ks, target_vecs) -> QuantumState:
-    """The participating register before step 1: the channel graph state on a1
-    and each participating group's a_k, a_{k+N}, in channel order, tensor
-    their targets O_{k+N}, in the same order.  An unwired group's edge
-    (a_k, a_{k+N}) joins no participating vertex, so these vertices carry the
-    full-control channel graph of len(ks) systems."""
+def _initial_state(n_systems, ks, target_vecs, lead=()) -> QuantumState:
+    """The participating register after `lead`, a run of the plan's leading gates (none: before
+    step 1): the channel graph state on a1, each participating group's a_k and then each a_{k+N},
+    tensor their targets O_{k+N}, in the same order.  An unwired group's edge (a_k, a_{k+N}) joins
+    no participating vertex, so these carry the full-control channel graph of len(ks) systems.
+    Uncontrolled gates (step 2's H) act on the small channel vector alone.  A step-1 gate sigma_n
+    from a_j onto O_j makes O_j's ket the table (psi_j, sigma_n psi_j), picked by the bit of a_j;
+    the a_j are the channel's last qubits, in target order, so amplitude (c, x, t) of the register
+    is channel[c, x] * T[x, t], T the Kronecker product of the tables.  Other leads are refused."""
     js = [k + n_systems for k in ks]
-    channel = build_graph_state(crio_graph(CrioTopology(len(ks))), [f"a{v}" for v in [1] + ks + js])
-    return tensor(channel, product_state([target_label(j) for j in js], [target_vecs[k - 2] for k in ks]))
+    heads, controls, targets = [f"a{v}" for v in [1] + ks], [f"a{j}" for j in js], [target_label(j) for j in js]
+    channel = build_graph_state(crio_graph(CrioTopology(len(ks))), heads + controls)
+    amps, tables = channel.amplitudes, [target_vecs[k - 2][None] for k in ks]
+    for step in lead:
+        if step.basis is not None or step.control is None and step.qubit not in heads:
+            kind = "measurement" if step.basis else "gate"
+            raise ValueError(f"cannot build a {kind} on {step.qubit} into the register")
+        if step.control is None:
+            amps = _gate(amps.reshape(1 << channel.labels.index(step.qubit), 2, -1), step.matrix).reshape(-1)
+            continue
+        if dict(zip(controls, targets)).get(step.control) != step.qubit:
+            raise ValueError(f"a controlled gate {step.control} -> {step.qubit} is not a step-1 gate a_j -> O_j")
+        i = controls.index(step.control)
+        tables[i] = np.stack([tables[i][0], step.matrix @ tables[i][-1]])
+    if len({len(table) for table in tables}) > 1:
+        raise ValueError("step-1 gates on only some groups")
+    table = reduce(np.kron, tables)
+    register = amps.reshape(-1, len(table))[:, :, None] * table[None]
+    return QuantumState._trusted(channel.labels + tuple(targets), register.reshape(-1))
 
 
 def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
@@ -436,10 +456,9 @@ def _walk(state: QuantumState, plan, rule):
     del state  # so the first kernel frees a state passed as a temporary: a lower heap peak on large registers
     probs, bits, measured = np.ones(1), np.zeros((1, 0), dtype=np.uint8), []
     for step in plan:
-        ax = labels.index(step.qubit)
         if step.control is not None:
-            rows = _apply_controlled(rows, labels.index(step.control), ax, step.matrix)
-            continue
+            raise ValueError(f"the walk applies no controlled gate ({step.control} -> {step.qubit})")
+        ax = labels.index(step.qubit)
         if step.basis is None:
             rows = _gate(rows.reshape(len(rows) << ax, 2, -1), step.matrix).reshape(len(rows), -1)
             continue
@@ -513,15 +532,10 @@ def run_crio(
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
     expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
-    # Steps 1 and 2 (the gates before the first measurement) run here rather than inside the
-    # walk: an N=6 sample run then leaves about 14 MiB less heap resident under glibc malloc,
-    # which otherwise adds to the peak RSS of the next large allocation.  The initial state goes
-    # in as a temporary, freed by the first gate; _state_after's argument would keep it alive.
     lead = next(i for i, step in enumerate(plan) if step.basis is not None)
-    labels, rows, *_ = _walk(_initial_state(n_systems, ks, target_vecs), plan[:lead], _keep_both)
-    state = QuantumState._trusted(labels, rows.reshape(-1))
     rule = _drawn(np.random.default_rng(seed)) if mode == "sample" else _keep_both
-    branches = _branches(state, plan[lead:], expected, rule)
+    # the register goes in as a temporary, so the walk's first measurement frees it
+    branches = _branches(_initial_state(n_systems, ks, target_vecs, plan[:lead]), plan[lead:], expected, rule)
     return ProtocolResult(
         n_systems=n_systems,
         permitted=permitted,
@@ -555,7 +569,7 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
     """
     ks, plan, target_vecs = _setup(n_systems, axes, betas, targets)
     lead = next(i for i, step in enumerate(plan) if step.basis is not None)  # the controller's step-3 measurement
-    state = _state_after(_initial_state(n_systems, ks, target_vecs), plan[:lead])
+    state = _initial_state(n_systems, ks, target_vecs, plan[:lead])
     others = [lab for lab in state.labels if lab != "a1"]
     pur = purity(reduced_density(state, others))
     expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
@@ -593,8 +607,10 @@ def run_checkpoints(
     The states hold the participating register only: under partial control
     they do not list the unwired groups' qubits."""
     ks, plan, target_vecs = _setup(n_systems, axes, betas, target_vecs, controlled_groups, permitted)
-    state, rule, checkpoints = _initial_state(n_systems, ks, target_vecs), _forced(outcomes), []
-    for tag in STEPS:
+    checkpoints = [(tag, _initial_state(n_systems, ks, target_vecs, [s for s in plan if s.tag in STEPS[:i]]))
+                   for i, tag in enumerate(STEPS[:2], 1)]  # steps 1-2, the gates before the first measurement
+    state, rule = checkpoints[-1][1], _forced(outcomes)
+    for tag in STEPS[2:]:
         if permitted or tag != "step3":
             state = _state_after(state, [step for step in plan if step.tag == tag], rule)
             checkpoints.append((tag, state))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -446,8 +447,9 @@ class TestBatchedEnumeration:
 
 class TestParticipatingRegister:
     """Runs build and walk only a1 and the participating groups.  The oracle is
-    the full 2N+1 channel tensor every target, walked by the same plan: an
-    unwired group's pair and target are a product factor no step touches."""
+    the full 2N+1 channel tensor every target, taken through steps 1-2 by the
+    public kernels and walked by the rest of the same plan: an unwired group's
+    pair and target are a product factor no step touches."""
 
     @pytest.mark.parametrize("permitted", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -459,7 +461,10 @@ class TestParticipatingRegister:
                 result = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
                 _, plan, _ = protocol._setup(n, axes, betas, targets, groups, permitted)
                 full = tensor(crio_channel_state(CrioTopology(n, groups)), product_state(t_labels, targets))
-                oracle = protocol._branches(full, plan, result.expected_target, protocol._keep_both)
+                lead = next(i for i, step in enumerate(plan) if step.basis is not None)
+                for step in plan[:lead]:
+                    full = apply_step(full, step)
+                oracle = protocol._branches(full, plan[lead:], result.expected_target, protocol._keep_both)
                 got = result.branches
                 assert [(b.outcomes, b.corrections, b.transcript) for b in got] == \
                     [(b.outcomes, b.corrections, b.transcript) for b in oracle]
@@ -469,6 +474,76 @@ class TestParticipatingRegister:
                 # a1 stays unmeasured when control is denied
                 kept = result.expected_target.labels if permitted else ("a1",) + result.expected_target.labels
                 assert all(b.final_state.labels == kept for b in got)
+
+
+def builder_cases():
+    """Every control subset for N <= 3, and full control for N = 4 and 5."""
+    for n in (1, 2, 3):
+        for size in range(n):
+            for groups in combinations(range(3, n + 2), size):
+                yield n, frozenset(groups)
+    yield 4, None
+    yield 5, None
+
+
+def first_measurement(plan) -> int:
+    return next(i for i, step in enumerate(plan) if step.basis is not None)
+
+
+class TestInitialStateBuilder:
+    """`_initial_state` builds steps 1-2 into the register as one product of the channel and a
+    target table; the oracle is the same steps applied by the public kernels."""
+
+    @pytest.mark.parametrize("n,groups", builder_cases())
+    def test_lead_matches_public_kernels(self, n, groups):
+        axes, betas, targets = random_inputs(np.random.default_rng(190 + n), n)
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups)
+        state, lead = protocol._initial_state(n, ks, vecs), []
+        for tag in ("step1", "step2"):
+            for step in (step for step in plan if step.tag == tag):
+                state = apply_step(state, step)
+                lead.append(step)
+            built = protocol._initial_state(n, ks, vecs, lead)
+            assert built.labels == state.labels
+            np.testing.assert_allclose(built.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
+
+    def test_built_register_allocates_one_vector(self):
+        n = 5
+        ks, plan, vecs = protocol._setup(n, *random_inputs(np.random.default_rng(195), n))
+        lead = plan[:first_measurement(plan)]
+        tracemalloc.start()
+        try:
+            state = protocol._initial_state(n, ks, vecs, lead)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.num_qubits == 16
+        assert peak < 1.5 * state.amplitudes.nbytes
+
+    @pytest.mark.parametrize("lead, match", [
+        pytest.param(lambda plan: plan[:first_measurement(plan) + 1], "measurement on a1", id="measurement"),
+        pytest.param(lambda plan: plan[:3] + [Step("step2", "A7", "a7", HADAMARD)], "a gate on a7",
+                     id="gate-on-step1-qubit"),
+        pytest.param(lambda plan: [Step("step2", "A5", "O5", HADAMARD)], "a gate on O5",
+                     id="gate-on-target"),
+        pytest.param(lambda plan: plan[:2] + [Step("step1", "A7", "O6", PAULI_X, control="a7")],
+                     "a7 -> O6 is not a step-1 gate", id="crossed-control"),
+        pytest.param(lambda plan: [Step("step1", "A2", "O5", PAULI_X, control="a2")],
+                     "a2 -> O5 is not a step-1 gate", id="control-off-step1"),
+        pytest.param(lambda plan: plan[:2], "step-1 gates on only some groups", id="some-groups"),
+    ])
+    def test_unrepresentable_lead_refused(self, lead, match):
+        n = 3
+        ks, plan, vecs = protocol._setup(n, *random_inputs(np.random.default_rng(196), n))
+        assert [step.tag for step in plan[:3]] == ["step1"] * 3
+        with pytest.raises(ValueError, match=match):
+            protocol._initial_state(n, ks, vecs, lead(plan))
+
+    def test_walk_refuses_a_controlled_gate(self):
+        n = 2
+        ks, plan, vecs = protocol._setup(n, *random_inputs(np.random.default_rng(197), n))
+        with pytest.raises(ValueError, match=r"no controlled gate \(a4 -> O4\)"):
+            protocol._walk(protocol._initial_state(n, ks, vecs), plan, protocol._keep_both)
 
 
 ENTRY_POINTS = ("run_crio", "control_denial_report", "run_checkpoints", "symbolic_checkpoints", "step1_stator")
