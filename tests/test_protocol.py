@@ -349,6 +349,10 @@ def random_inputs(rng, n):
             [random_qubit(rng) for _ in range(n)])
 
 
+def first_measurement(plan) -> int:
+    return next(i for i, step in enumerate(plan) if step.basis is not None)
+
+
 def biased_plan(rng):
     """A state and a hand-made plan with two measurements of (almost) no
     probability: a reads 1 in Z with probability 9e-16 and b reads |-> in X
@@ -461,7 +465,7 @@ class TestParticipatingRegister:
                 result = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
                 _, plan, _ = protocol._setup(n, axes, betas, targets, groups, permitted)
                 full = tensor(crio_channel_state(CrioTopology(n, groups)), product_state(t_labels, targets))
-                lead = next(i for i, step in enumerate(plan) if step.basis is not None)
+                lead = first_measurement(plan)
                 for step in plan[:lead]:
                     full = apply_step(full, step)
                 oracle = protocol._branches(full, plan[lead:], result.expected_target, protocol._keep_both)
@@ -484,10 +488,6 @@ def builder_cases():
                 yield n, frozenset(groups)
     yield 4, None
     yield 5, None
-
-
-def first_measurement(plan) -> int:
-    return next(i for i, step in enumerate(plan) if step.basis is not None)
 
 
 class TestInitialStateBuilder:
