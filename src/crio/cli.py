@@ -69,12 +69,21 @@ def parse_axis(text: str) -> PauliAxis:
     s = str(text).strip().lower()
     if s in named:
         return named[s]
-    parts = [float(p) for p in s.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"axis must be x, y, z or three comma-separated components, got {text!r}")
-    if not all(map(math.isfinite, parts)):
+    try:
+        x, y, z = map(float, s.split(","))
+    except ValueError:  # not three numbers
+        raise ValueError(f"axis must be x, y, z or three comma-separated components, got {text!r}") from None
+    if not all(map(math.isfinite, (x, y, z))):
         raise ValueError(f"axis components must be finite, got {text!r}")
-    return PauliAxis.unit(*parts)
+    return PauliAxis.unit(x, y, z)
+
+
+def parse_groups(text: str | None) -> frozenset | None:
+    """A --groups value: comma-separated controlled group indices (None when not given)."""
+    try:
+        return frozenset(int(g) for g in text.split(",")) if text else None
+    except ValueError:
+        raise ValueError(f"--groups must be comma-separated group indices, got {text!r}") from None
 
 
 def _config_hash(config: dict) -> str:
@@ -157,8 +166,7 @@ def cmd_build_state(args) -> int:
         elif fam == "h2n1":
             if args.n is None:
                 raise ValueError("h2n1 requires --n")
-            groups = frozenset(int(g) for g in args.groups.split(",")) if args.groups else None
-            topo = gs.CrioTopology(args.n, groups)
+            topo = gs.CrioTopology(args.n, parse_groups(args.groups))
             state = gs.crio_channel_state(topo)
             meta = {"family": "h2n1", "n_systems": args.n,
                     "controlled_groups": sorted(topo.controlled_groups),
@@ -188,11 +196,10 @@ def cmd_run_protocol(args) -> int:
         axes = [parse_axis(args.axis)] * args.n if args.axis else [random_axis(rng) for _ in range(args.n)]
         betas = [parse_angle(args.alpha)] * args.n if args.alpha else list(rng.uniform(0, 2 * math.pi, args.n))
         targets = _random_targets(rng, args.n)
-        groups = frozenset(int(g) for g in args.groups.split(",")) if args.groups else None
         kwargs = {
             "n_systems": args.n, "axes": axes, "betas": betas, "targets": targets,
             "mode": args.mode, "seed": args.seed, "permitted": args.permitted == "true",
-            "controlled_groups": groups,
+            "controlled_groups": parse_groups(args.groups),
         }
     config = proto.run_config_to_dict(**kwargs)
     result = proto.run_crio(**kwargs)

@@ -203,10 +203,11 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"malformed header {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"malformed edge line {ln!r}") from None
+        edges.append((u, v))
     return Graph.of(n, edges)
 
 

@@ -26,14 +26,15 @@ The steps are written out once, as the step plan built by `_plan`; every
 entry point checks its inputs once, in `_setup`, which builds it.
 `_initial_state` builds steps 1-2 into the register as one product; one
 executor, `_walk`, runs the rest of a plan over dense states: one array row
-per live branch (deferred measurement), with the exact probability of each.  At a
-measurement it asks an outcome rule which outcomes to keep: both (each of
-probability at least 1e-14) for enumeration and the control-denial guesses,
-one drawn from a seeded generator for sample mode, or one forced outcome
-per measurement for the checkpoints.  A run's branches are the walk's own
-arrays, a `Branches` table; each branch's corrections and messages follow
-from its outcome bits.  The symbolic checkpoints follow the same plan on
-stators.
+per live branch (deferred measurement), with the exact probability of each.
+At a measurement it asks an outcome rule which outcomes every row keeps: both
+for enumeration and the control-denial guesses, one drawn from a seeded
+generator for sample mode, or one forced outcome per measurement for the
+checkpoints.  It refuses to keep an outcome of probability at most 1e-12 on
+any row; no protocol run meets one, as each of its measurements is unbiased.
+A run's branches are the walk's own arrays, a `Branches` table; each branch's
+corrections and messages follow from its outcome bits.  The symbolic
+checkpoints follow the same plan on stators.
 """
 from __future__ import annotations
 
@@ -397,64 +398,60 @@ def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
     return plan
 
 
-_ONE = np.eye(2, dtype=bool)[:, None]  # _ONE[o]: the (1, 2) keep mask of outcome o alone
-
-
-def _keep_both(step: Step, p: np.ndarray) -> np.ndarray:
-    """The enumeration's outcome rule: every outcome of probability at least 1e-14."""
-    return p >= 1e-14
+def _keep_both(step: Step, p: np.ndarray) -> tuple:
+    """The enumeration's outcome rule: both outcomes."""
+    return (0, 1)
 
 
 def _drawn(rng: np.random.Generator):
     """Sample mode's outcome rule: one outcome drawn from rng, as `qcore.measure` draws it."""
-    return lambda step, p: _ONE[0 if rng.random() < p[0, 0] else 1]
+    return lambda step, p: (0 if rng.random() < p[0, 0] else 1,)
 
 
 def _next_outcome(bits) -> int:
-    """The next of an iterator of forced outcomes; running out is a ValueError."""
-    for outcome in bits:
-        return int(outcome)
+    """The next of an iterator of forced outcomes; running out, or one not 0 or 1, is a ValueError."""
+    for outcome in map(int, bits):
+        if outcome not in (0, 1):
+            raise ValueError("outcome must be 0 or 1")
+        return outcome
     raise ValueError("too few outcomes: the plan measures more qubits")
 
 
 def _forced(outcomes):
-    """The checkpoints' outcome rule: the next of `outcomes`, refused as `qcore.measure` refuses it."""
+    """The checkpoints' outcome rule: the next of `outcomes`."""
     bits = iter(outcomes)
-
-    def rule(step, p):
-        outcome = _next_outcome(bits)
-        if outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
-        if p[0, outcome] <= 1e-12:
-            raise ValueError(f"forcing a zero-probability outcome ({step.qubit}, basis {step.basis}, outcome {outcome})")
-        return _ONE[outcome]
-    return rule
+    return lambda step, p: (_next_outcome(bits),)
 
 
 def _project(rows: np.ndarray, ax: int, step: Step, rule):
-    """Each row of a (B, 2**n) array measured by `step` on qubit position `ax`: (B, 2) probabilities,
-    `rule`'s keep mask, the slice of outcomes some row keeps, and only their normalized rows."""
+    """Each row of a (B, 2**n) array measured by `step` on qubit position `ax`: the outcomes `rule`
+    keeps on every row, (B, kept) probabilities and the (B, kept, ...) normalized components.  An
+    outcome kept at probability at most 1e-12 on any row is refused."""
     c = _basis_components(rows.reshape(len(rows), 1 << ax, 2, -1), step.basis)
     f = c.view(np.float64)
     p = np.einsum("bijk,bijk->bj", f, f)
-    keep = rule(step, p)
-    kept = slice(0 if keep[:, 0].any() else 1, 2 if keep[:, 1].any() else 1)
-    post = np.empty((len(rows), kept.stop - kept.start) + c.shape[1:2] + c.shape[3:], dtype=complex)
-    np.divide(c[:, :, kept].transpose(0, 2, 1, 3), np.sqrt(np.where(keep, p, 1.0))[:, kept, None, None], out=post)
-    return p, keep, kept, post
+    outcomes = rule(step, p)
+    for outcome in outcomes:
+        if (p[:, outcome] <= 1e-12).any():
+            raise ValueError(f"cannot keep a zero-probability outcome ({step.qubit}, basis {step.basis}, "
+                             f"outcome {outcome})")
+    span = slice(outcomes[0], outcomes[-1] + 1)
+    post = np.empty((len(rows), len(outcomes)) + c.shape[1:2] + c.shape[3:], dtype=complex)
+    np.divide(c[:, :, span].transpose(0, 2, 1, 3), np.sqrt(p[:, span])[:, :, None, None], out=post)
+    return outcomes, p[:, span], post
 
 
 def _walk(state: QuantumState, plan, rule):
     """The one dense executor of a plan: every branch that `rule` keeps, at once.
 
     Row r of `rows` is the normalized state of the r-th live branch, of probability probs[r]
-    and outcome bits bits[r].  A measurement splits each row into the outcomes `rule` keeps,
+    and outcome bits bits[r].  A measurement splits every row into the outcomes `rule` keeps,
     outcome 0 first, so rows stay in the order of a depth-first walk; outcome-1 rows get the
     step's corrections.  Returns the final labels, rows, probs and bits, and the measured steps.
     """
     labels, rows = state.labels, state.amplitudes.reshape(1, -1)
     del state  # so the first kernel frees a state passed as a temporary: a lower heap peak on large registers
-    probs, bits, measured = np.ones(1), np.zeros((1, 0), dtype=np.uint8), []
+    probs, kept, measured = np.ones(1), [], []
     for step in plan:
         if step.control is not None:
             raise ValueError(f"the walk applies no controlled gate ({step.control} -> {step.qubit})")
@@ -462,25 +459,17 @@ def _walk(state: QuantumState, plan, rule):
         if step.basis is None:
             rows = _gate(rows.reshape(len(rows) << ax, 2, -1), step.matrix).reshape(len(rows), -1)
             continue
-        p, keep, kept, rows = _project(rows, ax, step, rule)  # rebinding rows frees the measured ones
+        outcomes, p, rows = _project(rows, ax, step, rule)  # rebinding rows frees the measured ones
         labels = labels[:ax] + labels[ax + 1:]
-        for fix, _ in step.on_one if kept.stop == 2 else ():  # on the outcome-1 half of every row
+        for fix, _ in step.on_one if outcomes[-1] == 1 else ():  # on the outcome-1 half of every row
             half = rows[:, -1].reshape(len(p), 1 << labels.index(fix.qubit), 2, -1)
             half[...] = _gate(half, fix.matrix)
-        outcomes = np.arange(2, dtype=np.uint8)[kept, None]
-        rows, probs = rows.reshape(len(p) * len(outcomes), -1), (probs[:, None] * p[:, kept]).reshape(-1)
-        bits = np.hstack([np.repeat(bits, len(outcomes), axis=0), np.tile(outcomes, (len(p), 1))])
-        keep = keep[:, kept].reshape(-1)
-        if not keep.all():
-            rows, probs, bits = rows[keep], probs[keep], bits[keep]
+        rows, probs = rows.reshape(p.size, -1), (probs[:, None] * p).reshape(-1)
+        kept.append(np.array(outcomes, dtype=np.uint8))
         measured.append(step)
+    # every branch's bits, the product of the kept outcomes in the rows' order
+    bits = np.array(np.meshgrid(*kept, indexing="ij"), dtype=np.uint8).reshape(len(kept), len(rows)).T.copy()
     return labels, rows, probs, bits, measured
-
-
-def _state_after(state: QuantumState, plan, rule=_keep_both) -> QuantumState:
-    """`state` after a plan on which `rule` keeps one branch, as on any plan without measurements."""
-    labels, rows, *_ = _walk(state, plan, rule)
-    return QuantumState._trusted(labels, rows.reshape(-1))
 
 
 def _expected_state(n_systems, axes, betas, target_vecs, ks) -> QuantumState:
@@ -570,8 +559,7 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
     ks, plan, target_vecs = _setup(n_systems, axes, betas, targets)
     lead = next(i for i, step in enumerate(plan) if step.basis is not None)  # the controller's step-3 measurement
     state = _initial_state(n_systems, ks, target_vecs, plan[:lead])
-    others = [lab for lab in state.labels if lab != "a1"]
-    pur = purity(reduced_density(state, others))
+    pur = purity(reduced_density(state, ["a1"]))  # the register is pure: a1's purity is that of the rest
     expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
 
     fixes = [fix for fix, _ in plan[lead].on_one]
@@ -612,7 +600,8 @@ def run_checkpoints(
     state, rule = checkpoints[-1][1], _forced(outcomes)
     for tag in STEPS[2:]:
         if permitted or tag != "step3":
-            state = _state_after(state, [step for step in plan if step.tag == tag], rule)
+            labels, rows, *_ = _walk(state, [step for step in plan if step.tag == tag], rule)
+            state = QuantumState._trusted(labels, rows.reshape(-1))
             checkpoints.append((tag, state))
     return checkpoints
 

@@ -296,6 +296,27 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, text):
     assert not (tmp_path / "out").exists()
 
 
+_BAD_GROUPS = "error: --groups must be comma-separated group indices, got '3,x'"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["build-state", "h2n1", "--n", "2", "--groups", "3,x"], _BAD_GROUPS),
+        (["run-protocol", "--n", "2", "--groups", "3,x"], _BAD_GROUPS),
+        (["run-protocol", "--n", "1", "--axis", "a,b,c"],
+         "error: axis must be x, y, z or three comma-separated components, got 'a,b,c'"),
+        (["build-state", "--edge-list", "{edges}"], "error: malformed edge line '1 x'"),
+    ],
+)
+def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, message):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("n=2\n1 x\n")
+    assert main([a.format(edges=edges) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 _NUMBER = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str), st.text("0123456789.e-+_ ", max_size=8))
 
 

@@ -33,6 +33,7 @@ from crio.qcore import (
     PauliAxis,
     QuantumState,
     X_AXIS,
+    Y_AXIS,
     Z_AXIS,
     apply_1q,
     apply_controlled_op,
@@ -353,11 +354,11 @@ def first_measurement(plan) -> int:
     return next(i for i, step in enumerate(plan) if step.basis is not None)
 
 
-def biased_plan(rng):
-    """A state and a hand-made plan with two measurements of (almost) no
-    probability: a reads 1 in Z with probability 9e-16 and b reads |-> in X
-    with probability 0."""
-    state = tensor(product_state(("a", "b"), [[1, 3e-8], [1 / math.sqrt(2), 1 / math.sqrt(2)]]),
+def biased_plan(rng, a=(1, 3e-8), b=(1 / math.sqrt(2), 1 / math.sqrt(2))):
+    """A state and a hand-made plan, with kets `a` and `b` on the qubits measured first.  By
+    default these are two measurements of (almost) no probability: a reads 1 in Z with
+    probability 9e-16 and b reads |-> in X with probability 0."""
+    state = tensor(product_state(("a", "b"), [a, b]),
                    product_state(("c", "d", "e"), [random_qubit(rng) for _ in range(3)]))
     state = apply_controlled_op(state, "c", "d", PAULI_X)  # entangles c, d
     plan = [
@@ -404,14 +405,23 @@ class TestBatchedEnumeration:
         assert report.best_guess == max(worst, key=worst.get)
         assert report.best_guess_min_fidelity == pytest.approx(worst[report.best_guess], abs=1e-12)
 
-    def test_zero_probability_outcomes_are_pruned(self):
-        """Protocol measurements are unbiased, so a hand-made plan exercises the
-        pruning: a's 1 (9e-16) is below the 1e-14 cut, and b's |-> has probability 0."""
+    def test_zero_probability_outcome_is_refused(self):
+        """Protocol measurements are unbiased, so a hand-made plan reaches the refusal:
+        enumeration keeps a's 1, of probability 9e-16."""
         rng = np.random.default_rng(130)
         state, plan = biased_plan(rng)
         expected = product_state(("e",), [random_qubit(rng)])
+        with pytest.raises(ValueError, match=r"zero-probability outcome \(a, basis Z, outcome 1\)"):
+            protocol._branches(state, plan, expected, protocol._keep_both)
+
+    def test_uneven_outcomes_match_reference_walk(self):
+        """Outcome probabilities other than 1/2: a reads 1 with probability 0.09, and b is off |+>."""
+        rng = np.random.default_rng(132)
+        state, plan = biased_plan(rng, a=(math.sqrt(0.91), 0.3), b=(math.cos(0.3), math.sin(0.3)))
+        expected = product_state(("e",), [random_qubit(rng)])
         got = protocol._branches(state, plan, expected, protocol._keep_both)
-        assert [b.outcomes for b in got] == ["000", "001"]
+        assert len(got) == 8
+        assert np.ptp(got.probabilities) > 0.1
         assert_same_branches(got, reference_walk(state, plan, expected))
 
     @pytest.mark.parametrize("outcomes, qubit, basis, bit", [("100", "a", "Z", 1), ("010", "b", "X", 1)])
@@ -447,6 +457,32 @@ class TestBatchedEnumeration:
         for sample_seed in range(4):
             (sampled,) = run_crio(n, *args, mode="sample", seed=sample_seed, **kwargs).branches
             assert_same_branch(enumerated[sampled.outcomes], sampled)
+
+
+SPECIAL_BETAS = (0.0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2)
+
+
+def eigenstate_inputs(rng, n):
+    """Axes x, y, z in turn, special angles, and each target an eigenstate of its axis."""
+    axes = [(X_AXIS, Y_AXIS, Z_AXIS)[i % 3] for i in range(n)]
+    targets = [np.linalg.eigh(pauli_axis_matrix(axis))[1][:, rng.integers(2)] for axis in axes]
+    return axes, [float(b) for b in rng.choice(SPECIAL_BETAS, n)], targets
+
+
+class TestUnbiasedOutcomes:
+    """Every measurement of the protocol is unbiased, for any target: each branch has
+    probability 2**-m, so no outcome rule meets the walk's zero-probability refusal."""
+
+    @pytest.mark.parametrize("inputs", [random_inputs, eigenstate_inputs])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_branch_has_probability_two_to_minus_m(self, n, inputs):
+        args = inputs(np.random.default_rng(210 + n), n)
+        runs = [run_crio(n, *args, permitted=permitted, controlled_groups=frozenset(groups)).branches
+                for permitted in (True, False) for size in range(n) for groups in combinations(range(3, n + 2), size)]
+        runs += control_denial_report(n, *args).guess_branches.values()
+        for branches in runs:
+            assert len(branches) == 2 ** len(branches.steps)
+            np.testing.assert_allclose(branches.probabilities, 2.0 ** -len(branches.steps), rtol=0, atol=1e-12)
 
 
 class TestParticipatingRegister:
@@ -606,6 +642,8 @@ class TestValidation:
             pytest.param(1, [X_AXIS], [math.inf], [0] * 3, TAKE_BETAS, "betas must be finite", id="inf-beta"),
             pytest.param(1, [X_AXIS], [0.1], [0], ("run_checkpoints", "symbolic_checkpoints"),
                          "too few outcomes", id="too-few-outcomes"),
+            pytest.param(1, [X_AXIS], [0.1], [2, 0, 0], ("run_checkpoints", "symbolic_checkpoints"),
+                         "outcome must be 0 or 1", id="outcome-out-of-range"),
             pytest.param(3, [X_AXIS] * 3, [0.1] * 3, [0] * 7, ("symbolic_checkpoints", "step1_stator"),
                          "10-qubit register exceeds", id="above-bound"),
         ],
@@ -686,6 +724,29 @@ class TestDenial:
         rep = control_denial_report(2, [random_axis(rng), random_axis(rng)], [0.5, 0.6],
                                     [random_qubit(rng), random_qubit(rng)])
         assert rep.purity_without_controller < 1 - 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_purity_is_that_of_the_rest_of_the_register(self, n):
+        """The purity without the controller, against the reduced state of every other qubit."""
+        axes, betas, targets = random_inputs(np.random.default_rng(86 + n), n)
+        rep = control_denial_report(n, axes, betas, targets)
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets)
+        state = protocol._initial_state(n, ks, vecs, plan[:first_measurement(plan)])
+        rho = reduced_density(state, [lab for lab in state.labels if lab != "a1"])
+        assert rep.purity_without_controller == pytest.approx(float(np.trace(rho @ rho).real), abs=1e-12)
+
+    def test_report_never_squares_the_register(self):
+        """At N=4 a density matrix of the 12 qubits other than a1 would take 256 MiB."""
+        n = 4
+        args = random_inputs(np.random.default_rng(90), n)
+        tracemalloc.start()
+        try:
+            rep = control_denial_report(n, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.purity_without_controller == pytest.approx(0.5, abs=1e-12)
+        assert peak < 8 * 2 ** 20
 
 
 class TestConfigIO:

@@ -49,6 +49,9 @@ def report_matrix() -> list:
         ["run-protocol", "--n", "3", "--format", "text"],
         ["run-protocol", "--n", "6", "--mode", "sample"],
         ["run-protocol", "--n", "6", "--groups", "3,5", "--permitted", "false", "--mode", "sample"],
+        # special angles, where a degenerate outcome would show first
+        ["run-protocol", "--n", "2", "--axis", "z", "--alpha", "pi/2"],
+        ["run-protocol", "--n", "3", "--axis", "x", "--alpha", "0", "--permitted", "false"],
         ["verify-all"],
         ["control-power", "--sweep", "64"],
         *(["control-power", "--alpha", a] for a in ("0", "pi/4", "3pi/4", "3pi/2", "0.7", "1.5707963267947966")),
