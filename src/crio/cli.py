@@ -185,20 +185,27 @@ def cmd_build_state(args) -> int:
     return 0
 
 
+RUN_FLAGS = ("n", "alpha", "axis", "groups", "mode", "permitted", "seed")  # the run flags a --config file replaces
+
+
 def cmd_run_protocol(args) -> int:
     if args.config:
+        given = [flag for flag in RUN_FLAGS if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"--{given[0]} cannot be combined with --config, which sets the whole run")
         kwargs = proto.load_run_config(args.config)
     else:
         if args.n is None:
             raise ValueError("run-protocol needs --config or --n")
         proto.check_system_count(args.n)
-        rng = np.random.default_rng(args.seed)
+        seed = 7 if args.seed is None else args.seed
+        rng = np.random.default_rng(seed)
         axes = [parse_axis(args.axis)] * args.n if args.axis else [random_axis(rng) for _ in range(args.n)]
         betas = [parse_angle(args.alpha)] * args.n if args.alpha else list(rng.uniform(0, 2 * math.pi, args.n))
         targets = _random_targets(rng, args.n)
         kwargs = {
             "n_systems": args.n, "axes": axes, "betas": betas, "targets": targets,
-            "mode": args.mode, "seed": args.seed, "permitted": args.permitted == "true",
+            "mode": args.mode or "enumerate", "seed": seed, "permitted": args.permitted != "false",
             "controlled_groups": parse_groups(args.groups),
         }
     config = proto.run_config_to_dict(**kwargs)
@@ -387,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help="rotation angle for every system (default: random)")
     p.add_argument("--axis", help="axis x|y|z or 'x,y,z' components for every system")
     p.add_argument("--groups", help="comma-separated controlled group indices")
-    p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
-    p.add_argument("--permitted", choices=("true", "false"), default="true")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--mode", choices=("enumerate", "sample"), help="default: enumerate")
+    p.add_argument("--permitted", choices=("true", "false"), help="default: true")
+    p.add_argument("--seed", type=int, help="default: 7")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_run_protocol)
 
@@ -425,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) < 0:  # numpy would refuse it mid-command without naming the flag
+    if (getattr(args, "seed", None) or 0) < 0:  # numpy would refuse it mid-command without naming the flag
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 2
     try:

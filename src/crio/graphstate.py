@@ -15,7 +15,9 @@ group index k in 3..N+1.  Each basis amplitude carries the sign
 """
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -23,6 +25,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .qcore import QuantumState, check_register_size, is_finite_number
+
+# glibc keeps freed heap memory below its trim threshold (16 MiB once an 8 MiB vector was freed)
+# resident; build_graph_state returns it before a larger state, whose peak it would add to.
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if sys.platform.startswith("linux") else None
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,8 @@ def build_graph_state(graph: Graph, labels: Sequence[str] | None = None) -> Quan
     later = [[] for _ in range(n + 1)]
     for u, v in graph.edges:
         later[u].append(v)
+    if n >= 20 and _MALLOC_TRIM is not None:  # a buffer of 16 MiB or more, which malloc maps on its own
+        _MALLOC_TRIM(0)
     buf = np.empty(2 ** n, dtype=complex)
     buf[0] = 2 ** (-n / 2)
     for u in range(n, 0, -1):

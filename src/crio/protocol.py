@@ -23,17 +23,22 @@ each participating group k, a_k, a_{k+N} and O_{k+N}.  Their final states
 and checkpoint states do not list the unwired groups' qubits.
 
 The steps are written out once, as the step plan built by `_plan`; every
-entry point checks its inputs once, in `_setup`, which builds it.
-`_initial_state` builds steps 1-2 into the register as one product; one
-executor, `_walk`, runs the rest of a plan over dense states: one array row
-per live branch (deferred measurement), with the exact probability of each.
-At a measurement it asks an outcome rule which outcomes every row keeps: both
-for enumeration and the control-denial guesses, one drawn from a seeded
-generator for sample mode, or one forced outcome per measurement for the
-checkpoints.  It refuses to keep an outcome of probability at most 1e-12 on
-any row; no protocol run meets one, as each of its measurements is unbiased.
-A run's branches are the walk's own arrays, a `Branches` table; each branch's
-corrections and messages follow from its outcome bits.  The symbolic
+entry point checks its inputs once, in `_setup`, which builds it.  One block
+engine, `_run`, runs a plan.  With h, u, v the Z values of a1, a2, a_{N+2},
+w = u xor v, and x_k, y_k those of a group's a_k, a_{k+N}, the channel's sign
+exponent is h*w + sum_k x_k*(w + y_k).  So the register is a sum of two terms,
+w = 0 and 1, each a product of a hub block (a1, a2, a_{N+2}, O_{N+2}) and one
+block (a_k, a_{k+N}, O_{k+N}) per group, and no step couples two blocks.  Each
+block holds one row per live branch (deferred measurement) of each term.  A
+measurement projects one block, weighing its terms' overlaps by the other
+blocks' 2x2 Gram matrices, and asks an outcome rule which outcomes every row
+keeps: both (enumeration, control-denial guesses), one drawn from a seeded
+generator (sample mode) or one forced (checkpoints).  An outcome of
+probability at most 1e-12 is refused; no protocol run meets one, as each of
+its measurements is unbiased.  On a permitted run the controller's step-3
+outcome zeroes one term on every branch.  A run's branches are a `Branches`
+table; each branch's corrections and messages follow from its outcome bits,
+and its dense final state is built from the blocks on demand.  The symbolic
 checkpoints follow the same plan on stators.
 """
 from __future__ import annotations
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import getitem
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +58,6 @@ from .graphstate import (
     CrioTopology,
     amplitude_oracle,
     basis_bits,
-    build_graph_state,
     crio_graph,
     qubit_labels,
     target_label,
@@ -64,14 +69,12 @@ from .qcore import (
     PauliAxis,
     QuantumState,
     X_AXIS,
+    _apply_controlled,
     _basis_components,
-    _gate,
     check_register_size,
     is_finite_number,
     pauli_axis_matrix,
-    product_state,
     purity,
-    reduced_density,
     rotation,
 )
 from .stator import Stator
@@ -113,19 +116,20 @@ class BranchRecord:
 
 @dataclass(frozen=True, eq=False)
 class Branches(Sequence):
-    """The branches a walk kept, as columns: row r of each array is branch r, in
+    """The branches a run kept, as columns: row r of each array is branch r, in
     the order of a depth-first walk with outcome 0 first.
 
     A branch's corrections and messages follow from its outcome bits and the
     measured steps (`outcome_records`), so they are not stored: `branches[r]`,
-    slices and iteration pick each branch's records by its bits row."""
+    slices and iteration pick each branch's records by its bits row, and build
+    its final state from the block factors."""
 
     steps: tuple               # the measured Steps, in the order of each row's bits
     bits: np.ndarray           # (B, m) uint8 outcome bits
     probabilities: np.ndarray  # (B,)
     fidelities: np.ndarray     # (B,) fidelity to the expected target
-    labels: tuple              # the qubits of every final state
-    rows: np.ndarray           # (B, 2**len(labels)) final states
+    labels: tuple              # the qubits of every final state, in dense order
+    factors: tuple             # (block qubits, (B, 2, 2**q) two-term block array) pairs
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -141,7 +145,7 @@ class Branches(Sequence):
 
     def _records(self, rows: slice):
         records = [outcome_records(step) for step in self.steps]
-        for row, amps, p, fidelity in zip(self.bits[rows].tolist(), self.rows[rows],
+        for row, amps, p, fidelity in zip(self.bits[rows].tolist(), _dense(self.factors, self.labels, rows),
                                           self.probabilities[rows].tolist(), self.fidelities[rows].tolist()):
             picked = list(map(getitem, records, row))
             yield BranchRecord("".join(map(str, row)), p, tuple(chain.from_iterable(c for c, _ in picked)),
@@ -158,14 +162,13 @@ class Branches(Sequence):
             return
         bits, records = self.bits, [outcome_records(step) for step in self.steps]
         quoted = np.pad(bits + ord("0"), ((0, 0), (1, 1)), constant_values=ord('"'))
-        messages = [[[{"from": m.sender, "to": m.recipient, "step": m.step, "payload": m.payload} for m in msgs]
-                     for _, msgs in pair] for pair in records]
         values = {  # the columns of each key of a branch's JSON object, in sorted key order
-            "corrections": _list_columns([[fixes for fixes, _ in pair] for pair in records], bits),
+            "corrections": _list_columns([[[_ITEM + _quote(fix) for fix in fixes] for fixes, _ in pair]
+                                          for pair in records], bits),
             "fidelity": [_float_column(self.fidelities)],
             "outcomes": [quoted.view(f"S{quoted.shape[1]}")[:, 0].astype(str).astype(object)],
             "probability": [_float_column(self.probabilities)],
-            "transcript": _list_columns(messages, bits),
+            "transcript": _list_columns([[list(map(_message, msgs)) for _, msgs in pair] for pair in records], bits),
         }
         frame = _nested(dict.fromkeys(values, _HOLE), 2).split(json.dumps(_HOLE))
         columns = [",\n" + frame[0]]
@@ -177,6 +180,18 @@ class Branches(Sequence):
         for start in range(0, len(table), BLOCK_ROWS):
             yield "".join(table[start:start + BLOCK_ROWS].ravel().tolist())
         yield "\n  ]"
+
+
+# A list item four levels deep as json.dumps(report, sort_keys=True, indent=2) writes it: a
+# string (a correction label), or a message object, whose keys are fixed.
+_ITEM = " " * 8
+_MESSAGE = _ITEM + ('{\n          "from": %s,\n          "payload": %d,\n          "step": %s,\n          "to": %s\n'
+                    + _ITEM + "}")
+_quote = json.encoder.encode_basestring_ascii  # json.dumps' own string escape, in C
+
+
+def _message(m: ClassicalMessage) -> str:
+    return _MESSAGE % (_quote(m.sender), m.payload, _quote(m.step), _quote(m.recipient))
 
 
 def _nested(value, depth: int) -> str:
@@ -197,10 +212,11 @@ def _float_column(values: np.ndarray) -> np.ndarray:
 
 
 def _list_columns(items: list, bits: np.ndarray) -> list:
-    """The columns of a JSON list three levels deep to which measurement i adds items[i][b] on bit
-    b: an opener, a (B, k) block of pieces for the k measurements that add any item, a closer.  A
-    piece leads with the item separator unless the row's items start there; no items read []."""
-    texts = [[",\n".join(_nested(item, 4) for item in added) for added in pair] for pair in items]
+    """The columns of a JSON list three levels deep to which measurement i adds the rendered items
+    items[i][b] on bit b: an opener, a (B, k) block of pieces for the k measurements that add any
+    item, a closer.  A piece leads with the item separator unless the row's items start there; no
+    items read []."""
+    texts = [[",\n".join(added) for added in pair] for pair in items]
     adding = [i for i, pair in enumerate(texts) if any(pair)]  # the measurements that add any item
     bit = np.ascontiguousarray(bits[:, adding])  # C order, so the column table and its row blocks are too
     added = np.array([[bool(t) for t in texts[i]] for i in adding], dtype=bool).reshape(-1, 2)[range(len(adding)), bit]
@@ -335,37 +351,6 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
     return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
 
 
-def _initial_state(n_systems, ks, target_vecs, lead=()) -> QuantumState:
-    """The participating register after `lead`, a run of the plan's leading gates (none: before
-    step 1): the channel graph state on a1, each participating group's a_k and then each a_{k+N},
-    tensor their targets O_{k+N}, in the same order.  An unwired group's edge (a_k, a_{k+N}) joins
-    no participating vertex, so these carry the full-control channel graph of len(ks) systems.
-    Uncontrolled gates (step 2's H) act on the small channel vector alone.  A step-1 gate sigma_n
-    from a_j onto O_j makes O_j's ket the table (psi_j, sigma_n psi_j), picked by the bit of a_j;
-    the a_j are the channel's last qubits, in target order, so amplitude (c, x, t) of the register
-    is channel[c, x] * T[x, t], T the Kronecker product of the tables.  Other leads are refused."""
-    js = [k + n_systems for k in ks]
-    heads, controls, targets = [f"a{v}" for v in [1] + ks], [f"a{j}" for j in js], [target_label(j) for j in js]
-    channel = build_graph_state(crio_graph(CrioTopology(len(ks))), heads + controls)
-    amps, tables = channel.amplitudes, [target_vecs[k - 2][None] for k in ks]
-    for step in lead:
-        if step.basis is not None or step.control is None and step.qubit not in heads:
-            kind = "measurement" if step.basis else "gate"
-            raise ValueError(f"cannot build a {kind} on {step.qubit} into the register")
-        if step.control is None:
-            amps = _gate(amps.reshape(1 << channel.labels.index(step.qubit), 2, -1), step.matrix).reshape(-1)
-            continue
-        if dict(zip(controls, targets)).get(step.control) != step.qubit:
-            raise ValueError(f"a controlled gate {step.control} -> {step.qubit} is not a step-1 gate a_j -> O_j")
-        i = controls.index(step.control)
-        tables[i] = np.stack([tables[i][0], step.matrix @ tables[i][-1]])
-    if len({len(table) for table in tables}) > 1:
-        raise ValueError("step-1 gates on only some groups")
-    table = reduce(np.kron, tables)
-    register = amps.reshape(-1, len(table))[:, :, None] * table[None]
-    return QuantumState._trusted(channel.labels + tuple(targets), register.reshape(-1))
-
-
 def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
     """The six steps for participating groups `ks`, each owned by its actor.  The inputs
     are trusted, as `_setup` checked them: each gate is unitary by construction."""
@@ -375,11 +360,8 @@ def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
         assert_local(parties, actor, (qubit,) if control is None else (control, qubit))
         return Step(tag, actor, qubit, matrix, control, basis, messages_to, on_one)
 
-    n = n_systems
-    plan = [
-        step("step1", f"A{k + n}", target_label(k + n), pauli_axis_matrix(axes[k - 2]), control=f"a{k + n}")
-        for k in ks
-    ]
+    n, sigma = n_systems, {k: pauli_axis_matrix(axes[k - 2]) for k in ks}
+    plan = [step("step1", f"A{k + n}", target_label(k + n), sigma[k], control=f"a{k + n}") for k in ks]
     plan += [step("step2", f"A{k}", f"a{k}", HADAMARD) for k in ks if k >= 3]
     if permitted:
         fixes = tuple((step("step3", f"A{k}", f"a{k}", PAULI_X), f"sigma_x a{k}") for k in ks)
@@ -392,7 +374,7 @@ def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
     plan += [step("step5", f"A{k}", f"a{k}", rotation(X_AXIS, betas[k - 2])) for k in ks]
     for k in ks:
         target = target_label(k + n)
-        i_sigma_n = step("step6", f"A{k + n}", target, 1j * pauli_axis_matrix(axes[k - 2]))
+        i_sigma_n = step("step6", f"A{k + n}", target, 1j * sigma[k])
         plan.append(step("step6", f"A{k}", f"a{k}", basis="Z", messages_to=(f"A{k + n}",),
                          on_one=((i_sigma_n, f"i*sigma_n {target}"),)))
     return plan
@@ -423,73 +405,134 @@ def _forced(outcomes):
     return lambda step, p: (_next_outcome(bits),)
 
 
-def _project(rows: np.ndarray, ax: int, step: Step, rule):
-    """Each row of a (B, 2**n) array measured by `step` on qubit position `ax`: the outcomes `rule`
-    keeps on every row, (B, kept) probabilities and the (B, kept, ...) normalized components.  An
-    outcome kept at probability at most 1e-12 on any row is refused."""
-    c = _basis_components(rows.reshape(len(rows), 1 << ax, 2, -1), step.basis)
-    f = c.view(np.float64)
-    p = np.einsum("bijk,bijk->bj", f, f)
-    outcomes = rule(step, p)
-    for outcome in outcomes:
-        if (p[:, outcome] <= 1e-12).any():
-            raise ValueError(f"cannot keep a zero-probability outcome ({step.qubit}, basis {step.basis}, "
-                             f"outcome {outcome})")
-    span = slice(outcomes[0], outcomes[-1] + 1)
-    post = np.empty((len(rows), len(outcomes)) + c.shape[1:2] + c.shape[3:], dtype=complex)
-    np.divide(c[:, :, span].transpose(0, 2, 1, 3), np.sqrt(p[:, span])[:, :, None, None], out=post)
-    return outcomes, p[:, span], post
+class _Register(NamedTuple):
+    """The participating register as two terms, w = 0 and 1, of block products (see the module
+    docstring).  Block i holds qubits labels[i] as a (B, 2, 2**q) array, [r, w] term w's factor on
+    branch r, and grams[i] holds its rows' (B, 2, 2) Gram matrices [r, w, w'] = <g_w|g_w'>, which
+    gates leave unchanged.  `order` lists the qubits as a dense state lists them."""
+
+    order: tuple
+    labels: list
+    blocks: list
+    grams: list
 
 
-def _walk(state: QuantumState, plan, rule):
-    """The one dense executor of a plan: every branch that `rule` keeps, at once.
+# The sign rule's block factors, one row per term w: the hub's Phi_w[h, u, v] = (-1)^(h*w) [u xor v = w]
+# and a group's g_w[x, y] = (-1)^(x*(w xor y)), each over its channel qubits' basis in index order.
+_HUB_TERMS = np.array([[1, 0, 0, 1, 1, 0, 0, 1], [0, 1, 1, 0, 0, -1, -1, 0]]) * 2 ** -1.5
+_GROUP_TERMS = np.array([[1, 1, 1, -1], [1, 1, -1, 1]]) / 2
 
-    Row r of `rows` is the normalized state of the r-th live branch, of probability probs[r]
-    and outcome bits bits[r].  A measurement splits every row into the outcomes `rule` keeps,
-    outcome 0 first, so rows stay in the order of a depth-first walk; outcome-1 rows get the
-    step's corrections.  Returns the final labels, rows, probs and bits, and the measured steps.
-    """
-    labels, rows = state.labels, state.amplitudes.reshape(1, -1)
-    del state  # so the first kernel frees a state passed as a temporary: a lower heap peak on large registers
+
+def _register(n_systems, ks, target_vecs) -> _Register:
+    """The participating register before step 1, with its targets.  The blocks are read off the
+    participating channel graph (the full-control graph of len(ks) systems): removing the hub's
+    a1, a2 and a_{N+2} must leave one pair (a_k, a_{k+N}) per optional group and nothing else.
+    The hub block carries 2**-1.5 (its four nonzero entries, and 1/sqrt(2) for the two terms) and
+    each group block 1/2, so the product has the channel's amplitudes +-2**-(2N'+1)/2."""
+    m, js = len(ks), [k + n_systems for k in ks]
+    name = dict(enumerate([f"a{v}" for v in [1, *ks, *js]], 1))  # the graph's vertices
+    pairs = {(k, k + m) for k in range(3, m + 2)}
+    rest = {edge for edge in crio_graph(CrioTopology(m)).edges if not {1, 2, m + 2} & set(edge)}
+    if rest != pairs:
+        raise ValueError("without a1, a2 and a_{N+2} the channel graph is not one pair per group: "
+                         + ", ".join(f"{name[u]}-{name[v]}" for u, v in sorted(rest ^ pairs)))
+    labels = [("a1", name[2], name[m + 2], target_label(js[0]))]
+    labels += [(name[k], name[k + m], target_label(js[k - 2])) for k in range(3, m + 2)]
+    blocks = [(terms[:, :, None] * target_vecs[k - 2]).reshape(1, 2, -1)
+              for terms, k in zip([_HUB_TERMS] + [_GROUP_TERMS] * (m - 1), ks)]
+    order = (*name.values(), *map(target_label, js))
+    return _Register(order, labels, blocks, [a.conj() @ a.transpose(0, 2, 1) for a in blocks])
+
+
+def _apply(a: np.ndarray, labels: tuple, step: Step) -> np.ndarray:
+    """Gate `step` on the last axis of `a`, over qubits `labels`, for every leading index (both
+    terms of every row of a block), as a new array."""
+    at, m = labels.index(step.qubit), step.matrix
+    if step.control is not None:
+        return _apply_controlled(a.reshape(-1, a.shape[-1]), labels.index(step.control), at, m).reshape(a.shape)
+    return np.einsum("ij,...hjl->...hil", m, a.reshape(a.shape[:-1] + (1 << at, 2, -1))).reshape(a.shape)
+
+
+def _run(reg: _Register, plan, rule):
+    """The one executor of a plan: every branch that `rule` keeps, at once, on the block form.
+
+    A measurement on block i splits every row into the outcomes `rule` keeps, outcome 0 first, so
+    rows stay in the order of a depth-first walk: block i's rows become their normalized
+    components, every other block's rows repeat, and outcome-1 rows get the step's corrections.
+    A step that crosses blocks is refused.  Returns the register after the plan, the branches'
+    probabilities and outcome bits, and the measured steps; `reg` itself is left as it was."""
+    labels, blocks, grams = list(reg.labels), list(reg.blocks), list(reg.grams)
+    where = {q: i for i, block in enumerate(labels) for q in block}
     probs, kept, measured = np.ones(1), [], []
     for step in plan:
-        if step.control is not None:
-            raise ValueError(f"the walk applies no controlled gate ({step.control} -> {step.qubit})")
-        ax = labels.index(step.qubit)
+        i = where.get(step.qubit)
+        if i is None or step.control is not None and where.get(step.control) != i:
+            raise ValueError(f"no block holds {step.qubit}" + (f" and {step.control}" if step.control else ""))
         if step.basis is None:
-            rows = _gate(rows.reshape(len(rows) << ax, 2, -1), step.matrix).reshape(len(rows), -1)
+            blocks[i] = _apply(blocks[i], labels[i], step)
             continue
-        outcomes, p, rows = _project(rows, ax, step, rule)  # rebinding rows frees the measured ones
-        labels = labels[:ax] + labels[ax + 1:]
-        for fix, _ in step.on_one if outcomes[-1] == 1 else ():  # on the outcome-1 half of every row
-            half = rows[:, -1].reshape(len(p), 1 << labels.index(fix.qubit), 2, -1)
-            half[...] = _gate(half, fix.matrix)
-        rows, probs = rows.reshape(p.size, -1), (probs[:, None] * p).reshape(-1)
-        kept.append(np.array(outcomes, dtype=np.uint8))
+        at, a = labels[i].index(step.qubit), blocks[i]
+        c = _basis_components(a.reshape(len(a), 2, 1 << at, 2, -1), step.basis)  # [r, w, high, outcome, low]
+        c = c.transpose(0, 3, 1, 2, 4).reshape(len(a), 2, 2, -1)  # [r, outcome, w, rest]
+        overlaps = np.einsum("rowi,rovi->rowv", c.conj(), c)
+        others = grams[:i] + grams[i + 1:]
+        weight = reduce(np.multiply, others) if others else np.ones((1, 2, 2))  # the other blocks' [r, w, w']
+        p = np.einsum("rowv,rwv->ro", overlaps, weight).real
+        outcomes = rule(step, p)
+        span = slice(outcomes[0], outcomes[-1] + 1)
+        norms = p[:, span, None, None]
+        if norms.min() <= 1e-12:
+            outcome = next(o for o in outcomes if p[:, o].min() <= 1e-12)
+            raise ValueError(f"cannot keep a zero-probability outcome ({step.qubit}, basis {step.basis}, "
+                             f"outcome {outcome})")
+        del where[step.qubit]
+        labels[i] = labels[i][:at] + labels[i][at + 1:]
+        blocks[i] = (c[:, span] * (1 / np.sqrt(norms))).reshape(-1, 2, c.shape[-1])
+        grams[i] = (overlaps[:, span] / norms).reshape(-1, 2, 2)
+        if len(outcomes) == 2:
+            blocks = [b if j == i else b.repeat(2, axis=0) for j, b in enumerate(blocks)]
+            grams = [g if j == i else g.repeat(2, axis=0) for j, g in enumerate(grams)]
+        for fix, _ in step.on_one if outcomes[-1] == 1 else ():  # on the outcome-1 rows
+            j = where[fix.qubit]
+            if len(outcomes) == 1:
+                blocks[j] = _apply(blocks[j], labels[j], fix)
+            else:  # the odd rows of an array this measurement made
+                blocks[j][1::2] = _apply(blocks[j][1::2], labels[j], fix)
+        probs = (probs[:, None] * p[:, span]).reshape(-1)
+        kept.append(outcomes)
         measured.append(step)
-    # every branch's bits, the product of the kept outcomes in the rows' order
-    bits = np.array(np.meshgrid(*kept, indexing="ij"), dtype=np.uint8).reshape(len(kept), len(rows)).T.copy()
-    return labels, rows, probs, bits, measured
+    # every branch's bits, the product of the kept outcomes in the rows' order: index plus first outcome
+    bits = np.indices([len(t) for t in kept], dtype=np.uint8).reshape(len(kept), len(probs))
+    bits = (bits + np.array([t[0] for t in kept], dtype=np.uint8).reshape(-1, 1)).T.copy()
+    return _Register(tuple(q for q in reg.order if q in where), labels, blocks, grams), probs, bits, measured
 
 
-def _expected_state(n_systems, axes, betas, target_vecs, ks) -> QuantumState:
+def _terms(arrays) -> np.ndarray:
+    """Term by term, the Kronecker product of (B, 2, d_i) block arrays: one (B, 2, prod d_i) array."""
+    return reduce(lambda acc, a: (acc[:, :, :, None] * a[:, :, None, :]).reshape(len(a), 2, acc.shape[2] * a.shape[2]),
+                  arrays)
+
+
+def _dense(factors, order: tuple, rows=slice(None)) -> np.ndarray:
+    """The (B, 2**n) dense rows on qubits `order` of the given rows of (block qubits, block array) `factors`."""
+    labels = tuple(chain.from_iterable(block for block, _ in factors))
+    t = _terms([a[rows] for _, a in factors]).sum(axis=1)
+    t = t.reshape((len(t),) + (2,) * len(labels)).transpose([0] + [1 + labels.index(q) for q in order])
+    return t.reshape(len(t), 1 << len(order))
+
+
+def _expected_kets(n_systems, axes, betas, target_vecs, ks) -> dict:
     """Each participating target O_{k+N} rotated by its exp(i*beta*sigma_n); `ks` ascend, so O order."""
-    return product_state([target_label(k + n_systems) for k in ks],
-                         [rotation(axes[k - 2], betas[k - 2]) @ target_vecs[k - 2] for k in ks])
+    return {target_label(k + n_systems): rotation(axes[k - 2], betas[k - 2]) @ target_vecs[k - 2] for k in ks}
 
 
-def _fidelities(rows: np.ndarray, labels: tuple, expected: QuantumState) -> np.ndarray:
-    """|<expected|row>| for each row of a (B, 2**n) array on `labels`; when the
-    rows hold more qubits than `expected`, sqrt(<expected|rho|expected>) of each
-    row's reduced state."""
-    e = expected.amplitudes.conj()
-    if labels == expected.labels:
-        return np.abs(rows @ e)
-    keep = [labels.index(lab) for lab in expected.labels]
-    rest = [i for i in range(len(labels)) if i not in keep]
-    t = rows.reshape((len(rows),) + (2,) * len(labels)).transpose([0] + [1 + i for i in keep + rest])
-    w = np.einsum("k,bkr->br", e, t.reshape(len(rows), len(e), -1))  # <expected| (x) I on each row
-    return np.sqrt(np.clip(np.einsum("br,br->b", w, w.conj()).real, 0.0, 1.0))
+def _fidelities(factors, kets: dict) -> np.ndarray:
+    """|<expected| (x) I|row>| for each row of the block `factors`, normed over the qubits `kets`
+    does not name (a1 on a denied run).  A block's target is its last qubit; each block is
+    contracted with its target's expected ket before the blocks are multiplied out."""
+    contracted = [a.reshape(len(a), 2, -1, 2) @ kets[labels[-1]].conj() if labels[-1] in kets else a
+                  for labels, a in factors]
+    return np.linalg.norm(_terms(contracted).sum(axis=1), axis=1)
 
 
 def outcome_records(step: Step) -> tuple:
@@ -500,10 +543,11 @@ def outcome_records(step: Step) -> tuple:
                  for bit in (0, 1))
 
 
-def _branches(state: QuantumState, plan, expected: QuantumState, rule) -> Branches:
-    """The branches of `plan` that `rule` keeps, with their fidelity to `expected`."""
-    labels, rows, probs, bits, measured = _walk(state, plan, rule)
-    return Branches(tuple(measured), bits, probs, _fidelities(rows, labels, expected), labels, rows)
+def _branches(reg: _Register, plan, kets: dict, rule) -> Branches:
+    """The branches of `plan` that `rule` keeps, with their fidelity to the expected kets."""
+    reg, probs, bits, measured = _run(reg, plan, rule)
+    factors = tuple(zip(reg.labels, reg.blocks))
+    return Branches(tuple(measured), bits, probs, _fidelities(factors, kets), reg.order, factors)
 
 
 def run_crio(
@@ -520,17 +564,14 @@ def run_crio(
     ks, plan, target_vecs = _setup(n_systems, axes, betas, targets, controlled_groups, permitted)
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
-    expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
-    lead = next(i for i, step in enumerate(plan) if step.basis is not None)
+    kets = _expected_kets(n_systems, axes, betas, target_vecs, ks)
     rule = _drawn(np.random.default_rng(seed)) if mode == "sample" else _keep_both
-    # the register goes in as a temporary, so the walk's first measurement frees it
-    branches = _branches(_initial_state(n_systems, ks, target_vecs, plan[:lead]), plan[lead:], expected, rule)
     return ProtocolResult(
         n_systems=n_systems,
         permitted=permitted,
         participating_systems=tuple(k + n_systems for k in ks),
-        expected_target=expected,
-        branches=branches,
+        expected_target=QuantumState._trusted(tuple(kets), reduce(np.multiply.outer, kets.values()).reshape(-1)),
+        branches=_branches(_register(n_systems, ks, target_vecs), plan, kets, rule),
         mode=mode,
         seed=seed,
     )
@@ -558,13 +599,16 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
     """
     ks, plan, target_vecs = _setup(n_systems, axes, betas, targets)
     lead = next(i for i, step in enumerate(plan) if step.basis is not None)  # the controller's step-3 measurement
-    state = _initial_state(n_systems, ks, target_vecs, plan[:lead])
-    pur = purity(reduced_density(state, ["a1"]))  # the register is pure: a1's purity is that of the rest
-    expected = _expected_state(n_systems, axes, betas, target_vecs, ks)
+    reg = _run(_register(n_systems, ks, target_vecs), plan[:lead], _keep_both)[0]
+    # the register is pure, so a1's purity is that of the rest: a1 leads the hub block, whose two
+    # terms' overlaps on its other qubits are weighted by the groups' Gram matrices
+    hub = reg.blocks[0][0].reshape(2, 2, -1)  # [w, a1, rest]
+    weight = reduce(np.multiply, reg.grams[1:], np.ones((1, 2, 2)))[0]  # [w', w] = <groups_w'|groups_w>
+    pur = purity(np.einsum("wxs,vys,vw->xy", hub, hub.conj(), weight))
+    kets = _expected_kets(n_systems, axes, betas, target_vecs, ks)
 
     fixes = [fix for fix, _ in plan[lead].on_one]
-    guess_branches = {g: _branches(state, fixes[:g * len(fixes)] + plan[lead + 1:], expected, _keep_both)
-                      for g in (0, 1)}
+    guess_branches = {g: _branches(reg, fixes[:g * len(fixes)] + plan[lead + 1:], kets, _keep_both) for g in (0, 1)}
 
     worst = {g: float(brs.fidelities.min()) for g, brs in guess_branches.items()}
     best_guess = max(worst, key=lambda g: worst[g])
@@ -595,14 +639,12 @@ def run_checkpoints(
     The states hold the participating register only: under partial control
     they do not list the unwired groups' qubits."""
     ks, plan, target_vecs = _setup(n_systems, axes, betas, target_vecs, controlled_groups, permitted)
-    checkpoints = [(tag, _initial_state(n_systems, ks, target_vecs, [s for s in plan if s.tag in STEPS[:i]]))
-                   for i, tag in enumerate(STEPS[:2], 1)]  # steps 1-2, the gates before the first measurement
-    state, rule = checkpoints[-1][1], _forced(outcomes)
-    for tag in STEPS[2:]:
+    reg, rule, checkpoints = _register(n_systems, ks, target_vecs), _forced(outcomes), []
+    for tag in STEPS:
         if permitted or tag != "step3":
-            labels, rows, *_ = _walk(state, [step for step in plan if step.tag == tag], rule)
-            state = QuantumState._trusted(labels, rows.reshape(-1))
-            checkpoints.append((tag, state))
+            reg = _run(reg, [step for step in plan if step.tag == tag], rule)[0]
+            amps = _dense(tuple(zip(reg.labels, reg.blocks)), reg.order)[0]
+            checkpoints.append((tag, QuantumState._trusted(reg.order, amps)))
     return checkpoints
 
 

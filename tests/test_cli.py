@@ -138,6 +138,20 @@ class TestRunProtocol:
         assert main(["run-protocol", "--config", str(cfg_path), "--out", str(tmp_path / "run.json")]) == 2
         assert "targets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--n", "2"), ("--alpha", "pi"), ("--axis", "x"), ("--groups", "3"),
+                                             ("--mode", "enumerate"), ("--permitted", "true"), ("--seed", "7")])
+    def test_config_refuses_another_run_flag(self, tmp_path, capsys, flag, value):
+        """A run flag the user set beside --config, even one equal to its default, would be
+        dropped: the run exits 2 with one line naming it, and writes no report."""
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(proto.run_config_to_dict(1, [X_AXIS], [0.4], [np.array([1.0, 0.0])], "sample",
+                                                                1, True, None)))
+        assert main(["run-protocol", "--config", str(cfg_path), flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} cannot be combined with --config") and err.count("\n") == 1
+        assert not out.exists()
+        assert main(["run-protocol", "--config", str(cfg_path), "--format", "text", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -587,7 +601,7 @@ def test_branch_list_blocks_join_to_one_list(monkeypatch, block_rows):
 def test_zero_row_branch_table_writes_an_empty_list(tmp_path):
     steps = tuple(s for s in proto._plan(1, [X_AXIS], [0.3], [2]) if s.basis is not None)
     empty = proto.Branches(steps, np.zeros((0, len(steps)), dtype=np.uint8), np.zeros(0), np.zeros(0), ("O3",),
-                           np.zeros((0, 2), dtype=complex))
+                           ((("O3",), np.zeros((0, 2, 2), dtype=complex)),))
     result = proto.ProtocolResult(1, True, (3,), None, empty, "enumerate")
     out = tmp_path / "run.json"
     _write_protocol_report(str(out), {"n": 1}, result, "json")

@@ -1,15 +1,17 @@
 import json
 import math
 import tracemalloc
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_walk
 from conftest import random_qubit
 from crio import protocol
-from crio.graphstate import CrioTopology, crio_channel_state
+from crio.graphstate import CrioTopology, Graph, crio_channel_state, crio_graph
 from crio.protocol import (
     BranchRecord,
     ClassicalMessage,
@@ -261,8 +263,8 @@ class TestCheckpointsMatchReferenceWalk:
     def test_step6_state_on_every_branch(self, n, groups, permitted):
         axes, betas, targets = random_inputs(np.random.default_rng(140 + n), n)
         ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups, permitted)
-        expected = protocol._expected_state(n, axes, betas, vecs, ks)
-        branches = reference_walk(protocol._initial_state(n, ks, vecs), plan, expected)
+        expected = dense_walk.expected_state(n, axes, betas, vecs, ks)
+        branches = reference_walk(dense_walk.initial_state(n, ks, vecs), plan, expected)
         assert len(branches) == 2 ** sum(step.basis is not None for step in plan)
         for branch in branches:
             bits = [int(b) for b in branch.outcomes]
@@ -331,6 +333,11 @@ def reference_sample(state, plan, rng):
     return outcomes, state
 
 
+def engine_branches(state, plan, expected, rule):
+    """The block engine's branches of a hand-made plan, on `state` as one block; `expected` is one qubit."""
+    return protocol._branches(dense_walk.one_block(state), plan, {expected.labels[0]: expected.amplitudes}, rule)
+
+
 def assert_same_branch(got, ref):
     assert (got.outcomes, got.corrections, got.transcript) == (ref.outcomes, ref.corrections, ref.transcript)
     assert got.final_state.labels == ref.final_state.labels
@@ -383,7 +390,7 @@ class TestBatchedEnumeration:
         axes, betas, targets = random_inputs(np.random.default_rng(110 + n), n)
         result = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
         ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups, permitted)
-        walked = reference_walk(protocol._initial_state(n, ks, vecs), plan, result.expected_target)
+        walked = reference_walk(dense_walk.initial_state(n, ks, vecs), plan, result.expected_target)
         assert len(result.branches) == 2 ** result.measurement_count
         assert_same_branches(result.branches, walked)
 
@@ -394,12 +401,12 @@ class TestBatchedEnumeration:
         axes, betas, targets = random_inputs(np.random.default_rng(120 + n), n)
         report = control_denial_report(n, axes, betas, targets)
         ks, plan, vecs = protocol._setup(n, axes, betas, targets)
-        expected = protocol._expected_state(n, axes, betas, vecs, ks)
+        expected = dense_walk.expected_state(n, axes, betas, vecs, ks)
         i = next(i for i, step in enumerate(plan) if step.basis is not None)  # A1's step-3 measurement
         worst = {}
         for guess in (0, 1):
             guessed = plan[:i] + [fix for fix, _ in plan[i].on_one if guess] + plan[i + 1:]
-            walked = reference_walk(protocol._initial_state(n, ks, vecs), guessed, expected)
+            walked = reference_walk(dense_walk.initial_state(n, ks, vecs), guessed, expected)
             assert_same_branches(report.guess_branches[guess], walked)
             worst[guess] = min(b.fidelity for b in walked)
         assert report.best_guess == max(worst, key=worst.get)
@@ -412,14 +419,14 @@ class TestBatchedEnumeration:
         state, plan = biased_plan(rng)
         expected = product_state(("e",), [random_qubit(rng)])
         with pytest.raises(ValueError, match=r"zero-probability outcome \(a, basis Z, outcome 1\)"):
-            protocol._branches(state, plan, expected, protocol._keep_both)
+            engine_branches(state, plan, expected, protocol._keep_both)
 
     def test_uneven_outcomes_match_reference_walk(self):
         """Outcome probabilities other than 1/2: a reads 1 with probability 0.09, and b is off |+>."""
         rng = np.random.default_rng(132)
         state, plan = biased_plan(rng, a=(math.sqrt(0.91), 0.3), b=(math.cos(0.3), math.sin(0.3)))
         expected = product_state(("e",), [random_qubit(rng)])
-        got = protocol._branches(state, plan, expected, protocol._keep_both)
+        got = engine_branches(state, plan, expected, protocol._keep_both)
         assert len(got) == 8
         assert np.ptp(got.probabilities) > 0.1
         assert_same_branches(got, reference_walk(state, plan, expected))
@@ -427,9 +434,27 @@ class TestBatchedEnumeration:
     @pytest.mark.parametrize("outcomes, qubit, basis, bit", [("100", "a", "Z", 1), ("010", "b", "X", 1)])
     def test_forcing_a_zero_probability_outcome_raises(self, outcomes, qubit, basis, bit):
         state, plan = biased_plan(np.random.default_rng(131))
-        protocol._walk(state, plan, protocol._forced("001"))  # a kept branch is followed
+        register = dense_walk.one_block(state)
+        protocol._run(register, plan, protocol._forced("001"))  # a kept branch is followed
         with pytest.raises(ValueError, match=rf"zero-probability outcome \({qubit}, basis {basis}, outcome {bit}\)"):
-            protocol._walk(state, plan, protocol._forced(outcomes))
+            protocol._run(register, plan, protocol._forced(outcomes))
+
+    def test_dense_oracle_refuses_as_the_engine_does(self):
+        """The dense walk of the test oracle on the same hand-made plans: the same refusals,
+        and the reference walk's branches where outcomes are uneven."""
+        rng = np.random.default_rng(130)
+        state, plan = biased_plan(rng)
+        expected = product_state(("e",), [random_qubit(rng)])
+        with pytest.raises(ValueError, match=r"zero-probability outcome \(a, basis Z, outcome 1\)"):
+            dense_walk.branches(state, plan, expected, protocol._keep_both)
+        for outcomes, match in (("100", r"\(a, basis Z, outcome 1\)"), ("010", r"\(b, basis X, outcome 1\)")):
+            with pytest.raises(ValueError, match=match):
+                dense_walk.walk(state, plan, protocol._forced(outcomes))
+        rng = np.random.default_rng(132)
+        state, plan = biased_plan(rng, a=(math.sqrt(0.91), 0.3), b=(math.cos(0.3), math.sin(0.3)))
+        expected = product_state(("e",), [random_qubit(rng)])
+        assert_same_branches(dense_walk.branches(state, plan, expected, protocol._keep_both),
+                             reference_walk(state, plan, expected))
 
     @pytest.mark.parametrize("n,groups,permitted", [(1, None, True), (2, frozenset(), True), (3, None, False)])
     def test_sample_draws_as_measure_draws(self, n, groups, permitted):
@@ -438,7 +463,7 @@ class TestBatchedEnumeration:
         for seed in range(8):
             (sampled,) = run_crio(n, axes, betas, targets, mode="sample", seed=seed, permitted=permitted,
                                   controlled_groups=groups).branches
-            outcomes, final = reference_sample(protocol._initial_state(n, ks, vecs), plan,
+            outcomes, final = reference_sample(dense_walk.initial_state(n, ks, vecs), plan,
                                                np.random.default_rng(seed))
             assert sampled.outcomes == outcomes
             np.testing.assert_allclose(sampled.final_state.amplitudes, final.amplitudes, rtol=0, atol=1e-12)
@@ -504,7 +529,7 @@ class TestParticipatingRegister:
                 lead = first_measurement(plan)
                 for step in plan[:lead]:
                     full = apply_step(full, step)
-                oracle = protocol._branches(full, plan[lead:], result.expected_target, protocol._keep_both)
+                oracle = dense_walk.branches(full, plan[lead:], result.expected_target, protocol._keep_both)
                 got = result.branches
                 assert [(b.outcomes, b.corrections, b.transcript) for b in got] == \
                     [(b.outcomes, b.corrections, b.transcript) for b in oracle]
@@ -514,6 +539,88 @@ class TestParticipatingRegister:
                 # a1 stays unmeasured when control is denied
                 kept = result.expected_target.labels if permitted else ("a1",) + result.expected_target.labels
                 assert all(b.final_state.labels == kept for b in got)
+
+
+def control_subsets(max_n):
+    for n in range(1, max_n + 1):
+        for size in range(n):
+            for groups in combinations(range(3, n + 2), size):
+                yield n, frozenset(groups)
+
+
+def tensored_out(register):
+    """The dense state of a block register, summed over its two terms with np.kron, on its blocks' labels."""
+    labels = sum(register.labels, ())
+    return QuantumState(labels, sum(reduce(np.kron, [block[0, w] for block in register.blocks]) for w in (0, 1)))
+
+
+class TestBlockForm:
+    """The register as two terms of block products, against the graph state and the control function."""
+
+    @pytest.mark.parametrize("n,groups", control_subsets(5))
+    def test_factors_tensor_out_to_the_graph_state(self, n, groups):
+        """The blocks before step 1, tensored out and permuted, against the partial-control channel
+        graph state tensor the targets: an unwired group's pair is contracted with CZ|++>, its
+        product factor."""
+        axes, betas, targets = random_inputs(np.random.default_rng(230 + n), n)
+        ks, _, vecs = protocol._setup(n, axes, betas, targets, groups)
+        got = tensored_out(protocol._register(n, ks, vecs))
+        channel = crio_channel_state(CrioTopology(n, groups))
+        unwired = [k for k in range(3, n + 2) if k not in ks]
+        kept = ["a1"] + [f"a{k}" for k in ks] + [f"a{k + n}" for k in ks]
+        pairs = [lab for k in unwired for lab in (f"a{k}", f"a{k + n}")]
+        t = channel.reordered(kept + pairs).amplitudes.reshape(2 ** len(kept), -1)
+        cz_plus = np.array([1, 1, 1, -1]) / 2
+        part = t @ reduce(np.kron, [cz_plus] * len(unwired), np.ones(1))
+        expected = tensor(QuantumState(kept, part), product_state([f"O{k + n}" for k in ks], [vecs[k - 2] for k in ks]))
+        assert got.num_qubits == 3 * len(ks) + 1
+        np.testing.assert_allclose(got.reordered(expected.labels).amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), eigen=st.booleans())
+    def test_step3_zeroes_one_term_on_every_permitted_branch(self, n, seed, eigen):
+        """After step 3 of a permitted run, on every branch one term is exactly zero, the one the
+        controller's outcome did not pick, to the end of the run; a denied run keeps both terms
+        nonzero on every branch."""
+        rng = np.random.default_rng(seed)
+        args = (eigenstate_inputs if eigen else random_inputs)(rng, n)
+        groups = frozenset(int(g) for g in range(3, n + 2) if rng.random() < 0.5)
+        for permitted in (True, False):
+            ks, plan, vecs = protocol._setup(n, *args, controlled_groups=groups, permitted=permitted)
+            register = protocol._register(n, ks, vecs)
+            through3 = [step for step in plan if step.tag in ("step1", "step2", "step3")]
+            for steps in (through3, plan):
+                reg, _, bits, _ = protocol._run(register, steps, protocol._keep_both)
+                zero = np.array([[any((block[r, w] == 0).all() for block in reg.blocks) for w in (0, 1)]
+                                 for r in range(len(bits))])
+                if permitted:
+                    assert (zero[range(len(bits)), 1 - bits[:, 0]]).all()  # outcome s0 keeps term w = s0
+                    assert not zero[range(len(bits)), bits[:, 0]].any()
+                else:
+                    assert not zero.any()
+
+    def test_extra_edge_between_groups_is_refused(self, monkeypatch):
+        """A mutant channel graph with an edge between two groups does not split into blocks."""
+        def mutant(topology):
+            graph = crio_graph(topology)
+            return Graph.of(graph.num_vertices, [*graph.edges, (3, 4)])
+
+        monkeypatch.setattr(protocol, "crio_graph", mutant)
+        n, args = 3, random_inputs(np.random.default_rng(240), 3)
+        for run in (lambda: run_crio(n, *args), lambda: control_denial_report(n, *args),
+                    lambda: run_checkpoints(n, *args, [0] * 7)):
+            with pytest.raises(ValueError, match=r"not one pair per group: a3-a4"):
+                run()
+
+    @pytest.mark.parametrize("step, match", [
+        (Step("x", "A5", "O5", PAULI_X, control="a2"), "no block holds O5 and a2"),
+        (Step("x", "A9", "a9", HADAMARD), "no block holds a9"),
+    ])
+    def test_step_across_blocks_is_refused(self, step, match):
+        n = 2
+        ks, plan, vecs = protocol._setup(n, *random_inputs(np.random.default_rng(241), n))
+        with pytest.raises(ValueError, match=match):
+            protocol._run(protocol._register(n, ks, vecs), plan[:2] + [step], protocol._keep_both)
 
 
 def builder_cases():
@@ -534,12 +641,12 @@ class TestInitialStateBuilder:
     def test_lead_matches_public_kernels(self, n, groups):
         axes, betas, targets = random_inputs(np.random.default_rng(190 + n), n)
         ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups)
-        state, lead = protocol._initial_state(n, ks, vecs), []
+        state, lead = dense_walk.initial_state(n, ks, vecs), []
         for tag in ("step1", "step2"):
             for step in (step for step in plan if step.tag == tag):
                 state = apply_step(state, step)
                 lead.append(step)
-            built = protocol._initial_state(n, ks, vecs, lead)
+            built = dense_walk.initial_state(n, ks, vecs, lead)
             assert built.labels == state.labels
             np.testing.assert_allclose(built.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
 
@@ -549,7 +656,7 @@ class TestInitialStateBuilder:
         lead = plan[:first_measurement(plan)]
         tracemalloc.start()
         try:
-            state = protocol._initial_state(n, ks, vecs, lead)
+            state = dense_walk.initial_state(n, ks, vecs, lead)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -573,13 +680,13 @@ class TestInitialStateBuilder:
         ks, plan, vecs = protocol._setup(n, *random_inputs(np.random.default_rng(196), n))
         assert [step.tag for step in plan[:3]] == ["step1"] * 3
         with pytest.raises(ValueError, match=match):
-            protocol._initial_state(n, ks, vecs, lead(plan))
+            dense_walk.initial_state(n, ks, vecs, lead(plan))
 
     def test_walk_refuses_a_controlled_gate(self):
         n = 2
         ks, plan, vecs = protocol._setup(n, *random_inputs(np.random.default_rng(197), n))
         with pytest.raises(ValueError, match=r"no controlled gate \(a4 -> O4\)"):
-            protocol._walk(protocol._initial_state(n, ks, vecs), plan, protocol._keep_both)
+            dense_walk.walk(dense_walk.initial_state(n, ks, vecs), plan, protocol._keep_both)
 
 
 ENTRY_POINTS = ("run_crio", "control_denial_report", "run_checkpoints", "symbolic_checkpoints", "step1_stator")
@@ -731,7 +838,7 @@ class TestDenial:
         axes, betas, targets = random_inputs(np.random.default_rng(86 + n), n)
         rep = control_denial_report(n, axes, betas, targets)
         ks, plan, vecs = protocol._setup(n, axes, betas, targets)
-        state = protocol._initial_state(n, ks, vecs, plan[:first_measurement(plan)])
+        state = dense_walk.initial_state(n, ks, vecs, plan[:first_measurement(plan)])
         rho = reduced_density(state, [lab for lab in state.labels if lab != "a1"])
         assert rep.purity_without_controller == pytest.approx(float(np.trace(rho @ rho).real), abs=1e-12)
 

@@ -49,6 +49,8 @@ def report_matrix() -> list:
         ["run-protocol", "--n", "3", "--format", "text"],
         ["run-protocol", "--n", "6", "--mode", "sample"],
         ["run-protocol", "--n", "6", "--groups", "3,5", "--permitted", "false", "--mode", "sample"],
+        ["run-protocol", "--n", "7", "--mode", "sample"],
+        ["run-protocol", "--n", "7", "--groups", "3,6", "--permitted", "false", "--mode", "sample"],
         # special angles, where a degenerate outcome would show first
         ["run-protocol", "--n", "2", "--axis", "z", "--alpha", "pi/2"],
         ["run-protocol", "--n", "3", "--axis", "x", "--alpha", "0", "--permitted", "false"],
