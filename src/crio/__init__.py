@@ -55,6 +55,7 @@ from .povm import (
     enumerate_case1,
     enumerate_case2,
     guess_probability,
+    outcome_probabilities,
     outcome_probability,
     separability_check,
     success_rate,

@@ -11,14 +11,14 @@ the witness families of control_power_report can reach.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 import numpy as np
 
 from .graphstate import CrioTopology, crio_channel_state
 from .qcore import (
-    IDENTITY_2,
     PauliAxis,
     QuantumState,
     X_AXIS,
@@ -35,8 +35,9 @@ ANGLE_TOL = 1e-9
 COEFF_TOL = 1e-10  # relative size below which a branch coefficient counts as zero
 
 
-def _ket(theta: float, phase: float) -> np.ndarray:
-    return np.array([math.cos(theta), np.exp(1j * phase) * math.sin(theta)], dtype=complex)
+def _ket(theta: float, phase: float) -> tuple:
+    """cos(theta)|0> + e^{i phase} sin(theta)|1> as two Python complex numbers."""
+    return complex(math.cos(theta)), cmath.exp(1j * phase) * math.sin(theta)
 
 
 @dataclass(frozen=True)
@@ -64,24 +65,28 @@ class PovmParams:
             v = getattr(self, name)
             if not -1e-12 <= v <= math.pi / 2 + 1e-12:  # a NaN angle fails this too
                 raise ValueError(f"{name} must lie in [0, pi/2]")
-        for m, k1, k2 in (("beta", self.beta(1), self.beta(2)), ("gamma", self.gamma(1), self.gamma(2))):
-            total = np.outer(k1, k1.conj()) + np.outer(k2, k2.conj())
-            if not np.max(np.abs(total - IDENTITY_2)) <= 1e-10:  # so does a NaN phase
+        b1, b2, g1, g2 = self._kets()
+        for m, (u0, u1), (v0, v1) in (("beta", b1, b2), ("gamma", g1, g2)):
+            # the three distinct entries of |k1><k1| + |k2><k2| - I (the fourth is the third's conjugate)
+            entries = (u0 * u0.conjugate() + v0 * v0.conjugate() - 1, u1 * u1.conjugate() + v1 * v1.conjugate() - 1,
+                       u0 * u1.conjugate() + v0 * v1.conjugate())
+            if not all(abs(e) <= 1e-10 for e in entries):  # so does a NaN phase
                 raise ValueError(f"{m} kets do not satisfy POVM completeness within 1e-10")
 
+    def _kets(self) -> tuple:
+        """beta_1, beta_2, gamma_1 and gamma_2, each as two Python complex numbers."""
+        return (_ket(self.theta1, self.phi1), _ket(self.theta2, self.phi2),
+                _ket(self.lambda1, self.omega1), _ket(self.lambda2, self.omega2))
+
     def beta(self, j: int) -> np.ndarray:
-        if j == 1:
-            return _ket(self.theta1, self.phi1)
-        if j == 2:
-            return _ket(self.theta2, self.phi2)
-        raise ValueError("j must be 1 or 2")
+        if j not in (1, 2):
+            raise ValueError("j must be 1 or 2")
+        return np.array(self._kets()[j - 1])
 
     def gamma(self, k: int) -> np.ndarray:
-        if k == 1:
-            return _ket(self.lambda1, self.omega1)
-        if k == 2:
-            return _ket(self.lambda2, self.omega2)
-        raise ValueError("k must be 1 or 2")
+        if k not in (1, 2):
+            raise ValueError("k must be 1 or 2")
+        return np.array(self._kets()[k + 1])
 
     @staticmethod
     def from_free(theta1: float, phi1: float, lambda1: float, omega1: float) -> "PovmParams":
@@ -133,10 +138,11 @@ class BranchCoefficients:
 
 
 def branch_coefficients(params: PovmParams, j: int, k: int) -> BranchCoefficients:
-    beta, gamma = params.beta(j), params.gamma(k)
-    b = beta.conj()
-    g = gamma.conj()
-    return BranchCoefficients(b[0] * g[0], b[0] * g[1], b[1] * g[0], b[1] * g[1])
+    _pair_index(j, k)  # refuses an outcome other than 1 or 2
+    kets = params._kets()
+    b0, b1 = (v.conjugate() for v in kets[j - 1])
+    g0, g1 = (v.conjugate() for v in kets[k + 1])
+    return BranchCoefficients(b0 * g0, b0 * g1, b1 * g0, b1 * g1)
 
 
 @dataclass(frozen=True)
@@ -276,17 +282,16 @@ def _channel_map(axis: PauliAxis) -> np.ndarray:
     return w
 
 
-def _branch_maps(params: PovmParams, step1: np.ndarray) -> np.ndarray:
-    """The four 4x2 branch maps B_jk, ordered (1,1), (1,2), (2,1), (2,2).
+def _branch_maps(params: list, step1: np.ndarray) -> np.ndarray:
+    """The 4x2 branch maps B_jk of P POVMs, (P, 4, 4, 2), ordered (1,1), (1,2), (2,1), (2,2).
 
     `step1` is a step-1 channel written as a linear map of the target, with
     axes (a1, a2, a3, O3, target).  Contracting a2 with <beta_j| and a3 with
     <gamma_k| leaves B_jk, which takes a target ket to the unnormalized
     (a1, O3) branch state; |B_jk psi|^2 is that branch's probability.
     """
-    betas = np.array([params.beta(1), params.beta(2)]).conj()
-    gammas = np.array([params.gamma(1), params.gamma(2)]).conj()
-    return np.einsum("jb,kc,abcot->jkaot", betas, gammas, step1).reshape(4, 4, 2)
+    kets = np.array([p._kets() for p in params]).reshape(-1, 4, 2).conj()
+    return np.einsum("pjb,pkc,abcot->pjkaot", kets[:, :2], kets[:, 2:], step1).reshape(-1, 4, 4, 2)
 
 
 def _pair_index(j: int, k: int) -> int:
@@ -306,8 +311,14 @@ def outcome_probability(params: PovmParams, j: int, k: int, axis: PauliAxis = X_
     which is flat for every target exactly inside the realizable families.
     With rank-1 effects the trace is |B_jk|^2 on the stator's W.
     """
-    b = _branch_maps(params, _channel_map(axis))[_pair_index(j, k)]
-    return float(np.vdot(b, b).real)
+    return float(outcome_probabilities([params], axis)[0, _pair_index(j, k)])
+
+
+def outcome_probabilities(params: list, axis: PauliAxis = X_AXIS) -> np.ndarray:
+    """outcome_probability of every outcome pair of each POVM in `params`, a (P, 4)
+    array ordered (1,1), (1,2), (2,1), (2,2) per POVM, from one contraction."""
+    b = _branch_maps(params, _channel_map(axis)).reshape(-1, 4, 8)
+    return np.einsum("pjs,pjs->pj", b.conj(), b).real
 
 
 def _dense_step1(axis: PauliAxis) -> np.ndarray:
@@ -336,7 +347,7 @@ class PovmBranchSim:
 def simulate_branch(params: PovmParams, j: int, k: int, axis: PauliAxis, target_vec) -> PovmBranchSim:
     """Project the prepared state onto (|beta_j>, |gamma_k>) and analyze the cut."""
     psi = product_state(["O3"], [target_vec]).amplitudes
-    branch = _branch_maps(params, _dense_step1(axis))[_pair_index(j, k)] @ psi
+    branch = _branch_maps([params], _dense_step1(axis))[0, _pair_index(j, k)] @ psi
     p = float(np.vdot(branch, branch).real)
     if p < 1e-15:
         return PovmBranchSim(0.0, 0.0, None)
@@ -353,7 +364,7 @@ def outcome_probabilities_simulated(params: PovmParams, axis: PauliAxis, target_
     """The four branch probabilities conditioned on a specific target state,
     from the dense engine, ordered (1,1),(1,2),(2,1),(2,2)."""
     psi = product_state(["O3"], [target_vec]).amplitudes
-    return np.sum(np.abs(_branch_maps(params, _dense_step1(axis)) @ psi) ** 2, axis=1)
+    return np.sum(np.abs(_branch_maps([params], _dense_step1(axis))[0] @ psi) ** 2, axis=1)
 
 
 def sample_outcomes(
@@ -374,7 +385,7 @@ def sample_outcomes(
     if target_vec is not None:
         probs = outcome_probabilities_simulated(params, axis, target_vec)
         return rng.multinomial(n_samples, probs / probs.sum())
-    maps = _branch_maps(params, _dense_step1(axis))
+    maps = _branch_maps([params], _dense_step1(axis))[0]
     psi = rng.normal(size=(2, n_samples)) + 1j * rng.normal(size=(2, n_samples))
     psi /= np.linalg.norm(psi, axis=0)
     probs = np.sum(np.abs(maps @ psi) ** 2, axis=1)  # (4, n)
@@ -390,7 +401,7 @@ def measured_stator(params: PovmParams, j: int, k: int, axis: PauliAxis) -> Stat
     The projection probability depends on the probe here, so each joint is
     handed over with its pre-normalization weight.
     """
-    branch_map = _branch_maps(params, _dense_step1(axis))[_pair_index(j, k)]
+    branch_map = _branch_maps([params], _dense_step1(axis))[0, _pair_index(j, k)]
     joints, probes, scales = [], [], []
     for vec in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, 1.0j]) / math.sqrt(2)):
         branch = branch_map @ vec
@@ -449,14 +460,6 @@ def enumerate_case1(
     ))
 
 
-def _interior_params(lambda1: float) -> PovmParams:
-    """The interior family at lambda1: theta = pi/4, phases (0, pi) and (pi/2, 3pi/2)."""
-    return PovmParams(
-        math.pi / 4, math.pi / 4, 0.0, math.pi,
-        lambda1, math.pi / 2 - lambda1, math.pi / 2, 3 * math.pi / 2,
-    )
-
-
 def enumerate_case2(lambda1: float):
     """The interior family: theta = pi/4, phases (0, pi) and (pi/2, 3pi/2).
 
@@ -466,7 +469,7 @@ def enumerate_case2(lambda1: float):
     """
     if not (1e-12 < lambda1 < math.pi / 2 - 1e-12):
         raise ValueError("lambda1 must lie strictly inside (0, pi/2)")
-    return _family_rows(_interior_params(lambda1))
+    return _family_rows(PovmParams.from_free(math.pi / 4, 0.0, lambda1, math.pi / 2))
 
 
 def case2_lambda1_for_alpha(alpha: float) -> float:
@@ -484,17 +487,23 @@ def case2_lambda1_for_alpha(alpha: float) -> float:
     return a - 3 * math.pi / 2
 
 
+@cache
+def _fixed_families() -> tuple:
+    """The witness families that do not depend on the angle, built once per process."""
+    return (("endpoint_lambda1_zero", tuple(enumerate_case1(math.pi / 4, 0.0, "lambda1_zero"))),
+            ("endpoint_lambda1_half_pi", tuple(enumerate_case1(math.pi / 4, 0.0, "lambda1_half_pi"))),
+            ("interior_lambda1_quarter_pi", tuple(enumerate_case2(math.pi / 4))))
+
+
 def _witness_families(target_alpha: float):
-    """(name, rows) of the families control_power_report scans, built one at a time.
+    """(name, rows) of the families control_power_report scans, in order.
 
     The Z-stratum families enact every multiple of pi/2 on two branches, the
     interior family at pi/4 every odd multiple of pi/4 on two, and the one at
-    case2_lambda1_for_alpha any other angle on one.  The last is reached
-    only off the multiples of pi/2, where that map is defined.
+    case2_lambda1_for_alpha any other angle on one.  The last is built for
+    each angle, and only off the multiples of pi/2, where that map is defined.
     """
-    yield "endpoint_lambda1_zero", enumerate_case1(math.pi / 4, 0.0, "lambda1_zero")
-    yield "endpoint_lambda1_half_pi", enumerate_case1(math.pi / 4, 0.0, "lambda1_half_pi")
-    yield "interior_lambda1_quarter_pi", enumerate_case2(math.pi / 4)
+    yield from _fixed_families()
     lam1 = case2_lambda1_for_alpha(target_alpha)
     yield f"interior_lambda1={lam1:.12g}", enumerate_case2(lam1)
 
@@ -520,7 +529,8 @@ def guess_probability(lambda1: float) -> float:
     if not -1e-12 <= lambda1 <= math.pi / 2 + 1e-12:
         raise ValueError("lambda1 must lie in [0, pi/2]")
     distinct: list = []
-    for row in _family_rows(_interior_params(min(max(float(lambda1), 0.0), math.pi / 2))):
+    lam1 = min(max(float(lambda1), 0.0), math.pi / 2)
+    for row in _family_rows(PovmParams.from_free(math.pi / 4, 0.0, lam1, math.pi / 2)):
         distinct += [a for a in row.alphas if not angle_in_set(a, distinct)]
     return 1.0 / len(distinct)
 

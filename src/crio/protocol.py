@@ -425,17 +425,20 @@ _GROUP_TERMS = np.array([[1, 1, 1, -1], [1, 1, -1, 1]]) / 2
 
 def _register(n_systems, ks, target_vecs) -> _Register:
     """The participating register before step 1, with its targets.  The blocks are read off the
-    participating channel graph (the full-control graph of len(ks) systems): removing the hub's
-    a1, a2 and a_{N+2} must leave one pair (a_k, a_{k+N}) per optional group and nothing else.
+    participating channel graph (the full-control graph of len(ks) systems): the hub's a1, a2 and
+    a_{N+2} must have the sign rule's edges, and removing them leave one pair (a_k, a_{k+N}) per group.
     The hub block carries 2**-1.5 (its four nonzero entries, and 1/sqrt(2) for the two terms) and
     each group block 1/2, so the product has the channel's amplitudes +-2**-(2N'+1)/2."""
     m, js = len(ks), [k + n_systems for k in ks]
     name = dict(enumerate([f"a{v}" for v in [1, *ks, *js]], 1))  # the graph's vertices
     pairs = {(k, k + m) for k in range(3, m + 2)}
-    rest = {edge for edge in crio_graph(CrioTopology(m)).edges if not {1, 2, m + 2} & set(edge)}
-    if rest != pairs:
-        raise ValueError("without a1, a2 and a_{N+2} the channel graph is not one pair per group: "
-                         + ", ".join(f"{name[u]}-{name[v]}" for u, v in sorted(rest ^ pairs)))
+    hub = {(1, 2), (1, m + 2), *((2, k) for k in range(3, m + 2)), *((k, m + 2) for k in range(3, m + 2))}
+    edges = crio_graph(CrioTopology(m)).edges
+    rest = {edge for edge in edges if not {1, 2, m + 2} & set(edge)}
+    for found, rule, what in ((rest, pairs, "without a1, a2 and a_{N+2} the channel graph is not one pair per group"),
+                              (edges - rest, hub, "the channel graph's hub edges differ from the sign rule's")):
+        if found != rule:
+            raise ValueError(f"{what}: " + ", ".join(f"{name[u]}-{name[v]}" for u, v in sorted(found ^ rule)))
     labels = [("a1", name[2], name[m + 2], target_label(js[0]))]
     labels += [(name[k], name[k + m], target_label(js[k - 2])) for k in range(3, m + 2)]
     blocks = [(terms[:, :, None] * target_vecs[k - 2]).reshape(1, 2, -1)

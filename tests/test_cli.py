@@ -95,6 +95,19 @@ class TestBuildState:
     def test_unknown_family_exits_2(self, tmp_path):
         assert main(["build-state", "nope", "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_config_hash_is_that_of_the_resolved_groups(self, tmp_path):
+        """--groups 3,4, 4,3 and 3,4,4 build one state, so they carry one hash."""
+        reports = []
+        for i, groups in enumerate(("3,4", "4,3", "3,4,4")):
+            out = tmp_path / f"h{i}.json"
+            assert main(["build-state", "h2n1", "--n", "3", "--groups", groups, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["metadata"]["controlled_groups"] == [3, 4]
+        assert reports[0] == reports[1] == reports[2]
+        out = tmp_path / "one.json"
+        assert main(["build-state", "h2n1", "--n", "3", "--groups", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config_hash"] != reports[0]["config_hash"]
+
     def test_missing_edge_list_exits_1(self, tmp_path):
         assert main(["build-state", "--edge-list", str(tmp_path / "absent.txt")]) == 1
 

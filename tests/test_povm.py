@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from conftest import random_qubit
 from crio.povm import (
     BranchCoefficients,
     MAX_SHARED_BRANCHES,
+    _branch_maps,
     _channel_map,
+    _dense_step1,
     PovmParams,
     angle_in_set,
     branch_coefficients,
@@ -21,6 +25,7 @@ from crio.povm import (
     guess_probability,
     measured_stator,
     normalized_channel_stator,
+    outcome_probabilities,
     outcome_probability,
     outcome_probabilities_simulated,
     sample_outcomes,
@@ -36,6 +41,37 @@ PI = math.pi
 
 def angle_sets_equal(a, b, tol=1e-9):
     return len(a) == len(b) and all(angle_in_set(x, b, tol) for x in a)
+
+
+def _outer_product_complete(angles) -> bool:
+    """The completeness check as numpy once made it: |k1><k1| + |k2><k2| within 1e-10 of I, entrywise."""
+    th1, th2, ph1, ph2, la1, la2, om1, om2 = angles
+    with np.errstate(invalid="ignore"):
+        for (t1, p1), (t2, p2) in (((th1, ph1), (th2, ph2)), ((la1, om1), (la2, om2))):
+            k1, k2 = (np.array([math.cos(t), np.exp(1j * p) * math.sin(t)]) for t, p in ((t1, p1), (t2, p2)))
+            total = np.outer(k1, k1.conj()) + np.outer(k2, k2.conj())
+            if not np.max(np.abs(total - IDENTITY_2)) <= 1e-10:
+                return False
+    return True
+
+
+@st.composite
+def _perturbed_angles(draw):
+    """from_free's eight angles, with theta2, phi2, lambda2 and omega2 each kept, moved by
+    at most 1e-13 or by at least 1e-8, or replaced by NaN or an infinity; in half the draws
+    all four are kept or moved by at most 1e-13."""
+    theta, phase = st.floats(0, PI / 2), st.floats(0, 2 * PI)
+    angles = list(astuple(PovmParams.from_free(draw(theta), draw(phase), draw(theta), draw(phase))))
+    kinds = ["kept", "tiny"] if draw(st.booleans()) else ["kept", "tiny", "large", "nan", "inf"]
+    for i in (1, 3, 5, 7):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "tiny":
+            angles[i] += draw(st.floats(-1e-13, 1e-13))
+        elif kind == "large":
+            angles[i] += draw(st.sampled_from([-1, 1])) * draw(st.floats(1e-8, 1.0))
+        elif kind != "kept":
+            angles[i] = math.nan if kind == "nan" else draw(st.sampled_from([math.inf, -math.inf]))
+    return angles
 
 
 class TestBuildPovm:
@@ -70,6 +106,24 @@ class TestBuildPovm:
         with pytest.raises(ValueError, match=r"must lie in \[0, pi/2\]|completeness"):
             build()
 
+    @settings(max_examples=300, deadline=None)
+    @given(angles=_perturbed_angles())
+    def test_completeness_check_agrees_with_the_outer_product_oracle(self, angles):
+        """The closed-form completeness check accepts and refuses what the sum of
+        np.outer projectors did, near and far from complete, NaN and inf included."""
+        in_range = all(-1e-12 <= angles[i] <= PI / 2 + 1e-12 for i in (0, 1, 4, 5))
+        try:
+            PovmParams(*angles)
+            refused = None
+        except ValueError as exc:
+            refused = str(exc)
+        if not in_range:
+            assert refused is not None and "must lie in [0, pi/2]" in refused
+        elif _outer_product_complete(angles):
+            assert refused is None
+        else:
+            assert refused is not None and "completeness" in refused
+
     def test_random_valid_satisfies_completeness(self):
         rng = np.random.default_rng(100)
         for _ in range(100):
@@ -88,6 +142,25 @@ class TestOutcomeProbability:
             for j in (1, 2):
                 for k in (1, 2):
                     assert outcome_probability(p, j, k, axis) == pytest.approx(0.25, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(free=st.lists(st.tuples(st.floats(0, PI / 2), st.floats(0, 2 * PI), st.floats(0, PI / 2),
+                                   st.floats(0, 2 * PI)), min_size=1, max_size=6),
+           direction=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: math.hypot(*v) > 0.1))
+    def test_batch_matches_the_dense_branch_maps(self, free, direction):
+        """Each row of outcome_probabilities is |B_jk|^2 of the dense engine's step-1 maps,
+        contracted here with <beta_j| and <gamma_k|, and the batch's maps are those maps.  The
+        dense map has a unit column per basis target, the stator Tr(S^dag S) = 1, hence sqrt(2)."""
+        params, axis = [PovmParams.from_free(*f) for f in free], PauliAxis.unit(*direction)
+        dense = _dense_step1(axis) / math.sqrt(2)
+        maps, probs = _branch_maps(params, _channel_map(axis)), outcome_probabilities(params, axis)
+        assert maps.shape == (len(params), 4, 4, 2) and probs.shape == (len(params), 4)
+        for i, p in enumerate(params):
+            for n, (j, k) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
+                b = np.einsum("b,c,abcot->aot", p.beta(j).conj(), p.gamma(k).conj(), dense).reshape(4, 2)
+                np.testing.assert_allclose(maps[i, n], b, rtol=0, atol=1e-12)
+                assert probs[i, n] == pytest.approx(np.sum(np.abs(b) ** 2), abs=1e-12)
+                assert outcome_probability(p, j, k, axis) == probs[i, n]
 
     def test_channel_stator_equals_a_fresh_build(self):
         # the per-axis cache is _channel_map's (test_channel_map_cached_read_only)
@@ -479,6 +552,28 @@ class TestClassification:
             assert shared == 1 or angle_in_set(alpha, [m * PI / 4 for m in range(8)])
 
 
+def _rebuilt_report(alpha: float) -> dict:
+    """control_power_report's scan with every witness family built anew, the fourth only when reached."""
+    families = [
+        ("endpoint_lambda1_zero", lambda: enumerate_case1(PI / 4, 0.0, "lambda1_zero")),
+        ("endpoint_lambda1_half_pi", lambda: enumerate_case1(PI / 4, 0.0, "lambda1_half_pi")),
+        ("interior_lambda1_quarter_pi", lambda: enumerate_case2(PI / 4)),
+        (None, lambda: enumerate_case2(case2_lambda1_for_alpha(alpha))),
+    ]
+    best = None
+    for name, build in families:
+        rows = build()
+        name = name or f"interior_lambda1={rows[0].params.lambda1:.12g}"
+        favorable = [list(row.pair) for row in rows if angle_in_set(alpha, row.alphas)]
+        if best is None or len(favorable) > len(best[2]):
+            best = (name, rows[0].params, favorable)
+        if len(favorable) == MAX_SHARED_BRANCHES:
+            break
+    name, params, favorable = best
+    return {"target_alpha": alpha % (2 * PI), "success_rate": len(favorable) / 4.0,
+            "witness_params": {"family": name, **asdict(params)}, "favorable_branches": favorable}
+
+
 class TestSuccessRate:
     def test_half_on_all_quarter_pi_multiples(self):
         for m in range(8):
@@ -503,6 +598,23 @@ class TestSuccessRate:
             success_rate(alpha)
         with pytest.raises(ValueError, match="target_alpha must be finite"):
             control_power_report(alpha)
+
+    def test_report_equals_a_scan_that_rebuilds_every_family(self):
+        """With the angle-free families built once, the report is the one a scan that builds
+        all four witness families anew for each angle gives, on 4,096 sweep angles."""
+        for m in range(4096):
+            alpha = 2 * PI * m / 4096
+            assert control_power_report(alpha) == _rebuilt_report(alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, PI / 2, 3 * PI / 4, 0.7])
+    def test_mutating_a_report_leaves_the_next_unchanged(self, alpha):
+        first = control_power_report(alpha)
+        expected = copy.deepcopy(first)
+        first["witness_params"]["lambda1"] = -1.0
+        first["witness_params"]["family"] = "mutated"
+        first["favorable_branches"][0][0] = 9
+        first["favorable_branches"].append([9, 9])
+        assert control_power_report(alpha) == expected
 
     def test_report_carries_witness(self):
         rep = control_power_report(0.7)

@@ -612,6 +612,20 @@ class TestBlockForm:
             with pytest.raises(ValueError, match=r"not one pair per group: a3-a4"):
                 run()
 
+    def test_dropped_hub_edge_is_refused(self, monkeypatch):
+        """A mutant channel graph without the sign rule's edge a2-a3 is refused, though its
+        groups still split into pairs: the block factors come from the sign rule, not the graph."""
+        def mutant(topology):
+            graph = crio_graph(topology)
+            return Graph.of(graph.num_vertices, graph.edges - {(2, 3)})
+
+        monkeypatch.setattr(protocol, "crio_graph", mutant)
+        n, args = 2, random_inputs(np.random.default_rng(242), 2)
+        for run in (lambda: run_crio(n, *args), lambda: control_denial_report(n, *args),
+                    lambda: run_checkpoints(n, *args, [0] * 5)):
+            with pytest.raises(ValueError, match=r"hub edges differ from the sign rule's: a2-a3$"):
+                run()
+
     @pytest.mark.parametrize("step, match", [
         (Step("x", "A5", "O5", PAULI_X, control="a2"), "no block holds O5 and a2"),
         (Step("x", "A9", "a9", HADAMARD), "no block holds a9"),

@@ -56,7 +56,9 @@ def report_matrix() -> list:
         ["run-protocol", "--n", "3", "--axis", "x", "--alpha", "0", "--permitted", "false"],
         ["verify-all"],
         ["control-power", "--sweep", "64"],
+        ["control-power", "--sweep", "360"],
         *(["control-power", "--alpha", a] for a in ("0", "pi/4", "3pi/4", "3pi/2", "0.7", "1.5707963267947966")),
+        ["control-power", "--alpha", "5pi/4", "--format", "text"],
         ["reproduce-tables", "I"],
         ["reproduce-tables", "II"],
         ["reproduce-tables", "III"],
