@@ -86,6 +86,27 @@ def parse_groups(text: str | None) -> frozenset | None:
         raise ValueError(f"--groups must be comma-separated group indices, got {text!r}") from None
 
 
+_FIXED_N = {"h3": 1, "h5": 2}  # the channel families of one size
+
+
+def _family_n(family: str, n: int | None) -> int | None:
+    """The N a state family is built at: h3's and h5's own, refusing an --n that
+    differs, or else the --n given."""
+    fixed = _FIXED_N.get(family)
+    if fixed is not None and n not in (None, fixed):
+        raise ValueError(f"--n {n} differs from {family}, whose N is {fixed}")
+    return fixed or n
+
+
+@contextlib.contextmanager
+def _json_input(flag: str, path: str):
+    """Turn a JSON or UTF-8 decoding error raised inside into one that names the flag and the file."""
+    try:
+        yield
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{flag} {path} is not JSON: {exc}") from None
+
+
 def _config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -153,15 +174,17 @@ def cmd_build_state(args) -> int:
     groups = parse_groups(args.groups)
     config = {"command": "build-state", "family": args.family, "n": args.n,
               "groups": None if groups is None else sorted(groups), "edge_list": args.edge_list, "format": args.format}
+    fam = "edge-list" if args.edge_list else (args.family or "").lower()
+    if args.groups is not None and fam != "h2n1":
+        raise ValueError(f"--groups applies to the h2n1 family only, not {fam}")
     if args.edge_list:
         graph = gs.read_edge_list(args.edge_list)
         state = gs.build_graph_state(graph)
         meta = {"family": "edge-list", "num_vertices": graph.num_vertices,
                 "edges": [list(e) for e in graph.sorted_edges()]}
     else:
-        fam = (args.family or "").lower()
-        if fam in ("h3", "h5"):
-            n = {"h3": 1, "h5": 2}[fam]
+        if fam in _FIXED_N:
+            n = _family_n(fam, args.n)
             state = gs.crio_channel_state(gs.CrioTopology(n))
             meta = {"family": fam, "n_systems": n}
         elif fam == "h2n1":
@@ -194,7 +217,8 @@ def cmd_run_protocol(args) -> int:
         given = [flag for flag in RUN_FLAGS if getattr(args, flag) is not None]
         if given:
             raise ValueError(f"--{given[0]} cannot be combined with --config, which sets the whole run")
-        kwargs = proto.load_run_config(args.config)
+        with _json_input("--config", args.config):
+            kwargs = proto.load_run_config(args.config)
     else:
         if args.n is None:
             raise ValueError("run-protocol needs --config or --n")
@@ -227,7 +251,7 @@ def cmd_gm(args) -> int:
     config = {"command": "gm", "family": args.family, "n": args.n, "state": args.state,
               "restarts": args.restarts, "seed": args.seed, "mode": args.mode}
     if args.state:
-        with open(args.state, "r", encoding="utf-8") as fh:
+        with open(args.state, "r", encoding="utf-8") as fh, _json_input("--state", args.state):
             data = json.load(fh)
         if isinstance(data, dict) and "state" in data:  # a build-state report
             data = data["state"]
@@ -237,8 +261,8 @@ def cmd_gm(args) -> int:
         _write_report(args.out, _report(payload, config), args.format)
         return 0
     fam = (args.family or "h2n1").lower()
-    if fam in ("h2n1", "h3", "h5"):
-        n = {"h3": 1, "h5": 2}.get(fam, args.n)
+    if fam in ("h2n1", *_FIXED_N):
+        n = _family_n(fam, args.n)
         if n is None:
             raise ValueError("gm for the channel family requires --n")
         result = gm_mod.gm_channel_family(n, restarts=args.restarts, seed=args.seed)

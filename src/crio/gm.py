@@ -133,10 +133,12 @@ def _ascend(psi: np.ndarray, angles: np.ndarray) -> tuple:
             mag = np.abs(env)
             # (m0 cos + m1 sin)^2 peaks where (cos, sin) is parallel to (m0, m1)
             ang[:, 0, j] = np.arctan2(mag[:, 1], mag[:, 0])
+            bra[:, j, 0], sin = np.cos(ang[:, 0, j]), np.sin(ang[:, 0, j])
             if general:
                 ok = (mag[:, 0] > 1e-300) & (mag[:, 1] > 1e-300)
                 ang[ok, 1, j] = (np.angle(env[ok, 1]) - np.angle(env[ok, 0])) % (2 * math.pi)
-            bra[:, j] = _bra(ang[:, :, j])
+                sin = sin * np.exp(-1j * ang[:, 1, j])
+            bra[:, j, 1] = sin  # _bra of qubit j's new angles, written in place
             amp = np.einsum("ba,bak->bk", bra[:, j], left)
         value, prev = np.abs(amp[:, 0]) ** 2, best[active]
         if np.any(value < prev - 1e-9):

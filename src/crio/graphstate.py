@@ -2,11 +2,14 @@
 
 A graph state is CZ along every edge of |+>^n.  build_graph_state writes it
 by vertex doubling in one 2**n buffer: vertices join from last to first,
-each as a copy of the state so far (its |+> factor), and its CZs to the
-vertices already present negate blocks of that copy.  CZs commute and are
+each as a sign-flipped copy of the state so far (its |+> factor), where an
+amplitude is negated when an odd number of the joining vertex's CZs to the
+vertices already present read 1 on both ends.  CZs commute and are
 diagonal, so this is the CZ circuit applied in another order: each amplitude
-is negated once per edge whose two ends read 1, and the result is the same
-vector, bit for bit, that edge-by-edge apply_2q_cz calls produce.
+is negated once per edge whose two ends read 1.  Negating a float flips only
+its sign bit, so the copy is one XOR of the (re, im) words against a table
+of sign bits, and the result is the same vector, bit for bit (zero signs
+too), that edge-by-edge apply_2q_cz calls produce.
 
 The channel family: for N remote systems, 2N+1 vertices are wired as
 edges {1,2}, {1,N+2}, plus {2,k}, {k,N+2}, {k,k+N} for each controlled
@@ -29,6 +32,9 @@ from .qcore import QuantumState, check_register_size, is_finite_number
 # glibc keeps freed heap memory below its trim threshold (16 MiB once an 8 MiB vector was freed)
 # resident; build_graph_state returns it before a larger state, whose peak it would add to.
 _MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if sys.platform.startswith("linux") else None
+
+_SIGN_BIT = np.uint64(1 << 63)  # of a float64, as a uint64 word
+SIGN_TABLE_BITS = 12  # a joining vertex's sign table spans at most this many later vertices (32 KiB)
 
 
 @dataclass(frozen=True)
@@ -114,10 +120,15 @@ def build_graph_state(graph: Graph, labels: Sequence[str] | None = None) -> Quan
     """CZ along every edge of |+>^n, built by vertex doubling in one buffer.
 
     Vertices join from last to first.  With the state of vertices u+1..n in
-    buf[:L], vertex u joins in |+>: buf[:L] is copied into buf[L:2L], the
-    x_u = 1 half, and u's CZ to each later neighbour v negates the x_v = 1
-    block of that half.  The module docstring says why this is the CZ
-    circuit, bit for bit.
+    buf[:L], vertex u joins in |+> by writing the x_u = 1 half buf[L:2L] in
+    one pass: the uint64 words of buf[:L], XOR-ed with the sign bit wherever
+    u's later neighbours read 1 an odd number of times.  The sign bits sit in
+    a table over vertices u+1..top, top the last of u's later neighbours,
+    broadcast over the contiguous chunk of vertices top+1..n below it.  The
+    table spans at most SIGN_TABLE_BITS vertices; a neighbour beyond that
+    span negates its x_v = 1 blocks of the half afterwards, as strided views.
+    A vertex without later neighbours is a plain copy.  The module docstring
+    says why this is the CZ circuit, bit for bit.
     """
     n = graph.num_vertices
     check_register_size(n)
@@ -135,12 +146,28 @@ def build_graph_state(graph: Graph, labels: Sequence[str] | None = None) -> Quan
     buf[0] = 2 ** (-n / 2)
     for u in range(n, 0, -1):
         size = 1 << (n - u)
-        half = buf[size:2 * size]
-        half[:] = buf[:size]
+        low, half = buf[:size].view(np.uint64), buf[size:2 * size].view(np.uint64)  # (re, im) words
+        if not later[u]:
+            half[:] = low
+            continue
+        span = min(max(later[u]) - u, SIGN_TABLE_BITS)
+        signs = np.zeros(1 << span, dtype=np.uint64)
         for v in later[u]:
-            block = half.view(np.float64).reshape(1 << (v - u - 1), 2, -1)[:, 1]  # (re, im) pairs
-            np.negative(block, out=block)
+            if v - u <= span:
+                _flip_signs(signs, v - u)
+        np.bitwise_xor(low.reshape(1 << span, -1), signs[:, None], out=half.reshape(1 << span, -1))
+        for v in later[u]:
+            if v - u > span:
+                _flip_signs(half, v - u)
     return QuantumState._trusted(labels, buf)  # unit norm by construction: every amplitude is +-2**(-n/2)
+
+
+def _flip_signs(words: np.ndarray, depth: int) -> None:
+    """XOR the sign bit, in place, into the words of `words` whose index has bit
+    `depth` set, bits counted from the most significant (depth 1); `words` holds
+    a multiple of 2**depth words."""
+    block = words.reshape(1 << (depth - 1), 2, -1)[:, 1]
+    np.bitwise_xor(block, _SIGN_BIT, out=block)
 
 
 def basis_bits(num_qubits: int) -> np.ndarray:

@@ -334,14 +334,41 @@ _BAD_GROUPS = "error: --groups must be comma-separated group indices, got '3,x'"
         (["run-protocol", "--n", "1", "--axis", "a,b,c"],
          "error: axis must be x, y, z or three comma-separated components, got 'a,b,c'"),
         (["build-state", "--edge-list", "{edges}"], "error: malformed edge line '1 x'"),
+        # a flag the family cannot honour is refused, not dropped
+        (["gm", "--family", "h3", "--n", "2"], "error: --n 2 differs from h3, whose N is 1"),
+        (["build-state", "h5", "--n", "7"], "error: --n 7 differs from h5, whose N is 2"),
+        (["build-state", "h5", "--groups", "3"], "error: --groups applies to the h2n1 family only, not h5"),
+        (["build-state", "phi", "--n", "2", "--groups", "3"],
+         "error: --groups applies to the h2n1 family only, not phi"),
+        (["build-state", "--edge-list", "{edges}", "--groups", "3"],
+         "error: --groups applies to the h2n1 family only, not edge-list"),
+        (["run-protocol", "--config", "{text}"],
+         "error: --config {text} is not JSON: Expecting ',' delimiter: line 2 column 1 (char 8)"),
+        (["gm", "--state", "{text}"],
+         "error: --state {text} is not JSON: Expecting ',' delimiter: line 2 column 1 (char 8)"),
+        (["gm", "--state", "{binary}"],
+         "error: --state {binary} is not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, message):
-    edges = tmp_path / "edges.txt"
-    edges.write_text("n=2\n1 x\n")
-    assert main([a.format(edges=edges) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == message + "\n"
+    files = {"edges": tmp_path / "edges.txt", "text": tmp_path / "text.json", "binary": tmp_path / "binary.json"}
+    files["edges"].write_text("n=2\n1 x\n")
+    files["text"].write_text('{"n": 1\n')
+    files["binary"].write_bytes(b"\xff\xfe")
+    assert main([a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message.format(**files) + "\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["gm", "--family", "h3"], ["build-state", "h5"]])
+def test_fixed_size_family_accepts_its_own_n(tmp_path, argv):
+    """--n equal to h3's or h5's own N builds the same state as no --n."""
+    bodies = []
+    for extra in ([], ["--n", str({"h3": 1, "h5": 2}[argv[-1]])]):
+        out = tmp_path / "out.json"
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        bodies.append({k: v for k, v in json.loads(out.read_text()).items() if k != "config_hash"})
+    assert bodies[0] == bodies[1]
 
 
 _NUMBER = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str), st.text("0123456789.e-+_ ", max_size=8))

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crio import graphstate
 from crio.graphstate import (
     CrioTopology,
     Graph,
@@ -94,6 +96,48 @@ class TestBuildGraphState:
         built = build_graph_state(Graph.of(n, edges), labels)
         assert built.labels == tuple(labels)
         assert built.amplitudes.tobytes() == circuit.amplitudes.tobytes()  # equal, zero signs too
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_capped_sign_table_matches_cz_circuit_bit_for_bit(self, data):
+        """With the sign table capped at 1-3 vertices, neighbours beyond it flip
+        their blocks of the half afterwards; the state is still the circuit's."""
+        n = data.draw(st.integers(1, 9), label="vertices")
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]), label="edges")
+        labels = tuple(map(str, range(1, n + 1)))
+        circuit = plus_state(labels)
+        for u, v in edges:
+            circuit = apply_2q_cz(circuit, labels[u - 1], labels[v - 1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphstate, "SIGN_TABLE_BITS", data.draw(st.integers(1, 3), label="table bits"))
+            built = build_graph_state(Graph.of(n, edges))
+        assert built.amplitudes.tobytes() == circuit.amplitudes.tobytes()
+
+    def test_far_neighbours_allocate_under_a_sixteenth_of_the_state(self):
+        """Edges that span 19 and 14 vertices exceed the sign table's span; the
+        build's peak beyond the state itself stays under 1/16 of the state."""
+        tracemalloc.start()
+        try:
+            state = build_graph_state(Graph.of(20, [(1, 20), (5, 19)]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - state.amplitudes.nbytes < state.amplitudes.nbytes / 16
+        x = np.arange(0, 2 ** 20, 97)  # spot-check the signs: (-1)^(x_1 x_20 + x_5 x_19)
+        parity = ((x >> 19) & x ^ (x >> 15) & (x >> 1)) & 1
+        assert np.array_equal(state.amplitudes[x], (1 - 2 * parity) * 2.0 ** -10)
+
+    def test_21_qubit_channel_state_matches_the_oracle(self):
+        """The N=10 channel state, which the build reaches after malloc_trim, has
+        amplitude_oracle's signs exactly on seeded sampled indices.  The magnitudes
+        2**(-21/2) and 1/(2**10 sqrt(2)) round one ulp apart."""
+        n_sys, n = 10, 21
+        state = crio_channel_state(CrioTopology(n_sys))
+        x = np.random.default_rng(2110).integers(0, 2 ** n, size=4096)
+        oracle = amplitude_oracle(n_sys, (x >> np.arange(n - 1, -1, -1)[:, None]) & 1)
+        assert np.array_equal(state.amplitudes[x], np.sign(oracle) * 2 ** (-n / 2))
+        assert np.abs(state.amplitudes[x] - oracle).max() <= np.spacing(oracle[0])
 
     def test_partial_control_channels_match_edge_signs(self):
         for n_sys in range(1, 6):

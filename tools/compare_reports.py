@@ -63,6 +63,10 @@ def report_matrix() -> list:
         ["reproduce-tables", "II"],
         ["reproduce-tables", "III"],
         ["gm", "--family", "h2n1", "--n", "3"],
+        ["gm", "--family", "phi", "--n", "3"],
+        ["build-state", "h2n1", "--n", "3", "--format", "csv"],  # prints the signed zero imaginary parts
+        ["build-state", "h2n1", "--n", "4", "--groups", "3,5"],
+        ["build-state", "phi", "--n", "2"],
     ]
     return runs
 
