@@ -89,13 +89,18 @@ def parse_groups(text: str | None) -> frozenset | None:
 _FIXED_N = {"h3": 1, "h5": 2}  # the channel families of one size
 
 
-def _family_n(family: str, n: int | None) -> int | None:
-    """The N a state family is built at: h3's and h5's own, refusing an --n that
-    differs, or else the --n given."""
+def _named_family(family: str, n: int | None) -> tuple:
+    """("channel" or "phi", N) for a named state family: h3's and h5's own N,
+    refusing an --n that differs, or else the --n given, which h2n1 and phi need."""
     fixed = _FIXED_N.get(family)
     if fixed is not None and n not in (None, fixed):
         raise ValueError(f"--n {n} differs from {family}, whose N is {fixed}")
-    return fixed or n
+    if family not in ("h2n1", "phi", *_FIXED_N):
+        raise ValueError(f"unknown state family {family!r}")
+    n = fixed or n
+    if n is None:
+        raise ValueError(f"{family} requires --n")
+    return "phi" if family == "phi" else "channel", n
 
 
 @contextlib.contextmanager
@@ -142,20 +147,17 @@ def _render_text(payload: dict, indent: str = "") -> str:
 
 
 def _write_report(path: str | None, payload: dict, fmt: str) -> None:
+    """`payload` as text, or as json.dumps(sort_keys=True, indent=2) writes it.  A
+    `Branches` under "branches" is written block by block (`Branches.json_blocks`), so
+    no full-size copy of the report is made; the text form lists it only as a count."""
+    branches = payload.get("branches")
     if fmt == "text":
         _write_text(path, _render_text(payload) + "\n")
-    else:
+    elif not isinstance(branches, proto.Branches):
         _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_protocol_report(path: str | None, report: dict, result: proto.ProtocolResult, fmt: str) -> None:
-    """A run-protocol report: `report` plus the branch list of `result`, written
-    block by block (`Branches.json_blocks`), so no full-size copy of the report is made."""
-    if fmt == "text":  # the text form lists branches only as a count
-        _write_report(path, {**report, "branches": result.branches}, fmt)
-        return
-    head, tail = json.dumps({**report, "branches": proto._HOLE}, sort_keys=True, indent=2).split(json.dumps(proto._HOLE))
-    _write_text(path, head, chain(result.branches.json_blocks(), [tail, "\n"]))
+    else:
+        head, tail = json.dumps({**payload, "branches": proto._HOLE}, sort_keys=True, indent=2).split(json.dumps(proto._HOLE))
+        _write_text(path, head, chain(branches.json_blocks(), [tail, "\n"]))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -178,30 +180,23 @@ def cmd_build_state(args) -> int:
     if args.groups is not None and fam != "h2n1":
         raise ValueError(f"--groups applies to the h2n1 family only, not {fam}")
     if args.edge_list:
+        if (args.family, args.n) != (None, None):
+            raise ValueError("--edge-list builds its own graph and takes no family or --n")
         graph = gs.read_edge_list(args.edge_list)
         state = gs.build_graph_state(graph)
         meta = {"family": "edge-list", "num_vertices": graph.num_vertices,
                 "edges": [list(e) for e in graph.sorted_edges()]}
     else:
-        if fam in _FIXED_N:
-            n = _family_n(fam, args.n)
-            state = gs.crio_channel_state(gs.CrioTopology(n))
-            meta = {"family": fam, "n_systems": n}
-        elif fam == "h2n1":
-            if args.n is None:
-                raise ValueError("h2n1 requires --n")
-            topo = gs.CrioTopology(args.n, groups)
-            state = gs.crio_channel_state(topo)
-            meta = {"family": "h2n1", "n_systems": args.n,
-                    "controlled_groups": sorted(topo.controlled_groups),
-                    "roles": {str(k): v for k, v in gs.role_names(topo).items()}}
-        elif fam == "phi":
-            if args.n is None:
-                raise ValueError("phi requires --n")
-            state = gs.phi_state(args.n)
-            meta = {"family": "phi", "n_systems": args.n}
+        kind, n = _named_family(fam, args.n)
+        meta = {"family": fam, "n_systems": n}
+        if kind == "phi":
+            state = gs.phi_state(n)
         else:
-            raise ValueError(f"unknown state family {args.family!r}")
+            topo = gs.CrioTopology(n, groups)
+            state = gs.crio_channel_state(topo)
+            if fam == "h2n1":
+                meta.update(controlled_groups=sorted(topo.controlled_groups),
+                            roles={str(k): v for k, v in gs.role_names(topo).items()})
     if args.format == "csv":
         _write_text(args.out, _provenance_line(config) + "\n" + gs.state_to_csv(state))
     else:
@@ -236,8 +231,8 @@ def cmd_run_protocol(args) -> int:
     config = proto.run_config_to_dict(**kwargs)
     result = proto.run_crio(**kwargs)
     payload = {**result.summary_json(), "min_fidelity": result.min_fidelity(),
-               "total_probability": result.total_probability()}
-    _write_protocol_report(args.out, _report(payload, config), result, args.format)
+               "total_probability": result.total_probability(), "branches": result.branches}
+    _write_report(args.out, _report(payload, config), args.format)
     if result.permitted and result.min_fidelity() < 1 - proto.FIDELITY_TOL:
         print("verification failed: a permitted branch missed unit fidelity", file=sys.stderr)
         return 2
@@ -250,6 +245,7 @@ def cmd_run_protocol(args) -> int:
 def cmd_gm(args) -> int:
     config = {"command": "gm", "family": args.family, "n": args.n, "state": args.state,
               "restarts": args.restarts, "seed": args.seed, "mode": args.mode}
+    expected = None
     if args.state:
         with open(args.state, "r", encoding="utf-8") as fh, _json_input("--state", args.state):
             data = json.load(fh)
@@ -258,26 +254,16 @@ def cmd_gm(args) -> int:
         state = gs.state_from_json_dict(data)
         result = gm_mod.gm_optimize(state, mode=args.mode, restarts=args.restarts, seed=args.seed)
         payload = gm_mod.gm_report_dict(args.state, args.n or 0, result)
-        _write_report(args.out, _report(payload, config), args.format)
-        return 0
-    fam = (args.family or "h2n1").lower()
-    if fam in ("h2n1", *_FIXED_N):
-        n = _family_n(fam, args.n)
-        if n is None:
-            raise ValueError("gm for the channel family requires --n")
-        result = gm_mod.gm_channel_family(n, restarts=args.restarts, seed=args.seed)
-        payload = gm_mod.gm_report_dict(f"h{2 * n + 1}", n, result)
-        expected = float(n)
-    elif fam == "phi":
-        if args.n is None:
-            raise ValueError("gm for the phi family requires --n")
-        result = gm_mod.gm_phi(args.n, restarts=args.restarts, seed=args.seed)
-        payload = gm_mod.gm_report_dict(f"phi{2 * args.n}", args.n, result)
-        expected = float(args.n)
+    elif args.mode != "nonneg":
+        raise ValueError(f"--mode {args.mode} applies to --state files only; the named families run nonneg")
     else:
-        raise ValueError(f"unknown gm family {args.family!r}")
+        kind, n = _named_family((args.family or "h2n1").lower(), args.n)
+        optimize, name = (gm_mod.gm_phi, f"phi{2 * n}") if kind == "phi" else (gm_mod.gm_channel_family, f"h{2 * n + 1}")
+        result = optimize(n, restarts=args.restarts, seed=args.seed)
+        payload = gm_mod.gm_report_dict(name, n, result)
+        expected = float(n)
     _write_report(args.out, _report(payload, config), args.format)
-    if abs(result.G - expected) > 1e-6:
+    if expected is not None and abs(result.G - expected) > 1e-6:
         print(f"verification failed: GM {result.G} differs from expected {expected}", file=sys.stderr)
         return 2
     return 0
@@ -285,21 +271,19 @@ def cmd_gm(args) -> int:
 
 def cmd_control_power(args) -> int:
     config = {"command": "control-power", "alpha": args.alpha, "sweep": args.sweep}
-    if args.sweep is not None:
-        if args.sweep < 1:
-            raise ValueError("--sweep needs at least one angle")
-        if args.sweep > MAX_SWEEP:
-            raise ValueError(f"--sweep takes at most {MAX_SWEEP} angles, got {args.sweep}")
-        reports = [povm_mod.control_power_report(2 * math.pi * m / args.sweep) for m in range(args.sweep)]
-        payload = {"sweep": reports}
-        rates_ok = all(r["success_rate"] in (0.25, 0.5) for r in reports)
+    if args.sweep is None:
+        alphas = [parse_angle(args.alpha if args.alpha is not None else "0")]
+    elif args.alpha is not None:
+        raise ValueError("--alpha cannot be combined with --sweep, which sets every angle")
+    elif args.sweep < 1:
+        raise ValueError("--sweep needs at least one angle")
+    elif args.sweep > MAX_SWEEP:
+        raise ValueError(f"--sweep takes at most {MAX_SWEEP} angles, got {args.sweep}")
     else:
-        alpha = parse_angle(args.alpha if args.alpha is not None else "0")
-        report = povm_mod.control_power_report(alpha)
-        payload = report
-        rates_ok = report["success_rate"] in (0.25, 0.5)
-    _write_report(args.out, _report(payload, config), args.format)
-    if not rates_ok:
+        alphas = [2 * math.pi * m / args.sweep for m in range(args.sweep)]
+    reports = [povm_mod.control_power_report(alpha) for alpha in alphas]
+    _write_report(args.out, _report(reports[0] if args.sweep is None else {"sweep": reports}, config), args.format)
+    if not all(r["success_rate"] in (0.25, 0.5) for r in reports):
         print("verification failed: success rate outside {0.25, 0.5}", file=sys.stderr)
         return 2
     return 0

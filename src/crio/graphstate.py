@@ -19,7 +19,6 @@ group index k in 3..N+1.  Each basis amplitude carries the sign
 from __future__ import annotations
 
 import ctypes
-import math
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -193,11 +192,12 @@ def sign_exponent(n_systems: int, bits):
 
 
 def amplitude_oracle(n_systems: int, bits):
-    """Direct amplitude (-1)^f(x) / (2^N sqrt(2)) of the full-control channel state,
-    for one bitstring or for each column of a bit array, as sign_exponent reads them."""
+    """Direct amplitude (-1)^f(x) * 2 ** (-(2N+1)/2) of the full-control channel state,
+    for one bitstring or for each column of a bit array, as sign_exponent reads them.
+    The magnitude is the float build_graph_state starts from, so the two agree bit for bit."""
     if n_systems < 1:
         raise ValueError("need at least one remote system")
-    return (1 - 2 * sign_exponent(n_systems, bits)) / (2 ** n_systems * math.sqrt(2))
+    return (1 - 2 * sign_exponent(n_systems, bits)) * 2 ** (-(2 * n_systems + 1) / 2)
 
 
 def crio_channel_state(topology: CrioTopology) -> QuantumState:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crio import protocol as proto
-from crio.cli import _report, _write_protocol_report, format_angle, main, parse_angle, parse_axis
+from crio.cli import _report, _write_report, format_angle, main, parse_angle, parse_axis
 from crio.graphstate import CrioTopology, crio_channel_state
 from crio.qcore import X_AXIS
 
@@ -348,6 +348,16 @@ _BAD_GROUPS = "error: --groups must be comma-separated group indices, got '3,x'"
          "error: --state {text} is not JSON: Expecting ',' delimiter: line 2 column 1 (char 8)"),
         (["gm", "--state", "{binary}"],
          "error: --state {binary} is not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        # flags that would be dropped: a family or --n beside --edge-list, --alpha beside --sweep,
+        # --mode general on a named family
+        (["build-state", "--edge-list", "{edges}", "--n", "5"],
+         "error: --edge-list builds its own graph and takes no family or --n"),
+        (["build-state", "phi", "--edge-list", "{edges}"],
+         "error: --edge-list builds its own graph and takes no family or --n"),
+        (["control-power", "--alpha", "pi/4", "--sweep", "2"],
+         "error: --alpha cannot be combined with --sweep, which sets every angle"),
+        (["gm", "--family", "h2n1", "--n", "2", "--mode", "general"],
+         "error: --mode general applies to --state files only; the named families run nonneg"),
     ],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, message):
@@ -644,7 +654,7 @@ def test_zero_row_branch_table_writes_an_empty_list(tmp_path):
                            ((("O3",), np.zeros((0, 2, 2), dtype=complex)),))
     result = proto.ProtocolResult(1, True, (3,), None, empty, "enumerate")
     out = tmp_path / "run.json"
-    _write_protocol_report(str(out), {"n": 1}, result, "json")
+    _write_report(str(out), {"n": 1, "branches": result.branches}, "json")
     assert out.read_text() == json.dumps({"branches": [], "n": 1}, sort_keys=True, indent=2) + "\n"
     assert result.to_json_dict()["branches"] == [] and list(empty) == [] and empty[:] == []
 

@@ -130,8 +130,7 @@ class TestBuildGraphState:
 
     def test_21_qubit_channel_state_matches_the_oracle(self):
         """The N=10 channel state, which the build reaches after malloc_trim, has
-        amplitude_oracle's signs exactly on seeded sampled indices.  The magnitudes
-        2**(-21/2) and 1/(2**10 sqrt(2)) round one ulp apart."""
+        amplitude_oracle's signs exactly on seeded sampled indices, at the magnitude 2**(-21/2)."""
         n_sys, n = 10, 21
         state = crio_channel_state(CrioTopology(n_sys))
         x = np.random.default_rng(2110).integers(0, 2 ** n, size=4096)
@@ -198,6 +197,19 @@ class TestAmplitudeOracle:
         assert amplitude_oracle(1, "101") == pytest.approx(-INV_2SQRT2, abs=1e-15)
         assert amplitude_oracle(1, "110") == pytest.approx(-INV_2SQRT2, abs=1e-15)
         assert amplitude_oracle(1, "111") == pytest.approx(+INV_2SQRT2, abs=1e-15)
+
+    def test_channel_state_equals_the_oracle_bit_for_bit(self):
+        """build_graph_state and the oracle both give the magnitude 2 ** (-(2N+1)/2),
+        so the N = 1..10 channel states equal the oracle exactly.  The oracle reads the
+        columns of basis_bits(2N+1) in blocks of 2**16 (built as basis_bits builds them),
+        which keeps N=10 to a few MiB."""
+        for n in range(1, 11):
+            amps = crio_channel_state(CrioTopology(n)).amplitudes
+            assert not amps.imag.any(), n
+            shifts = np.arange(2 * n, -1, -1)[:, None]
+            for start in range(0, len(amps), 2 ** 16):
+                bits = (np.arange(start, min(start + 2 ** 16, len(amps))) >> shifts) & 1
+                assert amps.real[start:start + 2 ** 16].tobytes() == amplitude_oracle(n, bits).tobytes(), (n, start)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_circuit_simulation(self, n):

@@ -64,6 +64,11 @@ def report_matrix() -> list:
         ["reproduce-tables", "III"],
         ["gm", "--family", "h2n1", "--n", "3"],
         ["gm", "--family", "phi", "--n", "3"],
+        ["gm", "--family", "h3"],
+        ["gm", "--family", "h5", "--format", "text"],
+        ["gm", "--family", "phi", "--n", "2", "--format", "text"],
+        ["build-state", "h3"],
+        ["build-state", "h5", "--n", "2", "--format", "text"],
         ["build-state", "h2n1", "--n", "3", "--format", "csv"],  # prints the signed zero imaginary parts
         ["build-state", "h2n1", "--n", "4", "--groups", "3,5"],
         ["build-state", "phi", "--n", "2"],
