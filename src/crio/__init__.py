@@ -57,6 +57,7 @@ from .povm import (
     guess_probability,
     outcome_probabilities,
     outcome_probability,
+    random_valid_kets,
     separability_check,
     success_rate,
 )

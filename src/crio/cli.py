@@ -354,8 +354,8 @@ def cmd_verify_all(args) -> int:
     g = gm_mod.gm_channel_family(2, restarts=24, seed=args.seed)
     checks.append(("GM of the 5-qubit channel state equals 2", abs(g.G - 2) < 1e-6))
 
-    draws = [povm_mod.PovmParams.random_valid(rng) for _ in range(200)]
-    flat = bool(np.all(np.abs(povm_mod.outcome_probabilities(draws) - 0.25) < 1e-10))
+    kets = povm_mod.random_valid_kets(rng, 200)
+    flat = bool(np.all(np.abs(povm_mod.outcome_probabilities(kets) - 0.25) < 1e-10))
     checks.append(("POVM outcome probabilities are flat at 1/4", flat))
     checks.append(("success rate dichotomy",
                    povm_mod.success_rate(3 * math.pi / 4) == 0.5 and povm_mod.success_rate(0.7) == 0.25))

@@ -112,6 +112,45 @@ class PovmParams:
         )
 
 
+def _ket_array(angles: np.ndarray) -> np.ndarray:
+    """The kets of P POVMs from their (P, 8) angles in PovmParams field order, computed
+    as _kets computes them: a (P, 4, 2) array of beta_1, beta_2, gamma_1, gamma_2."""
+    theta, phase = np.moveaxis(angles.reshape(-1, 2, 2, 2), 2, 0).reshape(2, -1, 4)
+    kets = np.empty(theta.shape + (2,), dtype=complex)
+    with np.errstate(invalid="ignore"):  # an infinite angle gives a NaN entry, which _accepted refuses
+        sin = np.sin(theta)
+        kets[..., 0] = np.cos(theta)
+        kets[..., 1].real = np.cos(phase) * sin
+        kets[..., 1].imag = np.sin(phase) * sin
+    return kets
+
+
+def _accepted(angles: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Which of P POVMs, given by their angles and _ket_array kets, PovmParams accepts: each
+    theta and lambda in [0, pi/2] and |k1><k1| + |k2><k2| within 1e-10 of I entrywise."""
+    theta = angles[:, [0, 1, 4, 5]]
+    in_range = np.all((theta >= -1e-12) & (theta <= math.pi / 2 + 1e-12), axis=1)
+    pairs = kets.reshape(-1, 2, 2, 2)  # POVM, party, outcome, component
+    gap = np.einsum("pmoa,pmob->pmab", pairs, pairs.conj()) - np.eye(2)
+    return in_range & np.all(np.abs(gap) <= 1e-10, axis=(1, 2, 3))
+
+
+def random_valid_kets(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The kets of `count` POVMs drawn as that many PovmParams.random_valid calls draw
+    them, as one (count, 4, 2) array: the same doubles from one uniform call, which
+    leaves `rng` in the same state, and from_free's angles, so each row equals that
+    draw's _kets() bit for bit.  Every row passes the completeness check."""
+    free = rng.uniform(0, (math.pi / 2, TWO_PI, math.pi / 2, TWO_PI), size=(count, 4))
+    theta, phi, lam, omega = free.T
+    angles = np.stack([theta, math.pi / 2 - theta, phi % TWO_PI, (phi + math.pi) % TWO_PI,
+                       lam, math.pi / 2 - lam, omega % TWO_PI, (omega + math.pi) % TWO_PI], axis=1)
+    kets = _ket_array(angles)
+    refused = np.flatnonzero(~_accepted(angles, kets))
+    if refused.size:
+        raise ValueError(f"draw {refused[0]} does not satisfy POVM completeness within 1e-10")
+    return kets
+
+
 def build_povm(params: PovmParams):
     """Rank-1 projectors (M1, M2, N1, N2) onto the four kets."""
     b1, b2 = params.beta(1), params.beta(2)
@@ -282,16 +321,20 @@ def _channel_map(axis: PauliAxis) -> np.ndarray:
     return w
 
 
-def _branch_maps(params: list, step1: np.ndarray) -> np.ndarray:
+def _branch_maps(kets: np.ndarray, step1: np.ndarray) -> np.ndarray:
     """The 4x2 branch maps B_jk of P POVMs, (P, 4, 4, 2), ordered (1,1), (1,2), (2,1), (2,2).
 
-    `step1` is a step-1 channel written as a linear map of the target, with
+    `kets` holds each POVM's beta_1, beta_2, gamma_1 and gamma_2 as a (P, 4, 2)
+    array, `step1` is a step-1 channel written as a linear map of the target, with
     axes (a1, a2, a3, O3, target).  Contracting a2 with <beta_j| and a3 with
     <gamma_k| leaves B_jk, which takes a target ket to the unnormalized
-    (a1, O3) branch state; |B_jk psi|^2 is that branch's probability.
+    (a1, O3) branch state; |B_jk psi|^2 is that branch's probability.  The
+    contraction runs pairwise in a fixed order, beta first, which beats one
+    three-operand einsum and needs no path search.
     """
-    kets = np.array([p._kets() for p in params]).reshape(-1, 4, 2).conj()
-    return np.einsum("pjb,pkc,abcot->pjkaot", kets[:, :2], kets[:, 2:], step1).reshape(-1, 4, 4, 2)
+    bra = kets.conj()
+    half = np.einsum("pjb,abcot->pjaoct", bra[:, :2], step1)
+    return np.einsum("pkc,pjaoct->pjkaot", bra[:, 2:], half).reshape(-1, 4, 4, 2)
 
 
 def _pair_index(j: int, k: int) -> int:
@@ -311,26 +354,36 @@ def outcome_probability(params: PovmParams, j: int, k: int, axis: PauliAxis = X_
     which is flat for every target exactly inside the realizable families.
     With rank-1 effects the trace is |B_jk|^2 on the stator's W.
     """
-    return float(outcome_probabilities([params], axis)[0, _pair_index(j, k)])
+    return float(outcome_probabilities(np.array([params._kets()]), axis)[0, _pair_index(j, k)])
 
 
-def outcome_probabilities(params: list, axis: PauliAxis = X_AXIS) -> np.ndarray:
-    """outcome_probability of every outcome pair of each POVM in `params`, a (P, 4)
-    array ordered (1,1), (1,2), (2,1), (2,2) per POVM, from one contraction."""
-    b = _branch_maps(params, _channel_map(axis)).reshape(-1, 4, 8)
+def outcome_probabilities(kets: np.ndarray, axis: PauliAxis = X_AXIS) -> np.ndarray:
+    """outcome_probability of every outcome pair of P POVMs given by their (P, 4, 2)
+    kets (random_valid_kets, or stacked PovmParams._kets()), a (P, 4) array ordered
+    (1,1), (1,2), (2,1), (2,2) per POVM, from one contraction."""
+    b = _branch_maps(kets, _channel_map(axis)).reshape(-1, 4, 8)
     return np.einsum("pjs,pjs->pj", b.conj(), b).real
 
 
+@lru_cache(maxsize=64)
 def _dense_step1(axis: PauliAxis) -> np.ndarray:
     """The step-1 channel from the dense engine, axes (a1, a2, a3, O3, target):
     the tripartite channel state with each basis target attached, after the
-    controlled sigma_n from a3 onto O3."""
+    controlled sigma_n from a3 onto O3.  Cached per axis like _channel_map; the
+    shared array is read-only."""
     channel = crio_channel_state(CrioTopology(1))
     columns = []
     for basis_target in np.eye(2, dtype=complex):
         state = tensor(channel, product_state(["O3"], [basis_target]))
         columns.append(apply_controlled_op(state, "a3", "O3", pauli_axis_matrix(axis)).tensor_view())
-    return np.stack(columns, axis=-1)
+    w = np.stack(columns, axis=-1)
+    w.flags.writeable = False
+    return w
+
+
+def _dense_maps(params: PovmParams, axis: PauliAxis) -> np.ndarray:
+    """The (4, 4, 2) branch maps of one POVM on the dense engine's step-1 channel."""
+    return _branch_maps(np.array([params._kets()]), _dense_step1(axis))[0]
 
 
 @dataclass
@@ -347,7 +400,7 @@ class PovmBranchSim:
 def simulate_branch(params: PovmParams, j: int, k: int, axis: PauliAxis, target_vec) -> PovmBranchSim:
     """Project the prepared state onto (|beta_j>, |gamma_k>) and analyze the cut."""
     psi = product_state(["O3"], [target_vec]).amplitudes
-    branch = _branch_maps([params], _dense_step1(axis))[0, _pair_index(j, k)] @ psi
+    branch = _dense_maps(params, axis)[_pair_index(j, k)] @ psi
     p = float(np.vdot(branch, branch).real)
     if p < 1e-15:
         return PovmBranchSim(0.0, 0.0, None)
@@ -364,7 +417,7 @@ def outcome_probabilities_simulated(params: PovmParams, axis: PauliAxis, target_
     """The four branch probabilities conditioned on a specific target state,
     from the dense engine, ordered (1,1),(1,2),(2,1),(2,2)."""
     psi = product_state(["O3"], [target_vec]).amplitudes
-    return np.sum(np.abs(_branch_maps([params], _dense_step1(axis))[0] @ psi) ** 2, axis=1)
+    return np.sum(np.abs(_dense_maps(params, axis) @ psi) ** 2, axis=1)
 
 
 def sample_outcomes(
@@ -385,7 +438,7 @@ def sample_outcomes(
     if target_vec is not None:
         probs = outcome_probabilities_simulated(params, axis, target_vec)
         return rng.multinomial(n_samples, probs / probs.sum())
-    maps = _branch_maps([params], _dense_step1(axis))[0]
+    maps = _dense_maps(params, axis)
     psi = rng.normal(size=(2, n_samples)) + 1j * rng.normal(size=(2, n_samples))
     psi /= np.linalg.norm(psi, axis=0)
     probs = np.sum(np.abs(maps @ psi) ** 2, axis=1)  # (4, n)
@@ -401,7 +454,7 @@ def measured_stator(params: PovmParams, j: int, k: int, axis: PauliAxis) -> Stat
     The projection probability depends on the probe here, so each joint is
     handed over with its pre-normalization weight.
     """
-    branch_map = _branch_maps([params], _dense_step1(axis))[0, _pair_index(j, k)]
+    branch_map = _dense_maps(params, axis)[_pair_index(j, k)]
     joints, probes, scales = [], [], []
     for vec in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, 1.0j]) / math.sqrt(2)):
         branch = branch_map @ vec

@@ -10,9 +10,11 @@ from conftest import random_qubit
 from crio.povm import (
     BranchCoefficients,
     MAX_SHARED_BRANCHES,
+    _accepted,
     _branch_maps,
     _channel_map,
     _dense_step1,
+    _ket_array,
     PovmParams,
     angle_in_set,
     branch_coefficients,
@@ -28,6 +30,7 @@ from crio.povm import (
     outcome_probabilities,
     outcome_probability,
     outcome_probabilities_simulated,
+    random_valid_kets,
     sample_outcomes,
     separability_check,
     simulate_branch,
@@ -124,6 +127,29 @@ class TestBuildPovm:
         else:
             assert refused is not None and "completeness" in refused
 
+    @settings(max_examples=150, deadline=None)
+    @given(batch=st.lists(_perturbed_angles(), min_size=1, max_size=6))
+    def test_batch_check_accepts_and_refuses_what_povm_params_does(self, batch):
+        """The vectorised range and completeness check of random_valid_kets, row by row,
+        against PovmParams.__post_init__, near and far from complete, NaN and inf included."""
+        angles = np.array(batch)
+        kets = _ket_array(angles)
+        for angles_row, kets_row, accepted in zip(batch, kets, _accepted(angles, kets)):
+            try:
+                p = PovmParams(*angles_row)
+            except ValueError:
+                assert not accepted
+            else:
+                assert accepted and np.array_equal(kets_row, np.array(p._kets()))
+
+    @pytest.mark.parametrize("seed, count", [(110, 1), (111, 200), (112, 1000)])
+    def test_batch_draw_is_random_valid_draw_for_draw(self, seed, count):
+        batch_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        kets = random_valid_kets(batch_rng, count)
+        scalar = np.array([PovmParams.random_valid(scalar_rng)._kets() for _ in range(count)])
+        assert kets.shape == (count, 4, 2) and np.array_equal(kets, scalar)
+        assert batch_rng.random() == scalar_rng.random()
+
     def test_random_valid_satisfies_completeness(self):
         rng = np.random.default_rng(100)
         for _ in range(100):
@@ -152,8 +178,9 @@ class TestOutcomeProbability:
         contracted here with <beta_j| and <gamma_k|, and the batch's maps are those maps.  The
         dense map has a unit column per basis target, the stator Tr(S^dag S) = 1, hence sqrt(2)."""
         params, axis = [PovmParams.from_free(*f) for f in free], PauliAxis.unit(*direction)
+        kets = np.array([p._kets() for p in params])
         dense = _dense_step1(axis) / math.sqrt(2)
-        maps, probs = _branch_maps(params, _channel_map(axis)), outcome_probabilities(params, axis)
+        maps, probs = _branch_maps(kets, _channel_map(axis)), outcome_probabilities(kets, axis)
         assert maps.shape == (len(params), 4, 4, 2) and probs.shape == (len(params), 4)
         for i, p in enumerate(params):
             for n, (j, k) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
@@ -176,6 +203,14 @@ class TestOutcomeProbability:
         assert not w.flags.writeable
         fresh = step1_stator(1, [axis]).normalize().as_matrix()
         np.testing.assert_array_equal(w, fresh.reshape(2, 2, 2, 2, 2))
+
+    def test_dense_step1_cached_read_only(self):
+        axis = PauliAxis.unit(-2.0, 1.0, 0.5)
+        w = _dense_step1(axis)
+        assert _dense_step1(PauliAxis.unit(-2.0, 1.0, 0.5)) is w
+        assert not w.flags.writeable
+        fresh = _dense_step1.__wrapped__(axis)
+        np.testing.assert_array_equal(w, fresh)
 
     def test_four_outcomes_sum_to_one(self):
         rng = np.random.default_rng(102)

@@ -840,6 +840,14 @@ class TestDenial:
         # the channel itself is still entangled with the controller
         assert rep.purity_without_controller < 1 - 1e-6
 
+    def test_near_eigenstate_target_is_not_control_proof(self):
+        """A target 0.01 rad off the z axis keeps every guess's fidelity below 1 by about
+        1e-4, far above control_defeated's 1e-6 slack and below a looser 1e-3 one."""
+        target = np.array([math.cos(0.01), math.sin(0.01)])
+        rep = control_denial_report(1, [Z_AXIS], [0.8], [target])
+        assert rep.best_guess_min_fidelity == pytest.approx(1 - 1e-4, abs=1e-6)
+        assert not rep.control_defeated
+
     def test_two_system_purity(self):
         rng = np.random.default_rng(84)
         rep = control_denial_report(2, [random_axis(rng), random_axis(rng)], [0.5, 0.6],
