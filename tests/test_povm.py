@@ -127,7 +127,7 @@ class TestBuildPovm:
         else:
             assert refused is not None and "completeness" in refused
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(batch=st.lists(_perturbed_angles(), min_size=1, max_size=6))
     def test_batch_check_accepts_and_refuses_what_povm_params_does(self, batch):
         """The vectorised range and completeness check of random_valid_kets, row by row,
