@@ -7,7 +7,9 @@ angles theta in [0, pi/2] only; general mode adds a relative phase per
 qubit.  The ascent updates one qubit at a time in closed form: the phase
 aligns with its environment and theta = atan2(|env_1|, |env_0|), the
 alternating higher-order power method (De Lathauwer, De Moor & Vandewalle,
-SIAM J. Matrix Anal. Appl. 21, 2000), from random starts swept as rows of one array.
+SIAM J. Matrix Anal. Appl. 21, 2000), from random starts drawn in one call
+and swept as rows of one array, whose qubit vectors carry over from one
+sweep to the next instead of being rebuilt.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .qcore import HADAMARD, QuantumState, apply_1q
 OBJECTIVE_TOL = 1e-8  # a restart stops when a sweep gains under a tenth of it
 MAX_SWEEPS = 300      # per restart
 BLOCK_AMPLITUDES = 1 << 16  # restarts swept together hold about this many amplitudes
-MAX_RESTARTS = 100_000  # refused above: the start points are drawn in a Python loop
+MAX_RESTARTS = 100_000  # refused above: the (R, 1 or 2, n) start array and R histories all stay in memory
 
 
 @dataclass
@@ -112,41 +114,45 @@ def _ascend(psi: np.ndarray, angles: np.ndarray) -> tuple:
     A sweep builds the right products of the conjugated vectors from the last
     qubit back, then walks a left partial forward from the state: qubit j's
     environment is its contraction with right[j], and it then absorbs the new
-    vector, so after the last qubit it is the sweep's overlap."""
+    vector, so after the last qubit it is the sweep's overlap.  Qubit 0 reads
+    the state itself, shared by every row.  The vectors `bra` are built once,
+    from the start points, and each update rewrites a qubit's column, so the
+    next sweep starts from them; a row that stops leaves `bra`, the working
+    angles `ang` and `active` together, and every sweep writes `ang` back
+    into `angles`."""
     general, n = angles.shape[1] == 2, angles.shape[2]
-    active = np.arange(len(angles))
+    psi = psi if n else np.broadcast_to(psi, (len(angles), 1))  # no qubit: every row's overlap is psi[0]
+    active, ang, bra = np.arange(len(angles)), angles.copy(), _bra(angles)
     # set by the start points' overlap at j == 0 (a zero-qubit state has none; its first sweep sets them)
     best, histories = np.full(len(angles), -np.inf), [[] for _ in angles]
     for sweep in range(MAX_SWEEPS):
-        ang, b = angles[active], len(active)
-        bra = _bra(ang)
-        right = [np.ones((b, 1))]
+        right = [np.ones((len(bra), 1))]
         for j in range(n - 1, 0, -1):
-            right.insert(0, (bra[:, j, :, None] * right[0][:, None]).reshape(b, -1))
-        amp = np.broadcast_to(psi, (b, psi.size))
+            right.insert(0, (bra[:, j, :, None] * right[0][:, None]).reshape(len(bra), -1))
+        amp = psi
         for j in range(n):
-            left = amp.reshape(b, 2, -1)
-            env = np.einsum("bak,bk->ba", left, right[j])
+            left, rows = (amp.reshape(len(amp), 2, -1), "bak") if j else (psi.reshape(2, -1), "ak")
+            env = np.einsum(f"{rows},bk->ba", left, right[j])
             if sweep == 0 and j == 0:
                 best = np.abs(np.einsum("ba,ba->b", bra[:, 0], env)) ** 2
-                histories = [[float(v)] for v in best]
+                histories = [[v] for v in best.tolist()]
             mag = np.abs(env)
             # (m0 cos + m1 sin)^2 peaks where (cos, sin) is parallel to (m0, m1)
-            ang[:, 0, j] = np.arctan2(mag[:, 1], mag[:, 0])
-            bra[:, j, 0], sin = np.cos(ang[:, 0, j]), np.sin(ang[:, 0, j])
-            if general:
-                ok = (mag[:, 0] > 1e-300) & (mag[:, 1] > 1e-300)
-                ang[ok, 1, j] = (np.angle(env[ok, 1]) - np.angle(env[ok, 0])) % (2 * math.pi)
+            ang[:, 0, j] = theta = np.arctan2(mag[:, 1], mag[:, 0])
+            bra[:, j, 0], sin = np.cos(theta), np.sin(theta)
+            if general:  # the phase of env_1 over env_0, kept where either vanishes
+                phase, ok = np.arctan2(env.imag, env.real), np.minimum(mag[:, 0], mag[:, 1]) > 1e-300
+                np.copyto(ang[:, 1, j], (phase[:, 1] - phase[:, 0]) % (2 * math.pi), where=ok)
                 sin = sin * np.exp(-1j * ang[:, 1, j])
             bra[:, j, 1] = sin  # _bra of qubit j's new angles, written in place
-            amp = np.einsum("ba,bak->bk", bra[:, j], left)
+            amp = np.einsum(f"ba,{rows}->bk", bra[:, j], left)
         value, prev = np.abs(amp[:, 0]) ** 2, best[active]
         if np.any(value < prev - 1e-9):
             raise RuntimeError("coordinate ascent decreased the objective")
-        for r, v in zip(active, value):
-            histories[r].append(float(v))
+        for r, v in zip(active.tolist(), value.tolist()):
+            histories[r].append(v)
         best[active], angles[active] = np.maximum(prev, value), ang
-        active = active[value - prev >= OBJECTIVE_TOL / 10]
+        active, ang, bra = active[keep := value - prev >= OBJECTIVE_TOL / 10], ang[keep], bra[keep]
         if not active.size:
             break
     return best, histories
@@ -167,14 +173,15 @@ def gm_optimize(state: QuantumState, mode: str = "nonneg", restarts: int = 64, s
     n = state.num_qubits
     rng = np.random.default_rng(seed)
     highs = (math.pi / 2, 2 * math.pi) if mode == "general" else (math.pi / 2,)
-    # each restart draws its angles, then its phases, so a seed keeps its start points
-    starts = np.array([[rng.uniform(0.0, hi, size=n) for hi in highs] for _ in range(restarts)])
+    # one draw in C order: each restart's angles, then its phases, so a seed keeps its start points
+    starts = rng.uniform(0.0, np.array(highs)[:, None], size=(restarts, len(highs), n))
     block = max(1, BLOCK_AMPLITUDES >> n)
     best, histories = [], []
     for lo in range(0, restarts, block):
         values, more = _ascend(amps.real if mode == "nonneg" else amps, starts[lo : lo + block])
         best, histories = best + values.tolist(), histories + more
-    win, *others = sorted(range(restarts), key=lambda r: (-best[r], tuple(np.round(starts[r, 0], 12))))
+    rounded = np.round(starts[:, 0], 12).tolist()  # ties go to the smaller angles
+    win, *others = sorted(range(restarts), key=lambda r: (-best[r], rounded[r]))
     converged = bool(others) and abs(best[win] - best[others[0]]) <= OBJECTIVE_TOL
     lam_sq = min(best[win], 1.0 + 1e-12)
     argmax = ProductAnsatz(starts[win, 0], starts[win, 1] if mode == "general" else None)

@@ -323,3 +323,50 @@ class TestBatchedAscent:
         finally:
             tracemalloc.stop()
         assert peak < 3 * state.amplitudes.nbytes
+
+    @staticmethod
+    def loop_starts(rng, mode, restarts, n):
+        """The start points as one `rng.uniform` call per restart and per kind:
+        each restart's angles, then its phases."""
+        highs = (math.pi / 2, 2 * math.pi) if mode == "general" else (math.pi / 2,)
+        return np.array([[rng.uniform(0.0, hi, size=n) for hi in highs] for _ in range(restarts)])
+
+    @pytest.mark.parametrize("mode", ["nonneg", "general"])
+    @pytest.mark.parametrize("restarts", [1, 7, 16])
+    def test_start_points_are_the_per_restart_draws(self, monkeypatch, mode, restarts):
+        n, seed = 5, 150 + restarts
+        state, default_rng = ascent_case("random", n, mode, seed), np.random.default_rng
+        made, seen = [], []
+        monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[-1])
+        monkeypatch.setattr(gm, "_ascend", lambda psi, angles: (
+            seen.append(angles.copy()) or np.zeros(len(angles)), [[0.0] for _ in angles]))
+        gm_optimize(state, mode, restarts=restarts, seed=seed)
+        rng = default_rng(seed)
+        loop = self.loop_starts(rng, mode, restarts, n)
+        drawn = np.concatenate(seen)
+        assert drawn.shape == loop.shape and drawn.tobytes() == loop.tobytes()
+        assert len(made) == 1 and made[0].random() == rng.random()  # the generator ends where the loop's does
+
+    @pytest.mark.parametrize("mode", ["nonneg", "general"])
+    @pytest.mark.parametrize("seed", [170, 171])
+    def test_every_row_is_its_reference_restart(self, mode, seed):
+        # rows stop after different sweep counts, so the rows left carry their
+        # own qubit vectors; rows and reference restarts pair by start overlap
+        n = 5
+        state = ascent_case("random", n, mode, seed)
+        starts = self.loop_starts(np.random.default_rng(seed), mode, 16, n)
+        best, histories = gm._ascend(state.amplitudes.real if mode == "nonneg" else state.amplitudes, starts)
+        assert len({len(h) for h in histories}) > 1
+        got = sorted(zip(best.tolist(), histories), key=lambda row: row[1][0])
+        want = sorted(((r[0], r[3]) for r in reference_gm(state, mode, restarts=16, seed=seed)), key=lambda r: r[1][0])
+        for (value, history), (ref_value, ref_history) in zip(got, want, strict=True):
+            assert value == pytest.approx(ref_value, abs=1e-12)
+            assert len(history) == len(ref_history)
+            np.testing.assert_allclose(history, ref_history, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(160, 164))
+    def test_winner_stops_on_a_sweep_gain_below_1e_9(self, seed):
+        # a literal bound, not OBJECTIVE_TOL: a looser stopping rule leaves
+        # gains near 1e-5 here, which the G = N checks on channel states cannot see
+        res = gm_optimize(ascent_case("random", 5, "general", seed), "general", restarts=16, seed=seed)
+        assert len(res.history) < MAX_SWEEPS + 1 and res.history[-1] - res.history[-2] < 1e-9

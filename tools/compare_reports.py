@@ -5,6 +5,9 @@
 OLD_SRC and NEW_SRC are directories holding the `crio` package (a checkout's
 `src/`). Each command runs as `python -m crio.cli ...` in its own subprocess
 with PYTHONPATH set to one of them, and its standard output is the report.
+Every command runs in one temporary working directory, into which the script
+first writes the `gm --state` inputs under fixed relative names, so the path
+a report echoes does not depend on where the directory is.
 For every report the script prints "identical" (same exit code, same bytes)
 or the largest numeric difference and where it occurs. JSON reports are
 compared as trees; CSV and text output token by token, reading numeric
@@ -23,12 +26,14 @@ import cmath
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
 
 TOLERANCE = 1e-12
+H5_EDGES = ((0, 1), (0, 3), (1, 2), (2, 3), (2, 4))  # the N=2 channel graph on a1..a5
 
 
 def report_matrix() -> list:
@@ -67,6 +72,8 @@ def report_matrix() -> list:
         ["gm", "--family", "h3"],
         ["gm", "--family", "h5", "--format", "text"],
         ["gm", "--family", "phi", "--n", "2", "--format", "text"],
+        ["gm", "--state", "h5.json", "--mode", "general"],
+        ["gm", "--state", "random7.json", "--mode", "general", "--restarts", "16", "--seed", "3"],
         ["build-state", "h3"],
         ["build-state", "h5", "--n", "2", "--format", "text"],
         ["build-state", "h2n1", "--n", "3", "--format", "csv"],  # prints the signed zero imaginary parts
@@ -76,18 +83,33 @@ def report_matrix() -> list:
     return runs
 
 
-def run_report(src: str, argv: list) -> tuple:
+def write_state_files(directory: str) -> None:
+    """The matrix's `gm --state` inputs: h5.json, the graph state of H5_EDGES,
+    whose amplitudes are those of `build-state h5` bit for bit, and
+    random7.json, a seeded 7-qubit state with complex amplitudes."""
+    h5 = [(-1) ** sum((i >> (4 - u)) & (i >> (4 - v)) & 1 for u, v in H5_EDGES) * 2 ** -2.5 for i in range(32)]
+    rng = random.Random(22)
+    raw = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(128)]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in raw))
+    states = {"h5.json": ([f"a{i}" for i in range(1, 6)], h5),
+              "random7.json": ([f"q{i}" for i in range(7)], [a / norm for a in raw])}
+    for name, (labels, amps) in states.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            json.dump({"labels": labels, "amplitudes": [[complex(a).real, complex(a).imag] for a in amps]}, fh)
+
+
+def run_report(src: str, argv: list, cwd: str) -> tuple:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "crio.cli", *argv],
-                          capture_output=True, text=True, env=env, check=False)
+                          capture_output=True, text=True, env=env, cwd=cwd, check=False)
     return proc.returncode, proc.stdout
 
 
-def file_matches_stdout(src: str, argv: list, stdout: str) -> bool:
+def file_matches_stdout(src: str, argv: list, stdout: str, cwd: str) -> bool:
     """Whether `argv` run with `--out FILE` writes to FILE the bytes it wrote to standard output."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report")
-        run_report(src, [*argv, "--out", path])
+        run_report(src, [*argv, "--out", path], cwd)
         with open(path, "rb") as fh:
             return fh.read() == stdout.encode()
 
@@ -153,25 +175,27 @@ def main(argv=None) -> int:
         return 2
     old_src, new_src = args
     failed = 0
-    for cmd in report_matrix():
-        name = " ".join(cmd)
-        (old_code, old_out), (new_code, new_out) = run_report(old_src, cmd), run_report(new_src, cmd)
-        try:
-            if old_code != new_code:
-                raise Mismatch(f"exit code {old_code} vs {new_code}")
-            if cmd[0] == "run-protocol" and not file_matches_stdout(new_src, cmd, new_out):
-                raise Mismatch("the --out file differs from standard output")
-            if old_out == new_out:
-                print(f"{name:<50} identical")
+    with tempfile.TemporaryDirectory() as cwd:
+        write_state_files(cwd)
+        for cmd in report_matrix():
+            name = " ".join(cmd)
+            (old_code, old_out), (new_code, new_out) = run_report(old_src, cmd, cwd), run_report(new_src, cmd, cwd)
+            try:
+                if old_code != new_code:
+                    raise Mismatch(f"exit code {old_code} vs {new_code}")
+                if cmd[0] == "run-protocol" and not file_matches_stdout(new_src, cmd, new_out, cwd):
+                    raise Mismatch("the --out file differs from standard output")
+                if old_out == new_out:
+                    print(f"{name:<50} identical")
+                    continue
+                diff, where = max_difference(_parse(old_out), _parse(new_out))
+            except Mismatch as exc:
+                print(f"{name:<50} DIFFERENT {exc}")
+                failed += 1
                 continue
-            diff, where = max_difference(_parse(old_out), _parse(new_out))
-        except Mismatch as exc:
-            print(f"{name:<50} DIFFERENT {exc}")
-            failed += 1
-            continue
-        verdict = "ok" if diff <= TOLERANCE else "OVER TOLERANCE"
-        print(f"{name:<50} max |diff| {diff:.3g} at {where} ({verdict})")
-        failed += diff > TOLERANCE
+            verdict = "ok" if diff <= TOLERANCE else "OVER TOLERANCE"
+            print(f"{name:<50} max |diff| {diff:.3g} at {where} ({verdict})")
+            failed += diff > TOLERANCE
     print(f"{failed} of {len(report_matrix())} reports differ beyond numeric noise of {TOLERANCE:g}")
     return 1 if failed else 0
 
