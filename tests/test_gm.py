@@ -337,9 +337,17 @@ class TestBatchedAscent:
         n, seed = 5, 150 + restarts
         state, default_rng = ascent_case("random", n, mode, seed), np.random.default_rng
         made, seen = [], []
-        monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[-1])
-        monkeypatch.setattr(gm, "_ascend", lambda psi, angles: (
-            seen.append(angles.copy()) or np.zeros(len(angles)), [[0.0] for _ in angles]))
+
+        def recorded_rng(s):
+            made.append(default_rng(s))
+            return made[-1]
+
+        def spy(psi, angles):  # records the start points and sweeps nothing
+            seen.append(angles.copy())
+            return np.zeros(len(angles)), [[0.0] for _ in angles]
+
+        monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+        monkeypatch.setattr(gm, "_ascend", spy)
         gm_optimize(state, mode, restarts=restarts, seed=seed)
         rng = default_rng(seed)
         loop = self.loop_starts(rng, mode, restarts, n)
@@ -366,7 +374,8 @@ class TestBatchedAscent:
 
     @pytest.mark.parametrize("seed", range(160, 164))
     def test_winner_stops_on_a_sweep_gain_below_1e_9(self, seed):
-        # a literal bound, not OBJECTIVE_TOL: a looser stopping rule leaves
-        # gains near 1e-5 here, which the G = N checks on channel states cannot see
+        # a literal bound, since a mutant of OBJECTIVE_TOL would move the constant
+        # with it; a looser stopping rule leaves gains near 1e-5 here, which the
+        # G = N checks on channel states cannot see (their lambda^2 is exact either way)
         res = gm_optimize(ascent_case("random", 5, "general", seed), "general", restarts=16, seed=seed)
         assert len(res.history) < MAX_SWEEPS + 1 and res.history[-1] - res.history[-2] < 1e-9
