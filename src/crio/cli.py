@@ -230,13 +230,13 @@ def cmd_run_protocol(args) -> int:
         }
     config = proto.run_config_to_dict(**kwargs)
     result = proto.run_crio(**kwargs)
-    payload = {**result.summary_json(), "min_fidelity": result.min_fidelity(),
-               "total_probability": result.total_probability(), "branches": result.branches}
+    worst, total = result.min_fidelity(), result.total_probability()
+    payload = {**result.summary_json(), "min_fidelity": worst, "total_probability": total, "branches": result.branches}
     _write_report(args.out, _report(payload, config), args.format)
-    if result.permitted and result.min_fidelity() < 1 - proto.FIDELITY_TOL:
+    if result.permitted and worst < 1 - proto.FIDELITY_TOL:
         print("verification failed: a permitted branch missed unit fidelity", file=sys.stderr)
         return 2
-    if abs(result.total_probability() - 1.0) > 1e-10 and kwargs["mode"] == "enumerate":
+    if abs(total - 1.0) > 1e-10 and kwargs["mode"] == "enumerate":
         print("verification failed: branch probabilities do not sum to 1", file=sys.stderr)
         return 2
     return 0

@@ -28,17 +28,25 @@ engine, `_run`, runs a plan.  With h, u, v the Z values of a1, a2, a_{N+2},
 w = u xor v, and x_k, y_k those of a group's a_k, a_{k+N}, the channel's sign
 exponent is h*w + sum_k x_k*(w + y_k).  So the register is a sum of two terms,
 w = 0 and 1, each a product of a hub block (a1, a2, a_{N+2}, O_{N+2}) and one
-block (a_k, a_{k+N}, O_{k+N}) per group, and no step couples two blocks.  Each
-block holds one row per live branch (deferred measurement) of each term.  A
-measurement projects one block, weighing its terms' overlaps by the other
-blocks' 2x2 Gram matrices, and asks an outcome rule which outcomes every row
-keeps: both (enumeration, control-denial guesses), one drawn from a seeded
-generator (sample mode) or one forced (checkpoints).  An outcome of
-probability at most 1e-12 is refused; no protocol run meets one, as each of
-its measurements is unbiased.  On a permitted run the controller's step-3
-outcome zeroes one term on every branch.  A run's branches are a `Branches`
-table; each branch's corrections and messages follow from its outcome bits,
-and its dense final state is built from the blocks on demand.  The symbolic
+block (a_k, a_{k+N}, O_{k+N}) per group, and no step couples two blocks.
+A measurement projects one block, weighing its terms' overlaps by the other
+blocks' 2x2 Gram matrices, and asks an outcome rule which outcomes to keep:
+both (enumeration, control-denial guesses), one drawn from a seeded generator
+(sample mode) or one forced (checkpoints).  Every kept branch is carried at
+once (deferred measurement), on broadcast branch axes: a measurement that
+keeps both outcomes adds one axis, of size 2 on the arrays it or one of its
+outcome-1 fixes touches and of size 1, which numpy broadcasts, on all others.
+So a block holds a row only for each pattern of the bits that touch it; on a
+permitted run these are the controller's bit and its own two, at most 8 rows
+at any N, where a run has 2**(2N+1) branches.  Keeping one outcome adds no
+axis.  Blocks are never normalised: the register carries one joint squared
+norm, norm2, over the branch axes, and each outcome probability is a ratio to
+it.  An outcome of probability at most 1e-12 is refused; no protocol run
+meets one, as each of its measurements is unbiased.  On a permitted run the
+controller's step-3 outcome zeroes one term on every branch.  A run's
+branches are a `Branches` table, rows in depth-first order; each branch's
+corrections and messages follow from its outcome bits, and its dense final
+state is gathered from the blocks' slices on demand.  The symbolic
 checkpoints follow the same plan on stators.
 """
 from __future__ import annotations
@@ -48,7 +56,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain
 from operator import getitem
 from typing import NamedTuple
 
@@ -121,15 +129,18 @@ class Branches(Sequence):
 
     A branch's corrections and messages follow from its outcome bits and the
     measured steps (`outcome_records`), so they are not stored: `branches[r]`,
-    slices and iteration pick each branch's records by its bits row, and build
-    its final state from the block factors."""
+    slices and iteration pick each branch's records by its bits row.  The block
+    factors keep the engine's broadcast branch axes (see `_Register`) and are not
+    normalised: a branch's final state gathers each block's slice on its row,
+    multiplies them out and divides by the square root of its norm2."""
 
     steps: tuple               # the measured Steps, in the order of each row's bits
     bits: np.ndarray           # (B, m) uint8 outcome bits
     probabilities: np.ndarray  # (B,)
     fidelities: np.ndarray     # (B,) fidelity to the expected target
     labels: tuple              # the qubits of every final state, in dense order
-    factors: tuple             # (block qubits, (B, 2, 2**q) two-term block array) pairs
+    factors: tuple             # (block qubits, two-term block array on broadcast branch axes) pairs
+    norm2: np.ndarray          # (B,) each branch's squared norm of the factors' product
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -145,7 +156,7 @@ class Branches(Sequence):
 
     def _records(self, rows: slice):
         records = [outcome_records(step) for step in self.steps]
-        for row, amps, p, fidelity in zip(self.bits[rows].tolist(), _dense(self.factors, self.labels, rows),
+        for row, amps, p, fidelity in zip(self.bits[rows].tolist(), _dense(self.factors, self.labels, self.norm2, rows),
                                           self.probabilities[rows].tolist(), self.fidelities[rows].tolist()):
             picked = list(map(getitem, records, row))
             yield BranchRecord("".join(map(str, row)), p, tuple(chain.from_iterable(c for c, _ in picked)),
@@ -387,7 +398,7 @@ def _keep_both(step: Step, p: np.ndarray) -> tuple:
 
 def _drawn(rng: np.random.Generator):
     """Sample mode's outcome rule: one outcome drawn from rng, as `qcore.measure` draws it."""
-    return lambda step, p: (0 if rng.random() < p[0, 0] else 1,)
+    return lambda step, p: (0 if rng.random() < p.flat[0] else 1,)
 
 
 def _next_outcome(bits) -> int:
@@ -407,14 +418,19 @@ def _forced(outcomes):
 
 class _Register(NamedTuple):
     """The participating register as two terms, w = 0 and 1, of block products (see the module
-    docstring).  Block i holds qubits labels[i] as a (B, 2, 2**q) array, [r, w] term w's factor on
-    branch r, and grams[i] holds its rows' (B, 2, 2) Gram matrices [r, w, w'] = <g_w|g_w'>, which
-    gates leave unchanged.  `order` lists the qubits as a dense state lists them."""
+    docstring), unnormalised.  Block i holds qubits labels[i] as an (*axes, 2, 2**q) array whose
+    [..., w, :] is term w's factor, and grams[i] holds its (*axes, 2, 2) Gram matrices
+    [..., w, w'] = <g_w|g_w'>, which gates leave unchanged.  The leading axes are branch axes, one
+    per measurement that kept both outcomes, the newest first; they align from the right, as numpy
+    broadcasts them, and an array has size 2 on a measurement's axis only if that measurement or
+    one of its outcome-1 fixes touched it.  norm2 is the register's squared norm over all the branch
+    axes (1 before any measurement).  `order` lists the qubits as a dense state lists them."""
 
     order: tuple
     labels: list
     blocks: list
     grams: list
+    norm2: np.ndarray
 
 
 # The sign rule's block factors, one row per term w: the hub's Phi_w[h, u, v] = (-1)^(h*w) [u xor v = w]
@@ -441,32 +457,42 @@ def _register(n_systems, ks, target_vecs) -> _Register:
             raise ValueError(f"{what}: " + ", ".join(f"{name[u]}-{name[v]}" for u, v in sorted(found ^ rule)))
     labels = [("a1", name[2], name[m + 2], target_label(js[0]))]
     labels += [(name[k], name[k + m], target_label(js[k - 2])) for k in range(3, m + 2)]
-    blocks = [(terms[:, :, None] * target_vecs[k - 2]).reshape(1, 2, -1)
+    blocks = [(terms[:, :, None] * target_vecs[k - 2]).reshape(2, -1)
               for terms, k in zip([_HUB_TERMS] + [_GROUP_TERMS] * (m - 1), ks)]
     order = (*name.values(), *map(target_label, js))
-    return _Register(order, labels, blocks, [a.conj() @ a.transpose(0, 2, 1) for a in blocks])
+    return _Register(order, labels, blocks, [a.conj() @ a.T for a in blocks], np.ones(()))
 
 
 def _apply(a: np.ndarray, labels: tuple, step: Step) -> np.ndarray:
     """Gate `step` on the last axis of `a`, over qubits `labels`, for every leading index (both
-    terms of every row of a block), as a new array."""
+    terms on every branch axis of a block), as a new array."""
     at, m = labels.index(step.qubit), step.matrix
     if step.control is not None:
         return _apply_controlled(a.reshape(-1, a.shape[-1]), labels.index(step.control), at, m).reshape(a.shape)
     return np.einsum("ij,...hjl->...hil", m, a.reshape(a.shape[:-1] + (1 << at, 2, -1))).reshape(a.shape)
 
 
+def _padded(a: np.ndarray, axes: int) -> np.ndarray:
+    """Block array `a` with size-1 branch axes in front, up to `axes` of them."""
+    return a if a.ndim == axes + 2 else a.reshape((1,) * (axes + 2 - a.ndim) + a.shape)
+
+
 def _run(reg: _Register, plan, rule):
     """The one executor of a plan: every branch that `rule` keeps, at once, on the block form.
 
-    A measurement on block i splits every row into the outcomes `rule` keeps, outcome 0 first, so
-    rows stay in the order of a depth-first walk: block i's rows become their normalized
-    components, every other block's rows repeat, and outcome-1 rows get the step's corrections.
-    A step that crosses blocks is refused.  Returns the register after the plan, the branches'
-    probabilities and outcome bits, and the measured steps; `reg` itself is left as it was."""
-    labels, blocks, grams = list(reg.labels), list(reg.blocks), list(reg.grams)
+    A measurement on block i weighs each outcome's component of block i by the other blocks' Gram
+    matrices, num, and asks `rule(step, p)` which outcomes to keep, where p = num / norm2 holds
+    outcome o's probability on every branch at p[o].  Keeping both puts a new branch axis in
+    front, outcome 0 first: on block i (its components), on the joint arrays (num becomes norm2,
+    p times the running probabilities) and on each block an outcome-1 fix acts on ([b, fix(b)]).
+    Every other array keeps size 1 there, and blocks stay unnormalised, so no block is copied per
+    branch.  Keeping one outcome adds no axis.  A step that crosses blocks is refused.  Returns
+    the register after the plan, the branches' probabilities and outcome bits, rows in the order
+    of a depth-first walk with outcome 0 first, and the measured steps; `reg` itself is left as
+    it was."""
+    labels, blocks, grams, norm2 = list(reg.labels), list(reg.blocks), list(reg.grams), reg.norm2
     where = {q: i for i, block in enumerate(labels) for q in block}
-    probs, kept, measured = np.ones(1), [], []
+    probs, kept, measured = np.ones(()), [], []
     for step in plan:
         i = where.get(step.qubit)
         if i is None or step.control is not None and where.get(step.control) != i:
@@ -474,52 +500,76 @@ def _run(reg: _Register, plan, rule):
         if step.basis is None:
             blocks[i] = _apply(blocks[i], labels[i], step)
             continue
-        at, a = labels[i].index(step.qubit), blocks[i]
-        c = _basis_components(a.reshape(len(a), 2, 1 << at, 2, -1), step.basis)  # [r, w, high, outcome, low]
-        c = c.transpose(0, 3, 1, 2, 4).reshape(len(a), 2, 2, -1)  # [r, outcome, w, rest]
-        overlaps = np.einsum("rowi,rovi->rowv", c.conj(), c)
+        at, axes = labels[i].index(step.qubit), norm2.ndim  # norm2 spans every branch axis
+        a = _padded(blocks[i], axes)
+        c = _basis_components(a.reshape(a.shape[:-1] + (1 << at, 2, -1)), step.basis)  # [..., w, high, outcome, low]
+        c = c.transpose((c.ndim - 2, *range(c.ndim - 2), c.ndim - 1)).reshape((2,) + a.shape[:-1] + (-1,))
+        overlaps = np.einsum("...wi,...vi->...wv", c.conj(), c)  # c and overlaps lead with the outcome
         others = grams[:i] + grams[i + 1:]
-        weight = reduce(np.multiply, others) if others else np.ones((1, 2, 2))  # the other blocks' [r, w, w']
-        p = np.einsum("rowv,rwv->ro", overlaps, weight).real
+        weight = reduce(np.multiply, others) if others else np.ones((2, 2))  # the other blocks' [..., w, w']
+        num = np.einsum("...wv,...wv->...", overlaps, weight).real
+        p = num / norm2
         outcomes = rule(step, p)
-        span = slice(outcomes[0], outcomes[-1] + 1)
-        norms = p[:, span, None, None]
-        if norms.min() <= 1e-12:
-            outcome = next(o for o in outcomes if p[:, o].min() <= 1e-12)
+        both = len(outcomes) == 2
+        keep = slice(None) if both else outcomes[0]
+        if p[keep].min() <= 1e-12:
+            outcome = next(o for o in outcomes if p[o].min() <= 1e-12)
             raise ValueError(f"cannot keep a zero-probability outcome ({step.qubit}, basis {step.basis}, "
                              f"outcome {outcome})")
         del where[step.qubit]
         labels[i] = labels[i][:at] + labels[i][at + 1:]
-        blocks[i] = (c[:, span] * (1 / np.sqrt(norms))).reshape(-1, 2, c.shape[-1])
-        grams[i] = (overlaps[:, span] / norms).reshape(-1, 2, 2)
-        if len(outcomes) == 2:
-            blocks = [b if j == i else b.repeat(2, axis=0) for j, b in enumerate(blocks)]
-            grams = [g if j == i else g.repeat(2, axis=0) for j, g in enumerate(grams)]
-        for fix, _ in step.on_one if outcomes[-1] == 1 else ():  # on the outcome-1 rows
+        blocks[i], grams[i], norm2, probs = c[keep], overlaps[keep], num[keep], p[keep] * probs
+        split = {i}  # the blocks with size 2 on this measurement's axis
+        for fix, _ in step.on_one if outcomes[-1] == 1 else ():  # on the outcome-1 branches
             j = where[fix.qubit]
-            if len(outcomes) == 1:
+            if not both:
                 blocks[j] = _apply(blocks[j], labels[j], fix)
-            else:  # the odd rows of an array this measurement made
-                blocks[j][1::2] = _apply(blocks[j][1::2], labels[j], fix)
-        probs = (probs[:, None] * p[:, span]).reshape(-1)
+                continue
+            b = blocks[j] if j in split else _padded(blocks[j], axes + 1)
+            blocks[j] = np.concatenate((b[:1], _apply(b[-1:], labels[j], fix)))  # a fix is unitary: grams[j] stays
+            split.add(j)
         kept.append(outcomes)
         measured.append(step)
-    # every branch's bits, the product of the kept outcomes in the rows' order: index plus first outcome
-    bits = np.indices([len(t) for t in kept], dtype=np.uint8).reshape(len(kept), len(probs))
-    bits = (bits + np.array([t[0] for t in kept], dtype=np.uint8).reshape(-1, 1)).T.copy()
-    return _Register(tuple(q for q in reg.order if q in where), labels, blocks, grams), probs, bits, measured
+    out = _Register(tuple(q for q in reg.order if q in where), labels, blocks, grams, norm2)
+    return out, np.ravel(probs.T), _bits(kept), measured
+
+
+def _bits(kept) -> np.ndarray:
+    """The (B, m) outcome bits of a run whose m measurements kept the outcome tuples `kept`, rows in
+    depth-first order: a kept-both measurement's bit is the row index's bit at its branch axis, whose
+    place is the number of kept-both measurements after it; a kept-one measurement's is its outcome."""
+    both, first = [len(t) - 1 for t in kept], [t[0] for t in kept]
+    if not any(both):  # one branch
+        return np.array([first], dtype=np.uint8)
+    place, mask, first = np.array([list(accumulate(both[::-1], initial=0))[-2::-1], both, first], dtype=np.int32)
+    return (np.arange(1 << sum(both), dtype=np.int32)[:, None] >> place & mask | first).astype(np.uint8)
+
+
+def _gather(a: np.ndarray, rows: np.ndarray, axes: int) -> np.ndarray:
+    """The (R, 2, d) slices of block array `a` on the given rows (depth-first order) of a run with
+    `axes` branch axes: a row's bit k picks its index on the axis k places from the newest."""
+    k = a.ndim - 2
+    if not k:
+        return a[None]  # the same on every row, as the rows broadcast it
+    return a[(*((rows >> (axes - k + l)) & (a.shape[l] - 1) for l in range(k)),)]
 
 
 def _terms(arrays) -> np.ndarray:
-    """Term by term, the Kronecker product of (B, 2, d_i) block arrays: one (B, 2, prod d_i) array."""
-    return reduce(lambda acc, a: (acc[:, :, :, None] * a[:, :, None, :]).reshape(len(a), 2, acc.shape[2] * a.shape[2]),
-                  arrays)
+    """Term by term, the Kronecker product of (..., 2, d_i) block arrays over their broadcast
+    leading axes: one (..., 2, prod d_i) array."""
+    def kron(acc, a):
+        t = acc[..., :, None] * a[..., None, :]
+        return t.reshape(t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
+
+    return reduce(kron, arrays)
 
 
-def _dense(factors, order: tuple, rows=slice(None)) -> np.ndarray:
-    """The (B, 2**n) dense rows on qubits `order` of the given rows of (block qubits, block array) `factors`."""
+def _dense(factors, order: tuple, norm2: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """The (R, 2**n) normalised dense rows on qubits `order` of the given rows of (block qubits, block
+    array) `factors`, whose rows have the squared norms `norm2` (one per row, depth-first order)."""
     labels = tuple(chain.from_iterable(block for block, _ in factors))
-    t = _terms([a[rows] for _, a in factors]).sum(axis=1)
+    index, axes = np.arange(len(norm2))[rows], len(norm2).bit_length() - 1  # 2**axes rows
+    t = _terms([_gather(a, index, axes) for _, a in factors]).sum(axis=1) / np.sqrt(norm2[rows])[:, None]
     t = t.reshape((len(t),) + (2,) * len(labels)).transpose([0] + [1 + labels.index(q) for q in order])
     return t.reshape(len(t), 1 << len(order))
 
@@ -529,13 +579,14 @@ def _expected_kets(n_systems, axes, betas, target_vecs, ks) -> dict:
     return {target_label(k + n_systems): rotation(axes[k - 2], betas[k - 2]) @ target_vecs[k - 2] for k in ks}
 
 
-def _fidelities(factors, kets: dict) -> np.ndarray:
-    """|<expected| (x) I|row>| for each row of the block `factors`, normed over the qubits `kets`
-    does not name (a1 on a denied run).  A block's target is its last qubit; each block is
-    contracted with its target's expected ket before the blocks are multiplied out."""
-    contracted = [a.reshape(len(a), 2, -1, 2) @ kets[labels[-1]].conj() if labels[-1] in kets else a
+def _fidelities(factors, kets: dict, norm2: np.ndarray) -> np.ndarray:
+    """|<expected| (x) I|row>| for each branch of the block `factors`, whose squared norm is
+    `norm2`, normed over the qubits `kets` does not name (a1 on a denied run).  A block's target is
+    its last qubit; each block is contracted with its target's expected ket before the blocks are
+    multiplied out over their broadcast branch axes.  Rows in depth-first order."""
+    contracted = [a.reshape(a.shape[:-1] + (-1, 2)) @ kets[labels[-1]].conj() if labels[-1] in kets else a
                   for labels, a in factors]
-    return np.linalg.norm(_terms(contracted).sum(axis=1), axis=1)
+    return np.ravel((np.linalg.norm(_terms(contracted).sum(axis=-2), axis=-1) / np.sqrt(norm2)).T)
 
 
 def outcome_records(step: Step) -> tuple:
@@ -550,7 +601,8 @@ def _branches(reg: _Register, plan, kets: dict, rule) -> Branches:
     """The branches of `plan` that `rule` keeps, with their fidelity to the expected kets."""
     reg, probs, bits, measured = _run(reg, plan, rule)
     factors = tuple(zip(reg.labels, reg.blocks))
-    return Branches(tuple(measured), bits, probs, _fidelities(factors, kets), reg.order, factors)
+    return Branches(tuple(measured), bits, probs, _fidelities(factors, kets, reg.norm2), reg.order, factors,
+                    np.ravel(reg.norm2.T))
 
 
 def run_crio(
@@ -605,8 +657,8 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
     reg = _run(_register(n_systems, ks, target_vecs), plan[:lead], _keep_both)[0]
     # the register is pure, so a1's purity is that of the rest: a1 leads the hub block, whose two
     # terms' overlaps on its other qubits are weighted by the groups' Gram matrices
-    hub = reg.blocks[0][0].reshape(2, 2, -1)  # [w, a1, rest]
-    weight = reduce(np.multiply, reg.grams[1:], np.ones((1, 2, 2)))[0]  # [w', w] = <groups_w'|groups_w>
+    hub = reg.blocks[0].reshape(2, 2, -1)  # [w, a1, rest]
+    weight = reduce(np.multiply, reg.grams[1:], np.ones((2, 2)))  # [w', w] = <groups_w'|groups_w>
     pur = purity(np.einsum("wxs,vys,vw->xy", hub, hub.conj(), weight))
     kets = _expected_kets(n_systems, axes, betas, target_vecs, ks)
 
@@ -646,7 +698,7 @@ def run_checkpoints(
     for tag in STEPS:
         if permitted or tag != "step3":
             reg = _run(reg, [step for step in plan if step.tag == tag], rule)[0]
-            amps = _dense(tuple(zip(reg.labels, reg.blocks)), reg.order)[0]
+            amps = _dense(tuple(zip(reg.labels, reg.blocks)), reg.order, reg.norm2.reshape(1))[0]
             checkpoints.append((tag, QuantumState._trusted(reg.order, amps)))
     return checkpoints
 

@@ -60,7 +60,7 @@ def project(rows: np.ndarray, ax: int, step, rule):
     c = _basis_components(rows.reshape(len(rows), 1 << ax, 2, -1), step.basis)
     f = c.view(np.float64)
     p = np.einsum("bijk,bijk->bj", f, f)
-    outcomes = rule(step, p)
+    outcomes = rule(step, p.T)  # [outcome, row], as the engine passes p
     for outcome in outcomes:
         if (p[:, outcome] <= 1e-12).any():
             raise ValueError(f"cannot keep a zero-probability outcome ({step.qubit}, basis {step.basis}, "
@@ -117,13 +117,17 @@ def fidelities(rows: np.ndarray, labels: tuple, expected: QuantumState) -> np.nd
 
 def one_block(state: QuantumState):
     """`state` as a register of the block engine: one block of all its qubits, whose second term is 0."""
-    block = np.stack([state.amplitudes, np.zeros_like(state.amplitudes)])[None]
-    return protocol._Register(state.labels, [state.labels], [block], [block.conj() @ block.transpose(0, 2, 1)])
+    block = np.stack([state.amplitudes, np.zeros_like(state.amplitudes)])
+    return protocol._Register(state.labels, [state.labels], [block], [block.conj() @ block.T], np.ones(()))
 
 
 def branches(state: QuantumState, plan, expected: QuantumState, rule) -> protocol.Branches:
     """The branches of `plan` that `rule` keeps, walked densely, as the engine's branch table:
-    the final rows are one block whose second term is 0."""
+    the final rows are one block whose second term is 0, with one branch axis per bit of the
+    row index, the lowest bit first (the engine's newest measurement first)."""
     labels, rows, probs, bits, measured = walk(state, plan, rule)
-    factors = ((labels, np.stack([rows, np.zeros_like(rows)], axis=1)),)
-    return protocol.Branches(tuple(measured), bits, probs, fidelities(rows, labels, expected), labels, factors)
+    axes = len(rows).bit_length() - 1  # 2**axes rows
+    block = np.stack([rows, np.zeros_like(rows)], axis=1).reshape((2,) * axes + (2, -1))
+    factors = ((labels, block.transpose([*range(axes)][::-1] + [axes, axes + 1])),)
+    return protocol.Branches(tuple(measured), bits, probs, fidelities(rows, labels, expected), labels, factors,
+                             np.ones(len(rows)))

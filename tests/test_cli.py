@@ -651,7 +651,7 @@ def test_branch_list_blocks_join_to_one_list(monkeypatch, block_rows):
 def test_zero_row_branch_table_writes_an_empty_list(tmp_path):
     steps = tuple(s for s in proto._plan(1, [X_AXIS], [0.3], [2]) if s.basis is not None)
     empty = proto.Branches(steps, np.zeros((0, len(steps)), dtype=np.uint8), np.zeros(0), np.zeros(0), ("O3",),
-                           ((("O3",), np.zeros((0, 2, 2), dtype=complex)),))
+                           ((("O3",), np.zeros((0, 2, 2), dtype=complex)),), np.zeros(0))
     result = proto.ProtocolResult(1, True, (3,), None, empty, "enumerate")
     out = tmp_path / "run.json"
     _write_report(str(out), {"n": 1, "branches": result.branches}, "json")

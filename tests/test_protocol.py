@@ -207,6 +207,12 @@ class TestBranchBookkeeping:
         for g, r in zip(got, ref):
             assert_same_branch(g, r)
 
+    def test_slices_of_a_sampled_run(self):
+        """A single-branch table keeps no branch axis; an empty slice of it is still empty."""
+        res = run_crio(2, *random_inputs(np.random.default_rng(79), 2), mode="sample", seed=3)
+        assert res.branches[1:] == [] and res.branches[5:2] == []
+        assert_same_branch(res.branches[-1:][0], res.branches[0])
+
     def test_checkpoints_cover_all_steps(self):
         rng = np.random.default_rng(77)
         tags = [t for t, _ in run_checkpoints(1, [random_axis(rng)], [0.4], [random_qubit(rng)], [0, 1, 0])]
@@ -456,6 +462,27 @@ class TestBatchedEnumeration:
         assert_same_branches(dense_walk.branches(state, plan, expected, protocol._keep_both),
                              reference_walk(state, plan, expected))
 
+    @pytest.mark.parametrize("permitted", [True, False])
+    def test_mixed_rule_keeps_the_matching_enumerated_branches(self, permitted):
+        """A rule that keeps one outcome at some measurements and both at the rest: its branches are
+        the enumerated ones whose bits read the kept outcome there, in the same order, so the branch
+        axes of the kept-both measurements line up across the blocks."""
+        n = 3
+        axes, betas, targets = random_inputs(np.random.default_rng(134), n)
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets, permitted=permitted)
+        kets = protocol._expected_kets(n, axes, betas, vecs, ks)
+        forced, count = {1: 1, 2: 0, 4: 1}, iter(range(100))
+
+        def rule(step, p):
+            i = next(count)
+            return (forced[i],) if i in forced else (0, 1)
+
+        full = protocol._branches(protocol._register(n, ks, vecs), plan, kets, protocol._keep_both)
+        mixed = protocol._branches(protocol._register(n, ks, vecs), plan, kets, rule)
+        rows = [r for r in range(len(full)) if all(full.bits[r, i] == bit for i, bit in forced.items())]
+        assert len(mixed) == 2 ** (sum(step.basis is not None for step in plan) - len(forced)) == len(rows)
+        assert_same_branches(mixed, [full[r] for r in rows])
+
     @pytest.mark.parametrize("n,groups,permitted", [(1, None, True), (2, frozenset(), True), (3, None, False)])
     def test_sample_draws_as_measure_draws(self, n, groups, permitted):
         axes, betas, targets = random_inputs(np.random.default_rng(150 + n), n)
@@ -510,6 +537,28 @@ class TestUnbiasedOutcomes:
             np.testing.assert_allclose(branches.probabilities, 2.0 ** -len(branches.steps), rtol=0, atol=1e-12)
 
 
+class TestDenialClosedForm:
+    """Every branch of both control-denial guesses has fidelity sqrt((1 + z**2) / 2), with
+    z = prod_k <psi_k|sigma_{n_k}|psi_k>, real as each sigma_n is Hermitian.  After the denied plan
+    the w = 0 term holds the expected targets A and the w = 1 term B = (x)_k sigma_{n_k} A (sigma_n
+    commutes with exp(i*beta*sigma_n)); tracing a1 leaves their equal mixture, so
+    F**2 = (1 + <A|B>**2) / 2 with <A|B> = z.  A closed form, so it checks the engine's two-term
+    path without a walk."""
+
+    @pytest.mark.parametrize("inputs", [random_inputs, eigenstate_inputs])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_branch_of_both_guesses(self, n, inputs):
+        for seed in range(2):
+            axes, betas, targets = inputs(np.random.default_rng(300 + 10 * n + seed), n)
+            z = math.prod(np.vdot(t, pauli_axis_matrix(axis) @ t).real for axis, t in zip(axes, targets))
+            report = control_denial_report(n, axes, betas, targets)
+            for branches in report.guess_branches.values():
+                assert len(branches) == 2 ** (2 * n)
+                np.testing.assert_allclose(branches.fidelities, math.sqrt((1 + z * z) / 2), rtol=0, atol=1e-12)
+            if inputs is eigenstate_inputs:  # each rotation is a phase on its target: control is defeated
+                assert abs(z) == pytest.approx(1, abs=1e-12) and report.control_defeated
+
+
 class TestParticipatingRegister:
     """Runs build and walk only a1 and the participating groups.  The oracle is
     the full 2N+1 channel tensor every target, taken through steps 1-2 by the
@@ -551,7 +600,7 @@ def control_subsets(max_n):
 def tensored_out(register):
     """The dense state of a block register, summed over its two terms with np.kron, on its blocks' labels."""
     labels = sum(register.labels, ())
-    return QuantumState(labels, sum(reduce(np.kron, [block[0, w] for block in register.blocks]) for w in (0, 1)))
+    return QuantumState(labels, sum(reduce(np.kron, [block[w] for block in register.blocks]) for w in (0, 1)))
 
 
 class TestBlockForm:
@@ -591,13 +640,50 @@ class TestBlockForm:
             through3 = [step for step in plan if step.tag in ("step1", "step2", "step3")]
             for steps in (through3, plan):
                 reg, _, bits, _ = protocol._run(register, steps, protocol._keep_both)
-                zero = np.array([[any((block[r, w] == 0).all() for block in reg.blocks) for w in (0, 1)]
+                # each block's slice on every branch: one branch axis per measurement, all kept both
+                rows = [protocol._gather(block, np.arange(len(bits)), bits.shape[1]) for block in reg.blocks]
+                zero = np.array([[any((block[r, w] == 0).all() for block in rows) for w in (0, 1)]
                                  for r in range(len(bits))])
                 if permitted:
                     assert (zero[range(len(bits)), 1 - bits[:, 0]]).all()  # outcome s0 keeps term w = s0
                     assert not zero[range(len(bits)), bits[:, 0]].any()
                 else:
                     assert not zero.any()
+
+    @pytest.mark.parametrize("run", ["permitted", "denied", "guess 0", "guess 1"])
+    def test_no_final_block_holds_more_than_eight_branch_rows(self, run):
+        """A block has size 2 only on the branch axes of the measurements and fixes that touch it: the
+        controller's bit and its own two bits, so at most 8 rows of the 2**11 (2**10) branches at N=5."""
+        n = 5
+        args = random_inputs(np.random.default_rng(250), n)
+        if run.startswith("guess"):
+            branches = control_denial_report(n, *args).guess_branches[int(run[-1])]
+        else:
+            branches = run_crio(n, *args, permitted=run == "permitted").branches
+        assert len(branches) == 2 ** len(branches.steps)
+        for _, block in branches.factors:
+            assert math.prod(block.shape[:-2]) <= 8
+
+    def test_single_branch_run_past_64_measurements(self):
+        """A kept-one measurement adds no branch axis, so neither do its bits: 70 one-qubit blocks,
+        each measured once in sample mode, against independent draws from the same generator
+        (numpy refuses arrays of more than 64 axes)."""
+        rng = np.random.default_rng(260)
+        kets = [random_qubit(rng) for _ in range(70)]
+        blocks = [np.stack([ket, np.zeros(2)]) for ket in kets]  # term w = 1 is zero
+        labels = tuple(f"q{i}" for i in range(70))
+        register = protocol._Register(labels, [(q,) for q in labels], blocks, [b.conj() @ b.T for b in blocks],
+                                      np.ones(()))
+        plan = [Step("s", "P", q, basis="ZX"[i % 2]) for i, q in enumerate(labels)]
+        reg, probs, bits, measured = protocol._run(register, plan, protocol._drawn(np.random.default_rng(5)))
+        draw, expected, p = np.random.default_rng(5), [], 1.0
+        for i, ket in enumerate(kets):
+            weights = np.abs(HADAMARD @ ket if i % 2 else ket) ** 2
+            expected.append(0 if draw.random() < weights[0] else 1)
+            p *= weights[expected[-1]]
+        assert bits.shape == (1, 70) and bits[0].tolist() == expected
+        assert probs.shape == (1,) and probs[0] == pytest.approx(p, rel=1e-12, abs=0)
+        assert len(measured) == 70 and reg.order == () and reg.norm2.shape == ()
 
     def test_extra_edge_between_groups_is_refused(self, monkeypatch):
         """A mutant channel graph with an edge between two groups does not split into blocks."""

@@ -50,6 +50,9 @@ def report_matrix() -> list:
         ["run-protocol", "--n", "4", "--groups", "5", "--permitted", "false"],
         ["run-protocol", "--n", "5"],
         ["run-protocol", "--n", "5", "--permitted", "false"],
+        # enumerations whose branch axes interleave participating and unwired groups
+        ["run-protocol", "--n", "6", "--groups", "3,5"],
+        ["run-protocol", "--n", "5", "--groups", "4", "--permitted", "false"],
         ["run-protocol", "--n", "3", "--permitted", "false", "--mode", "sample"],
         ["run-protocol", "--n", "3", "--format", "text"],
         ["run-protocol", "--n", "6", "--mode", "sample"],
