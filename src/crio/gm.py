@@ -25,7 +25,7 @@ from .qcore import HADAMARD, QuantumState, apply_1q
 OBJECTIVE_TOL = 1e-8  # a restart stops when a sweep gains under a tenth of it
 MAX_SWEEPS = 300      # per restart
 BLOCK_AMPLITUDES = 1 << 16  # restarts swept together hold about this many amplitudes
-MAX_RESTARTS = 100_000  # refused above: the (R, 1 or 2, n) start array and R histories all stay in memory
+MAX_RESTARTS = 100_000  # refused above: the (R, 1 or 2, n) start array and R best values all stay in memory
 
 
 @dataclass
@@ -176,16 +176,22 @@ def gm_optimize(state: QuantumState, mode: str = "nonneg", restarts: int = 64, s
     # one draw in C order: each restart's angles, then its phases, so a seed keeps its start points
     starts = rng.uniform(0.0, np.array(highs)[:, None], size=(restarts, len(highs), n))
     block = max(1, BLOCK_AMPLITUDES >> n)
-    best, histories = [], []
+    best, rounded, leads = [], [], {}  # leads: each block's first row under `rank` -> its history
+
+    def rank(r):  # ties go to the smaller final angles
+        return -best[r], rounded[r]
+
     for lo in range(0, restarts, block):
-        values, more = _ascend(amps.real if mode == "nonneg" else amps, starts[lo : lo + block])
-        best, histories = best + values.tolist(), histories + more
-    rounded = np.round(starts[:, 0], 12).tolist()  # ties go to the smaller angles
-    win, *others = sorted(range(restarts), key=lambda r: (-best[r], rounded[r]))
+        values, histories = _ascend(amps.real if mode == "nonneg" else amps, starts[lo : lo + block])
+        best += values.tolist()
+        rounded += np.round(starts[lo : lo + block, 0], 12).tolist()
+        lead = min(range(lo, len(best)), key=rank)
+        leads[lead] = histories[lead - lo]
+    win, *others = sorted(range(restarts), key=rank)
     converged = bool(others) and abs(best[win] - best[others[0]]) <= OBJECTIVE_TOL
     lam_sq = min(best[win], 1.0 + 1e-12)
     argmax = ProductAnsatz(starts[win, 0], starts[win, 1] if mode == "general" else None)
-    return GMResult(lam_sq, -math.log2(lam_sq) if lam_sq > 0 else math.inf, argmax, restarts, converged, histories[win])
+    return GMResult(lam_sq, -math.log2(lam_sq) if lam_sq > 0 else math.inf, argmax, restarts, converged, leads[win])
 
 
 # ----------------------------------------------------------------------

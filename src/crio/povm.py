@@ -20,19 +20,24 @@ import numpy as np
 from .graphstate import CrioTopology, crio_channel_state
 from .qcore import (
     PauliAxis,
-    QuantumState,
     X_AXIS,
     apply_controlled_op,
     pauli_axis_matrix,
     product_state,
     tensor,
 )
-from .stator import Stator, stator_from_state
 from .protocol import step1_stator
 
 TWO_PI = 2 * math.pi
 ANGLE_TOL = 1e-9
 COEFF_TOL = 1e-10  # relative size below which a branch coefficient counts as zero
+
+
+def _party_angles(angle, phase):
+    """One party's (angle_1, angle_2, phase_1, phase_2) from its outcome-1 angle and
+    phase: angle_2 = pi/2 - angle_1 and phase_2 = phase_1 + pi (mod 2pi), so the two
+    kets resolve the identity.  Floats give floats and arrays arrays."""
+    return angle, math.pi / 2 - angle, phase % TWO_PI, (phase + math.pi) % TWO_PI
 
 
 def _ket(theta: float, phase: float) -> tuple:
@@ -91,16 +96,7 @@ class PovmParams:
     @staticmethod
     def from_free(theta1: float, phi1: float, lambda1: float, omega1: float) -> "PovmParams":
         """Fill the complementary outcomes so completeness holds exactly."""
-        return PovmParams(
-            theta1,
-            math.pi / 2 - theta1,
-            phi1 % TWO_PI,
-            (phi1 + math.pi) % TWO_PI,
-            lambda1,
-            math.pi / 2 - lambda1,
-            omega1 % TWO_PI,
-            (omega1 + math.pi) % TWO_PI,
-        )
+        return PovmParams(*_party_angles(theta1, phi1), *_party_angles(lambda1, omega1))
 
     @staticmethod
     def random_valid(rng: np.random.Generator) -> "PovmParams":
@@ -142,8 +138,7 @@ def random_valid_kets(rng: np.random.Generator, count: int) -> np.ndarray:
     draw's _kets() bit for bit.  Every row passes the completeness check."""
     free = rng.uniform(0, (math.pi / 2, TWO_PI, math.pi / 2, TWO_PI), size=(count, 4))
     theta, phi, lam, omega = free.T
-    angles = np.stack([theta, math.pi / 2 - theta, phi % TWO_PI, (phi + math.pi) % TWO_PI,
-                       lam, math.pi / 2 - lam, omega % TWO_PI, (omega + math.pi) % TWO_PI], axis=1)
+    angles = np.stack([*_party_angles(theta, phi), *_party_angles(lam, omega)], axis=1)
     kets = _ket_array(angles)
     refused = np.flatnonzero(~_accepted(angles, kets))
     if refused.size:
@@ -306,17 +301,13 @@ def classify_branches(params: PovmParams) -> tuple:
 # ----------------------------------------------------------------------
 # outcome probabilities
 
-def normalized_channel_stator(axis: PauliAxis) -> Stator:
-    """The step-1 stator of the tripartite channel, scaled to Tr(S^dag S) = 1."""
-    return step1_stator(1, [axis]).normalize()
-
-
 @lru_cache(maxsize=64)
 def _channel_map(axis: PauliAxis) -> np.ndarray:
-    """normalized_channel_stator(axis) as the map _branch_maps takes, axes
-    (a1, a2, a3, O3, target).  Cached per axis, since outcome_probability
-    asks for it on every call; the shared array is read-only."""
-    w = normalized_channel_stator(axis).as_matrix().reshape(2, 2, 2, 2, 2)
+    """The step-1 stator of the tripartite channel, scaled to Tr(S^dag S) = 1, as
+    the map _branch_maps takes, axes (a1, a2, a3, O3, target).  Cached per axis,
+    since outcome_probability asks for it on every call; the shared array is
+    read-only."""
+    w = step1_stator(1, [axis]).normalize().as_matrix().reshape(2, 2, 2, 2, 2)
     w.flags.writeable = False
     return w
 
@@ -448,23 +439,6 @@ def sample_outcomes(
     return np.bincount(outcome_index, minlength=4)
 
 
-def measured_stator(params: PovmParams, j: int, k: int, axis: PauliAxis) -> Stator:
-    """Extract the post-measurement stator on the controller qubit from simulation.
-
-    The projection probability depends on the probe here, so each joint is
-    handed over with its pre-normalization weight.
-    """
-    branch_map = _dense_maps(params, axis)[_pair_index(j, k)]
-    joints, probes, scales = [], [], []
-    for vec in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, 1.0j]) / math.sqrt(2)):
-        branch = branch_map @ vec
-        scale = math.sqrt(float(np.vdot(branch, branch).real))
-        joints.append(QuantumState(("a1", "O3"), branch / scale))
-        probes.append(product_state(["O3"], [vec]))
-        scales.append(scale)
-    return stator_from_state(joints, ("a1",), ("O3",), (axis,), probes, joint_scales=scales)
-
-
 # ----------------------------------------------------------------------
 # the two solution families
 
@@ -507,10 +481,7 @@ def enumerate_case1(
         lam1, lam2 = math.pi / 2, 0.0
     else:
         raise ValueError("charlie_choice must be 'lambda1_zero' or 'lambda1_half_pi'")
-    return _family_rows(PovmParams(
-        theta1, math.pi / 2 - theta1, phi1 % TWO_PI, (phi1 + math.pi) % TWO_PI,
-        lam1, lam2, omega1 % TWO_PI, omega2 % TWO_PI,
-    ))
+    return _family_rows(PovmParams(*_party_angles(theta1, phi1), lam1, lam2, omega1 % TWO_PI, omega2 % TWO_PI))
 
 
 def enumerate_case2(lambda1: float):

@@ -123,9 +123,6 @@ class QuantumState:
         bits = _bit_string(bits, self.num_qubits)
         return complex(self.amplitudes[int(bits, 2)])
 
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.labels, self.amplitudes, copy=True)
-
     def reordered(self, new_labels: Sequence[str]) -> "QuantumState":
         """Permute qubits into the given label order (must be the same set)."""
         new_labels = tuple(new_labels)

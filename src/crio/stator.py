@@ -105,10 +105,6 @@ class Stator:
     def coefficient(self, bits: str, word) -> complex:
         return self.terms.get((bits, tuple(int(w) for w in word)), 0j)
 
-    def canonical_terms(self):
-        """Terms as (bits, word, coeff), lexicographic by bitstring, then word."""
-        return [(b, w, c) for (b, w), c in self.terms.items()]
-
     # -- linear algebra ---------------------------------------------------
 
     def as_matrix(self) -> np.ndarray:
@@ -198,7 +194,7 @@ class Stator:
 
     def pretty(self) -> str:
         parts = []
-        for bits, word, coeff in self.canonical_terms():
+        for (bits, word), coeff in self.terms.items():
             ops = "·".join("σ_n" if w else "I" for w in word) or "1"
             parts.append(f"({coeff.real:+.6g}{coeff.imag:+.6g}j)|{bits}⟩⊗{ops}")
         return " + ".join(parts)
@@ -209,7 +205,7 @@ class Stator:
             "target_axes": [[ax.x, ax.y, ax.z] for ax in self.target_axes],
             "terms": [
                 {"bits": b, "word": list(w), "re": c.real, "im": c.imag}
-                for b, w, c in self.canonical_terms()
+                for (b, w), c in self.terms.items()
             ],
         }
 
@@ -232,7 +228,6 @@ def stator_from_state(
     targets: Sequence[str],
     axes: Sequence[PauliAxis],
     probes,
-    joint_scales: Sequence[float] | None = None,
 ) -> Stator:
     """Recover the unique stator S with joint_p = S |probe_p> for every pair.
 
@@ -240,17 +235,12 @@ def stator_from_state(
     matching target-space states.  Coefficients are solved per control
     bitstring by stacked least squares; a residual above FIT_TOL means the
     state is not of stator form, and rank-deficient probe sets are
-    rejected as non-identifying.  `joint_scales` restores pre-normalization
-    weights when the joints came out of renormalizing projections whose
-    probability depends on the probe.
+    rejected as non-identifying.
     """
     joints = [joint] if isinstance(joint, QuantumState) else list(joint)
     probe_list = [probes] if isinstance(probes, QuantumState) else list(probes)
     if len(joints) != len(probe_list) or not joints:
         raise ValueError("need equally many joint states and probe states")
-    scales = [1.0] * len(joints) if joint_scales is None else [float(s) for s in joint_scales]
-    if len(scales) != len(joints):
-        raise ValueError("one scale per joint state")
     controls = tuple(controls)
     targets = tuple(targets)
     axes = tuple(axes)
@@ -260,10 +250,9 @@ def stator_from_state(
     table = word_table(axes)
 
     blocks, rhs = [], []
-    for js, ps, scale in zip(joints, probe_list, scales):
-        v = scale * js.reordered(controls + targets).amplitudes.reshape(d_c, d_t)
+    for js, ps in zip(joints, probe_list):
         blocks.append((table @ ps.reordered(targets).amplitudes).T)  # column w: W(w) |probe>
-        rhs.append(v)
+        rhs.append(js.reordered(controls + targets).amplitudes.reshape(d_c, d_t))
     a = np.vstack(blocks)
     svals = np.linalg.svd(a, compute_uv=False)
     if svals[-1] < 1e-8 * max(svals[0], 1.0):

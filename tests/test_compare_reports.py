@@ -38,3 +38,12 @@ def test_nan_on_both_sides_is_equal():
 def test_structural_or_non_numeric_difference_is_a_mismatch(old, new):
     with pytest.raises(Mismatch):
         max_difference(old, new)
+
+
+def test_summary_counts_identical_and_differing_reports(monkeypatch, capsys):
+    outputs = {"old": {"a": '{"x": 1.0}', "b": '{"x": 1.0}', "c": '{"x": 1.0}'},
+               "new": {"a": '{"x": 1.0}', "b": '{"x": 1.0000000000000002}', "c": '{"x": 1.5}'}}
+    monkeypatch.setattr(compare_reports, "report_matrix", lambda: [["a"], ["b"], ["c"]])
+    monkeypatch.setattr(compare_reports, "run_report", lambda src, argv, cwd: (0, outputs[src][argv[0]]))
+    assert compare_reports.main(["old", "new"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "1 of 3 identical, 1 differ beyond 1e-12"

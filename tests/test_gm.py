@@ -324,6 +324,22 @@ class TestBatchedAscent:
             tracemalloc.stop()
         assert peak < 3 * state.amplitudes.nbytes
 
+    def test_only_block_leads_keep_their_history(self, monkeypatch):
+        """1,024 restarts in blocks of 128 rows keep per restart their start angles, best
+        value and rounded angles (about 560 bytes at 3 qubits), not a per-sweep history
+        (this state's restarts keeping theirs peaked at about 1,460 bytes per restart)."""
+        state = ascent_case("random", 3, "general", 153)
+        whole = gm_optimize(state, "general", restarts=1024, seed=153)  # one block
+        monkeypatch.setattr(gm, "BLOCK_AMPLITUDES", 128 * 2**3)
+        tracemalloc.start()
+        try:
+            split = gm_optimize(state, "general", restarts=1024, seed=153)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 800 * 1024
+        assert (split.lambda_sq, split.converged, split.history) == (whole.lambda_sq, whole.converged, whole.history)
+
     @staticmethod
     def loop_starts(rng, mode, restarts, n):
         """The start points as one `rng.uniform` call per restart and per kind:

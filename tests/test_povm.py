@@ -13,8 +13,10 @@ from crio.povm import (
     _accepted,
     _branch_maps,
     _channel_map,
+    _dense_maps,
     _dense_step1,
     _ket_array,
+    _pair_index,
     PovmParams,
     angle_in_set,
     branch_coefficients,
@@ -25,8 +27,6 @@ from crio.povm import (
     enumerate_case1,
     enumerate_case2,
     guess_probability,
-    measured_stator,
-    normalized_channel_stator,
     outcome_probabilities,
     outcome_probability,
     outcome_probabilities_simulated,
@@ -38,6 +38,7 @@ from crio.povm import (
 )
 from crio.protocol import step1_stator
 from crio.qcore import IDENTITY_2, PAULI_X, X_AXIS, PauliAxis, pauli_axis_matrix, random_axis, rotation
+from crio.stator import Stator
 
 PI = math.pi
 
@@ -190,11 +191,14 @@ class TestOutcomeProbability:
                 assert outcome_probability(p, j, k, axis) == probs[i, n]
 
     def test_channel_stator_equals_a_fresh_build(self):
-        # the per-axis cache is _channel_map's (test_channel_map_cached_read_only)
-        stator = normalized_channel_stator(PauliAxis.unit(1.0, 2.0, 3.0))
-        assert not stator.coeffs.flags.writeable
-        fresh = step1_stator(1, [PauliAxis.unit(1.0, 2.0, 3.0)]).normalize()
-        assert np.array_equal(stator.coeffs, fresh.coeffs) and stator.target_axes == fresh.target_axes
+        """An uncached _channel_map is the normalized step-1 stator's matrix, whose
+        squared entries sum to Tr(S^dag S) = 1."""
+        axis = PauliAxis.unit(1.0, 2.0, 3.0)
+        _channel_map.cache_clear()
+        w = _channel_map(axis)
+        fresh = step1_stator(1, [axis]).normalize()
+        np.testing.assert_array_equal(w, fresh.as_matrix().reshape(2, 2, 2, 2, 2))
+        assert np.sum(np.abs(w) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_channel_map_cached_read_only(self):
         axis = PauliAxis.unit(3.0, -1.0, 2.0)
@@ -322,20 +326,13 @@ class TestBranchCoefficients:
         axis = random_axis(rng)
         for j, k in ((1, 1), (2, 1), (1, 2), (2, 2)):
             c = branch_coefficients(p, j, k)
-            s = measured_stator(p, j, k, axis)
             # measured stator: (1/2)[ |+>(c00 I + c11 s) + |->(c10 I + c01 s) ]
-            # in the computational basis of the controller qubit
-            got = {
-                "0_I": s.coefficient("0", (0,)),
-                "0_s": s.coefficient("0", (1,)),
-                "1_I": s.coefficient("1", (0,)),
-                "1_s": s.coefficient("1", (1,)),
-            }
+            # in the computational basis of the controller qubit, rows bit, columns word
             inv = 1 / (2 * math.sqrt(2))
-            assert got["0_I"] == pytest.approx(inv * (c.c00 + c.c10), abs=1e-10)
-            assert got["1_I"] == pytest.approx(inv * (c.c00 - c.c10), abs=1e-10)
-            assert got["0_s"] == pytest.approx(inv * (c.c11 + c.c01), abs=1e-10)
-            assert got["1_s"] == pytest.approx(inv * (c.c11 - c.c01), abs=1e-10)
+            coeffs = inv * np.array([[c.c00 + c.c10, c.c11 + c.c01], [c.c00 - c.c10, c.c11 - c.c01]])
+            # the dense branch map takes the target to the unnormalized (a1, O3) state
+            expected = Stator(("a1",), (axis,), coeffs).as_matrix()
+            np.testing.assert_allclose(_dense_maps(p, axis)[_pair_index(j, k)], expected, rtol=0, atol=1e-10)
 
 
 class TestSeparability:

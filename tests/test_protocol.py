@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -916,6 +917,27 @@ class TestDenial:
         assert not rep.control_defeated
         for branches in rep.guess_branches.values():
             assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-10)
+
+    def test_best_guess_is_the_guess_with_the_higher_worst_fidelity(self, monkeypatch):
+        """The two guesses tie on every branch (TestDenialClosedForm), so guess 1's
+        fidelities are lifted halfway to 1 here; the report must then pick guess 1."""
+        rng = np.random.default_rng(85)
+        axes, betas, targets = [random_axis(rng), random_axis(rng)], [0.4, 1.1], [random_qubit(rng), random_qubit(rng)]
+        _, plan, _ = protocol._setup(2, axes, betas, targets)
+        lead = next(i for i, step in enumerate(plan) if step.basis is not None)
+        guess1_steps = len(plan[lead].on_one) + len(plan) - lead - 1  # its fixes, then the rest of the plan
+        real = protocol._branches
+
+        def lifted(reg, steps, kets, rule):
+            brs = real(reg, steps, kets, rule)
+            return dataclasses.replace(brs, fidelities=(1 + brs.fidelities) / 2) if len(steps) == guess1_steps else brs
+
+        monkeypatch.setattr(protocol, "_branches", lifted)
+        rep = control_denial_report(2, axes, betas, targets)
+        worst = {g: float(brs.fidelities.min()) for g, brs in rep.guess_branches.items()}
+        assert worst[0] < worst[1] < 1 - 1e-6
+        assert rep.best_guess == 1 and rep.best_guess_min_fidelity == worst[1]
+        assert not rep.control_defeated
 
     def test_identity_on_axis_eigenstate_is_control_proof(self):
         # with a z-axis coupling and a |0> target no entanglement ever forms,

@@ -9,8 +9,9 @@ Every command runs in one temporary working directory, into which the script
 first writes the `gm --state` inputs under fixed relative names, so the path
 a report echoes does not depend on where the directory is.
 For every report the script prints "identical" (same exit code, same bytes)
-or the largest numeric difference and where it occurs. JSON reports are
-compared as trees; CSV and text output token by token, reading numeric
+or the largest numeric difference and where it occurs, and at the end one
+line counting the identical reports and those that differ beyond 1e-12.
+JSON reports are compared as trees; CSV and text output token by token, reading numeric
 tokens (including complex cells) as numbers. Each run-protocol report of
 NEW_SRC is also written once through `--out FILE`, and the file must hold
 the bytes the command wrote to standard output.
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
         print("usage: python tools/compare_reports.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
     old_src, new_src = args
-    failed = 0
+    failed = identical = 0
     with tempfile.TemporaryDirectory() as cwd:
         write_state_files(cwd)
         for cmd in report_matrix():
@@ -190,6 +191,7 @@ def main(argv=None) -> int:
                     raise Mismatch("the --out file differs from standard output")
                 if old_out == new_out:
                     print(f"{name:<50} identical")
+                    identical += 1
                     continue
                 diff, where = max_difference(_parse(old_out), _parse(new_out))
             except Mismatch as exc:
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
             verdict = "ok" if diff <= TOLERANCE else "OVER TOLERANCE"
             print(f"{name:<50} max |diff| {diff:.3g} at {where} ({verdict})")
             failed += diff > TOLERANCE
-    print(f"{failed} of {len(report_matrix())} reports differ beyond numeric noise of {TOLERANCE:g}")
+    print(f"{identical} of {len(report_matrix())} identical, {failed} differ beyond {TOLERANCE:g}")
     return 1 if failed else 0
 
 
