@@ -176,22 +176,18 @@ def gm_optimize(state: QuantumState, mode: str = "nonneg", restarts: int = 64, s
     # one draw in C order: each restart's angles, then its phases, so a seed keeps its start points
     starts = rng.uniform(0.0, np.array(highs)[:, None], size=(restarts, len(highs), n))
     block = max(1, BLOCK_AMPLITUDES >> n)
-    best, rounded, leads = [], [], {}  # leads: each block's first row under `rank` -> its history
-
-    def rank(r):  # ties go to the smaller final angles
-        return -best[r], rounded[r]
-
+    best, leader = np.empty(restarts), None  # leader: the key of the running winner, row `win`
     for lo in range(0, restarts, block):
         values, histories = _ascend(amps.real if mode == "nonneg" else amps, starts[lo : lo + block])
-        best += values.tolist()
-        rounded += np.round(starts[lo : lo + block, 0], 12).tolist()
-        lead = min(range(lo, len(best)), key=rank)
-        leads[lead] = histories[lead - lo]
-    win, *others = sorted(range(restarts), key=rank)
-    converged = bool(others) and abs(best[win] - best[others[0]]) <= OBJECTIVE_TOL
-    lam_sq = min(best[win], 1.0 + 1e-12)
+        best[lo : lo + len(values)] = values
+        key = list(zip((-values).tolist(), np.round(starts[lo : lo + block, 0], 12).tolist()))
+        lead = min(range(len(key)), key=key.__getitem__)  # ties go to the smaller final angles, then the earlier row
+        if leader is None or key[lead] < leader:
+            leader, win, history = key[lead], lo + lead, histories[lead]
+    converged = bool(restarts > 1 and best[win] - np.partition(best, -2)[-2] <= OBJECTIVE_TOL)  # the runner-up's value
+    lam_sq = min(float(best[win]), 1.0 + 1e-12)
     argmax = ProductAnsatz(starts[win, 0], starts[win, 1] if mode == "general" else None)
-    return GMResult(lam_sq, -math.log2(lam_sq) if lam_sq > 0 else math.inf, argmax, restarts, converged, leads[win])
+    return GMResult(lam_sq, -math.log2(lam_sq) if lam_sq > 0 else math.inf, argmax, restarts, converged, history)
 
 
 # ----------------------------------------------------------------------

@@ -205,18 +205,16 @@ def crio_channel_state(topology: CrioTopology) -> QuantumState:
     return build_graph_state(crio_graph(topology), qubit_labels(topology.n_systems))
 
 
-def phi_state(n_systems: int, labels: Sequence[str] | None = None) -> QuantumState:
+def phi_state(n_systems: int) -> QuantumState:
     """(1/sqrt(2^N)) sum_q |q, q> on 2N qubits (the controller-free resource)."""
     if n_systems < 1:
         raise ValueError("need at least one remote system")
     n = 2 * n_systems
     check_register_size(n)
-    if labels is None:
-        labels = tuple(f"q{i}" for i in range(1, n + 1))
     amps = np.zeros(2 ** n, dtype=complex)
     q = np.arange(2 ** n_systems)
     amps[(q << n_systems) | q] = 2 ** (-n_systems / 2)
-    return QuantumState(labels, amps, copy=False)
+    return QuantumState(tuple(f"q{i}" for i in range(1, n + 1)), amps, copy=False)
 
 
 # ----------------------------------------------------------------------

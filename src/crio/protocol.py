@@ -41,13 +41,14 @@ permitted run these are the controller's bit and its own two, at most 8 rows
 at any N, where a run has 2**(2N+1) branches.  Keeping one outcome adds no
 axis.  Blocks are never normalised: the register carries one joint squared
 norm, norm2, over the branch axes, and each outcome probability is a ratio to
-it.  An outcome of probability at most 1e-12 is refused; no protocol run
-meets one, as each of its measurements is unbiased.  On a permitted run the
-controller's step-3 outcome zeroes one term on every branch.  A run's
-branches are a `Branches` table, rows in depth-first order; each branch's
-corrections and messages follow from its outcome bits, and its dense final
-state is gathered from the blocks' slices on demand.  The symbolic
-checkpoints follow the same plan on stators.
+it; as the register starts at unit norm, norm2 ends as each branch's
+probability.  An outcome of probability at most 1e-12 is refused; no protocol
+run meets one, as each of its measurements is unbiased.  On a permitted run the
+controller's step-3 outcome zeroes one term on every branch.  A run's branches
+are a `Branches` table, rows in depth-first order; each branch's corrections
+and messages follow from its outcome bits, and its dense final state is
+gathered from the blocks' slices on demand.  The symbolic checkpoints follow
+the same plan on stators.
 """
 from __future__ import annotations
 
@@ -132,15 +133,14 @@ class Branches(Sequence):
     slices and iteration pick each branch's records by its bits row.  The block
     factors keep the engine's broadcast branch axes (see `_Register`) and are not
     normalised: a branch's final state gathers each block's slice on its row,
-    multiplies them out and divides by the square root of its norm2."""
+    multiplies them out and divides by the square root of its probability."""
 
     steps: tuple               # the measured Steps, in the order of each row's bits
     bits: np.ndarray           # (B, m) uint8 outcome bits
-    probabilities: np.ndarray  # (B,)
+    probabilities: np.ndarray  # (B,) each branch's squared norm of the factors' product
     fidelities: np.ndarray     # (B,) fidelity to the expected target
     labels: tuple              # the qubits of every final state, in dense order
     factors: tuple             # (block qubits, two-term block array on broadcast branch axes) pairs
-    norm2: np.ndarray          # (B,) each branch's squared norm of the factors' product
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -155,9 +155,9 @@ class Branches(Sequence):
         return self._records(slice(None))
 
     def _records(self, rows: slice):
-        records = [outcome_records(step) for step in self.steps]
-        for row, amps, p, fidelity in zip(self.bits[rows].tolist(), _dense(self.factors, self.labels, self.norm2, rows),
-                                          self.probabilities[rows].tolist(), self.fidelities[rows].tolist()):
+        records, probs = [outcome_records(step) for step in self.steps], self.probabilities
+        for row, amps, p, fidelity in zip(self.bits[rows].tolist(), _dense(self.factors, self.labels, probs, rows),
+                                          probs[rows].tolist(), self.fidelities[rows].tolist()):
             picked = list(map(getitem, records, row))
             yield BranchRecord("".join(map(str, row)), p, tuple(chain.from_iterable(c for c, _ in picked)),
                                QuantumState._trusted(self.labels, amps), fidelity,
@@ -344,7 +344,7 @@ def _check_axes(n_systems, axes) -> None:
 def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitted=True):
     """Every input of a protocol entry point, checked once before anything is allocated.
     Returns the participating groups ks (2 and the controlled optional groups,
-    ascending), their step plan, and the target kets (None without targets)."""
+    ascending), their step plan, and the target kets, each divided by its norm (None without targets)."""
     _check_axes(n_systems, axes)
     if len(betas) != n_systems or targets is not None and len(targets) != n_systems:
         raise ValueError("axes, betas and targets must each have one entry per system")
@@ -352,12 +352,13 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
         raise ValueError("betas must be finite")
     target_vecs = None if targets is None else [
         t.amplitudes if isinstance(t, QuantumState) else np.asarray(t, dtype=complex).reshape(-1) for t in targets]
-    for v in target_vecs or ():
+    for i, v in enumerate(target_vecs or ()):
         if v.shape != (2,):
             raise ValueError("target systems are single qubits")
         with np.errstate(over="ignore"):  # a norm beyond the float range reads inf and is refused
-            if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # so is a NaN norm
+            if not abs((norm := np.linalg.norm(v)) - 1.0) <= 1e-8:  # so is a NaN norm
                 raise ValueError("target states must be normalized")
+        target_vecs[i] = v / norm  # so the register starts at unit norm
     ks = [2] + sorted(CrioTopology(n_systems, controlled_groups).controlled_groups)
     return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
 
@@ -483,16 +484,16 @@ def _run(reg: _Register, plan, rule):
     A measurement on block i weighs each outcome's component of block i by the other blocks' Gram
     matrices, num, and asks `rule(step, p)` which outcomes to keep, where p = num / norm2 holds
     outcome o's probability on every branch at p[o].  Keeping both puts a new branch axis in
-    front, outcome 0 first: on block i (its components), on the joint arrays (num becomes norm2,
-    p times the running probabilities) and on each block an outcome-1 fix acts on ([b, fix(b)]).
+    front, outcome 0 first: on block i (its components), on the joint arrays (num becomes norm2)
+    and on each block an outcome-1 fix acts on ([b, fix(b)]).
     Every other array keeps size 1 there, and blocks stay unnormalised, so no block is copied per
     branch.  Keeping one outcome adds no axis.  A step that crosses blocks is refused.  Returns
-    the register after the plan, the branches' probabilities and outcome bits, rows in the order
-    of a depth-first walk with outcome 0 first, and the measured steps; `reg` itself is left as
-    it was."""
+    the register after the plan, whose norm2 is each branch's squared norm (its probability, from
+    a register of unit norm), the branches' outcome bits, rows in the order of a depth-first walk
+    with outcome 0 first, and the measured steps; `reg` itself is left as it was."""
     labels, blocks, grams, norm2 = list(reg.labels), list(reg.blocks), list(reg.grams), reg.norm2
     where = {q: i for i, block in enumerate(labels) for q in block}
-    probs, kept, measured = np.ones(()), [], []
+    kept, measured = [], []
     for step in plan:
         i = where.get(step.qubit)
         if i is None or step.control is not None and where.get(step.control) != i:
@@ -518,7 +519,7 @@ def _run(reg: _Register, plan, rule):
                              f"outcome {outcome})")
         del where[step.qubit]
         labels[i] = labels[i][:at] + labels[i][at + 1:]
-        blocks[i], grams[i], norm2, probs = c[keep], overlaps[keep], num[keep], p[keep] * probs
+        blocks[i], grams[i], norm2 = c[keep], overlaps[keep], num[keep]
         split = {i}  # the blocks with size 2 on this measurement's axis
         for fix, _ in step.on_one if outcomes[-1] == 1 else ():  # on the outcome-1 branches
             j = where[fix.qubit]
@@ -531,7 +532,7 @@ def _run(reg: _Register, plan, rule):
         kept.append(outcomes)
         measured.append(step)
     out = _Register(tuple(q for q in reg.order if q in where), labels, blocks, grams, norm2)
-    return out, np.ravel(probs.T), _bits(kept), measured
+    return out, _bits(kept), measured
 
 
 def _bits(kept) -> np.ndarray:
@@ -599,10 +600,10 @@ def outcome_records(step: Step) -> tuple:
 
 def _branches(reg: _Register, plan, kets: dict, rule) -> Branches:
     """The branches of `plan` that `rule` keeps, with their fidelity to the expected kets."""
-    reg, probs, bits, measured = _run(reg, plan, rule)
+    reg, bits, measured = _run(reg, plan, rule)
     factors = tuple(zip(reg.labels, reg.blocks))
-    return Branches(tuple(measured), bits, probs, _fidelities(factors, kets, reg.norm2), reg.order, factors,
-                    np.ravel(reg.norm2.T))
+    return Branches(tuple(measured), bits, np.ravel(reg.norm2.T), _fidelities(factors, kets, reg.norm2), reg.order,
+                    factors)
 
 
 def run_crio(

@@ -254,12 +254,10 @@ def stator_from_state(
         blocks.append((table @ ps.reordered(targets).amplitudes).T)  # column w: W(w) |probe>
         rhs.append(js.reordered(controls + targets).amplitudes.reshape(d_c, d_t))
     a = np.vstack(blocks)
-    svals = np.linalg.svd(a, compute_uv=False)
+    b = np.vstack([r.T for r in rhs])  # rows: probe-stacked target comps, cols: control index
+    coeffs, _, _, svals = np.linalg.lstsq(a, b, rcond=None)
     if svals[-1] < 1e-8 * max(svals[0], 1.0):
         raise ValueError("probe states do not determine the stator (rank-deficient system)")
-
-    b = np.vstack([r.T for r in rhs])  # rows: probe-stacked target comps, cols: control index
-    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - b))
     total = float(np.linalg.norm(b))
     if residual > FIT_TOL * max(1.0, total):

@@ -123,11 +123,12 @@ def one_block(state: QuantumState):
 
 def branches(state: QuantumState, plan, expected: QuantumState, rule) -> protocol.Branches:
     """The branches of `plan` that `rule` keeps, walked densely, as the engine's branch table:
-    the final rows are one block whose second term is 0, with one branch axis per bit of the
-    row index, the lowest bit first (the engine's newest measurement first)."""
+    the final rows, each scaled to the square root of its probability as the engine leaves it, are one
+    block whose second term is 0, with one branch axis per bit of the row index, the lowest bit first
+    (the engine's newest measurement first)."""
     labels, rows, probs, bits, measured = walk(state, plan, rule)
     axes = len(rows).bit_length() - 1  # 2**axes rows
-    block = np.stack([rows, np.zeros_like(rows)], axis=1).reshape((2,) * axes + (2, -1))
+    scaled = rows * np.sqrt(probs)[:, None]
+    block = np.stack([scaled, np.zeros_like(scaled)], axis=1).reshape((2,) * axes + (2, -1))
     factors = ((labels, block.transpose([*range(axes)][::-1] + [axes, axes + 1])),)
-    return protocol.Branches(tuple(measured), bits, probs, fidelities(rows, labels, expected), labels, factors,
-                             np.ones(len(rows)))
+    return protocol.Branches(tuple(measured), bits, probs, fidelities(rows, labels, expected), labels, factors)

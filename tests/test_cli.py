@@ -145,6 +145,17 @@ class TestRunProtocol:
         assert main(["run-protocol", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["min_fidelity"] >= 1 - 1e-10
 
+    def test_config_targets_near_unit_norm_are_normalised(self, tmp_path):
+        """Targets written to eight decimals (squared norm 1 - 6.7e-9) are accepted and run as their
+        normalised kets: unit fidelity on every branch and a total probability of 1."""
+        cfg = proto.run_config_to_dict(2, [X_AXIS, X_AXIS], [0.4, 1.1], [np.array([0.70710678, 0.70710678])] * 2,
+                                       "enumerate", 1, True, None)
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run-protocol", "--config", str(cfg_path), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["min_fidelity"] >= 1 - 1e-10 and abs(data["total_probability"] - 1) <= 1e-10
+
     def test_config_missing_key_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_systems": 1, "axes": [[1.0, 0.0, 0.0]], "betas": [0.4]}))
@@ -651,7 +662,7 @@ def test_branch_list_blocks_join_to_one_list(monkeypatch, block_rows):
 def test_zero_row_branch_table_writes_an_empty_list(tmp_path):
     steps = tuple(s for s in proto._plan(1, [X_AXIS], [0.3], [2]) if s.basis is not None)
     empty = proto.Branches(steps, np.zeros((0, len(steps)), dtype=np.uint8), np.zeros(0), np.zeros(0), ("O3",),
-                           ((("O3",), np.zeros((0, 2, 2), dtype=complex)),), np.zeros(0))
+                           ((("O3",), np.zeros((0, 2, 2), dtype=complex)),))
     result = proto.ProtocolResult(1, True, (3,), None, empty, "enumerate")
     out = tmp_path / "run.json"
     _write_report(str(out), {"n": 1, "branches": result.branches}, "json")

@@ -325,9 +325,9 @@ class TestBatchedAscent:
         assert peak < 3 * state.amplitudes.nbytes
 
     def test_only_block_leads_keep_their_history(self, monkeypatch):
-        """1,024 restarts in blocks of 128 rows keep per restart their start angles, best
-        value and rounded angles (about 560 bytes at 3 qubits), not a per-sweep history
-        (this state's restarts keeping theirs peaked at about 1,460 bytes per restart)."""
+        """1,024 restarts in blocks of 128 rows keep per restart their start angles and best
+        value (56 bytes at 3 qubits), not a per-sweep history (this state's restarts keeping
+        theirs peaked at about 1,460 bytes per restart)."""
         state = ascent_case("random", 3, "general", 153)
         whole = gm_optimize(state, "general", restarts=1024, seed=153)  # one block
         monkeypatch.setattr(gm, "BLOCK_AMPLITUDES", 128 * 2**3)
@@ -339,6 +339,46 @@ class TestBatchedAscent:
             tracemalloc.stop()
         assert peak < 800 * 1024
         assert (split.lambda_sq, split.converged, split.history) == (whole.lambda_sq, whole.converged, whole.history)
+
+    def test_restarts_keep_no_python_object_each(self, monkeypatch):
+        """16,384 restarts in blocks of 128 rows keep the start angles and one float per restart,
+        768 KiB and 128 KiB, and one running leader: a rank key and a list of rounded angles per
+        restart, about 370 bytes each, peaked at 6.1 MB."""
+        state = ascent_case("product", 3, "general", 153)  # two sweeps per restart
+        whole = gm_optimize(state, "general", restarts=16384, seed=153)
+        monkeypatch.setattr(gm, "BLOCK_AMPLITUDES", 128 * 2**3)
+        tracemalloc.start()
+        try:
+            split = gm_optimize(state, "general", restarts=16384, seed=153)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert (split.lambda_sq, split.converged, split.history) == (whole.lambda_sq, whole.converged, whole.history)
+        np.testing.assert_array_equal(split.argmax.thetas, whole.argmax.thetas)
+
+    @pytest.mark.parametrize("finals", ["starts", "one point"])
+    def test_equal_values_go_to_the_smallest_rounded_angles_then_the_first_row(self, monkeypatch, finals):
+        """Seven rows, in blocks of two, all reach the same value.  Ending at their start angles,
+        the leader is the row whose angles, rounded to 12 places, are smallest, from a later block.
+        Ending 1e-14 apart below one point, each row a little lower than the last, their rounded
+        angles tie and the first row leads.  A row's history names it."""
+        n, restarts, finals_seen = 3, 7, []
+
+        def level(psi, angles):  # every row at 0.25, its final angles written in place
+            rows = np.arange(len(finals_seen), len(finals_seen) + len(angles))
+            if finals == "one point":
+                angles[:, 0] = 0.5 - 1e-14 * rows[:, None]
+            finals_seen.extend(angles[:, 0].copy())
+            return np.full(len(angles), 0.25), [[0.25, float(r)] for r in rows]
+
+        monkeypatch.setattr(gm, "_ascend", level)
+        monkeypatch.setattr(gm, "BLOCK_AMPLITUDES", 2 * 2**n)
+        res = gm_optimize(ascent_case("random", n, "nonneg", 180), restarts=restarts, seed=180)
+        win = min(range(restarts), key=lambda r: (np.round(finals_seen[r], 12).tolist(), r))
+        assert win == 0 if finals == "one point" else win >= 2
+        assert res.history == [0.25, float(win)] and res.converged and res.lambda_sq == 0.25
+        np.testing.assert_array_equal(res.argmax.thetas, finals_seen[win])
 
     @staticmethod
     def loop_starts(rng, mode, restarts, n):

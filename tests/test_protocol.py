@@ -640,7 +640,7 @@ class TestBlockForm:
             register = protocol._register(n, ks, vecs)
             through3 = [step for step in plan if step.tag in ("step1", "step2", "step3")]
             for steps in (through3, plan):
-                reg, _, bits, _ = protocol._run(register, steps, protocol._keep_both)
+                reg, bits, _ = protocol._run(register, steps, protocol._keep_both)
                 # each block's slice on every branch: one branch axis per measurement, all kept both
                 rows = [protocol._gather(block, np.arange(len(bits)), bits.shape[1]) for block in reg.blocks]
                 zero = np.array([[any((block[r, w] == 0).all() for block in rows) for w in (0, 1)]
@@ -650,6 +650,22 @@ class TestBlockForm:
                     assert not zero[range(len(bits)), bits[:, 0]].any()
                 else:
                     assert not zero.any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_probability_is_the_squared_norm_of_each_branch_row(self, n):
+        """By deferred measurement a branch's probability is the squared norm of its unnormalised row:
+        each block's slice on the branch, multiplied out term by term and summed over the two terms.
+        Full, partial, denied and sampled runs and both denial guesses."""
+        args = random_inputs(np.random.default_rng(280 + n), n)
+        runs = [run_crio(n, *args, **kwargs).branches
+                for kwargs in ({}, {"controlled_groups": frozenset(range(3, n + 2, 2))}, {"permitted": False},
+                               {"mode": "sample", "seed": n})]
+        runs += control_denial_report(n, *args).guess_branches.values()
+        for branches in runs:
+            axes = len(branches).bit_length() - 1  # 2**axes rows
+            rows = [protocol._gather(a, np.arange(len(branches)), axes) for _, a in branches.factors]
+            norm2 = np.linalg.norm(protocol._terms(rows).sum(axis=1), axis=1) ** 2
+            np.testing.assert_allclose(branches.probabilities, norm2, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("run", ["permitted", "denied", "guess 0", "guess 1"])
     def test_no_final_block_holds_more_than_eight_branch_rows(self, run):
@@ -676,7 +692,8 @@ class TestBlockForm:
         register = protocol._Register(labels, [(q,) for q in labels], blocks, [b.conj() @ b.T for b in blocks],
                                       np.ones(()))
         plan = [Step("s", "P", q, basis="ZX"[i % 2]) for i, q in enumerate(labels)]
-        reg, probs, bits, measured = protocol._run(register, plan, protocol._drawn(np.random.default_rng(5)))
+        reg, bits, measured = protocol._run(register, plan, protocol._drawn(np.random.default_rng(5)))
+        probs = np.ravel(reg.norm2.T)
         draw, expected, p = np.random.default_rng(5), [], 1.0
         for i, ket in enumerate(kets):
             weights = np.abs(HADAMARD @ ket if i % 2 else ket) ** 2

@@ -78,6 +78,9 @@ def report_matrix() -> list:
         ["gm", "--family", "phi", "--n", "2", "--format", "text"],
         ["gm", "--state", "h5.json", "--mode", "general"],
         ["gm", "--state", "random7.json", "--mode", "general", "--restarts", "16", "--seed", "3"],
+        # one and two restarts: no runner-up, and a runner-up that is the only other row
+        ["gm", "--family", "h2n1", "--n", "2", "--restarts", "1"],
+        ["gm", "--family", "phi", "--n", "2", "--restarts", "2", "--seed", "5"],
         ["build-state", "h3"],
         ["build-state", "h5", "--n", "2", "--format", "text"],
         ["build-state", "h2n1", "--n", "3", "--format", "csv"],  # prints the signed zero imaginary parts
