@@ -15,7 +15,6 @@ import json
 import math
 import re
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from . import gm as gm_mod
 from . import graphstate as gs
 from . import povm as povm_mod
 from . import protocol as proto
+from . import report
 from .qcore import PauliAxis, X_AXIS, Y_AXIS, Z_AXIS, random_axis
 
 _PI_FRACTION = re.compile(r"^(-?)(\d*)pi(?:/(\d+))?$")
@@ -139,7 +139,7 @@ def _render_text(payload: dict, indent: str = "") -> str:
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(_render_text(value, indent + "  "))
-        elif isinstance(value, (list, proto.Branches)):
+        elif isinstance(value, list) or hasattr(value, "json_blocks"):  # a list, or one streamed in blocks
             lines.append(f"{indent}{key}: [{len(value)} entries]")
         else:
             lines.append(f"{indent}{key}: {value}")
@@ -147,17 +147,12 @@ def _render_text(payload: dict, indent: str = "") -> str:
 
 
 def _write_report(path: str | None, payload: dict, fmt: str) -> None:
-    """`payload` as text, or as json.dumps(sort_keys=True, indent=2) writes it.  A
-    `Branches` under "branches" is written block by block (`Branches.json_blocks`), so
-    no full-size copy of the report is made; the text form lists it only as a count."""
-    branches = payload.get("branches")
+    """`payload` as text, where a list or a streamed list is a count, or as json.dumps(sort_keys=True,
+    indent=2) writes it, each streamed list block by block (`report.json_report`)."""
     if fmt == "text":
         _write_text(path, _render_text(payload) + "\n")
-    elif not isinstance(branches, proto.Branches):
-        _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        head, tail = json.dumps({**payload, "branches": proto._HOLE}, sort_keys=True, indent=2).split(json.dumps(proto._HOLE))
-        _write_text(path, head, chain(branches.json_blocks(), [tail, "\n"]))
+        _write_text(path, "", report.json_report(payload))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -198,7 +193,7 @@ def cmd_build_state(args) -> int:
                 meta.update(controlled_groups=sorted(topo.controlled_groups),
                             roles={str(k): v for k, v in gs.role_names(topo).items()})
     if args.format == "csv":
-        _write_text(args.out, _provenance_line(config) + "\n" + gs.state_to_csv(state))
+        _write_text(args.out, _provenance_line(config) + "\n", gs.Amplitudes(state.amplitudes).csv_blocks())
     else:
         _write_report(args.out, _report({"metadata": meta, "state": gs.state_to_json_dict(state)}, config), args.format)
     return 0
@@ -379,11 +374,16 @@ def cmd_verify_all(args) -> int:
 
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, exit 2; add_subparsers makes subcommand parsers of this class too
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The crio argument parser, built once per process: parse_args reads it
     without changing it and fills a fresh namespace on every call."""
-    parser = argparse.ArgumentParser(prog="crio", description=__doc__)
+    parser = _Parser(prog="crio", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

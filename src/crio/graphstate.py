@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .qcore import QuantumState, check_register_size, is_finite_number
+from .report import _float_column, _nested, _pick, row_blocks
 
 # glibc keeps freed heap memory below its trim threshold (16 MiB once an 8 MiB vector was freed)
 # resident; build_graph_state returns it before a larger state, whose peak it would add to.
@@ -220,12 +221,6 @@ def phi_state(n_systems: int) -> QuantumState:
 # ----------------------------------------------------------------------
 # serialization
 
-def edge_list_text(graph: Graph) -> str:
-    lines = [f"n={graph.num_vertices}"]
-    lines += [f"{u} {v}" for u, v in graph.sorted_edges()]
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_list(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
@@ -249,18 +244,54 @@ def read_edge_list(path) -> Graph:
         return parse_edge_list(fh.read())
 
 
-def state_to_csv(state: QuantumState) -> str:
-    lines = ["index,real,imag"]
-    for i, a in enumerate(state.amplitudes):
-        lines.append(f"{i},{a.real:.17g},{a.imag:.17g}")
-    return "\n".join(lines) + "\n"
+@dataclass(frozen=True, eq=False)
+class Amplitudes:
+    """A state's amplitudes as reports stream them, in blocks of report.BLOCK_ROWS rows; a block
+    renders each distinct float bit pattern of its rows once, so no object is made per amplitude."""
+
+    values: np.ndarray  # complex, one per basis index
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def json_blocks(self):
+        """[[re, im], ...] as json.dumps(report, sort_keys=True, indent=2) writes it under report["state"]["amplitudes"]."""
+        opener, mid, closer = _nested([..., ...], 3)
+        blocks = self._rows(float.__repr__, [",\n" + opener, mid, closer])
+        yield "[" + next(blocks)[1:]  # the list opens where every later row has its separator
+        yield from blocks
+        yield "\n    ]"
+
+    def csv_blocks(self):
+        """The index,real,imag CSV, floats as format(v, ".17g"); an index is its thousands, one string
+        per distinct value in a block, then its last three digits, picked from a table."""
+        last = np.array([str(k) for k in range(1000)] + [f"{k:03d}" for k in range(1000)], dtype=object)
+
+        def index(start: int, n: int) -> tuple:
+            i = np.arange(start, start + n)
+            heads = [str(h) if h else "" for h in range(start // 1000, (start + n - 1) // 1000 + 1)]
+            return _pick(heads, i // 1000 - start // 1000), last[i % 1000 + 1000 * (i >= 1000)]
+        yield "index,real,imag\n"
+        yield from self._rows(lambda v: format(v, ".17g"), ["", "", ",", ",", "\n"], index)
+
+    def _rows(self, render, frame: list, lead=lambda start, n: ()):
+        """report.row_blocks of the rows: frame's pieces, with lead(start, n)'s columns for the n rows
+        from `start`, then re and im, between them."""
+        pairs, frame = self.values.view(np.float64).reshape(-1, 2), np.array(frame, dtype=object)
+
+        def rows(block: slice) -> np.ndarray:
+            floats = _float_column(pairs[block], render)
+            table = np.empty((len(floats), 2 * len(frame) - 1), dtype=object)
+            table[:, 0::2], table[:, -4::2] = frame, floats
+            for j, column in enumerate(lead(block.start, len(floats))):
+                table[:, 2 * j + 1] = column
+            return table
+        return row_blocks(len(pairs), rows)
 
 
 def state_to_json_dict(state: QuantumState) -> dict:
-    return {
-        "labels": list(state.labels),
-        "amplitudes": [[a.real, a.imag] for a in state.amplitudes],
-    }
+    """The labels, and the amplitudes as a streamed `Amplitudes` list."""
+    return {"labels": list(state.labels), "amplitudes": Amplitudes(state.amplitudes)}
 
 
 def state_from_json_dict(data: dict) -> QuantumState:

@@ -404,13 +404,6 @@ def simulate_branch(params: PovmParams, j: int, k: int, axis: PauliAxis, target_
     )
 
 
-def outcome_probabilities_simulated(params: PovmParams, axis: PauliAxis, target_vec) -> np.ndarray:
-    """The four branch probabilities conditioned on a specific target state,
-    from the dense engine, ordered (1,1),(1,2),(2,1),(2,2)."""
-    psi = product_state(["O3"], [target_vec]).amplitudes
-    return np.sum(np.abs(_dense_maps(params, axis) @ psi) ** 2, axis=1)
-
-
 def sample_outcomes(
     params: PovmParams,
     n_samples: int,
@@ -426,10 +419,10 @@ def sample_outcomes(
     distribution instead.
     """
     rng = np.random.default_rng(seed)
-    if target_vec is not None:
-        probs = outcome_probabilities_simulated(params, axis, target_vec)
-        return rng.multinomial(n_samples, probs / probs.sum())
     maps = _dense_maps(params, axis)
+    if target_vec is not None:
+        probs = np.sum(np.abs(maps @ product_state(["O3"], [target_vec]).amplitudes) ** 2, axis=1)
+        return rng.multinomial(n_samples, probs / probs.sum())
     psi = rng.normal(size=(2, n_samples)) + 1j * rng.normal(size=(2, n_samples))
     psi /= np.linalg.norm(psi, axis=0)
     probs = np.sum(np.abs(maps @ psi) ** 2, axis=1)  # (4, n)

@@ -86,11 +86,10 @@ from .qcore import (
     purity,
     rotation,
 )
+from .report import _float_column, _nested, _pick, _quote, row_blocks
 from .stator import Stator
 
 FIDELITY_TOL = 1e-10
-BLOCK_ROWS = 256  # branches per string of Branches.json_blocks: a lower peak RSS than one string per report
-_HOLE = "\0"  # a placeholder string no report value contains
 
 
 class LocalityError(ValueError):
@@ -165,7 +164,7 @@ class Branches(Sequence):
 
     def json_blocks(self):
         """The branch list as json.dumps(report, sort_keys=True, indent=2) writes it under a
-        top-level key, in strings of at most BLOCK_ROWS branches.  A branch is a fixed sequence
+        top-level key, in strings of at most report.BLOCK_ROWS branches.  A branch is a fixed sequence
         of columns, each an object array of shared strings picked from a small piece table by
         the rows' bits, so no Python code runs per branch; a block joins its rows of the table."""
         if not len(self):
@@ -181,45 +180,25 @@ class Branches(Sequence):
             "probability": [_float_column(self.probabilities)],
             "transcript": _list_columns([[list(map(_message, msgs)) for _, msgs in pair] for pair in records], bits),
         }
-        frame = _nested(dict.fromkeys(values, _HOLE), 2).split(json.dumps(_HOLE))
+        frame = _nested(dict.fromkeys(values, ...), 2)
         columns = [",\n" + frame[0]]
         for column, piece in zip(values.values(), frame[1:]):
             columns += [*column, piece]
-        table = np.hstack([np.full((len(bits), 1), c, dtype=object) if isinstance(c, str) else c.reshape(len(bits), -1)
-                           for c in columns])
+        table = np.hstack([np.broadcast_to(np.array(c, dtype=object), (len(bits), 1)) if isinstance(c, str)
+                           else c.reshape(len(bits), -1) for c in columns])  # a frame column shares one string
         table[0, 0] = "[\n" + frame[0]
-        for start in range(0, len(table), BLOCK_ROWS):
-            yield "".join(table[start:start + BLOCK_ROWS].ravel().tolist())
+        yield from row_blocks(len(table), table.__getitem__)
         yield "\n  ]"
 
 
 # A list item four levels deep as json.dumps(report, sort_keys=True, indent=2) writes it: a
-# string (a correction label), or a message object, whose keys are fixed.
+# string (a correction label) after _ITEM, or a message object, whose keys are fixed.
 _ITEM = " " * 8
-_MESSAGE = _ITEM + ('{\n          "from": %s,\n          "payload": %d,\n          "step": %s,\n          "to": %s\n'
-                    + _ITEM + "}")
-_quote = json.encoder.encode_basestring_ascii  # json.dumps' own string escape, in C
+_MESSAGE = "%s".join(_nested(dict.fromkeys(("from", "payload", "step", "to"), ...), 4))
 
 
 def _message(m: ClassicalMessage) -> str:
     return _MESSAGE % (_quote(m.sender), m.payload, _quote(m.step), _quote(m.recipient))
-
-
-def _nested(value, depth: int) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) as it reads `depth` levels deep."""
-    return "  " * depth + json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
-
-
-def _pick(pieces: list, index: np.ndarray) -> np.ndarray:
-    """The column pieces[index[r]] of shared strings."""
-    return np.array(pieces, dtype=object)[index]
-
-
-def _float_column(values: np.ndarray) -> np.ndarray:
-    """float.__repr__ of each value, as the json encoder writes a finite float,
-    rendered once per bit pattern, so -0.0 and NaN keep their own text."""
-    patterns, index = np.unique(values.view(np.uint64), return_inverse=True)
-    return _pick([float.__repr__(v) for v in patterns.view(np.float64).tolist()], index)
 
 
 def _list_columns(items: list, bits: np.ndarray) -> list:

@@ -160,22 +160,6 @@ def check_register_size(num_qubits: int) -> None:
         raise ValueError(f"a {num_qubits}-qubit register exceeds the limit of {MAX_QUBITS} qubits")
 
 
-def plus_state(labels: Iterable[str]) -> QuantumState:
-    labels = tuple(labels)
-    n = len(labels)
-    check_register_size(n)
-    return QuantumState(labels, np.full(2 ** n, 2 ** (-n / 2), dtype=complex), copy=False)
-
-
-def basis_state(labels: Iterable[str], bits) -> QuantumState:
-    labels = tuple(labels)
-    check_register_size(len(labels))
-    bits = _bit_string(bits, len(labels))
-    amps = np.zeros(2 ** len(labels), dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return QuantumState(labels, amps, copy=False)
-
-
 def product_state(labels: Iterable[str], qubit_vectors: Sequence) -> QuantumState:
     """Tensor product of normalized single-qubit kets, one per label."""
     labels = tuple(labels)

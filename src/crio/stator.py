@@ -190,25 +190,6 @@ class Stator:
             scale = other.coeffs[key] / self.coeffs[key]
         return bool(np.all(np.abs(other.coeffs - scale * self.coeffs) <= tol))
 
-    # -- presentation -------------------------------------------------------
-
-    def pretty(self) -> str:
-        parts = []
-        for (bits, word), coeff in self.terms.items():
-            ops = "·".join("σ_n" if w else "I" for w in word) or "1"
-            parts.append(f"({coeff.real:+.6g}{coeff.imag:+.6g}j)|{bits}⟩⊗{ops}")
-        return " + ".join(parts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "controls": list(self.control_labels),
-            "target_axes": [[ax.x, ax.y, ax.z] for ax in self.target_axes],
-            "terms": [
-                {"bits": b, "word": list(w), "re": c.real, "im": c.imag}
-                for (b, w), c in self.terms.items()
-            ],
-        }
-
     def __repr__(self) -> str:
         return f"Stator(controls={self.control_labels}, targets={self.n_targets}, terms={len(self.terms)})"
 

@@ -9,6 +9,12 @@ def random_qubit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def plus_state(labels) -> QuantumState:
+    """|+> on every label, each amplitude exactly 2 ** (-n / 2), the float build_graph_state starts from."""
+    labels = tuple(labels)
+    return QuantumState(labels, np.full(2 ** len(labels), 2 ** (-len(labels) / 2), dtype=complex))
+
+
 def random_state(rng: np.random.Generator, labels) -> QuantumState:
     labels = tuple(labels)
     v = rng.normal(size=2 ** len(labels)) + 1j * rng.normal(size=2 ** len(labels))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crio import protocol as proto
+from crio import report
 from crio.cli import _report, _write_report, format_angle, main, parse_angle, parse_axis
 from crio.graphstate import CrioTopology, crio_channel_state
 from crio.qcore import X_AXIS
@@ -315,6 +316,32 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, argv):
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+_ARGPARSE_ERRORS = [
+    (["run-protocol", "--mode", "bogus"], "crio run-protocol"),
+    (["run-protocol", "--n", "x"], "crio run-protocol"),
+    (["run-protocol", "--permitted", "maybe"], "crio run-protocol"),
+    (["bogus"], "crio"),
+    ([], "crio"),
+    # one bad choice, or a bad int where a subcommand has no choices, per subcommand
+    (["build-state", "h3", "--format", "xml"], "crio build-state"),
+    (["run-protocol", "--n", "1", "--format", "xml"], "crio run-protocol"),
+    (["gm", "--mode", "bogus"], "crio gm"),
+    (["control-power", "--format", "xml"], "crio control-power"),
+    (["reproduce-tables", "I", "--seed", "x"], "crio reproduce-tables"),
+    (["verify-all", "--seed", "x"], "crio verify-all"),
+]
+
+
+@pytest.mark.parametrize("argv,prog", _ARGPARSE_ERRORS, ids=[" ".join(argv) or "no-arguments" for argv, _ in _ARGPARSE_ERRORS])
+def test_argument_errors_are_one_line(capsys, argv, prog):
+    """argparse's own errors exit 2 with one stderr line that names the subcommand, not the usage text."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"{prog}: error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize(
@@ -652,7 +679,7 @@ def test_written_branch_list_is_json_dumps_of_a_plain_rebuild(tmp_path, n, group
 
 @pytest.mark.parametrize("block_rows", [1, 3, 1000])
 def test_branch_list_blocks_join_to_one_list(monkeypatch, block_rows):
-    monkeypatch.setattr(proto, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(report, "BLOCK_ROWS", block_rows)
     result = proto.run_crio(2, [X_AXIS] * 2, [0.3, 1.2], [np.array([0.6, 0.8])] * 2)
     blocks = list(result.branches.json_blocks())
     assert len(blocks) == 1 + -(-len(result.branches) // block_rows)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_qubit
+from conftest import plus_state, random_qubit
 from crio import gm
 from crio.gm import (
     MAX_SWEEPS,
@@ -24,7 +24,7 @@ from crio.gm import (
     reduce_channel_state,
 )
 from crio.graphstate import CrioTopology, crio_channel_state, phi_state
-from crio.qcore import QuantumState, plus_state, product_state
+from crio.qcore import QuantumState, product_state
 
 
 def exact_product_overlap(state, thetas):

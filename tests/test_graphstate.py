@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crio import graphstate
+from conftest import plus_state, random_state
+from crio import graphstate, report
+from crio.cli import main
 from crio.graphstate import (
+    Amplitudes,
     CrioTopology,
     Graph,
     all_bitstrings,
@@ -15,17 +19,16 @@ from crio.graphstate import (
     build_graph_state,
     crio_channel_state,
     crio_graph,
-    edge_list_text,
     parse_edge_list,
     phi_state,
     qubit_labels,
     role_names,
     state_from_json_dict,
-    state_to_csv,
     state_to_json_dict,
     sign_exponent,
 )
-from crio.qcore import apply_2q_cz, plus_state
+from crio.qcore import apply_2q_cz
+from crio.report import json_report
 
 INV_2SQRT2 = 1 / (2 * math.sqrt(2))
 LABEL_POOL = ("a", "b", "x", "y", "z", "q0", "q1", "O3", "7", "a10", "a2", "ctl")
@@ -269,10 +272,7 @@ class TestPhiState:
 
 class TestSerialization:
     def test_edge_list_round_trip(self, tmp_path):
-        g = crio_graph(CrioTopology(2))
-        text = edge_list_text(g)
-        assert text.splitlines()[0] == "n=5"
-        assert parse_edge_list(text) == g
+        assert parse_edge_list("n=5\n1 2\n1 4\n2 3\n3 4\n3 5\n") == crio_graph(CrioTopology(2))
 
     def test_malformed_edge_list(self):
         with pytest.raises(ValueError):
@@ -282,16 +282,53 @@ class TestSerialization:
 
     def test_state_csv_and_json(self):
         state = crio_channel_state(CrioTopology(1))
-        csv = state_to_csv(state)
+        csv = "".join(Amplitudes(state.amplitudes).csv_blocks())
         lines = csv.strip().splitlines()
         assert lines[0] == "index,real,imag"
         assert len(lines) == 9
         idx, re, im = lines[6].split(",")  # |101>
         assert int(idx) == 5
         assert float(re) == pytest.approx(-INV_2SQRT2, abs=1e-12)
-        round_trip = state_from_json_dict(state_to_json_dict(state))
+        round_trip = state_from_json_dict(json.loads("".join(json_report(state_to_json_dict(state)))))
         np.testing.assert_allclose(round_trip.amplitudes, state.amplitudes, atol=1e-15)
         assert round_trip.labels == qubit_labels(1)
+
+    STATES = {
+        "channel": lambda: crio_channel_state(CrioTopology(2)),  # imaginary parts 0.0 and -0.0
+        "phi": lambda: phi_state(2),  # exact zeros
+        "random": lambda: random_state(np.random.default_rng(31), [f"q{i}" for i in range(7)]),  # floats distinct
+        "random11": lambda: random_state(np.random.default_rng(32), [f"q{i}" for i in range(11)]),  # index >= 1000
+    }
+
+    @pytest.mark.parametrize("state_name,block_rows", [
+        *((name, rows) for name in ("channel", "phi", "random") for rows in (1, 3, 1000)),
+        ("random11", 256), ("random11", 1000),  # a block across index 1000, and one that starts there
+    ])
+    def test_streamed_writers_match_a_plain_rendering(self, monkeypatch, state_name, block_rows):
+        """The JSON and CSV state writers, in blocks of any size, write the bytes of json.dumps
+        of the plain [[re, im], ...] list and of one f-string row per amplitude."""
+        monkeypatch.setattr(report, "BLOCK_ROWS", block_rows)
+        state = self.STATES[state_name]()
+        amps = state.amplitudes
+        plain = {"state": {"labels": list(state.labels), "amplitudes": [[a.real, a.imag] for a in amps]}}
+        blocks = list(json_report({"state": state_to_json_dict(state)}))
+        assert "".join(blocks) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+        assert len(blocks) == 4 + -(-len(amps) // block_rows)  # head, blocks, list closer, tail, newline
+        csv = list(Amplitudes(amps).csv_blocks())
+        assert "".join(csv) == "index,real,imag\n" + "".join(f"{i},{a.real:.17g},{a.imag:.17g}\n" for i, a in enumerate(amps))
+        assert len(csv) == 1 + -(-len(amps) // block_rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_19_qubit_write_peaks_under_three_state_sizes(self, tmp_path, fmt):
+        """build-state h2n1 --n 9 holds one 8 MiB state; its report is written in blocks, so
+        the traced peak, the state included, stays under three times the state's bytes."""
+        tracemalloc.start()
+        try:
+            assert main(["build-state", "h2n1", "--n", "9", "--format", fmt, "--out", str(tmp_path / "state")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * 2 ** 19
 
     @pytest.mark.parametrize(
         "data,named",

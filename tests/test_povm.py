@@ -29,7 +29,6 @@ from crio.povm import (
     guess_probability,
     outcome_probabilities,
     outcome_probability,
-    outcome_probabilities_simulated,
     random_valid_kets,
     sample_outcomes,
     separability_check,
@@ -45,6 +44,12 @@ PI = math.pi
 
 def angle_sets_equal(a, b, tol=1e-9):
     return len(a) == len(b) and all(angle_in_set(x, b, tol) for x in a)
+
+
+def _simulated_probabilities(params, axis, target_vec) -> np.ndarray:
+    """The four branch probabilities conditioned on a specific target state, from the
+    dense branch maps, ordered (1,1),(1,2),(2,1),(2,2)."""
+    return np.sum(np.abs(_dense_maps(params, axis) @ target_vec) ** 2, axis=1)
 
 
 def _outer_product_complete(angles) -> bool:
@@ -244,7 +249,7 @@ class TestOutcomeProbability:
             axis = random_axis(rng)
             psi = random_qubit(rng)
             sigma_exp = (psi.conj() @ pauli_axis_matrix(axis) @ psi).real
-            probs = outcome_probabilities_simulated(p, axis, psi)
+            probs = _simulated_probabilities(p, axis, psi)
             assert probs.sum() == pytest.approx(1.0, abs=1e-10)
             for (j, k), got in zip(((1, 1), (1, 2), (2, 1), (2, 2)), probs):
                 th = p.theta1 if j == 1 else p.theta2
@@ -258,7 +263,7 @@ class TestOutcomeProbability:
         rng = np.random.default_rng(119)
         for lam1 in (0.6, PI / 4):
             p = PovmParams(PI / 4, PI / 4, 0.0, PI, lam1, PI / 2 - lam1, PI / 2, 3 * PI / 2)
-            probs = outcome_probabilities_simulated(p, random_axis(rng), random_qubit(rng))
+            probs = _simulated_probabilities(p, random_axis(rng), random_qubit(rng))
             np.testing.assert_allclose(probs, 0.25, atol=1e-10)
 
     def test_stator_probability_is_dense_average_over_basis_targets(self):
@@ -268,7 +273,7 @@ class TestOutcomeProbability:
         for _ in range(20):
             p = PovmParams.random_valid(rng)
             axis = random_axis(rng)
-            dense = np.mean([outcome_probabilities_simulated(p, axis, e) for e in np.eye(2)], axis=0)
+            dense = np.mean([_simulated_probabilities(p, axis, e) for e in np.eye(2)], axis=0)
             stator = [outcome_probability(p, j, k, axis) for j in (1, 2) for k in (1, 2)]
             np.testing.assert_allclose(stator, dense, rtol=0, atol=1e-12)
 
@@ -293,7 +298,7 @@ class TestOutcomeProbability:
         p = PovmParams.random_valid(rng)
         axis = random_axis(rng)
         psi = random_qubit(rng)
-        law = outcome_probabilities_simulated(p, axis, psi)
+        law = _simulated_probabilities(p, axis, psi)
         counts = sample_outcomes(p, 100_000, seed=5, axis=axis, target_vec=psi)
         np.testing.assert_allclose(counts / 100_000, law, atol=0.006)
 

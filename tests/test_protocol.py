@@ -40,7 +40,6 @@ from crio.qcore import (
     Z_AXIS,
     apply_1q,
     apply_controlled_op,
-    basis_state,
     fidelity_up_to_phase,
     measure,
     measurement_probabilities,
@@ -90,7 +89,7 @@ class TestSingleSystem:
         res = run_crio(1, [X_AXIS], [math.pi / 2], [np.array([1.0, 0.0])])
         oracle = rotation(X_AXIS, math.pi / 2) @ np.array([1.0, 0.0])
         np.testing.assert_allclose(np.abs(oracle), [0, 1], atol=1e-12)
-        target = basis_state(("O3",), "1")
+        target = product_state(("O3",), [np.array([0.0, 1.0])])
         for branch in res.branches:
             assert fidelity_up_to_phase(branch.final_state, target) >= 1 - 1e-10
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_qubit, random_state
+from conftest import plus_state, random_qubit, random_state
 from crio.qcore import (
     HADAMARD,
     IDENTITY_2,
@@ -17,12 +17,10 @@ from crio.qcore import (
     apply_2q_cz,
     apply_controlled_op,
     MAX_QUBITS,
-    basis_state,
     fidelity_up_to_phase,
     measure,
     measurement_probabilities,
     pauli_axis_matrix,
-    plus_state,
     product_state,
     purity,
     random_axis,
@@ -30,6 +28,8 @@ from crio.qcore import (
     rotation,
     tensor,
 )
+
+E0, E1 = np.eye(2)  # the basis kets |0> and |1>
 
 
 class TestPauliAxis:
@@ -105,7 +105,7 @@ class TestRotation:
 
 class TestGates:
     def test_cz_flips_sign_of_11(self):
-        state = basis_state(("p", "q"), "11")
+        state = product_state(("p", "q"), [E1, E1])
         out = apply_2q_cz(state, "p", "q")
         np.testing.assert_allclose(out.amplitudes, [0, 0, 0, -1], atol=1e-15)
 
@@ -181,7 +181,7 @@ class TestMeasure:
         np.testing.assert_allclose(post.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_unbiased_superposition(self):
-        state = basis_state(("a",), "0")
+        state = product_state(("a",), [E0])
         p0, p1 = measurement_probabilities(state, "a", "X")
         assert p0 == pytest.approx(0.5, abs=1e-12)
         assert p1 == pytest.approx(0.5, abs=1e-12)
@@ -215,7 +215,7 @@ class TestMeasure:
         assert record.probability == pytest.approx(float(np.linalg.norm(t[1]) ** 2), abs=1e-12)
 
     def test_forced_zero_probability_raises(self):
-        state = basis_state(("a",), "0")
+        state = product_state(("a",), [E0])
         with pytest.raises(ValueError):
             measure(state, "a", "Z", forced_outcome=1)
 
@@ -248,10 +248,10 @@ class TestFidelityAndDensity:
         assert fidelity_up_to_phase(s, s2) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert fidelity_up_to_phase(basis_state(("a",), "0"), basis_state(("a",), "1")) == pytest.approx(0.0, abs=1e-15)
+        assert fidelity_up_to_phase(product_state(("a",), [E0]), product_state(("a",), [E1])) == pytest.approx(0.0, abs=1e-15)
 
     def test_plus_zero(self):
-        assert fidelity_up_to_phase(plus_state(("a",)), basis_state(("a",), "0")) == pytest.approx(
+        assert fidelity_up_to_phase(plus_state(("a",)), product_state(("a",), [E0])) == pytest.approx(
             1 / math.sqrt(2), abs=1e-12
         )
 
@@ -279,13 +279,13 @@ class TestFidelityAndDensity:
 
 class TestStateConstruction:
     def test_big_endian_indexing(self):
-        state = basis_state(("a", "b"), "10")
+        state = product_state(("a", "b"), [E1, E0])
         assert state.amplitude("10") == pytest.approx(1.0)
         assert np.argmax(np.abs(state.amplitudes)) == 2  # first label is the most significant bit
 
     def test_tensor_and_duplicate_labels(self):
         a = plus_state(("a",))
-        b = basis_state(("b",), "1")
+        b = product_state(("b",), [E1])
         ab = tensor(a, b)
         assert ab.labels == ("a", "b")
         with pytest.raises(ValueError):
@@ -332,9 +332,8 @@ def refuse_large_allocations(monkeypatch):
 
 class TestRegisterBound:
     @pytest.mark.parametrize("build", [
-        lambda labels: basis_state(labels, "0" * len(labels)),
         lambda labels: product_state(labels, [np.array([1, 0])] * len(labels)),
-    ], ids=["basis_state", "product_state"])
+    ], ids=["product_state"])
     def test_builders_refused_before_allocating(self, build, refuse_large_allocations):
         labels = [f"q{i}" for i in range(MAX_QUBITS + 1)]
         with pytest.raises(ValueError) as err:
@@ -343,7 +342,7 @@ class TestRegisterBound:
 
     def test_plus_state_refused_above_bound(self):
         with pytest.raises(ValueError, match="limit"):
-            plus_state([f"q{i}" for i in range(MAX_QUBITS + 1)])
+            product_state([f"q{i}" for i in range(MAX_QUBITS + 1)], [np.array([1, 1]) / math.sqrt(2)] * (MAX_QUBITS + 1))
 
     def test_tensor_refused_above_bound(self):
         half = (MAX_QUBITS + 1) // 2

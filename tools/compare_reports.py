@@ -6,8 +6,9 @@ OLD_SRC and NEW_SRC are directories holding the `crio` package (a checkout's
 `src/`). Each command runs as `python -m crio.cli ...` in its own subprocess
 with PYTHONPATH set to one of them, and its standard output is the report.
 Every command runs in one temporary working directory, into which the script
-first writes the `gm --state` inputs under fixed relative names, so the path
-a report echoes does not depend on where the directory is.
+first writes the `gm --state` and `build-state --edge-list` inputs under fixed
+relative names, so the path a report echoes does not depend on where the
+directory is.
 For every report the script prints "identical" (same exit code, same bytes)
 or the largest numeric difference and where it occurs, and at the end one
 line counting the identical reports and those that differ beyond 1e-12.
@@ -86,14 +87,19 @@ def report_matrix() -> list:
         ["build-state", "h2n1", "--n", "3", "--format", "csv"],  # prints the signed zero imaginary parts
         ["build-state", "h2n1", "--n", "4", "--groups", "3,5"],
         ["build-state", "phi", "--n", "2"],
+        ["build-state", "h2n1", "--n", "2", "--format", "text"],
+        # 2**17 amplitudes, written in many blocks of rows
+        ["build-state", "--edge-list", "random17.txt"],
+        ["build-state", "--edge-list", "random17.txt", "--format", "csv"],
     ]
     return runs
 
 
 def write_state_files(directory: str) -> None:
-    """The matrix's `gm --state` inputs: h5.json, the graph state of H5_EDGES,
-    whose amplitudes are those of `build-state h5` bit for bit, and
-    random7.json, a seeded 7-qubit state with complex amplitudes."""
+    """The matrix's input files: for `gm --state`, h5.json, the graph state of
+    H5_EDGES, whose amplitudes are those of `build-state h5` bit for bit, and
+    random7.json, a seeded 7-qubit state with complex amplitudes; for
+    `build-state --edge-list`, random17.txt, a seeded graph on 17 vertices."""
     h5 = [(-1) ** sum((i >> (4 - u)) & (i >> (4 - v)) & 1 for u, v in H5_EDGES) * 2 ** -2.5 for i in range(32)]
     rng = random.Random(22)
     raw = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(128)]
@@ -103,6 +109,10 @@ def write_state_files(directory: str) -> None:
     for name, (labels, amps) in states.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             json.dump({"labels": labels, "amplitudes": [[complex(a).real, complex(a).imag] for a in amps]}, fh)
+    rng = random.Random(17)
+    edges = [(u, v) for u in range(1, 18) for v in range(u + 1, 18) if rng.random() < 0.2]
+    with open(os.path.join(directory, "random17.txt"), "w", encoding="utf-8") as fh:
+        fh.write("n=17\n" + "".join(f"{u} {v}\n" for u, v in edges))
 
 
 def run_report(src: str, argv: list, cwd: str) -> tuple:
