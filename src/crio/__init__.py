@@ -2,7 +2,7 @@
 operations via graph states: channel construction, LOCC protocol runs,
 geometric-measure computation, and controller-free POVM analysis."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .qcore import (
     MeasurementRecord,

@@ -169,9 +169,8 @@ def _random_targets(rng: np.random.Generator, n: int) -> list:
 
 def cmd_build_state(args) -> int:
     groups = parse_groups(args.groups)
-    config = {"command": "build-state", "family": args.family, "n": args.n,
-              "groups": None if groups is None else sorted(groups), "edge_list": args.edge_list, "format": args.format}
     fam = "edge-list" if args.edge_list else (args.family or "").lower()
+    n = None  # an edge list's graph has no N; a named family's is resolved below
     if args.groups is not None and fam != "h2n1":
         raise ValueError(f"--groups applies to the h2n1 family only, not {fam}")
     if args.edge_list:
@@ -192,6 +191,8 @@ def cmd_build_state(args) -> int:
             if fam == "h2n1":
                 meta.update(controlled_groups=sorted(topo.controlled_groups),
                             roles={str(k): v for k, v in gs.role_names(topo).items()})
+    config = {"command": "build-state", "family": args.family, "n": n,
+              "groups": None if groups is None else sorted(groups), "edge_list": args.edge_list, "format": args.format}
     if args.format == "csv":
         _write_text(args.out, _provenance_line(config) + "\n", gs.Amplitudes(state.amplitudes).csv_blocks())
     else:
@@ -238,25 +239,29 @@ def cmd_run_protocol(args) -> int:
 
 
 def cmd_gm(args) -> int:
-    config = {"command": "gm", "family": args.family, "n": args.n, "state": args.state,
-              "restarts": args.restarts, "seed": args.seed, "mode": args.mode}
-    expected = None
+    family = n = expected = None
     if args.state:
+        given = [flag for flag in ("family", "n") if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"--{given[0]} cannot be combined with --state, which sets the whole state")
         with open(args.state, "r", encoding="utf-8") as fh, _json_input("--state", args.state):
             data = json.load(fh)
         if isinstance(data, dict) and "state" in data:  # a build-state report
             data = data["state"]
         state = gs.state_from_json_dict(data)
         result = gm_mod.gm_optimize(state, mode=args.mode, restarts=args.restarts, seed=args.seed)
-        payload = gm_mod.gm_report_dict(args.state, args.n or 0, result)
+        payload = gm_mod.gm_report_dict(args.state, 0, result)
     elif args.mode != "nonneg":
         raise ValueError(f"--mode {args.mode} applies to --state files only; the named families run nonneg")
     else:
-        kind, n = _named_family((args.family or "h2n1").lower(), args.n)
+        family = args.family or "h2n1"
+        kind, n = _named_family(family.lower(), args.n)
         optimize, name = (gm_mod.gm_phi, f"phi{2 * n}") if kind == "phi" else (gm_mod.gm_channel_family, f"h{2 * n + 1}")
         result = optimize(n, restarts=args.restarts, seed=args.seed)
         payload = gm_mod.gm_report_dict(name, n, result)
         expected = float(n)
+    config = {"command": "gm", "family": family, "n": n, "state": args.state,
+              "restarts": args.restarts, "seed": args.seed, "mode": args.mode}
     _write_report(args.out, _report(payload, config), args.format)
     if expected is not None and abs(result.G - expected) > 1e-6:
         print(f"verification failed: GM {result.G} differs from expected {expected}", file=sys.stderr)
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run_protocol)
 
     p = sub.add_parser("gm", help="geometric measure of entanglement reports")
-    p.add_argument("--family", default="h2n1", help="h2n1 | h3 | h5 | phi")
+    p.add_argument("--family", help="h2n1 | h3 | h5 | phi (default: h2n1)")
     p.add_argument("--n", type=int)
     p.add_argument("--state", help="optimize a state from a JSON amplitude file instead")
     p.add_argument("--restarts", type=int, default=64)

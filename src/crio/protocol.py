@@ -86,7 +86,7 @@ from .qcore import (
     purity,
     rotation,
 )
-from .report import _float_column, _nested, _pick, _quote, row_blocks
+from .report import _float_column, _nested, row_blocks
 from .stator import Stator
 
 FIDELITY_TOL = 1e-10
@@ -165,55 +165,24 @@ class Branches(Sequence):
     def json_blocks(self):
         """The branch list as json.dumps(report, sort_keys=True, indent=2) writes it under a
         top-level key, in strings of at most report.BLOCK_ROWS branches.  A branch is a fixed sequence
-        of columns, each an object array of shared strings picked from a small piece table by
-        the rows' bits, so no Python code runs per branch; a block joins its rows of the table."""
+        of columns, each an object array of shared strings, so no Python code runs per branch; a
+        block joins its rows of the table."""
         if not len(self):
             yield "[]"
             return
-        bits, records = self.bits, [outcome_records(step) for step in self.steps]
-        quoted = np.pad(bits + ord("0"), ((0, 0), (1, 1)), constant_values=ord('"'))
-        values = {  # the columns of each key of a branch's JSON object, in sorted key order
-            "corrections": _list_columns([[[_ITEM + _quote(fix) for fix in fixes] for fixes, _ in pair]
-                                          for pair in records], bits),
-            "fidelity": [_float_column(self.fidelities)],
-            "outcomes": [quoted.view(f"S{quoted.shape[1]}")[:, 0].astype(str).astype(object)],
-            "probability": [_float_column(self.probabilities)],
-            "transcript": _list_columns([[list(map(_message, msgs)) for _, msgs in pair] for pair in records], bits),
+        quoted = np.pad(self.bits + ord("0"), ((0, 0), (1, 1)), constant_values=ord('"'))
+        values = {  # the column of each key of a branch's JSON object, in sorted key order
+            "fidelity": _float_column(self.fidelities),
+            "outcomes": quoted.view(f"S{quoted.shape[1]}")[:, 0].astype(str).astype(object),
+            "probability": _float_column(self.probabilities),
         }
         frame = _nested(dict.fromkeys(values, ...), 2)
-        columns = [",\n" + frame[0]]
-        for column, piece in zip(values.values(), frame[1:]):
-            columns += [*column, piece]
-        table = np.hstack([np.broadcast_to(np.array(c, dtype=object), (len(bits), 1)) if isinstance(c, str)
-                           else c.reshape(len(bits), -1) for c in columns])  # a frame column shares one string
+        table = np.empty((len(self), 2 * len(values) + 1), dtype=object)
+        table[:, 0::2] = [",\n" + frame[0], *frame[1:]]  # a frame column shares one string
+        table[:, 1::2] = np.stack(list(values.values()), axis=1)
         table[0, 0] = "[\n" + frame[0]
         yield from row_blocks(len(table), table.__getitem__)
         yield "\n  ]"
-
-
-# A list item four levels deep as json.dumps(report, sort_keys=True, indent=2) writes it: a
-# string (a correction label) after _ITEM, or a message object, whose keys are fixed.
-_ITEM = " " * 8
-_MESSAGE = "%s".join(_nested(dict.fromkeys(("from", "payload", "step", "to"), ...), 4))
-
-
-def _message(m: ClassicalMessage) -> str:
-    return _MESSAGE % (_quote(m.sender), m.payload, _quote(m.step), _quote(m.recipient))
-
-
-def _list_columns(items: list, bits: np.ndarray) -> list:
-    """The columns of a JSON list three levels deep to which measurement i adds the rendered items
-    items[i][b] on bit b: an opener, a (B, k) block of pieces for the k measurements that add any
-    item, a closer.  A piece leads with the item separator unless the row's items start there; no
-    items read []."""
-    texts = [[",\n".join(added) for added in pair] for pair in items]
-    adding = [i for i, pair in enumerate(texts) if any(pair)]  # the measurements that add any item
-    bit = np.ascontiguousarray(bits[:, adding])  # C order, so the column table and its row blocks are too
-    added = np.array([[bool(t) for t in texts[i]] for i in adding], dtype=bool).reshape(-1, 2)[range(len(adding)), bit]
-    pieces = [t and sep + t for i in adding for sep in ("", ",\n") for t in texts[i]]
-    block = _pick(pieces, 4 * np.arange(len(adding)) + 2 * (added.cumsum(axis=1) > added) + bit)
-    nonempty = added.any(axis=1).view(np.uint8)
-    return [_pick(["[]", "[\n"], nonempty), block, _pick(["", "\n      ]"], nonempty)]
 
 
 @dataclass
@@ -250,6 +219,7 @@ class ProtocolResult:
             "mode": self.mode,
             "seed": self.seed,
             "measurement_count": self.measurement_count,
+            "measurements": [_measurement_json(step) for step in self.measurements],
         }
 
     def to_json_dict(self) -> dict:
@@ -575,6 +545,14 @@ def outcome_records(step: Step) -> tuple:
     labels = tuple(label for _, label in step.on_one)
     return tuple((labels if bit else (), tuple(ClassicalMessage(step.actor, r, step.tag, bit) for r in step.messages_to))
                  for bit in (0, 1))
+
+
+def _measurement_json(step: Step) -> dict:
+    """A measured step as the report lists it once: each branch's bit for it is sent to every
+    recipient in "to", and on 1 each correction of "on_one" is applied."""
+    fixes, messages = outcome_records(step)[1]
+    return {"step": step.tag, "from": step.actor, "qubit": step.qubit, "basis": step.basis,
+            "to": [m.recipient for m in messages], "on_one": list(fixes)}
 
 
 def _branches(reg: _Register, plan, kets: dict, rule) -> Branches:

@@ -9,7 +9,6 @@ import numpy as np
 
 BLOCK_ROWS = 256  # list items per string of row_blocks: a lower peak RSS than one string per report
 _HOLE = "\0"  # a placeholder string no report value contains
-_quote = json.encoder.encode_basestring_ascii  # json.dumps' own string escape, in C
 
 
 def _nested(value, depth: int, hole=lambda v: None) -> list:

@@ -1,7 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from crio.qcore import QuantumState
+
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_reports", Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py")
+compare_reports = importlib.util.module_from_spec(_SPEC)  # tools/compare_reports.py, which is no package
+_SPEC.loader.exec_module(compare_reports)
 
 
 def random_qubit(rng: np.random.Generator) -> np.ndarray:

@@ -16,6 +16,7 @@ from crio import report
 from crio.cli import _report, _write_report, format_angle, main, parse_angle, parse_axis
 from crio.graphstate import CrioTopology, crio_channel_state
 from crio.qcore import X_AXIS
+from conftest import compare_reports
 
 
 class TestAngleParsing:
@@ -396,11 +397,16 @@ _BAD_GROUPS = "error: --groups must be comma-separated group indices, got '3,x'"
          "error: --alpha cannot be combined with --sweep, which sets every angle"),
         (["gm", "--family", "h2n1", "--n", "2", "--mode", "general"],
          "error: --mode general applies to --state files only; the named families run nonneg"),
+        (["gm", "--state", "{state}", "--n", "5"], "error: --n cannot be combined with --state, which sets the whole state"),
+        (["gm", "--state", "{state}", "--family", "h5"],
+         "error: --family cannot be combined with --state, which sets the whole state"),
     ],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, message):
-    files = {"edges": tmp_path / "edges.txt", "text": tmp_path / "text.json", "binary": tmp_path / "binary.json"}
+    files = {"edges": tmp_path / "edges.txt", "text": tmp_path / "text.json", "binary": tmp_path / "binary.json",
+             "state": tmp_path / "state.json"}
     files["edges"].write_text("n=2\n1 x\n")
+    assert main(["build-state", "phi", "--n", "1", "--out", str(files["state"])]) == 0
     files["text"].write_text('{"n": 1\n')
     files["binary"].write_bytes(b"\xff\xfe")
     assert main([a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
@@ -415,7 +421,7 @@ def test_fixed_size_family_accepts_its_own_n(tmp_path, argv):
     for extra in ([], ["--n", str({"h3": 1, "h5": 2}[argv[-1]])]):
         out = tmp_path / "out.json"
         assert main(argv + extra + ["--out", str(out)]) == 0
-        bodies.append({k: v for k, v in json.loads(out.read_text()).items() if k != "config_hash"})
+        bodies.append(out.read_bytes())
     assert bodies[0] == bodies[1]
 
 
@@ -632,7 +638,26 @@ def test_run_protocol_report_is_json_dumps_of_the_result(tmp_path, monkeypatch, 
 
 def _plain_branch_list(branches) -> list:
     """Each branch's JSON object, rebuilt in a plain loop from the table's
-    columns and outcome_records: no code shared with the report writer."""
+    columns: no code shared with the report writer."""
+    out = []
+    for row, p, f in zip(branches.bits.tolist(), branches.probabilities.tolist(), branches.fidelities.tolist()):
+        out.append({"outcomes": "".join(str(b) for b in row), "probability": p, "fidelity": f})
+    return out
+
+
+def _plain_measurements(steps) -> list:
+    """The report's measured steps, rebuilt in a plain loop from outcome_records."""
+    out = []
+    for step in steps:
+        fixes, messages = proto.outcome_records(step)[1]
+        out.append({"step": step.tag, "from": step.actor, "qubit": step.qubit, "basis": step.basis,
+                    "to": [m.recipient for m in messages], "on_one": list(fixes)})
+    return out
+
+
+def _schema1_branch_list(branches) -> list:
+    """Each branch's JSON object as version 0.1.0 wrote it, with its corrections and
+    transcript in full, rebuilt in a plain loop from the table's columns and outcome_records."""
     out = []
     for row, p, f in zip(branches.bits.tolist(), branches.probabilities.tolist(), branches.fidelities.tolist()):
         corrections, transcript = [], []
@@ -658,8 +683,9 @@ def _control_cases(max_n: int):
 @pytest.mark.parametrize("n,groups,permitted,mode", list(_control_cases(3)))
 def test_written_branch_list_is_json_dumps_of_a_plain_rebuild(tmp_path, n, groups, permitted, mode):
     """The run-protocol report, written to a file and to stdout, equals
-    json.dumps(sort_keys=True, indent=2) of its branches rebuilt one by one, on
-    every control subset for N <= 3, permitted and denied, and in sample mode."""
+    json.dumps(sort_keys=True, indent=2) of its branches and measured steps rebuilt
+    one by one, on every control subset for N <= 3, permitted and denied, and in
+    sample mode; tools/compare_reports.py turns it into version 0.1.0's report."""
     rng = np.random.default_rng(400 + n)
     config = proto.run_config_to_dict(n, [proto.PauliAxis(0.6, 0.0, -0.8)] * n, list(rng.uniform(0, 6, n)),
                                       [np.array([0.6, 0.8j])] * n, mode, 5, permitted, groups)
@@ -668,8 +694,12 @@ def test_written_branch_list_is_json_dumps_of_a_plain_rebuild(tmp_path, n, group
     assert main(["run-protocol", "--config", str(path), "--out", str(out)]) == 0
     text = out.read_text()
     report = json.loads(text)
-    report["branches"] = _plain_branch_list(proto.run_crio(**proto.load_run_config(path)).branches)
+    branches = proto.run_crio(**proto.load_run_config(path)).branches
+    report["branches"], report["measurements"] = _plain_branch_list(branches), _plain_measurements(branches.steps)
     assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    del report["measurements"]
+    report.update(artifact_version="0.1.0", branches=_schema1_branch_list(branches))
+    assert compare_reports.as_schema1(text, "0.1.0") == json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert len(report["branches"]) == (1 if mode == "sample" else 2 ** report["measurement_count"])
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):

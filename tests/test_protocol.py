@@ -1022,4 +1022,5 @@ class TestConfigIO:
         res = run_crio(1, [random_axis(rng)], [0.4], [random_qubit(rng)])
         data = res.to_json_dict()
         assert data["n_systems"] == 1 and len(data["branches"]) == 8
-        assert all(set(b) >= {"outcomes", "probability", "fidelity", "transcript"} for b in data["branches"])
+        assert all(set(b) == {"outcomes", "probability", "fidelity"} for b in data["branches"])
+        assert [m["step"] for m in data["measurements"]] == ["step3", "step4", "step6"]

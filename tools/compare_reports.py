@@ -17,6 +17,13 @@ tokens (including complex cells) as numbers. Each run-protocol report of
 NEW_SRC is also written once through `--out FILE`, and the file must hold
 the bytes the command wrote to standard output.
 
+When the two trees report different artifact versions (the JSON key, the CSV
+`# artifact_version=` line or the text `artifact_version:` line), each report
+of NEW_SRC is first converted to the old schema (`as_schema1`) and must then
+hold OLD_SRC's bytes but for numbers within 1e-12. Its config hash may differ
+only on the reports of HASH_MOVES, whose configurations hash differently since
+version 0.2.0; elsewhere a config hash that differs is a mismatch.
+
 Exit status 1 when any report differs in exit code, structure or a
 non-numeric value, or in a number by more than 1e-12, or when a report file
 differs from its standard output; 0 otherwise. Passing
@@ -36,6 +43,19 @@ import tempfile
 
 TOLERANCE = 1e-12
 H5_EDGES = ((0, 1), (0, 3), (1, 2), (2, 3), (2, 4))  # the N=2 channel graph on a1..a5
+# The matrix reports whose config hash version 0.2.0 moved, each tagged with its FOUND line of
+# CHANGES.md: 48, the resolved N of a fixed-size family is hashed; 51, gm --state refuses --family,
+# whose default its hash held.
+HASH_MOVES = (
+    (("build-state", "h3"), "FOUND 48"),
+    (("gm", "--family", "h3"), "FOUND 48"),
+    (("gm", "--family", "h5", "--format", "text"), "FOUND 48"),
+    (("gm", "--state", "h5.json", "--mode", "general"), "FOUND 51"),
+    (("gm", "--state", "random7.json", "--mode", "general", "--restarts", "16", "--seed", "3"), "FOUND 51"),
+)
+# A report's provenance field as its JSON key, its CSV comment line or its text line writes it
+_FIELD = {key: re.compile(rf'^(?:  "{key}": "|#.* {key}=|{key}: )([^"\s]+)', re.M)
+          for key in ("artifact_version", "config_hash")}
 
 
 def report_matrix() -> list:
@@ -131,6 +151,39 @@ def file_matches_stdout(src: str, argv: list, stdout: str, cwd: str) -> bool:
             return fh.read() == stdout.encode()
 
 
+def field(text: str, key: str):
+    """A report's artifact_version or config_hash, or None when it has none."""
+    match = _FIELD[key].search(text)
+    return match and match.group(1)
+
+
+def with_field(text: str, key: str, value: str) -> str:
+    """The report with its artifact_version or config_hash replaced by `value`."""
+    match = _FIELD[key].search(text)
+    return text[:match.start(1)] + value + text[match.end(1):]
+
+
+def as_schema1(text: str, version: str) -> str:
+    """A report of schema 2 (version 0.2.0 on) as schema 1 writes it, marked `version`.  A
+    run-protocol JSON report lists each measured step once, under "measurements"; each branch's
+    corrections are then the "on_one" labels of its steps of bit 1, and its transcript one message
+    of its bit per recipient of each step.  The text report drops its measurements line."""
+    text = with_field(text, "artifact_version", version)
+    try:
+        report = json.loads(text)
+    except ValueError:  # CSV or text
+        return re.sub(r"^measurements: .*\n", "", text, count=1, flags=re.M)
+    if not isinstance(report, dict) or "measurements" not in report:
+        return text
+    steps = report.pop("measurements")
+    for branch in report["branches"]:
+        bits = [int(b) for b in branch["outcomes"]]
+        branch["corrections"] = [fix for step, bit in zip(steps, bits) if bit for fix in step["on_one"]]
+        branch["transcript"] = [{"from": step["from"], "payload": bit, "step": step["step"], "to": to}
+                                for step, bit in zip(steps, bits) for to in step["to"]]
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 class Mismatch(Exception):
     """The two reports differ in something other than a number's value."""
 
@@ -185,6 +238,19 @@ def max_difference(old, new, path: str = "") -> tuple:
     return worst
 
 
+def as_old(cmd: list, old_out: str, new_out: str) -> tuple:
+    """NEW_SRC's report as OLD_SRC's schema writes it, when their versions differ, with OLD_SRC's
+    config hash on a report of HASH_MOVES, and a note saying what was converted."""
+    version, new_version = field(old_out, "artifact_version"), field(new_out, "artifact_version")
+    if None in (version, new_version) or new_version == version:
+        return new_out, ""
+    new_out, old_hash = as_schema1(new_out, version), field(old_out, "config_hash")
+    found = dict(HASH_MOVES).get(tuple(cmd))
+    if found and field(new_out, "config_hash") != old_hash:
+        return with_field(new_out, "config_hash", old_hash), f" (as {version}; config_hash moved, {found})"
+    return new_out, f" (as {version})"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -202,8 +268,11 @@ def main(argv=None) -> int:
                     raise Mismatch(f"exit code {old_code} vs {new_code}")
                 if cmd[0] == "run-protocol" and not file_matches_stdout(new_src, cmd, new_out, cwd):
                     raise Mismatch("the --out file differs from standard output")
+                new_out, note = as_old(cmd, old_out, new_out)
+                if field(old_out, "config_hash") != field(new_out, "config_hash"):
+                    raise Mismatch("config_hash differs")
                 if old_out == new_out:
-                    print(f"{name:<50} identical")
+                    print(f"{name:<50} identical{note}")
                     identical += 1
                     continue
                 diff, where = max_difference(_parse(old_out), _parse(new_out))
