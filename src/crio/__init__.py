@@ -51,7 +51,6 @@ from .povm import (
     PovmParams,
     RealizedOperation,
     branch_coefficients,
-    build_povm,
     enumerate_case1,
     enumerate_case2,
     guess_probability,

@@ -79,9 +79,12 @@ def parse_axis(text: str) -> PauliAxis:
 
 
 def parse_groups(text: str | None) -> frozenset | None:
-    """A --groups value: comma-separated controlled group indices (None when not given)."""
+    """A --groups value: comma-separated controlled group indices, the empty set for an empty
+    value, None when not given."""
+    if text is None:
+        return None
     try:
-        return frozenset(int(g) for g in text.split(",")) if text else None
+        return frozenset(int(g) for g in text.split(",")) if text else frozenset()
     except ValueError:
         raise ValueError(f"--groups must be comma-separated group indices, got {text!r}") from None
 
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", nargs="?", help="h3 | h5 | h2n1 | phi")
     p.add_argument("--edge-list", help="build from an edge-list file instead")
     p.add_argument("--n", type=int, help="number of remote systems")
-    p.add_argument("--groups", help="comma-separated controlled group indices (h2n1)")
+    p.add_argument("--groups", help="comma-separated controlled group indices (h2n1); '' for none")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.set_defaults(func=cmd_build_state)
 
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="number of remote systems (random draw mode)")
     p.add_argument("--alpha", help="rotation angle for every system (default: random)")
     p.add_argument("--axis", help="axis x|y|z or 'x,y,z' components for every system")
-    p.add_argument("--groups", help="comma-separated controlled group indices")
+    p.add_argument("--groups", help="comma-separated controlled group indices; '' for none")
     p.add_argument("--mode", choices=("enumerate", "sample"), help="default: enumerate")
     p.add_argument("--permitted", choices=("true", "false"), help="default: true")
     p.add_argument("--seed", type=int, help="default: 7")

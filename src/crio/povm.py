@@ -31,6 +31,7 @@ from .protocol import step1_stator
 TWO_PI = 2 * math.pi
 ANGLE_TOL = 1e-9
 COEFF_TOL = 1e-10  # relative size below which a branch coefficient counts as zero
+FREE_BOUNDS = (math.pi / 2, TWO_PI, math.pi / 2, TWO_PI)  # upper ends of from_free's uniform draws
 
 
 def _party_angles(angle, phase):
@@ -83,16 +84,6 @@ class PovmParams:
         return (_ket(self.theta1, self.phi1), _ket(self.theta2, self.phi2),
                 _ket(self.lambda1, self.omega1), _ket(self.lambda2, self.omega2))
 
-    def beta(self, j: int) -> np.ndarray:
-        if j not in (1, 2):
-            raise ValueError("j must be 1 or 2")
-        return np.array(self._kets()[j - 1])
-
-    def gamma(self, k: int) -> np.ndarray:
-        if k not in (1, 2):
-            raise ValueError("k must be 1 or 2")
-        return np.array(self._kets()[k + 1])
-
     @staticmethod
     def from_free(theta1: float, phi1: float, lambda1: float, omega1: float) -> "PovmParams":
         """Fill the complementary outcomes so completeness holds exactly."""
@@ -100,12 +91,9 @@ class PovmParams:
 
     @staticmethod
     def random_valid(rng: np.random.Generator) -> "PovmParams":
-        return PovmParams.from_free(
-            rng.uniform(0, math.pi / 2),
-            rng.uniform(0, TWO_PI),
-            rng.uniform(0, math.pi / 2),
-            rng.uniform(0, TWO_PI),
-        )
+        theta, phi, lam, omega = FREE_BOUNDS  # four scalar draws beat one vector draw here
+        return PovmParams.from_free(rng.uniform(0, theta), rng.uniform(0, phi), rng.uniform(0, lam),
+                                    rng.uniform(0, omega))
 
 
 def _ket_array(angles: np.ndarray) -> np.ndarray:
@@ -136,7 +124,7 @@ def random_valid_kets(rng: np.random.Generator, count: int) -> np.ndarray:
     them, as one (count, 4, 2) array: the same doubles from one uniform call, which
     leaves `rng` in the same state, and from_free's angles, so each row equals that
     draw's _kets() bit for bit.  Every row passes the completeness check."""
-    free = rng.uniform(0, (math.pi / 2, TWO_PI, math.pi / 2, TWO_PI), size=(count, 4))
+    free = rng.uniform(0, FREE_BOUNDS, size=(count, 4))
     theta, phi, lam, omega = free.T
     angles = np.stack([*_party_angles(theta, phi), *_party_angles(lam, omega)], axis=1)
     kets = _ket_array(angles)
@@ -144,18 +132,6 @@ def random_valid_kets(rng: np.random.Generator, count: int) -> np.ndarray:
     if refused.size:
         raise ValueError(f"draw {refused[0]} does not satisfy POVM completeness within 1e-10")
     return kets
-
-
-def build_povm(params: PovmParams):
-    """Rank-1 projectors (M1, M2, N1, N2) onto the four kets."""
-    b1, b2 = params.beta(1), params.beta(2)
-    g1, g2 = params.gamma(1), params.gamma(2)
-    return (
-        np.outer(b1, b1.conj()),
-        np.outer(b2, b2.conj()),
-        np.outer(g1, g1.conj()),
-        np.outer(g2, g2.conj()),
-    )
 
 
 @dataclass(frozen=True)
@@ -382,10 +358,6 @@ class PovmBranchSim:
     probability: float
     schmidt_ratio: float       # second/first singular value across the controller cut
     target_factor: np.ndarray | None
-
-    @property
-    def factorized(self) -> bool:
-        return self.schmidt_ratio <= 1e-10
 
 
 def simulate_branch(params: PovmParams, j: int, k: int, axis: PauliAxis, target_vec) -> PovmBranchSim:

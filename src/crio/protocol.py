@@ -196,13 +196,8 @@ class ProtocolResult:
     seed: int | None = None
 
     @property
-    def measurements(self) -> tuple:
-        """The measurement Steps, in the order of each branch's outcome bits."""
-        return self.branches.steps
-
-    @property
     def measurement_count(self) -> int:
-        return len(self.measurements)
+        return len(self.branches.steps)
 
     def min_fidelity(self) -> float:
         return float(self.branches.fidelities.min())
@@ -219,11 +214,8 @@ class ProtocolResult:
             "mode": self.mode,
             "seed": self.seed,
             "measurement_count": self.measurement_count,
-            "measurements": [_measurement_json(step) for step in self.measurements],
+            "measurements": [_measurement_json(step) for step in self.branches.steps],
         }
-
-    def to_json_dict(self) -> dict:
-        return {**self.summary_json(), "branches": json.loads("".join(self.branches.json_blocks()))}
 
 
 def build_parties(
@@ -550,9 +542,8 @@ def outcome_records(step: Step) -> tuple:
 def _measurement_json(step: Step) -> dict:
     """A measured step as the report lists it once: each branch's bit for it is sent to every
     recipient in "to", and on 1 each correction of "on_one" is applied."""
-    fixes, messages = outcome_records(step)[1]
     return {"step": step.tag, "from": step.actor, "qubit": step.qubit, "basis": step.basis,
-            "to": [m.recipient for m in messages], "on_one": list(fixes)}
+            "to": list(step.messages_to), "on_one": [label for _, label in step.on_one]}
 
 
 def _branches(reg: _Register, plan, kets: dict, rule) -> Branches:

@@ -110,6 +110,12 @@ class TestBuildState:
         assert main(["build-state", "h2n1", "--n", "3", "--groups", "3", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config_hash"] != reports[0]["config_hash"]
 
+    def test_empty_groups_wire_no_optional_group(self, tmp_path):
+        """An empty --groups is the empty set, as a config file's "controlled_groups": [] is."""
+        out = tmp_path / "h7.json"
+        assert main(["build-state", "h2n1", "--n", "3", "--groups", "", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["metadata"]["controlled_groups"] == []
+
     def test_missing_edge_list_exits_1(self, tmp_path):
         assert main(["build-state", "--edge-list", str(tmp_path / "absent.txt")]) == 1
 
@@ -129,6 +135,12 @@ class TestRunProtocol:
         data = json.loads(out.read_text())
         assert data["permitted"] is False
         assert data["min_fidelity"] < 1 - 1e-6
+
+    def test_empty_groups_run_the_base_group_only(self, tmp_path):
+        out = tmp_path / "run.json"
+        assert main(["run-protocol", "--n", "3", "--groups", "", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["participating_systems"] == [5] and len(data["branches"]) == 8
 
     def test_config_file(self, tmp_path):
         cfg = {
@@ -165,7 +177,8 @@ class TestRunProtocol:
         assert "targets" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--n", "2"), ("--alpha", "pi"), ("--axis", "x"), ("--groups", "3"),
-                                             ("--mode", "enumerate"), ("--permitted", "true"), ("--seed", "7")])
+                                             ("--groups", ""), ("--mode", "enumerate"), ("--permitted", "true"),
+                                             ("--seed", "7")])
     def test_config_refuses_another_run_flag(self, tmp_path, capsys, flag, value):
         """A run flag the user set beside --config, even one equal to its default, would be
         dropped: the run exits 2 with one line naming it, and writes no report."""
@@ -400,6 +413,7 @@ _BAD_GROUPS = "error: --groups must be comma-separated group indices, got '3,x'"
         (["gm", "--state", "{state}", "--n", "5"], "error: --n cannot be combined with --state, which sets the whole state"),
         (["gm", "--state", "{state}", "--family", "h5"],
          "error: --family cannot be combined with --state, which sets the whole state"),
+        (["build-state", "h3", "--groups", ""], "error: --groups applies to the h2n1 family only, not h3"),
     ],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, message):
@@ -612,8 +626,8 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, argv):
     ],
 )
 def test_run_protocol_report_is_json_dumps_of_the_result(tmp_path, monkeypatch, argv):
-    """The branch-list writer reproduces json.dumps(sort_keys=True, indent=2) of
-    ProtocolResult.to_json_dict byte for byte."""
+    """The report writer reproduces json.dumps(sort_keys=True, indent=2) of the result's
+    summary and a branch list rebuilt in a plain loop, byte for byte."""
     runs = []
     run_crio = proto.run_crio
 
@@ -629,9 +643,8 @@ def test_run_protocol_report_is_json_dumps_of_the_result(tmp_path, monkeypatch, 
         kwargs["n_systems"], kwargs["axes"], kwargs["betas"], kwargs["targets"],
         kwargs["mode"], kwargs["seed"], kwargs["permitted"], kwargs["controlled_groups"],
     )
-    payload = result.to_json_dict()
-    payload["min_fidelity"] = result.min_fidelity()
-    payload["total_probability"] = result.total_probability()
+    payload = {**result.summary_json(), "min_fidelity": result.min_fidelity(),
+               "total_probability": result.total_probability(), "branches": _plain_branch_list(result.branches)}
     assert out.read_text() == json.dumps(_report(payload, config), sort_keys=True, indent=2) + "\n"
     assert any(not b.corrections for b in result.branches) or kwargs["mode"] == "sample"
 
@@ -720,11 +733,10 @@ def test_zero_row_branch_table_writes_an_empty_list(tmp_path):
     steps = tuple(s for s in proto._plan(1, [X_AXIS], [0.3], [2]) if s.basis is not None)
     empty = proto.Branches(steps, np.zeros((0, len(steps)), dtype=np.uint8), np.zeros(0), np.zeros(0), ("O3",),
                            ((("O3",), np.zeros((0, 2, 2), dtype=complex)),))
-    result = proto.ProtocolResult(1, True, (3,), None, empty, "enumerate")
     out = tmp_path / "run.json"
-    _write_report(str(out), {"n": 1, "branches": result.branches}, "json")
+    _write_report(str(out), {"n": 1, "branches": empty}, "json")
     assert out.read_text() == json.dumps({"branches": [], "n": 1}, sort_keys=True, indent=2) + "\n"
-    assert result.to_json_dict()["branches"] == [] and list(empty) == [] and empty[:] == []
+    assert list(empty) == [] and empty[:] == []
 
 
 class TestDeterminism:

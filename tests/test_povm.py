@@ -20,7 +20,6 @@ from crio.povm import (
     PovmParams,
     angle_in_set,
     branch_coefficients,
-    build_povm,
     case2_lambda1_for_alpha,
     classify_branches,
     control_power_report,
@@ -83,10 +82,15 @@ def _perturbed_angles(draw):
     return angles
 
 
+def _projectors(params) -> list:
+    """The rank-1 projectors (M1, M2, N1, N2) onto the four kets of a POVM."""
+    return [np.outer(k, np.conj(k)) for k in map(np.array, params._kets())]
+
+
 class TestBuildPovm:
     def test_computational_endpoints(self):
         p = PovmParams.from_free(0.0, 0.0, 0.0, PI / 2)
-        m1, m2, n1, n2 = build_povm(p)
+        m1, m2, n1, n2 = _projectors(p)
         np.testing.assert_allclose(m1, np.diag([1, 0]), atol=1e-12)
         np.testing.assert_allclose(m2, np.diag([0, 1]), atol=1e-12)
         np.testing.assert_allclose(n1, np.diag([1, 0]), atol=1e-12)
@@ -94,7 +98,7 @@ class TestBuildPovm:
 
     def test_x_basis_projectors(self):
         p = PovmParams(PI / 4, PI / 4, 0.0, PI, 0.0, PI / 2, 0.0, 0.0)
-        m1, m2, _, _ = build_povm(p)
+        m1, m2, _, _ = _projectors(p)
         np.testing.assert_allclose(m1, (IDENTITY_2 + PAULI_X) / 2, atol=1e-12)
         np.testing.assert_allclose(m2, (IDENTITY_2 - PAULI_X) / 2, atol=1e-12)
 
@@ -160,7 +164,7 @@ class TestBuildPovm:
         rng = np.random.default_rng(100)
         for _ in range(100):
             p = PovmParams.random_valid(rng)
-            m1, m2, n1, n2 = build_povm(p)
+            m1, m2, n1, n2 = _projectors(p)
             np.testing.assert_allclose(m1 + m2, IDENTITY_2, atol=1e-10)
             np.testing.assert_allclose(n1 + n2, IDENTITY_2, atol=1e-10)
 
@@ -190,7 +194,7 @@ class TestOutcomeProbability:
         assert maps.shape == (len(params), 4, 4, 2) and probs.shape == (len(params), 4)
         for i, p in enumerate(params):
             for n, (j, k) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
-                b = np.einsum("b,c,abcot->aot", p.beta(j).conj(), p.gamma(k).conj(), dense).reshape(4, 2)
+                b = np.einsum("b,c,abcot->aot", kets[i, j - 1].conj(), kets[i, k + 1].conj(), dense).reshape(4, 2)
                 np.testing.assert_allclose(maps[i, n], b, rtol=0, atol=1e-12)
                 assert probs[i, n] == pytest.approx(np.sum(np.abs(b) ** 2), abs=1e-12)
                 assert outcome_probability(p, j, k, axis) == probs[i, n]
@@ -389,7 +393,7 @@ class TestSeparability:
             flag = separability_check(branch_coefficients(p, j, k)).realizable
             sim = simulate_branch(p, j, k, axis, random_qubit(rng))
             trials += 1
-            agree += int(flag == sim.factorized)
+            agree += int(flag == (sim.schmidt_ratio <= 1e-10))
         assert agree == trials
 
     def test_case2_rows_confirmed_by_simulation(self):
@@ -400,7 +404,7 @@ class TestSeparability:
                 psi = random_qubit(rng)
                 sim = simulate_branch(row.params, *row.pair, axis, psi)
                 assert sim.probability == pytest.approx(0.25, abs=1e-10)
-                assert sim.factorized
+                assert sim.schmidt_ratio <= 1e-10
                 matches = [
                     abs(abs(np.vdot(rotation(axis, a) @ psi, sim.target_factor)) - 1) < 1e-9
                     for a in row.alphas

@@ -50,6 +50,7 @@ from crio.qcore import (
     rotation,
     tensor,
 )
+from crio.report import json_report
 from crio.stator import diagonal_stator, stator_from_state
 
 
@@ -217,6 +218,26 @@ class TestBranchBookkeeping:
         rng = np.random.default_rng(77)
         tags = [t for t, _ in run_checkpoints(1, [random_axis(rng)], [0.4], [random_qubit(rng)], [0, 1, 0])]
         assert tags == ["step1", "step2", "step3", "step4", "step5", "step6"]
+
+    @pytest.mark.parametrize("n, permitted, groups, tags", [
+        (2, False, None, ["step1", "step2", "step4", "step5", "step6"]),  # no controller measurement
+        (1, True, None, ["step1", "step2", "step3", "step4", "step5", "step6"]),
+        (3, True, frozenset(), ["step1", "step2", "step3", "step4", "step5", "step6"]),  # base group only
+    ])
+    def test_checkpoint_tags_include_steps_with_no_operation(self, n, permitted, groups, tags):
+        """A checkpoint per step tag of the run, even one whose step does nothing on this
+        register: at N=1, and with no optional group wired, no party applies H in step 2."""
+        rng = np.random.default_rng(78)
+        axes, betas, targets = [random_axis(rng) for _ in range(n)], [0.4] * n, [random_qubit(rng) for _ in range(n)]
+        checkpoints = run_checkpoints(n, axes, betas, targets, [0] * (2 * n + 1), permitted, groups)
+        assert [t for t, _ in checkpoints] == tags
+        if n == 1 or groups == frozenset():  # the base group alone takes part
+            assert all(s.tag != "step2" for s in protocol._plan(n, axes, betas, [2]))
+
+    def test_symbolic_checkpoints_stop_after_step5(self):
+        rng = np.random.default_rng(79)
+        tags = [t for t, _ in symbolic_checkpoints(2, [random_axis(rng)] * 2, [0.4, 1.1], [0, 1, 0])]
+        assert tags == ["step1", "step2", "step3", "step4", "step5"]
 
 
 class TestWalkMatchesCheckpoints:
@@ -1020,7 +1041,9 @@ class TestConfigIO:
     def test_result_json_shape(self):
         rng = np.random.default_rng(86)
         res = run_crio(1, [random_axis(rng)], [0.4], [random_qubit(rng)])
-        data = res.to_json_dict()
+        payload = {**res.summary_json(), "min_fidelity": res.min_fidelity(),
+                   "total_probability": res.total_probability(), "branches": res.branches}
+        data = json.loads("".join(json_report(payload)))
         assert data["n_systems"] == 1 and len(data["branches"]) == 8
         assert all(set(b) == {"outcomes", "probability", "fidelity"} for b in data["branches"])
         assert [m["step"] for m in data["measurements"]] == ["step3", "step4", "step6"]

@@ -6,9 +6,9 @@ OLD_SRC and NEW_SRC are directories holding the `crio` package (a checkout's
 `src/`). Each command runs as `python -m crio.cli ...` in its own subprocess
 with PYTHONPATH set to one of them, and its standard output is the report.
 Every command runs in one temporary working directory, into which the script
-first writes the `gm --state` and `build-state --edge-list` inputs under fixed
-relative names, so the path a report echoes does not depend on where the
-directory is.
+first writes the `gm --state`, `build-state --edge-list` and `run-protocol
+--config` inputs under fixed relative names, so the path a report echoes does
+not depend on where the directory is.
 For every report the script prints "identical" (same exit code, same bytes)
 or the largest numeric difference and where it occurs, and at the end one
 line counting the identical reports and those that differ beyond 1e-12.
@@ -43,6 +43,18 @@ import tempfile
 
 TOLERANCE = 1e-12
 H5_EDGES = ((0, 1), (0, 3), (1, 2), (2, 3), (2, 4))  # the N=2 channel graph on a1..a5
+# The `run-protocol --config` inputs: an N=3 enumeration that wires no optional group, and an N=2
+# sample run with one target written to eight decimals, which the run divides by its norm.
+RUN_CONFIGS = {
+    "base_group_only.json": {
+        "n_systems": 3, "axes": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "betas": [0.4, 1.3, 2.2],
+        "targets": [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.0], [1.0, 0.0]]],
+        "mode": "enumerate", "seed": 7, "permitted": True, "controlled_groups": []},
+    "eight_decimals.json": {
+        "n_systems": 2, "axes": [[0.0, 1.0, 0.0], [0.6, 0.0, 0.8]], "betas": [0.7, 2.9],
+        "targets": [[[0.70710678, 0], [0.70710678, 0]], [[0.6, 0.0], [0.0, 0.8]]],
+        "mode": "sample", "seed": 11, "permitted": True, "controlled_groups": None},
+}
 # The matrix reports whose config hash version 0.2.0 moved, each tagged with its FOUND line of
 # CHANGES.md: 48, the resolved N of a fixed-size family is hashed; 51, gm --state refuses --family,
 # whose default its hash held.
@@ -84,6 +96,7 @@ def report_matrix() -> list:
         # special angles, where a degenerate outcome would show first
         ["run-protocol", "--n", "2", "--axis", "z", "--alpha", "pi/2"],
         ["run-protocol", "--n", "3", "--axis", "x", "--alpha", "0", "--permitted", "false"],
+        *(["run-protocol", "--config", name] for name in RUN_CONFIGS),
         ["verify-all"],
         ["control-power", "--sweep", "64"],
         ["control-power", "--sweep", "360"],
@@ -119,7 +132,8 @@ def write_state_files(directory: str) -> None:
     """The matrix's input files: for `gm --state`, h5.json, the graph state of
     H5_EDGES, whose amplitudes are those of `build-state h5` bit for bit, and
     random7.json, a seeded 7-qubit state with complex amplitudes; for
-    `build-state --edge-list`, random17.txt, a seeded graph on 17 vertices."""
+    `build-state --edge-list`, random17.txt, a seeded graph on 17 vertices; for
+    `run-protocol --config`, the files of RUN_CONFIGS."""
     h5 = [(-1) ** sum((i >> (4 - u)) & (i >> (4 - v)) & 1 for u, v in H5_EDGES) * 2 ** -2.5 for i in range(32)]
     rng = random.Random(22)
     raw = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(128)]
@@ -133,6 +147,9 @@ def write_state_files(directory: str) -> None:
     edges = [(u, v) for u in range(1, 18) for v in range(u + 1, 18) if rng.random() < 0.2]
     with open(os.path.join(directory, "random17.txt"), "w", encoding="utf-8") as fh:
         fh.write("n=17\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    for name, config in RUN_CONFIGS.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
 
 
 def run_report(src: str, argv: list, cwd: str) -> tuple:
