@@ -13,7 +13,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -125,10 +127,16 @@ def _report(payload: dict, config: dict) -> dict:
 
 
 def _write_text(path: str | None, text: str, more=()) -> None:
-    """`text`, then each string of `more`, to `path`, or to stdout when path is None or '-'."""
-    with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.writelines(more)
+    """`text`, then each string of `more`, to `path`, or to stdout when path is None or '-'.  A file is written
+    over in place and cut where writing stopped: on ext4, O_TRUNC over a file's data makes close() flush it."""
+    with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(
+            os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        try:
+            fh.write(text)
+            fh.writelines(more)
+        finally:
+            if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # /dev/null refuses it
+                fh.truncate()
 
 
 def _provenance_line(config: dict) -> str:

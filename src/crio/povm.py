@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache, lru_cache
 import numpy as np
 
@@ -147,12 +147,15 @@ class BranchCoefficients:
         return (self.c00, self.c01, self.c10, self.c11)
 
 
-def branch_coefficients(params: PovmParams, j: int, k: int) -> BranchCoefficients:
-    _pair_index(j, k)  # refuses an outcome other than 1 or 2
-    kets = params._kets()
+def _coefficients(kets: tuple, j: int, k: int) -> BranchCoefficients:  # kets as PovmParams._kets() gives them
     b0, b1 = (v.conjugate() for v in kets[j - 1])
     g0, g1 = (v.conjugate() for v in kets[k + 1])
     return BranchCoefficients(b0 * g0, b0 * g1, b1 * g0, b1 * g1)
+
+
+def branch_coefficients(params: PovmParams, j: int, k: int) -> BranchCoefficients:
+    _pair_index(j, k)  # refuses an outcome other than 1 or 2
+    return _coefficients(params._kets(), j, k)
 
 
 @dataclass(frozen=True)
@@ -418,12 +421,11 @@ class PovmTableRow:
 
 def _family_rows(params: PovmParams) -> list:
     """One table row per outcome pair (j, k) of a POVM family."""
-    rows = []
-    for j in (1, 2):
-        for k in (1, 2):
-            c = branch_coefficients(params, j, k)
-            op = separability_check(c)
-            rows.append(PovmTableRow((j, k), params, op.K, c, op.alphas))
+    kets, rows = params._kets(), []
+    for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        c = _coefficients(kets, j, k)
+        op = separability_check(c)
+        rows.append(PovmTableRow((j, k), params, op.K, c, op.alphas))
     return rows
 
 
@@ -544,6 +546,6 @@ def control_power_report(target_alpha: float) -> dict:
     return {
         "target_alpha": target_alpha % TWO_PI,
         "success_rate": len(favorable) / 4.0,
-        "witness_params": {"family": name, **asdict(p)},
+        "witness_params": {"family": name, **vars(p)},  # the eight angle fields; asdict deep-copies them
         "favorable_branches": favorable,
     }

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-BLOCK_ROWS = 256  # list items per string of row_blocks: a lower peak RSS than one string per report
+BLOCK_ROWS = 1024  # list items per string of row_blocks: a lower peak RSS than one string per report
 _HOLE = "\0"  # a placeholder string no report value contains
 
 

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
+import errno
 import io
 import json
 import math
 import os
+import stat
 import time
 import warnings
 from itertools import combinations
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from crio import protocol as proto
 from crio import report
-from crio.cli import _report, _write_report, format_angle, main, parse_angle, parse_axis
+from crio.cli import _report, _write_report, build_parser, format_angle, main, parse_angle, parse_axis
 from crio.graphstate import CrioTopology, crio_channel_state
 from crio.qcore import X_AXIS
 from conftest import compare_reports
@@ -772,3 +775,145 @@ def test_verify_all(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "[PASS]" in printed and "[FAIL]" not in printed
     assert json.loads(out.read_text())["failures"] == 0
+
+
+# ----------------------------------------------------------------------
+# the --out writer: a file is written over in place and cut to the report's length
+
+_ONE_PER_SUBCOMMAND = [
+    ["build-state", "h5", "--format", "csv"],
+    ["run-protocol", "--n", "2"],
+    ["gm", "--family", "h3", "--restarts", "2", "--format", "text"],
+    ["control-power", "--sweep", "3"],
+    ["reproduce-tables", "II"],
+    ["verify-all"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_report_over_a_longer_file_reads_as_its_stdout(tmp_path, capsys, argv):
+    """A report written over a longer file leaves none of the file's old bytes."""
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    out.write_text("\x01" * (2 * len(printed) + 4096))
+    assert main(argv + ["--out", str(out)]) == 0
+    if argv[0] == "verify-all":  # prints its checks and writes its report to --out only
+        assert capsys.readouterr().out == printed
+        assert main(argv + ["--out", str(tmp_path / "fresh")]) == 0
+        printed = (tmp_path / "fresh").read_text()
+    assert out.read_text() == printed
+
+
+@pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_out_devnull_exits_0(capsys, argv):
+    """/dev/null takes a report but no truncate, which the writer only asks of a regular file."""
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error,code,message", [
+    (OSError(errno.ENOSPC, "No space left on device"), 1, "I/O error: [Errno 28] No space left on device"),
+    (ValueError("cannot render the branches"), 2, "error: cannot render the branches"),
+])
+def test_failed_write_leaves_the_blocks_written_before_it(tmp_path, capsys, monkeypatch, error, code, message):
+    """A write that fails after the report's first block leaves that block, cut where it ends."""
+    written = []
+    json_report = report.json_report
+
+    def first_block_then_fail(payload):
+        written.append(next(json_report(payload)))
+        yield written[0]
+        raise error
+
+    monkeypatch.setattr(report, "json_report", first_block_then_fail)
+    out = tmp_path / "run.json"
+    out.write_text("\x01" * 100_000)
+    assert main(["run-protocol", "--n", "2", "--out", str(out)]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert written[0].startswith("{\n") and out.read_text() == written[0]
+
+
+def test_new_file_gets_the_mode_of_open_w(tmp_path):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert main(["reproduce-tables", "II", "--out", str(tmp_path / "report.csv")]) == 0
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("plain", "report.csv")}
+    assert modes == {0o640}
+
+
+def test_out_directory_exits_1_in_one_line(tmp_path, capsys):
+    assert main(["control-power", "--alpha", "0.7", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# Values for a flag or positional with neither choices nor an int type: names the
+# subcommands take, and {...} input files the test writes (one of them missing); then
+# edge values, which the fuzz also draws for an int flag.
+_TOKENS = ["h3", "h5", "h2n1", "phi", "I", "II", "III", "pi/4", "0.7", "x", "0,0.6,-0.8", "3", "3,4", "",
+           "{state}", "{config}", "{edges}", "{missing}"]
+_EDGE_TOKENS = ["nan", "inf", "1e400", "-0", "0pi/2", "pi/0", ",", str(10**30), str(-10**30), "\u00e9\u6f22",
+                "\0", "{directory}", os.devnull]
+_OUT_CASES = ("fresh", "longer", "directory", "devnull", "missing-directory")
+
+
+@st.composite
+def _argvs(draw):
+    """An argument vector of one subcommand, drawn from its parser's own actions: each optional
+    flag present one time in three, and a value from the action's choices, a small int for an
+    int flag, or a name or input file otherwise; in half the vectors, also values outside those."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    name, strict = draw(st.sampled_from(sorted(sub.choices))), draw(st.booleans())
+    argv = [name]
+    for action in sub.choices[name]._actions:
+        if isinstance(action, argparse._HelpAction) or action.dest == "out":
+            continue
+        if (action.option_strings or action.nargs == "?") and draw(st.integers(0, 2)):
+            continue
+        other = st.sampled_from(_EDGE_TOKENS) | st.text(st.characters(blacklist_characters="/{}"), max_size=4)
+        if action.choices:
+            valid = st.sampled_from(action.choices)
+        elif action.type is int:
+            valid = st.integers(-1, 4).map(str)
+        else:
+            valid = st.sampled_from(_TOKENS)
+        value = draw(valid if strict else valid | other)
+        argv.append(f"{action.option_strings[0]}={value}" if action.option_strings else value)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs(), out=st.sampled_from(_OUT_CASES))
+def test_any_argv_exits_0_1_or_2_in_one_line(json_dir, argv, out):
+    """Any argument vector of any subcommand, writing to a new file, over a longer file, to a
+    directory, to /dev/null or under a missing directory: exit 0 with nothing on stderr, or exit
+    1 or 2 with one line, and no warning; a report over a longer file leaves no old byte."""
+    files = {name: json_dir / f"argv-{name}.txt" for name in ("state", "config", "edges", "missing")}
+    files["state"].write_text(json.dumps({"labels": ["q0"], "amplitudes": [[0.6, 0], [0, 0.8]]}))
+    files["config"].write_text(json.dumps(_FINITE_CONFIG))
+    files["edges"].write_text("n=3\n0 1\n1 2\n")
+    files["missing"].unlink(missing_ok=True)
+    files["directory"] = json_dir
+    path = {"fresh": json_dir / "argv-fresh.out", "longer": json_dir / "argv-longer.out",
+            "directory": json_dir, "devnull": os.devnull,
+            "missing-directory": json_dir / "no-such-directory" / "argv.out"}[out]
+    if out == "fresh":
+        path.unlink(missing_ok=True)
+    if out == "longer":
+        path.write_text("\x01" * 65536)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = main([a.format(**files) for a in argv] + [f"--out={path}"])
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") == (code != 0) and err.getvalue().endswith("\n") == (code != 0)
+    if code == 0 and out == "longer":
+        assert "\x01" not in path.read_text()
