@@ -238,7 +238,8 @@ def cmd_run_protocol(args) -> int:
     config = proto.run_config_to_dict(**kwargs)
     result = proto.run_crio(**kwargs)
     worst, total = result.min_fidelity(), result.total_probability()
-    payload = {**result.summary_json(), "min_fidelity": worst, "total_probability": total, "branches": result.branches}
+    payload = {**result.summary_json(), "measurements": result.rendered_measurements(), "min_fidelity": worst,
+               "total_probability": total, "branches": result.branches}
     _write_report(args.out, _report(payload, config), args.format)
     if result.permitted and worst < 1 - proto.FIDELITY_TOL:
         print("verification failed: a permitted branch missed unit fidelity", file=sys.stderr)

@@ -40,10 +40,14 @@ class PauliAxis:
 
     @staticmethod
     def unit(x: float, y: float, z: float) -> "PauliAxis":
-        """Build an axis from any nonzero vector by normalizing it."""
-        n = math.sqrt(x * x + y * y + z * z)
-        if n < 1e-15:
+        """Build an axis from any nonzero vector by normalizing it, first divided by its largest
+        component if its squared norm leaves the normal float range."""
+        squares = x * x + y * y + z * z
+        scale = 1.0 if sys.float_info.min <= squares <= sys.float_info.max else max(abs(x), abs(y), abs(z))
+        if scale == 0:
             raise ValueError("cannot normalize a zero axis vector")
+        x, y, z = x / scale, y / scale, z / scale
+        n = math.sqrt(x * x + y * y + z * z)
         return PauliAxis(x / n, y / n, z / n)
 
 

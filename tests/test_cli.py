@@ -18,7 +18,7 @@ from crio import protocol as proto
 from crio import report
 from crio.cli import _report, _write_report, build_parser, format_angle, main, parse_angle, parse_axis
 from crio.graphstate import CrioTopology, crio_channel_state
-from crio.qcore import X_AXIS
+from crio.qcore import X_AXIS, random_axis
 from conftest import compare_reports
 
 
@@ -172,6 +172,59 @@ class TestRunProtocol:
         assert main(["run-protocol", "--config", str(cfg_path), "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["min_fidelity"] >= 1 - 1e-10 and abs(data["total_probability"] - 1) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [{"seed": None}, {}])
+    def test_sample_config_without_a_seed_exits_2(self, tmp_path, capsys, seed):
+        """A sample-mode config whose seed is null or missing would draw from OS entropy, giving
+        different outcomes under one config hash: it exits 2 with one line and writes no report."""
+        cfg = proto.run_config_to_dict(3, [X_AXIS] * 3, [0.4] * 3, [np.array([1.0, 0.0])] * 3, "sample", None,
+                                       True, None)
+        del cfg["seed"]
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({**cfg, **seed}))
+        assert main(["run-protocol", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sample mode needs a seed: without one its outcomes cannot be reproduced\n"
+        assert not out.exists()
+        cfg_path.write_text(json.dumps({**cfg, **seed, "mode": "enumerate"}))  # enumeration draws nothing
+        assert main(["run-protocol", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] is None
+
+    @pytest.mark.parametrize("axis, direction", [("1e300,1e300,0", "1,1,0"), ("1e-300,0,0", "x")])
+    def test_axis_beyond_the_float_range_squared_runs_as_its_direction(self, tmp_path, axis, direction):
+        """An axis whose squared norm overflows or underflows writes the bytes of its direction."""
+        written = []
+        for value in (axis, direction):
+            out = tmp_path / f"run{len(written)}.json"
+            assert main(["run-protocol", "--n", "2", "--axis", value, "--mode", "sample", "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    def test_reports_of_one_shape_are_byte_identical_with_caches_cleared(self, tmp_path):
+        """Runs of one shape (N, groups, permitted) with different inputs write the same bytes back
+        to back, which reuses the shape's cached plan, layout and measured-step text, and with
+        every shape cache cleared before each run."""
+        paths = []
+        for seed in range(2):
+            rng = np.random.default_rng(800 + seed)
+            config = proto.run_config_to_dict(4, [random_axis(rng) for _ in range(4)], list(rng.uniform(0, 6, 4)),
+                                              [np.array([0.6, 0.8j]), np.array([1, 0]), np.array([0.8, -0.6]),
+                                               np.array([0, 1j])], "enumerate", seed, True, [3, 5])
+            paths.append(tmp_path / f"config{seed}.json")
+            paths[-1].write_text(json.dumps(config))
+
+        def report_bytes(path):
+            out = tmp_path / "run.json"
+            assert main(["run-protocol", "--config", str(path), "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        warm = [report_bytes(path) for path in paths]
+        cold = []
+        for path in paths:
+            for cache in (proto._skeleton, proto._layout, proto._rendered_measurements):
+                cache.cache_clear()
+            cold.append(report_bytes(path))
+        assert warm == cold and warm[0] != warm[1]
 
     def test_config_missing_key_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -54,6 +54,31 @@ class TestPauliAxis:
         with pytest.raises(ValueError, match="unit norm"):
             PauliAxis(bad, 0.0, 0.0)
 
+    def test_unit_keeps_the_bits_of_ordinary_vectors(self):
+        """Where the squared norm is a normal float, unit divides by its square root, as it always did."""
+        rng = np.random.default_rng(12)
+        vectors = (rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-100, 100, size=(300, 1))).tolist()
+        for x, y, z in vectors + [[1, 1, 0], [3.0, -1.0, 2.0], [1e-16, 0.0, 0.0]]:
+            n = math.sqrt(x * x + y * y + z * z)
+            assert PauliAxis.unit(x, y, z) == PauliAxis(x / n, y / n, z / n)
+
+    @pytest.mark.parametrize("vector, direction", [
+        ((1e300, 1e300, 0.0), (1, 1, 0)),
+        ((-1e308, 1e308, 1e308), (-1, 1, 1)),
+        ((1e-300, 0.0, 0.0), (1, 0, 0)),
+        ((1e-160, -1e-160, 0.0), (1, -1, 0)),
+        ((5e-324, 0.0, 0.0), (1, 0, 0)),
+    ])
+    def test_unit_of_a_vector_whose_squares_leave_the_float_range(self, vector, direction):
+        """Squares that overflow, or underflow below the normal range, are taken after dividing
+        by the largest component, which gives the bits of the rescaled direction."""
+        assert PauliAxis.unit(*vector) == PauliAxis.unit(*direction)
+
+    def test_unit_refuses_only_the_zero_vector(self):
+        with pytest.raises(ValueError, match="cannot normalize a zero axis vector"):
+            PauliAxis.unit(0.0, -0.0, 0)
+        assert PauliAxis.unit(0.0, 0.0, -5e-324) == PauliAxis(0.0, 0.0, -1.0)
+
     def test_involution_and_hermiticity_random(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
