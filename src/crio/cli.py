@@ -238,8 +238,7 @@ def cmd_run_protocol(args) -> int:
     config = proto.run_config_to_dict(**kwargs)
     result = proto.run_crio(**kwargs)
     worst, total = result.min_fidelity(), result.total_probability()
-    payload = {**result.summary_json(), "measurements": result.rendered_measurements(), "min_fidelity": worst,
-               "total_probability": total, "branches": result.branches}
+    payload = {**result.summary_json(), "min_fidelity": worst, "total_probability": total, "branches": result.branches}
     _write_report(args.out, _report(payload, config), args.format)
     if result.permitted and worst < 1 - proto.FIDELITY_TOL:
         print("verification failed: a permitted branch missed unit fidelity", file=sys.stderr)
@@ -372,13 +371,13 @@ def cmd_verify_all(args) -> int:
     checks.append(("success rate dichotomy",
                    povm_mod.success_rate(3 * math.pi / 4) == 0.5 and povm_mod.success_rate(0.7) == 0.25))
 
-    denial = proto.control_denial_report(
-        1, [random_axis(rng)], [0.8], [np.array([1.0, 0.0], dtype=complex)]
-    )
+    axes, targets = [random_axis(rng)], [np.array([1.0, 0.0], dtype=complex)]
+    denial = proto.control_denial_report(1, axes, [0.8], targets)
     checks.append(("control denial leaves a mixed reduced state",
                    denial.purity_without_controller < 1 - 1e-6))
+    worst = denial.best_guess_min_fidelity  # below 1, and the closed form's value
     checks.append(("control denial defeats every guess",
-                   denial.best_guess_min_fidelity < 1 - 1e-6))
+                   worst < 1 - 1e-6 and abs(worst - proto.denial_fidelity(axes, targets)) <= 1e-12))
 
     for name, passed in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}")

@@ -56,7 +56,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, chain
 from operator import getitem
 from typing import NamedTuple
@@ -86,7 +86,7 @@ from .qcore import (
     purity,
     rotation,
 )
-from .report import Rendered, _float_column, _nested, row_blocks
+from .report import _float_column, _nested, row_blocks
 from .stator import Stator
 
 FIDELITY_TOL = 1e-10
@@ -218,10 +218,6 @@ class ProtocolResult:
             "measurements": [_measurement_json(step) for step in self.branches.steps],
         }
 
-    def rendered_measurements(self) -> Rendered:
-        """summary_json()'s "measurements" as the report writes them, rendered once per run shape."""
-        return _rendered_measurements(self.n_systems, self.participating_systems, self.permitted)
-
 
 def build_parties(
     n_systems: int,
@@ -309,45 +305,33 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
     return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
 
 
-@lru_cache(maxsize=64)
-def _skeleton(n_systems: int, ks: tuple, permitted: bool) -> tuple:
-    """The six steps for groups `ks` as (step, k) pairs, each step checked once to be local to its actor.  Where
-    the inputs fix a matrix (step 1's sigma_n, step 5's rotation, step 6's i*sigma_n fix) the step leaves it None
-    and k names the group whose inputs `_plan` fills in; elsewhere k is None and the step is shared as it is."""
-    parties = build_parties(n_systems, [None] * n_systems, [0.0] * n_systems)  # who owns what, not who knows what
+def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
+    """The six steps for participating groups `ks`, each owned by its actor.  The inputs
+    are trusted, as `_setup` checked them: each gate is unitary by construction."""
+    parties = build_parties(n_systems, axes, betas)
 
     def step(tag, actor, qubit, matrix=None, control=None, basis=None, messages_to=(), on_one=()):
         assert_local(parties, actor, (qubit,) if control is None else (control, qubit))
         return Step(tag, actor, qubit, matrix, control, basis, messages_to, on_one)
 
-    n = n_systems
-    plan = [(step("step1", f"A{k + n}", target_label(k + n), control=f"a{k + n}"), k) for k in ks]
-    plan += [(step("step2", f"A{k}", f"a{k}", HADAMARD), None) for k in ks if k >= 3]
+    n, sigma = n_systems, {k: pauli_axis_matrix(axes[k - 2]) for k in ks}
+    plan = [step("step1", f"A{k + n}", target_label(k + n), sigma[k], control=f"a{k + n}") for k in ks]
+    plan += [step("step2", f"A{k}", f"a{k}", HADAMARD) for k in ks if k >= 3]
     if permitted:
         fixes = tuple((step("step3", f"A{k}", f"a{k}", PAULI_X), f"sigma_x a{k}") for k in ks)
         recipients = tuple(f"A{k}" for k in ks)
-        plan.append((step("step3", "A1", "a1", basis="X", messages_to=recipients, on_one=fixes), None))
-    plan += [(step("step4", f"A{k + n}", f"a{k + n}", basis="X", messages_to=(f"A{k}",),
-                   on_one=((step("step4", f"A{k}", f"a{k}", PAULI_Z), f"sigma_z a{k}"),)), None) for k in ks]
-    plan += [(step("step5", f"A{k}", f"a{k}"), k) for k in ks]
-    plan += [(step("step6", f"A{k}", f"a{k}", basis="Z", messages_to=(f"A{k + n}",), on_one=(
-        (step("step6", f"A{k + n}", target_label(k + n)), f"i*sigma_n {target_label(k + n)}"),)), k) for k in ks]
-    return tuple(plan)
-
-
-def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
-    """The six steps for participating groups `ks`: `_skeleton`'s, with the matrices the inputs fix.
-    The inputs are trusted, as `_setup` checked them: each gate is unitary by construction."""
-    sigma = {k: pauli_axis_matrix(axes[k - 2]) for k in ks}
-
-    def filled(s: Step, k) -> Step:
-        if s.basis is not None:  # step 6, whose outcome-1 fix is i*sigma_n
-            (fix, label), = s.on_one
-            return Step(s.tag, s.actor, s.qubit, None, None, s.basis, s.messages_to, ((filled(fix, k), label),))
-        matrix = sigma[k] if s.tag == "step1" else 1j * sigma[k] if s.tag == "step6" else rotation(X_AXIS, betas[k - 2])
-        return Step(s.tag, s.actor, s.qubit, matrix, s.control)
-
-    return [s if k is None else filled(s, k) for s, k in _skeleton(n_systems, tuple(ks), permitted)]
+        plan.append(step("step3", "A1", "a1", basis="X", messages_to=recipients, on_one=fixes))
+    for k in ks:
+        sigma_z = step("step4", f"A{k}", f"a{k}", PAULI_Z)
+        plan.append(step("step4", f"A{k + n}", f"a{k + n}", basis="X", messages_to=(f"A{k}",),
+                         on_one=((sigma_z, f"sigma_z a{k}"),)))
+    plan += [step("step5", f"A{k}", f"a{k}", rotation(X_AXIS, betas[k - 2])) for k in ks]
+    for k in ks:
+        target = target_label(k + n)
+        i_sigma_n = step("step6", f"A{k + n}", target, 1j * sigma[k])
+        plan.append(step("step6", f"A{k}", f"a{k}", basis="Z", messages_to=(f"A{k + n}",),
+                         on_one=((i_sigma_n, f"i*sigma_n {target}"),)))
+    return plan
 
 
 def _keep_both(step: Step, p: np.ndarray) -> tuple:
@@ -399,24 +383,16 @@ _GROUP_TERMS = np.array([[1, 1, 1, -1], [1, 1, -1, 1]]) / 2
 
 
 def _register(n_systems, ks, target_vecs) -> _Register:
-    """The participating register before step 1, with its targets, laid out by `_layout`.  The hub block carries
-    2**-1.5 (its four nonzero entries, and 1/sqrt(2) for the two terms) and each group block 1/2, so the product has
-    the channel's amplitudes +-2**-(2N'+1)/2."""
-    order, labels = _layout(n_systems, tuple(ks), crio_graph(CrioTopology(len(ks))).edges)
-    blocks = [(terms[:, :, None] * target_vecs[k - 2]).reshape(2, -1)
-              for terms, k in zip([_HUB_TERMS] + [_GROUP_TERMS] * (len(ks) - 1), ks)]
-    return _Register(order, list(labels), blocks, [a.conj() @ a.T for a in blocks], np.ones(()))
-
-
-@lru_cache(maxsize=64)
-def _layout(n_systems: int, ks: tuple, edges: frozenset) -> tuple:
-    """The dense order and block labels of the register of groups `ks`, read off the `edges` of their channel graph
-    (the full-control graph of len(ks) systems), checked once per edge set: the hub's a1, a2 and a_{N+2} must have
-    the sign rule's edges, and removing them leave one pair (a_k, a_{k+N}) per group."""
+    """The participating register before step 1, with its targets.  The blocks are read off the
+    participating channel graph (the full-control graph of len(ks) systems): the hub's a1, a2 and
+    a_{N+2} must have the sign rule's edges, and removing them leave one pair (a_k, a_{k+N}) per group.
+    The hub block carries 2**-1.5 (its four nonzero entries, and 1/sqrt(2) for the two terms) and
+    each group block 1/2, so the product has the channel's amplitudes +-2**-(2N'+1)/2."""
     m, js = len(ks), [k + n_systems for k in ks]
     name = dict(enumerate([f"a{v}" for v in [1, *ks, *js]], 1))  # the graph's vertices
     pairs = {(k, k + m) for k in range(3, m + 2)}
     hub = {(1, 2), (1, m + 2), *((2, k) for k in range(3, m + 2)), *((k, m + 2) for k in range(3, m + 2))}
+    edges = crio_graph(CrioTopology(m)).edges
     rest = {edge for edge in edges if not {1, 2, m + 2} & set(edge)}
     for found, rule, what in ((rest, pairs, "without a1, a2 and a_{N+2} the channel graph is not one pair per group"),
                               (edges - rest, hub, "the channel graph's hub edges differ from the sign rule's")):
@@ -424,7 +400,10 @@ def _layout(n_systems: int, ks: tuple, edges: frozenset) -> tuple:
             raise ValueError(f"{what}: " + ", ".join(f"{name[u]}-{name[v]}" for u, v in sorted(found ^ rule)))
     labels = [("a1", name[2], name[m + 2], target_label(js[0]))]
     labels += [(name[k], name[k + m], target_label(js[k - 2])) for k in range(3, m + 2)]
-    return (*name.values(), *map(target_label, js)), tuple(labels)
+    blocks = [(terms[:, :, None] * target_vecs[k - 2]).reshape(2, -1)
+              for terms, k in zip([_HUB_TERMS] + [_GROUP_TERMS] * (m - 1), ks)]
+    order = (*name.values(), *map(target_label, js))
+    return _Register(order, labels, blocks, [a.conj() @ a.T for a in blocks], np.ones(()))
 
 
 def _apply(a: np.ndarray, labels: tuple, step: Step) -> np.ndarray:
@@ -566,13 +545,6 @@ def _measurement_json(step: Step) -> dict:
     recipient in "to", and on 1 each correction of "on_one" is applied."""
     return {"step": step.tag, "from": step.actor, "qubit": step.qubit, "basis": step.basis,
             "to": list(step.messages_to), "on_one": [label for _, label in step.on_one]}
-
-
-@lru_cache(maxsize=64)
-def _rendered_measurements(n_systems: int, js: tuple, permitted: bool) -> Rendered:
-    """The measured steps of a run of targets `js` as its report lists them (see `_measurement_json`)."""
-    steps = _skeleton(n_systems, tuple(j - n_systems for j in js), permitted)
-    return Rendered([_measurement_json(s) for s, _ in steps if s.basis is not None])
 
 
 def _branches(reg: _Register, plan, kets: dict, rule) -> Branches:

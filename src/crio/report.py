@@ -30,19 +30,6 @@ def json_report(payload: dict):
     yield "\n"
 
 
-class Rendered:
-    """A JSON list rendered once, as json_report writes it under a top-level key: a streamed list of one block."""
-
-    def __init__(self, items: list):
-        self.text, self.count = json.dumps(items, sort_keys=True, indent=2).replace("\n", "\n  "), len(items)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def json_blocks(self):
-        yield self.text
-
-
 def _pick(pieces: list, index: np.ndarray) -> np.ndarray:
     """The column pieces[index[r]] of shared strings."""
     return np.array(pieces, dtype=object)[index]

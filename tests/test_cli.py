@@ -18,7 +18,7 @@ from crio import protocol as proto
 from crio import report
 from crio.cli import _report, _write_report, build_parser, format_angle, main, parse_angle, parse_axis
 from crio.graphstate import CrioTopology, crio_channel_state
-from crio.qcore import X_AXIS, random_axis
+from crio.qcore import X_AXIS
 from conftest import compare_reports
 
 
@@ -199,32 +199,6 @@ class TestRunProtocol:
             assert main(["run-protocol", "--n", "2", "--axis", value, "--mode", "sample", "--out", str(out)]) == 0
             written.append(out.read_bytes())
         assert written[0] == written[1]
-
-    def test_reports_of_one_shape_are_byte_identical_with_caches_cleared(self, tmp_path):
-        """Runs of one shape (N, groups, permitted) with different inputs write the same bytes back
-        to back, which reuses the shape's cached plan, layout and measured-step text, and with
-        every shape cache cleared before each run."""
-        paths = []
-        for seed in range(2):
-            rng = np.random.default_rng(800 + seed)
-            config = proto.run_config_to_dict(4, [random_axis(rng) for _ in range(4)], list(rng.uniform(0, 6, 4)),
-                                              [np.array([0.6, 0.8j]), np.array([1, 0]), np.array([0.8, -0.6]),
-                                               np.array([0, 1j])], "enumerate", seed, True, [3, 5])
-            paths.append(tmp_path / f"config{seed}.json")
-            paths[-1].write_text(json.dumps(config))
-
-        def report_bytes(path):
-            out = tmp_path / "run.json"
-            assert main(["run-protocol", "--config", str(path), "--out", str(out)]) == 0
-            return out.read_bytes()
-
-        warm = [report_bytes(path) for path in paths]
-        cold = []
-        for path in paths:
-            for cache in (proto._skeleton, proto._layout, proto._rendered_measurements):
-                cache.cache_clear()
-            cold.append(report_bytes(path))
-        assert warm == cold and warm[0] != warm[1]
 
     def test_config_missing_key_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -828,6 +802,15 @@ def test_verify_all(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "[PASS]" in printed and "[FAIL]" not in printed
     assert json.loads(out.read_text())["failures"] == 0
+
+
+def test_verify_all_holds_denial_to_its_closed_form(monkeypatch, capsys):
+    """The denial check compares the enumerated best guess with protocol.denial_fidelity: a closed
+    form off by 1e-9 fails it."""
+    exact = proto.denial_fidelity
+    monkeypatch.setattr(proto, "denial_fidelity", lambda axes, targets: exact(axes, targets) + 1e-9)
+    assert main(["verify-all", "--seed", "2"]) == 2
+    assert "[FAIL] control denial defeats every guess" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

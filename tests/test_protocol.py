@@ -587,7 +587,6 @@ class TestDenialClosedForm:
             if inputs is eigenstate_inputs:  # each rotation is a phase on its target: control is defeated
                 assert abs(z) == pytest.approx(1, abs=1e-12) and report.control_defeated
 
-
     @pytest.mark.parametrize("inputs", [random_inputs, eigenstate_inputs])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_denial_fidelity_is_every_enumerated_branch(self, n, inputs):
@@ -780,108 +779,6 @@ class TestBlockForm:
         ks, plan, vecs = protocol._setup(n, *random_inputs(np.random.default_rng(241), n))
         with pytest.raises(ValueError, match=match):
             protocol._run(protocol._register(n, ks, vecs), plan[:2] + [step], protocol._keep_both)
-
-
-SHAPE_CACHES = (protocol._skeleton, protocol._layout, protocol._rendered_measurements)
-SHARED_GATES = (HADAMARD, PAULI_X, PAULI_Z)  # the only arrays a shape-cached step holds
-
-
-def clear_shape_caches():
-    for cache in SHAPE_CACHES:
-        cache.cache_clear()
-
-
-def reachable(value) -> list:
-    """Every object a cached value holds, through tuples, lists and the attributes of objects."""
-    found, stack = [], [value]
-    while stack:
-        found.append(v := stack.pop())
-        if isinstance(v, (tuple, list)):
-            stack.extend(v)
-        elif hasattr(v, "__dict__"):
-            stack.extend(vars(v).values())
-    return found
-
-
-def assert_same_columns(got, ref):
-    """Two Branches tables equal bit for bit: columns, labels, measured steps and block factors."""
-    for column in ("bits", "probabilities", "fidelities"):
-        np.testing.assert_array_equal(getattr(got, column), getattr(ref, column), strict=True)
-    assert got.labels == ref.labels
-    assert [protocol._measurement_json(s) for s in got.steps] == [protocol._measurement_json(s) for s in ref.steps]
-    assert [labels for labels, _ in got.factors] == [labels for labels, _ in ref.factors]
-    for (_, a), (_, b) in zip(got.factors, ref.factors, strict=True):
-        np.testing.assert_array_equal(a, b, strict=True)
-
-
-class TestShapeCaches:
-    """A run's shape (N, the participating groups and permitted) fixes its plan skeleton, register
-    layout and measured-step text, each computed once per process; its inputs fix the rest."""
-
-    @pytest.mark.parametrize("n, groups, permitted", [(4, frozenset({3, 5}), True), (5, None, False),
-                                                       (3, frozenset(), True), (1, None, True)])
-    def test_runs_of_one_shape_are_bit_identical_with_caches_cleared(self, n, groups, permitted):
-        inputs = [random_inputs(np.random.default_rng(700 + 10 * n + seed), n) for seed in range(2)]
-
-        def run(args):
-            return run_crio(n, *args, permitted=permitted, controlled_groups=groups)
-
-        warm = [run(args) for args in inputs]  # back to back: the second run hits every cache
-        cold = []
-        for args in inputs:
-            clear_shape_caches()
-            cold.append(run(args))
-        for a, b in zip(warm, cold):
-            assert_same_columns(a.branches, b.branches)
-            assert a.rendered_measurements().text == b.rendered_measurements().text
-            assert a.min_fidelity() >= 1 - 1e-10 or not permitted  # each run's own matrices reach its targets
-        assert not np.array_equal(warm[0].branches.fidelities, warm[1].branches.fidelities) or permitted
-
-    def test_a_second_run_of_a_shape_hits_every_cache(self):
-        clear_shape_caches()
-        for seed in range(2):
-            run_crio(3, *random_inputs(np.random.default_rng(710 + seed), 3)).rendered_measurements()
-        for cache in SHAPE_CACHES:  # _skeleton's second hit is _rendered_measurements' first miss
-            info = cache.cache_info()
-            assert info.misses == 1 and info.hits >= 1, cache
-
-    @pytest.mark.parametrize("n, edit, match", [
-        (3, lambda edges: [*edges, (3, 4)], r"not one pair per group: a3-a4"),
-        (2, lambda edges: edges - {(2, 3)}, r"hub edges differ from the sign rule's: a2-a3$"),
-    ])
-    def test_miswired_graph_is_refused_right_after_a_correct_run_of_its_shape(self, monkeypatch, n, edit, match):
-        args = random_inputs(np.random.default_rng(720 + n), n)
-        assert run_crio(n, *args).min_fidelity() >= 1 - 1e-10
-        monkeypatch.setattr(protocol, "crio_graph", lambda topology: Graph.of(
-            2 * topology.n_systems + 1, edit(crio_graph(topology).edges)))
-        for run in (lambda: run_crio(n, *args), lambda: control_denial_report(n, *args),
-                    lambda: run_checkpoints(n, *args, [0] * (2 * n + 1))):
-            with pytest.raises(ValueError, match=match):
-                run()
-        monkeypatch.undo()
-        assert run_crio(n, *args).min_fidelity() >= 1 - 1e-10
-
-    def test_caches_are_bounded_and_hold_no_run_array(self):
-        """Each cache has a fixed size, and its values hold strings, numbers, steps and the shared
-        constant gates only: a run's matrices, kets and blocks stay with the run."""
-        clear_shape_caches()
-        rng = np.random.default_rng(730)
-        for n, groups, permitted in [(1, None, True), (3, frozenset({4}), False), (4, None, True)]:
-            args = random_inputs(rng, n)
-            run_crio(n, *args, permitted=permitted, controlled_groups=groups).rendered_measurements()
-            control_denial_report(n, *args)
-            run_checkpoints(n, *args, [0] * (2 * n + 1), permitted, groups)
-        for cache in SHAPE_CACHES:
-            assert cache.cache_parameters()["maxsize"] == 64 and 0 < cache.cache_info().currsize <= 64
-        for n, ks, permitted in [(1, (2,), True), (3, (2, 4), False), (4, (2, 3, 4, 5), True), (4, (2, 3, 4, 5), False)]:
-            edges = crio_graph(CrioTopology(len(ks))).edges
-            for value in (protocol._skeleton(n, ks, permitted), protocol._layout(n, ks, edges),
-                          protocol._rendered_measurements(n, tuple(k + n for k in ks), permitted)):
-                for held in reachable(value):
-                    if isinstance(held, np.ndarray):
-                        assert any(held is gate for gate in SHARED_GATES)
-                    else:
-                        assert isinstance(held, (str, int, float, tuple, list, Step, protocol.Rendered, type(None)))
 
 
 def builder_cases():
