@@ -91,8 +91,8 @@ def hadamard_reduce(state: QuantumState, qubits: Sequence[str]) -> QuantumState:
 
 
 def nonneg_reduction_qubits(n_systems: int) -> list:
-    """Qubits whose Hadamards turn the channel state non-negative: a1, a3..a_{N+1}."""
-    return ["a1"] + [f"a{k}" for k in range(3, n_systems + 2)]
+    """Qubits whose Hadamards turn the channel state non-negative: the controller's colour class."""
+    return [f"a{v}" for v in CrioTopology(n_systems).colour_class]
 
 
 def reduce_channel_state(n_systems: int) -> QuantumState:

@@ -11,10 +11,8 @@ its sign bit, so the copy is one XOR of the (re, im) words against a table
 of sign bits, and the result is the same vector, bit for bit (zero signs
 too), that edge-by-edge apply_2q_cz calls produce.
 
-The channel family: for N remote systems, 2N+1 vertices are wired as
-edges {1,2}, {1,N+2}, plus {2,k}, {k,N+2}, {k,k+N} for each controlled
-group index k in 3..N+1.  Each basis amplitude carries the sign
-(-1)^f(x) with f the quadratic boolean form read off those edges.
+The channel family: CrioTopology states its edge rule, and each basis amplitude
+carries the sign (-1)^f(x), f the quadratic boolean form read off those edges.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcore import QuantumState, check_register_size, is_finite_number
+from .qcore import QuantumState, check_register_size, is_finite_number, is_int
 from .report import _float_column, _nested, _pick, row_blocks
 
 # glibc keeps freed heap memory below its trim threshold (16 MiB once an 8 MiB vector was freed)
@@ -35,6 +33,7 @@ _MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if sys.platform.s
 
 _SIGN_BIT = np.uint64(1 << 63)  # of a float64, as a uint64 word
 SIGN_TABLE_BITS = 12  # a joining vertex's sign table spans at most this many later vertices (32 KiB)
+MAX_SYSTEMS = 100_000  # remote systems of a CrioTopology, which holds O(N) edges and no state vector
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,9 @@ class Graph:
     edges: frozenset  # of (u, v) pairs with 1 <= u < v <= num_vertices
 
     def __post_init__(self) -> None:
+        if not is_int(self.num_vertices):
+            raise TypeError(f"num_vertices must be an integer, got {self.num_vertices!r}")
+        object.__setattr__(self, "num_vertices", int(self.num_vertices))
         if self.num_vertices < 1:
             raise ValueError("graph needs at least one vertex")
         for e in self.edges:
@@ -66,35 +68,47 @@ class Graph:
 
 @dataclass(frozen=True)
 class CrioTopology:
-    """N remote systems plus which of the optional groups stay wired to the controller.
+    """The channel's shape: N remote systems on vertices 1..2N+1, and the optional groups it controls.
 
-    Group indices live in 3..N+1; the base group (participants 2 and N+2)
-    is always controlled.  controlled_groups=None means full control.
-    """
+    Vertex 1 is the controller; group k in 2..N+1 holds k and k+N.  Group 2 is always controlled; the
+    optional groups are 3..N+1, all of them when controlled_groups is None.  The edges are {1,2}, {1,N+2},
+    {k,k+N} for each optional k, and {2,k}, {k,N+2} for each controlled k.  Every edge joins the
+    controller's colour class, 1 and 3..N+1, to its complement."""
 
     n_systems: int
     controlled_groups: frozenset = None
 
     def __post_init__(self) -> None:
-        if self.n_systems < 1:
-            raise ValueError("need at least one remote system")
-        check_register_size(2 * self.n_systems + 1)  # before the O(N) group set below
-        full = frozenset(range(3, self.n_systems + 2))
+        if not is_int(self.n_systems):
+            raise TypeError(f"n_systems must be an integer, got {self.n_systems!r}")
+        n = int(self.n_systems)
+        if not 1 <= n <= MAX_SYSTEMS:  # before the O(N) group set below
+            raise ValueError(f"a channel needs 1 to {MAX_SYSTEMS} remote systems, got {n}")
+        full = frozenset(range(3, n + 2))
         groups = full if self.controlled_groups is None else frozenset(self.controlled_groups)
-        if not groups <= full:
-            raise ValueError(f"controlled groups must be a subset of {sorted(full)}")
+        if bad := sorted(groups - full, key=lambda g: (type(g).__name__, g)):  # by type first: mixed types never compare
+            raise ValueError(f"controlled groups must lie in 3..{n + 1}, not {', '.join(map(str, bad))}")
+        object.__setattr__(self, "n_systems", n)
         object.__setattr__(self, "controlled_groups", groups)
+
+    @property
+    def groups(self) -> list:
+        """The participating groups, ascending: 2 and the controlled optional groups."""
+        return [2, *sorted(self.controlled_groups)]
+
+    @property
+    def edges(self) -> list:
+        n, wired = self.n_systems, sorted(self.controlled_groups)
+        return [(1, 2), (1, n + 2), *((k, k + n) for k in range(3, n + 2)), *((2, k) for k in wired),
+                *((k, n + 2) for k in wired)]
+
+    @property
+    def colour_class(self) -> list:
+        return [1, *range(3, self.n_systems + 2)]
 
 
 def crio_graph(topology: CrioTopology) -> Graph:
-    n_sys = topology.n_systems
-    edges = [(1, 2), (1, n_sys + 2)]
-    for k in range(3, n_sys + 2):
-        edges.append((k, k + n_sys))
-        if k in topology.controlled_groups:
-            edges.append((2, k))
-            edges.append((k, n_sys + 2))
-    return Graph.of(2 * n_sys + 1, edges)
+    return Graph.of(2 * topology.n_systems + 1, topology.edges)
 
 
 def qubit_labels(n_systems: int) -> tuple:
@@ -203,6 +217,7 @@ def amplitude_oracle(n_systems: int, bits):
 
 def crio_channel_state(topology: CrioTopology) -> QuantumState:
     """Channel graph state on labels a1..a(2N+1)."""
+    check_register_size(2 * topology.n_systems + 1)  # before the O(N) graph
     return build_graph_state(crio_graph(topology), qubit_labels(topology.n_systems))
 
 

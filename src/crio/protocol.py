@@ -82,6 +82,7 @@ from .qcore import (
     _basis_components,
     check_register_size,
     is_finite_number,
+    is_int,
     pauli_axis_matrix,
     purity,
     rotation,
@@ -284,9 +285,8 @@ def _check_axes(n_systems, axes) -> None:
 
 
 def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitted=True):
-    """Every input of a protocol entry point, checked once before anything is allocated.
-    Returns the participating groups ks (2 and the controlled optional groups,
-    ascending), their step plan, and the target kets, each divided by its norm (None without targets)."""
+    """Every input of a protocol entry point, checked once before anything is allocated.  Returns the shape's
+    participating groups ks, their step plan, and the target kets, each divided by its norm (None without targets)."""
     _check_axes(n_systems, axes)
     if len(betas) != n_systems or targets is not None and len(targets) != n_systems:
         raise ValueError("axes, betas and targets must each have one entry per system")
@@ -301,7 +301,7 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
             if not abs((norm := np.linalg.norm(v)) - 1.0) <= 1e-8:  # so is a NaN norm
                 raise ValueError("target states must be normalized")
         target_vecs[i] = v / norm  # so the register starts at unit norm
-    ks = [2] + sorted(CrioTopology(n_systems, controlled_groups).controlled_groups)
+    ks = CrioTopology(n_systems, controlled_groups).groups
     return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
 
 
@@ -712,10 +712,6 @@ def run_config_to_dict(n_systems, axes, betas, targets, mode, seed, permitted, c
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_numbers(value, count: int | None = None) -> bool:
     """A list of finite JSON numbers, `count` of them when given."""
     return isinstance(value, list) and (count is None or len(value) == count) and all(map(is_finite_number, value))
@@ -733,16 +729,16 @@ def run_config_from_dict(data: dict) -> dict:
     seed, permitted = data.get("seed"), data.get("permitted", True)
     groups = data.get("controlled_groups")
     checks = (
-        ("n_systems", _is_int(data["n_systems"]), "an integer"),
+        ("n_systems", is_int(data["n_systems"]), "an integer"),
         ("axes", isinstance(axes, list) and all(_is_numbers(xyz, 3) for xyz in axes),
          "a list of [x, y, z] axes"),
         ("betas", _is_numbers(data["betas"]), "a list of numbers"),
         ("targets", isinstance(targets, list) and all(
             isinstance(vec, list) and len(vec) == 2 and all(_is_numbers(c, 2) for c in vec) for vec in targets),
          "a list of targets, each two [re, im] pairs"),
-        ("seed", seed is None or _is_int(seed) and seed >= 0, "a non-negative integer or null"),
+        ("seed", seed is None or is_int(seed) and seed >= 0, "a non-negative integer or null"),
         ("permitted", isinstance(permitted, bool), "true or false"),
-        ("controlled_groups", groups is None or (isinstance(groups, list) and all(map(_is_int, groups))),
+        ("controlled_groups", groups is None or (isinstance(groups, list) and all(map(is_int, groups))),
          "a list of integers or null"),
     )
     for key, ok, shape in checks:

@@ -61,6 +61,10 @@ def is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
+def is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def random_axis(rng: np.random.Generator) -> PauliAxis:
     """Uniformly random unit axis."""
     while True:

@@ -444,6 +444,7 @@ _BAD_GROUPS = "error: --groups must be comma-separated group indices, got '3,x'"
         (["gm", "--state", "{state}", "--family", "h5"],
          "error: --family cannot be combined with --state, which sets the whole state"),
         (["build-state", "h3", "--groups", ""], "error: --groups applies to the h2n1 family only, not h3"),
+        (["run-protocol", "--n", "2", "--groups", "5"], "error: controlled groups must lie in 3..3, not 5"),
     ],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, message):
@@ -595,6 +596,8 @@ def test_gm_state_json_exits_0_or_2_in_one_line(json_dir, state, wrapped):
         ["build-state", "h2n1", "--n", "13"],
         ["gm", "--family", "phi", "--n", "13"],
         ["gm", "--family", "h2n1", "--n", "13"],
+        ["build-state", "h2n1", "--n", "99999"],
+        ["gm", "--family", "h2n1", "--n", "99999"],
     ],
 )
 def test_register_above_bound_exits_2_before_allocating(tmp_path, capsys, argv):
@@ -614,6 +617,7 @@ def test_register_above_bound_exits_2_before_allocating(tmp_path, capsys, argv):
         (["gm", "--family", "h2n1", "--n", "2", "--restarts", "100001"], "restarts must be at most 100000"),
         (["gm", "--family", "phi", "--n", "2", "--restarts", "100001"], "restarts must be at most 100000"),
         (["control-power", "--sweep", "4097"], "--sweep takes at most 4096 angles"),
+        (["build-state", "h2n1", "--n", "100001"], "a channel needs 1 to 100000 remote systems, got 100001"),
     ],
 )
 def test_count_above_bound_exits_2_before_any_work(tmp_path, capsys, argv, message):

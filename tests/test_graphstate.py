@@ -1,6 +1,8 @@
 import json
 import math
+import time
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from conftest import plus_state, random_state
 from crio import graphstate, report
 from crio.cli import main
 from crio.graphstate import (
+    MAX_SYSTEMS,
     Amplitudes,
     CrioTopology,
     Graph,
@@ -187,6 +190,100 @@ class TestCrioGraph:
         roles = role_names(topo)
         assert set(roles) == set(range(1, 8))
         assert roles[1] == "controller"
+
+
+def loop_graph(topology: CrioTopology) -> Graph:
+    """The channel graph written out as a loop over the optional groups, independently of
+    CrioTopology.edges: {1,2}, {1,N+2}, each group's {k,k+N}, and {2,k}, {k,N+2} if k is controlled."""
+    n = topology.n_systems
+    edges = [(1, 2), (1, n + 2)]
+    for k in range(3, n + 2):
+        edges.append((k, k + n))
+        if k in topology.controlled_groups:
+            edges += [(2, k), (k, n + 2)]
+    return Graph.of(2 * n + 1, edges)
+
+
+def shapes(n: int) -> list:
+    """Every control subset up to N=5; full control and no optional group above."""
+    optional = range(3, n + 2)
+    subsets = [c for size in range(n) for c in combinations(optional, size)] if n <= 5 else [(), optional]
+    return [CrioTopology(n, frozenset(groups)) for groups in subsets]
+
+
+def shape_id(topology: CrioTopology) -> str:
+    n, wired = topology.n_systems, topology.controlled_groups
+    return f"N{n}-" + ("all" if len(wired) == n - 1 else ",".join(map(str, sorted(wired))) or "none")
+
+
+class TestChannelShape:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_crio_graph_equals_the_loop(self, n):
+        for topology in shapes(n):
+            assert crio_graph(topology) == loop_graph(topology), topology
+
+    @pytest.mark.parametrize("n", [1, 12, 1000])
+    def test_edges_with_both_ends_one_have_the_parity_of_sign_exponent(self, n):
+        """Claim 2 as a GF(2) identity: two different quadratic forms on 2N+1 bits differ on at
+        least a quarter of the inputs (RM(2, n)'s minimum distance), so 128 random bitstrings
+        miss a difference with probability at most (3/4)**128."""
+        bits = np.random.default_rng(400 + n).integers(0, 2, size=(2 * n + 1, 128))
+        u, v = np.array(CrioTopology(n).edges).T
+        parity = (bits[u - 1] & bits[v - 1]).sum(axis=0) % 2
+        np.testing.assert_array_equal(parity, sign_exponent(n, bits))
+
+    @pytest.mark.parametrize("topology", [t for n in range(1, 6) for t in shapes(n)] + shapes(1000), ids=shape_id)
+    def test_colour_class_and_its_complement_are_independent_sets(self, topology):
+        colour = topology.colour_class
+        assert colour == sorted(set(colour)) and colour[0] == 1
+        inside = set(colour)
+        ends_inside = {(u in inside, v in inside) for u, v in topology.edges}
+        assert (True, True) not in ends_inside and (False, False) not in ends_inside
+
+    def test_groups_are_the_base_group_and_the_controlled_ones(self):
+        assert CrioTopology(4).groups == [2, 3, 4, 5]
+        assert CrioTopology(4, frozenset({5, 3})).groups == [2, 3, 5]
+        assert CrioTopology(4, frozenset()).groups == [2]
+
+    def test_thousand_systems_build_in_under_50_ms(self):
+        start = time.perf_counter()
+        topology = CrioTopology(1000)
+        graph, groups, colour = crio_graph(topology), topology.groups, topology.colour_class
+        assert time.perf_counter() - start < 0.05
+        assert (graph.num_vertices, len(graph.edges), len(groups), len(colour)) == (2001, 3 * 999 + 2, 1000, 1000)
+
+    def test_shape_past_the_dense_bound_has_no_state(self):
+        assert crio_graph(CrioTopology(13)).num_vertices == 27
+        with pytest.raises(ValueError, match="27-qubit register exceeds the limit of 25 qubits"):
+            crio_channel_state(CrioTopology(13))
+
+    def test_count_above_max_systems_is_refused(self):
+        assert CrioTopology(MAX_SYSTEMS).n_systems == MAX_SYSTEMS
+        with pytest.raises(ValueError, match=f"needs 1 to {MAX_SYSTEMS} remote systems, got {MAX_SYSTEMS + 1}"):
+            CrioTopology(MAX_SYSTEMS + 1)
+
+    def test_group_range_error_names_the_range_and_only_the_offenders(self):
+        with pytest.raises(ValueError) as err:
+            CrioTopology(100000, frozenset({1}))
+        assert str(err.value) == "controlled groups must lie in 3..100001, not 1"
+        assert len(str(err.value).encode()) < 200
+        with pytest.raises(ValueError, match=r"must lie in 3\.\.4, not 2.5, 1, 10, x$"):
+            CrioTopology(3, frozenset({"x", 10, 2.5, 3, 1}))
+
+    @pytest.mark.parametrize("build,name", [(CrioTopology, "n_systems"),
+                                            (lambda count: Graph.of(count, [(1, 2)]), "num_vertices"),
+                                            (lambda count: Graph(count, frozenset()), "num_vertices")])
+    @pytest.mark.parametrize("count", [True, False, np.True_, 2.5, 3.0, "3", None])
+    def test_type_confused_count_is_refused_naming_it(self, build, name, count):
+        with pytest.raises((TypeError, ValueError), match=name):
+            build(count)
+
+    @pytest.mark.parametrize("count", [np.int64(3), np.int32(3), np.uint8(200)])
+    def test_numpy_integer_count_is_accepted_as_an_int(self, count):
+        topology, graph = CrioTopology(count), Graph.of(count, [(1, 2)])
+        assert type(topology.n_systems) is int and type(graph.num_vertices) is int
+        assert crio_graph(topology) == crio_graph(CrioTopology(int(count)))
+        assert graph == Graph.of(int(count), [(1, 2)])
 
 
 class TestAmplitudeOracle:

@@ -936,6 +936,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="28-qubit register exceeds the limit"):
             run(n, [X_AXIS] * n, [0.1] * n, [np.array([1.0, 0.0])] * n)
 
+    @pytest.mark.parametrize("run", [run_crio, control_denial_report])
+    def test_bool_system_count_is_refused_naming_it(self, run):
+        with pytest.raises(TypeError, match="n_systems must be an integer, got True"):
+            run(True, [X_AXIS], [0.1], [np.array([1.0, 0.0])])
+
 
 class TestPartialControl:
     def test_uncontrolled_base_group_still_succeeds(self):

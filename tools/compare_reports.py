@@ -119,6 +119,8 @@ def report_matrix() -> list:
         ["build-state", "h5", "--n", "2", "--format", "text"],
         ["build-state", "h2n1", "--n", "3", "--format", "csv"],  # prints the signed zero imaginary parts
         ["build-state", "h2n1", "--n", "4", "--groups", "3,5"],
+        ["build-state", "h2n1", "--n", "3", "--groups", ""],  # no optional group wired
+        ["build-state", "h2n1", "--n", "13"],  # refused: exit 2 and empty stdout, so the exit code is compared
         ["build-state", "phi", "--n", "2"],
         ["build-state", "h2n1", "--n", "2", "--format", "text"],
         # 2**17 amplitudes, written in many blocks of rows
