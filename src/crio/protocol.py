@@ -98,14 +98,6 @@ class LocalityError(ValueError):
 
 
 @dataclass(frozen=True)
-class Party:
-    id: str
-    owned_qubits: frozenset
-    knows_angle: float | None = None
-    knows_axis: PauliAxis | None = None
-
-
-@dataclass(frozen=True)
 class ClassicalMessage:
     sender: str
     recipient: str
@@ -220,31 +212,6 @@ class ProtocolResult:
         }
 
 
-def build_parties(
-    n_systems: int,
-    axes: Sequence[PauliAxis],
-    betas: Sequence[float],
-) -> dict:
-    """Ownership partition plus who knows which secret."""
-    parties = {"A1": Party("A1", frozenset({"a1"}))}
-    for k in range(2, n_systems + 2):
-        parties[f"A{k}"] = Party(f"A{k}", frozenset({f"a{k}"}), knows_angle=float(betas[k - 2]))
-    for j in range(n_systems + 2, 2 * n_systems + 2):
-        parties[f"A{j}"] = Party(
-            f"A{j}",
-            frozenset({f"a{j}", target_label(j)}),
-            knows_axis=axes[j - (n_systems + 2)],
-        )
-    return parties
-
-
-def assert_local(parties: dict, actor: str, labels: Sequence[str]) -> None:
-    owned = parties[actor].owned_qubits
-    for lab in labels:
-        if lab not in owned:
-            raise LocalityError(f"party {actor} does not own qubit {lab!r}")
-
-
 # ----------------------------------------------------------------------
 # engine
 
@@ -271,7 +238,9 @@ class Step:
 
 
 def check_system_count(n_systems: int) -> None:
-    """Refuse N < 1, or a channel plus targets (3N+1 qubits) above MAX_QUBITS."""
+    """Refuse a non-integer N, N < 1, or a channel plus targets (3N+1 qubits) above MAX_QUBITS."""
+    if not is_int(n_systems):
+        raise TypeError(f"n_systems must be an integer, got {n_systems!r}")
     if n_systems < 1:
         raise ValueError("need at least one remote system")
     check_register_size(3 * n_systems + 1)
@@ -288,6 +257,8 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
     """Every input of a protocol entry point, checked once before anything is allocated.  Returns the shape's
     participating groups ks, their step plan, and the target kets, each divided by its norm (None without targets)."""
     _check_axes(n_systems, axes)
+    if not isinstance(permitted, bool):
+        raise TypeError(f"permitted must be True or False, got {permitted!r}")
     if len(betas) != n_systems or targets is not None and len(targets) != n_systems:
         raise ValueError("axes, betas and targets must each have one entry per system")
     if not all(map(math.isfinite, betas)):
@@ -305,32 +276,36 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
     return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
 
 
-def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
-    """The six steps for participating groups `ks`, each owned by its actor.  The inputs
-    are trusted, as `_setup` checked them: each gate is unitary by construction."""
-    parties = build_parties(n_systems, axes, betas)
+def owner(qubit: str) -> str:
+    """The party that holds `qubit`: A_j holds a_j and, for a holder j >= N+2, also its target O_j."""
+    return "A" + qubit[1:]
 
-    def step(tag, actor, qubit, matrix=None, control=None, basis=None, messages_to=(), on_one=()):
-        assert_local(parties, actor, (qubit,) if control is None else (control, qubit))
-        return Step(tag, actor, qubit, matrix, control, basis, messages_to, on_one)
+
+def _plan(n_systems, axes, betas, ks, permitted=True) -> list:
+    """The six steps for participating groups `ks`.  A step's actor is the owner of its qubit, and a
+    measurement sends its bit to the owners of its fixes' qubits, in fix order; a controlled gate
+    whose control has another owner raises LocalityError.  The inputs are trusted, as `_setup`
+    checked them: each gate is unitary by construction."""
+    def step(tag, qubit, matrix=None, control=None, basis=None, on_one=()):
+        actor = owner(qubit)
+        if control is not None and owner(control) != actor:
+            raise LocalityError(f"party {actor} does not own qubit {control!r}")
+        return Step(tag, actor, qubit, matrix, control, basis, tuple(owner(fix.qubit) for fix, _ in on_one), on_one)
 
     n, sigma = n_systems, {k: pauli_axis_matrix(axes[k - 2]) for k in ks}
-    plan = [step("step1", f"A{k + n}", target_label(k + n), sigma[k], control=f"a{k + n}") for k in ks]
-    plan += [step("step2", f"A{k}", f"a{k}", HADAMARD) for k in ks if k >= 3]
+    plan = [step("step1", target_label(k + n), sigma[k], control=f"a{k + n}") for k in ks]
+    plan += [step("step2", f"a{k}", HADAMARD) for k in ks if k >= 3]
     if permitted:
-        fixes = tuple((step("step3", f"A{k}", f"a{k}", PAULI_X), f"sigma_x a{k}") for k in ks)
-        recipients = tuple(f"A{k}" for k in ks)
-        plan.append(step("step3", "A1", "a1", basis="X", messages_to=recipients, on_one=fixes))
+        fixes = tuple((step("step3", f"a{k}", PAULI_X), f"sigma_x a{k}") for k in ks)
+        plan.append(step("step3", "a1", basis="X", on_one=fixes))
     for k in ks:
-        sigma_z = step("step4", f"A{k}", f"a{k}", PAULI_Z)
-        plan.append(step("step4", f"A{k + n}", f"a{k + n}", basis="X", messages_to=(f"A{k}",),
-                         on_one=((sigma_z, f"sigma_z a{k}"),)))
-    plan += [step("step5", f"A{k}", f"a{k}", rotation(X_AXIS, betas[k - 2])) for k in ks]
+        sigma_z = step("step4", f"a{k}", PAULI_Z)
+        plan.append(step("step4", f"a{k + n}", basis="X", on_one=((sigma_z, f"sigma_z a{k}"),)))
+    plan += [step("step5", f"a{k}", rotation(X_AXIS, betas[k - 2])) for k in ks]
     for k in ks:
         target = target_label(k + n)
-        i_sigma_n = step("step6", f"A{k + n}", target, 1j * sigma[k])
-        plan.append(step("step6", f"A{k}", f"a{k}", basis="Z", messages_to=(f"A{k + n}",),
-                         on_one=((i_sigma_n, f"i*sigma_n {target}"),)))
+        i_sigma_n = step("step6", target, 1j * sigma[k])
+        plan.append(step("step6", f"a{k}", basis="Z", on_one=((i_sigma_n, f"i*sigma_n {target}"),)))
     return plan
 
 
@@ -345,11 +320,11 @@ def _drawn(rng: np.random.Generator):
 
 
 def _next_outcome(bits) -> int:
-    """The next of an iterator of forced outcomes; running out, or one not 0 or 1, is a ValueError."""
-    for outcome in map(int, bits):
-        if outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
-        return outcome
+    """The next of an iterator of forced outcomes (0, 1, "0" or "1"); running out, or any other, is a ValueError."""
+    for outcome in bits:
+        if outcome not in (0, 1, "0", "1"):
+            raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+        return int(outcome)
     raise ValueError("too few outcomes: the plan measures more qubits")
 
 

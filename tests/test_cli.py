@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import time
 import warnings
@@ -752,6 +753,20 @@ def test_written_branch_list_is_json_dumps_of_a_plain_rebuild(tmp_path, n, group
     with contextlib.redirect_stdout(stdout):
         assert main(["run-protocol", "--config", str(path)]) == 0
     assert stdout.getvalue() == text
+
+
+@pytest.mark.parametrize("flags, count", [([], 7), (["--groups", "4"], 5), (["--permitted", "false"], 6)],
+                         ids=["full", "partial", "denied"])
+def test_report_messages_go_from_and_to_the_qubits_holders(tmp_path, flags, count):
+    """Read off the report alone: a measured step comes from A_j for its qubit a_j, and its bit goes
+    to the holder of each correction's qubit, A_j for a_j or O_j."""
+    out = tmp_path / "run.json"
+    assert main(["run-protocol", "--n", "3", "--out", str(out), *flags]) == 0
+    measurements = json.loads(out.read_text())["measurements"]
+    assert len(measurements) == count
+    for m in measurements:
+        assert m["from"] == "A" + re.fullmatch(r"a(\d+)", m["qubit"])[1]
+        assert m["to"] == ["A" + re.fullmatch(r".* [aO](\d+)", label)[1] for label in m["on_one"]]
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 1000])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from functools import reduce
 from itertools import combinations
@@ -18,8 +19,6 @@ from crio.protocol import (
     ClassicalMessage,
     LocalityError,
     Step,
-    assert_local,
-    build_parties,
     control_denial_report,
     load_run_config,
     run_checkpoints,
@@ -33,7 +32,6 @@ from crio.qcore import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
-    PauliAxis,
     QuantumState,
     X_AXIS,
     Y_AXIS,
@@ -792,8 +790,8 @@ def builder_cases():
 
 
 class TestInitialStateBuilder:
-    """`_initial_state` builds steps 1-2 into the register as one product of the channel and a
-    target table; the oracle is the same steps applied by the public kernels."""
+    """`dense_walk.initial_state` builds steps 1-2 into the register as one product of the channel
+    and a target table; the oracle is the same steps applied by the public kernels."""
 
     @pytest.mark.parametrize("n,groups", builder_cases())
     def test_lead_matches_public_kernels(self, n, groups):
@@ -851,22 +849,62 @@ ENTRY_POINTS = ("run_crio", "control_denial_report", "run_checkpoints", "symboli
 TAKE_BETAS = ENTRY_POINTS[:4]  # all but step1_stator
 
 
+def holders(n) -> dict:
+    """Each qubit's party, from the paper's partition: A_1 holds a_1, A_k (k = 2..N+1) holds a_k,
+    and A_j (j = N+2..2N+1) holds a_j and its target O_j."""
+    held = {f"a{k}": f"A{k}" for k in range(1, 2 * n + 2)}
+    return held | {f"O{j}": f"A{j}" for j in range(n + 2, 2 * n + 2)}
+
+
+def with_fixes(plan) -> list:
+    """The plan's steps followed by every measurement's outcome-1 fixes."""
+    return plan + [fix for step in plan for fix, _ in step.on_one]
+
+
+class TestOwnership:
+    """The plan's actors and recipients against the paper's ownership partition, and where each
+    party's secret enters the plan."""
+
+    @pytest.mark.parametrize("permitted", [True, False])
+    @pytest.mark.parametrize("n,groups", control_subsets(4))
+    def test_every_step_acts_on_its_actors_qubits(self, n, groups, permitted):
+        held = holders(n)
+        _, plan, _ = protocol._setup(n, *random_inputs(np.random.default_rng(300 + n), n), groups, permitted)
+        measured = [step for step in plan if step.basis is not None]
+        assert len(measured) == permitted + 2 * (len(groups) + 1)
+        for step in with_fixes(plan):
+            assert step.actor == held[step.qubit]
+            assert step.control is None or held[step.control] == step.actor
+            assert step.messages_to == tuple(held[fix.qubit] for fix, _ in step.on_one)
+
+    @pytest.mark.parametrize("permitted", [True, False])
+    def test_each_secret_reaches_only_its_holders_steps(self, permitted):
+        """Changing beta_k changes only the matrices of A_k's steps, and changing axis k only
+        those of A_{k+N}'s."""
+        n, rng = 3, np.random.default_rng(310)
+        axes, betas, _ = random_inputs(rng, n)
+
+        def matrices(axes, betas):
+            plan = protocol._setup(n, axes, betas, permitted=permitted)[1]
+            return [(step.actor, step.matrix) for step in with_fixes(plan)]
+
+        base = matrices(axes, betas)
+        for i, k in enumerate(range(2, n + 2)):
+            for holder, changed in ((f"A{k}", matrices(axes, betas[:i] + [betas[i] + 0.5] + betas[i + 1:])),
+                                    (f"A{k + n}", matrices(axes[:i] + [random_axis(rng)] + axes[i + 1:], betas))):
+                assert [actor for actor, _ in changed] == [actor for actor, _ in base]
+                moved = {actor for (actor, a), (_, b) in zip(base, changed)
+                         if a is not None and not np.array_equal(a, b)}
+                assert moved == {holder}
+
+    def test_step_across_parties_raises_locality_error(self, monkeypatch):
+        """A mutant target rule that puts O_{j+1} under step 1's gate controlled by a_j."""
+        monkeypatch.setattr(protocol, "target_label", lambda j: f"O{j + 1}")
+        with pytest.raises(LocalityError, match=r"^party A5 does not own qubit 'a4'$"):
+            run_crio(2, *random_inputs(np.random.default_rng(311), 2))
+
+
 class TestValidation:
-    def test_locality_guard(self):
-        parties = build_parties(1, [X_AXIS], [0.0])
-        assert_local(parties, "A3", ("a3", "O3"))
-        with pytest.raises(LocalityError):
-            assert_local(parties, "A2", ("a1",))
-
-    def test_party_secrets(self):
-        axes = [PauliAxis.unit(1, 1, 0)]
-        parties = build_parties(1, axes, [0.37])
-        assert parties["A2"].knows_angle == pytest.approx(0.37)
-        assert parties["A2"].knows_axis is None
-        assert parties["A3"].knows_axis == axes[0]
-        assert parties["A3"].knows_angle is None
-        assert parties["A1"].knows_angle is None and parties["A1"].knows_axis is None
-
     def test_unnormalized_target_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             run_crio(1, [X_AXIS], [0.1], [np.array([1.0, 1.0])])
@@ -940,6 +978,32 @@ class TestValidation:
     def test_bool_system_count_is_refused_naming_it(self, run):
         with pytest.raises(TypeError, match="n_systems must be an integer, got True"):
             run(True, [X_AXIS], [0.1], [np.array([1.0, 0.0])])
+
+    @pytest.mark.parametrize("n", [2.5, "3", None])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_non_integer_system_count_is_refused_naming_it(self, entry, n):
+        axes, betas, targets, outcomes = [X_AXIS] * 2, [0.1] * 2, [np.array([1.0, 0.0])] * 2, [0] * 5
+        calls = {
+            "run_crio": lambda: run_crio(n, axes, betas, targets),
+            "control_denial_report": lambda: control_denial_report(n, axes, betas, targets),
+            "run_checkpoints": lambda: run_checkpoints(n, axes, betas, targets, outcomes),
+            "symbolic_checkpoints": lambda: symbolic_checkpoints(n, axes, betas, outcomes),
+            "step1_stator": lambda: step1_stator(n, axes),
+        }
+        with pytest.raises(TypeError, match=f"^n_systems must be an integer, got {re.escape(repr(n))}$"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("run, error, match", [
+        pytest.param(lambda *args: run_crio(*args, permitted="no"), TypeError,
+                     "permitted must be True or False, got 'no'", id="permitted-string"),
+        pytest.param(lambda *args: run_checkpoints(*args, [0, 0, 0], permitted=0), TypeError,
+                     "permitted must be True or False, got 0", id="permitted-zero"),
+        pytest.param(lambda *args: run_checkpoints(*args, "01x"), ValueError,
+                     "outcome must be 0 or 1, got 'x'", id="outcome-letter"),
+    ])
+    def test_malformed_flag_or_outcome_is_refused_naming_it(self, run, error, match):
+        with pytest.raises(error, match=f"^{re.escape(match)}$"):
+            run(1, [X_AXIS], [0.1], [np.array([1.0, 0.0])])
 
 
 class TestPartialControl:
