@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphstate import CrioTopology, crio_channel_state, phi_state
-from .qcore import HADAMARD, QuantumState, apply_1q
+from .qcore import HADAMARD, QuantumState, apply_1q, is_int
 
 OBJECTIVE_TOL = 1e-8  # a restart stops when a sweep gains under a tenth of it
 MAX_SWEEPS = 300      # per restart
@@ -163,6 +163,10 @@ def gm_optimize(state: QuantumState, mode: str = "nonneg", restarts: int = 64, s
     sweep in blocks of max(1, BLOCK_AMPLITUDES >> n) rows; no row depends on its block."""
     if mode not in ("nonneg", "general"):
         raise ValueError("mode must be 'nonneg' or 'general'")
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if not is_int(value):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    restarts = int(restarts)  # the report writes it as a JSON number
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if restarts > MAX_RESTARTS:

@@ -22,6 +22,7 @@ from .qcore import (
     PauliAxis,
     X_AXIS,
     apply_controlled_op,
+    is_real,
     pauli_axis_matrix,
     product_state,
     tensor,
@@ -67,6 +68,9 @@ class PovmParams:
     omega2: float
 
     def __post_init__(self) -> None:
+        for name, v in vars(self).items():  # the eight angles
+            if not is_real(v):  # a NaN or inf angle is refused below, as a ValueError
+                raise TypeError(f"{name} must be a number, got {v!r}")
         for name in ("theta1", "theta2", "lambda1", "lambda2"):
             v = getattr(self, name)
             if not -1e-12 <= v <= math.pi / 2 + 1e-12:  # a NaN angle fails this too

@@ -58,6 +58,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain
+from json.encoder import encode_basestring_ascii
 from operator import getitem
 from typing import NamedTuple
 
@@ -67,7 +68,6 @@ from .graphstate import (
     CrioTopology,
     amplitude_oracle,
     basis_bits,
-    crio_graph,
     qubit_labels,
     target_label,
 )
@@ -177,6 +177,40 @@ class Branches(Sequence):
 
 # a branch's JSON object two levels deep, split around its values, in sorted key order
 _BRANCH_FRAME = _nested(dict.fromkeys(("fidelity", "outcomes", "probability"), ...), 2)
+# a measured step's JSON object likewise, and the opening, comma and closing of a list of strings in it
+_STEP_FRAME = _nested(dict.fromkeys(("basis", "from", "on_one", "qubit", "step", "to"), ...), 2)
+_OPEN, _COMMA, _CLOSE = _nested([..., ...], 3)
+
+
+def _string_list(items) -> str:
+    """A list of strings as json.dumps(indent=2) writes it as a value of a measured step's object."""
+    if not items:
+        return "[]"
+    return _OPEN.lstrip(" ") + _COMMA.join(map(encode_basestring_ascii, items)) + _CLOSE
+
+
+@dataclass(frozen=True, eq=False)
+class MeasuredSteps:
+    """A run's measured steps as the report lists them once, under "measurements": each branch's
+    bit for a step is sent to every recipient in "to", and on 1 each correction of "on_one" is
+    applied.  A streamed list (see `report.json_report`): each step's values are written into
+    _STEP_FRAME, so json's Python encoder renders only the rest of the report."""
+
+    steps: tuple
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def json_blocks(self):
+        """The list as json.dumps(report, sort_keys=True, indent=2) writes it under a top-level key."""
+        if not self.steps:
+            yield "[]"
+            return
+        q = encode_basestring_ascii
+        rows = ((q(s.basis), q(s.actor), _string_list([label for _, label in s.on_one]), q(s.qubit), q(s.tag),
+                 _string_list(s.messages_to)) for s in self.steps)  # in _STEP_FRAME's key order
+        objects = ("".join(chain.from_iterable(zip(_STEP_FRAME, row))) + _STEP_FRAME[-1] for row in rows)
+        yield "[\n" + ",\n".join(objects) + "\n  ]"
 
 
 @dataclass
@@ -200,7 +234,7 @@ class ProtocolResult:
         return sum(self.branches.probabilities.tolist())  # left to right: np.sum's pairwise order moves the last bit
 
     def summary_json(self) -> dict:
-        """The JSON fields of the report other than its branch list."""
+        """The JSON fields of the report other than its branch list; "measurements" is streamed."""
         return {
             "n_systems": self.n_systems,
             "permitted": self.permitted,
@@ -208,7 +242,7 @@ class ProtocolResult:
             "mode": self.mode,
             "seed": self.seed,
             "measurement_count": self.measurement_count,
-            "measurements": [_measurement_json(step) for step in self.branches.steps],
+            "measurements": MeasuredSteps(self.branches.steps),
         }
 
 
@@ -218,13 +252,16 @@ class ProtocolResult:
 STEPS = ("step1", "step2", "step3", "step4", "step5", "step6")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Step:
     """One local operation of the plan: a 2x2 gate, or a one-qubit measurement.
 
     A gate acts on `qubit`, controlled by `control` when that is set; a
     measurement has a `basis`, sends its bit to `messages_to` and, on
-    outcome 1, applies each (fix step, label) pair of `on_one`.
+    outcome 1, applies each (fix step, label) pair of `on_one`.  Slotted and
+    not frozen, as a frozen dataclass builds each field by object.__setattr__:
+    a run builds its plan anew and reads its steps on every step.  Nothing
+    changes a step once the plan is built.
     """
 
     tag: str
@@ -320,9 +357,10 @@ def _drawn(rng: np.random.Generator):
 
 
 def _next_outcome(bits) -> int:
-    """The next of an iterator of forced outcomes (0, 1, "0" or "1"); running out, or any other, is a ValueError."""
+    """The next of an iterator of forced outcomes: the integer 0 or 1 (a numpy integer too, a bool
+    not) or the string "0" or "1".  Running out, or any other value, is a ValueError."""
     for outcome in bits:
-        if outcome not in (0, 1, "0", "1"):
+        if not (is_int(outcome) and outcome in (0, 1) or isinstance(outcome, str) and outcome in ("0", "1")):
             raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
         return int(outcome)
     raise ValueError("too few outcomes: the plan measures more qubits")
@@ -359,15 +397,16 @@ _GROUP_TERMS = np.array([[1, 1, 1, -1], [1, 1, -1, 1]]) / 2
 
 def _register(n_systems, ks, target_vecs) -> _Register:
     """The participating register before step 1, with its targets.  The blocks are read off the
-    participating channel graph (the full-control graph of len(ks) systems): the hub's a1, a2 and
-    a_{N+2} must have the sign rule's edges, and removing them leave one pair (a_k, a_{k+N}) per group.
+    participating channel graph's edges (`CrioTopology(len(ks)).edges`, the full-control edge list
+    that `crio_graph` wraps): the hub's a1, a2 and a_{N+2} must have the sign rule's edges, and
+    removing them leave one pair (a_k, a_{k+N}) per group.
     The hub block carries 2**-1.5 (its four nonzero entries, and 1/sqrt(2) for the two terms) and
     each group block 1/2, so the product has the channel's amplitudes +-2**-(2N'+1)/2."""
     m, js = len(ks), [k + n_systems for k in ks]
     name = dict(enumerate([f"a{v}" for v in [1, *ks, *js]], 1))  # the graph's vertices
     pairs = {(k, k + m) for k in range(3, m + 2)}
     hub = {(1, 2), (1, m + 2), *((2, k) for k in range(3, m + 2)), *((k, m + 2) for k in range(3, m + 2))}
-    edges = crio_graph(CrioTopology(m)).edges
+    edges = set(CrioTopology(m).edges)
     rest = {edge for edge in edges if not {1, 2, m + 2} & set(edge)}
     for found, rule, what in ((rest, pairs, "without a1, a2 and a_{N+2} the channel graph is not one pair per group"),
                               (edges - rest, hub, "the channel graph's hub edges differ from the sign rule's")):
@@ -515,13 +554,6 @@ def outcome_records(step: Step) -> tuple:
                  for bit in (0, 1))
 
 
-def _measurement_json(step: Step) -> dict:
-    """A measured step as the report lists it once: each branch's bit for it is sent to every
-    recipient in "to", and on 1 each correction of "on_one" is applied."""
-    return {"step": step.tag, "from": step.actor, "qubit": step.qubit, "basis": step.basis,
-            "to": list(step.messages_to), "on_one": [label for _, label in step.on_one]}
-
-
 def _branches(reg: _Register, plan, kets: dict, rule) -> Branches:
     """The branches of `plan` that `rule` keeps, with their fidelity to the expected kets."""
     reg, bits, measured = _run(reg, plan, rule)
@@ -542,6 +574,7 @@ def run_crio(
 ) -> ProtocolResult:
     """Run the full protocol, enumerating every branch or sampling one."""
     ks, plan, target_vecs = _setup(n_systems, axes, betas, targets, controlled_groups, permitted)
+    n_systems = int(n_systems)  # a numpy integer count, and the systems it numbers, are reported as JSON numbers
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
     if mode == "sample" and seed is None:
@@ -595,7 +628,7 @@ def control_denial_report(n_systems, axes, betas, targets) -> ControlDenialRepor
     worst = {g: float(brs.fidelities.min()) for g, brs in guess_branches.items()}
     best_guess = max(worst, key=lambda g: worst[g])
     return ControlDenialReport(
-        n_systems=n_systems,
+        n_systems=int(n_systems),
         purity_without_controller=pur,
         guess_branches=guess_branches,
         best_guess=best_guess,

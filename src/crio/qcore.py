@@ -65,6 +65,11 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """An int or a float, numpy's included, of any value; no bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def random_axis(rng: np.random.Generator) -> PauliAxis:
     """Uniformly random unit axis."""
     while True:
@@ -75,13 +80,19 @@ def random_axis(rng: np.random.Generator) -> PauliAxis:
 
 
 def pauli_axis_matrix(axis: PauliAxis) -> np.ndarray:
-    """sigma_n = x*sx + y*sy + z*sz; Hermitian, involutive, traceless."""
-    return axis.x * PAULI_X + axis.y * PAULI_Y + axis.z * PAULI_Z
+    """sigma_n = x*sx + y*sy + z*sz; Hermitian, involutive, traceless.  Built from Python scalars: the
+    same bits as the sum of the three scaled Paulis, but for the signs of zeros.  float() keeps a numpy
+    component's value and spares numpy's slower scalar arithmetic."""
+    x, y, z = float(axis.x), float(axis.y), float(axis.z)
+    return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
 
 
 def rotation(axis: PauliAxis, alpha: float) -> np.ndarray:
-    """exp(i*alpha*sigma_n) = cos(alpha) I + i sin(alpha) sigma_n."""
-    return math.cos(alpha) * IDENTITY_2 + 1j * math.sin(alpha) * pauli_axis_matrix(axis)
+    """exp(i*alpha*sigma_n) = cos(alpha) I + i sin(alpha) sigma_n, from Python scalars as
+    `pauli_axis_matrix` is: [[c + i*sz, sy + i*sx], [-sy + i*sx, c - i*sz]], with s = sin(alpha)."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    sx, sy, sz = s * float(axis.x), s * float(axis.y), s * float(axis.z)
+    return np.array([[c + 1j * sz, sy + 1j * sx], [-sy + 1j * sx, c - 1j * sz]], dtype=complex)
 
 
 @dataclass(frozen=True)

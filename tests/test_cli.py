@@ -662,7 +662,7 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, argv):
 )
 def test_run_protocol_report_is_json_dumps_of_the_result(tmp_path, monkeypatch, argv):
     """The report writer reproduces json.dumps(sort_keys=True, indent=2) of the result's
-    summary and a branch list rebuilt in a plain loop, byte for byte."""
+    summary with its measured steps and branch list rebuilt in plain loops, byte for byte."""
     runs = []
     run_crio = proto.run_crio
 
@@ -678,8 +678,9 @@ def test_run_protocol_report_is_json_dumps_of_the_result(tmp_path, monkeypatch, 
         kwargs["n_systems"], kwargs["axes"], kwargs["betas"], kwargs["targets"],
         kwargs["mode"], kwargs["seed"], kwargs["permitted"], kwargs["controlled_groups"],
     )
-    payload = {**result.summary_json(), "min_fidelity": result.min_fidelity(),
-               "total_probability": result.total_probability(), "branches": _plain_branch_list(result.branches)}
+    payload = {**result.summary_json(), "measurements": _plain_measurements(result.branches.steps),
+               "min_fidelity": result.min_fidelity(), "total_probability": result.total_probability(),
+               "branches": _plain_branch_list(result.branches)}
     assert out.read_text() == json.dumps(_report(payload, config), sort_keys=True, indent=2) + "\n"
     assert any(not b.corrections for b in result.branches) or kwargs["mode"] == "sample"
 
@@ -786,6 +787,20 @@ def test_zero_row_branch_table_writes_an_empty_list(tmp_path):
     _write_report(str(out), {"n": 1, "branches": empty}, "json")
     assert out.read_text() == json.dumps({"branches": [], "n": 1}, sort_keys=True, indent=2) + "\n"
     assert list(empty) == [] and empty[:] == []
+
+
+def test_measured_step_list_is_json_dumps_of_a_plain_rebuild(tmp_path):
+    """The measurements list written from its frame equals json.dumps of the plain rebuild where no
+    protocol run reaches: no steps, a step without recipients or fixes, and labels json escapes."""
+    fix = proto.Step("f", "B\u00e9", 'q"1', proto.PAULI_X)
+    steps = (proto.Step("s1", "A1", "a1", basis="X"),
+             proto.Step("s2", "A\u00e9", "a\\2", basis="Z", messages_to=("B\u00e9", "C\n"),
+                        on_one=((fix, 'x "q1"'), (fix, "caf\u00e9"))))
+    for measured in ((), steps[:1], steps):
+        out = tmp_path / "run.json"
+        _write_report(str(out), {"n": 1, "measurements": proto.MeasuredSteps(measured)}, "json")
+        want = {"n": 1, "measurements": _plain_measurements(measured)}
+        assert out.read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import product
 
@@ -154,6 +155,17 @@ class TestOptimizer:
     def test_channel_family_gm_equals_system_count(self, n):
         res = gm_channel_family(n, restarts=32)
         assert res.G == pytest.approx(float(n), abs=1e-6)
+
+    @pytest.mark.parametrize("name, value", [("restarts", True), ("restarts", 2.0), ("restarts", "4"),
+                                             ("seed", True), ("seed", 1.5), ("seed", None)])
+    def test_bool_or_non_integer_restarts_or_seed_is_refused_naming_it(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            gm_optimize(plus_state(("a", "b")), **{name: value})
+
+    def test_numpy_integer_restarts_and_seed_run_as_ints(self):
+        state = plus_state(("a", "b", "c"))
+        got = gm_optimize(state, restarts=np.int64(3), seed=np.int32(5)).to_json_dict()
+        assert type(got["restarts"]) is int and got == gm_optimize(state, restarts=3, seed=5).to_json_dict()
 
     def test_negative_state_rejected_in_nonneg_mode(self):
         h3 = crio_channel_state(CrioTopology(1))  # has negative amplitudes

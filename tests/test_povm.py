@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -118,6 +119,20 @@ class TestBuildPovm:
     def test_nan_angles_rejected(self, build):
         with pytest.raises(ValueError, match=r"must lie in \[0, pi/2\]|completeness"):
             build()
+
+    @pytest.mark.parametrize("field", range(8))
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.1", None, 0.1j], ids=repr)
+    def test_bool_or_non_number_angle_is_refused_naming_it(self, field, bad):
+        """Each of the eight angles is refused by name when it is a bool or not a real number;
+        True is not read as 1 nor "0.1" compared with a bound."""
+        angles = [PI / 4, PI / 4, 0.0, PI, 0.0, PI / 2, 0.0, 0.0]
+        name = ("theta1", "theta2", "phi1", "phi2", "lambda1", "lambda2", "omega1", "omega2")[field]
+        angles[field] = bad
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got {re.escape(repr(bad))}$"):
+            PovmParams(*angles)
+
+    def test_integer_angles_are_numbers(self):
+        assert PovmParams(0, np.int64(1) * PI / 2, 0, 3, 0, PI / 2, 0, 1).theta1 == 0
 
     @settings(max_examples=300, deadline=None)
     @given(angles=_perturbed_angles())

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import dense_walk
 from conftest import random_qubit
 from crio import protocol
-from crio.graphstate import CrioTopology, Graph, crio_channel_state, crio_graph
+from crio.graphstate import CrioTopology, crio_channel_state
 from crio.protocol import (
     BranchRecord,
     ClassicalMessage,
@@ -743,11 +743,12 @@ class TestBlockForm:
 
     def test_extra_edge_between_groups_is_refused(self, monkeypatch):
         """A mutant channel graph with an edge between two groups does not split into blocks."""
-        def mutant(topology):
-            graph = crio_graph(topology)
-            return Graph.of(graph.num_vertices, [*graph.edges, (3, 4)])
+        class Mutant(CrioTopology):
+            @property
+            def edges(self):
+                return [*super().edges, (3, 4)]
 
-        monkeypatch.setattr(protocol, "crio_graph", mutant)
+        monkeypatch.setattr(protocol, "CrioTopology", Mutant)
         n, args = 3, random_inputs(np.random.default_rng(240), 3)
         for run in (lambda: run_crio(n, *args), lambda: control_denial_report(n, *args),
                     lambda: run_checkpoints(n, *args, [0] * 7)):
@@ -757,11 +758,12 @@ class TestBlockForm:
     def test_dropped_hub_edge_is_refused(self, monkeypatch):
         """A mutant channel graph without the sign rule's edge a2-a3 is refused, though its
         groups still split into pairs: the block factors come from the sign rule, not the graph."""
-        def mutant(topology):
-            graph = crio_graph(topology)
-            return Graph.of(graph.num_vertices, graph.edges - {(2, 3)})
+        class Mutant(CrioTopology):
+            @property
+            def edges(self):
+                return [edge for edge in super().edges if edge != (2, 3)]
 
-        monkeypatch.setattr(protocol, "crio_graph", mutant)
+        monkeypatch.setattr(protocol, "CrioTopology", Mutant)
         n, args = 2, random_inputs(np.random.default_rng(242), 2)
         for run in (lambda: run_crio(n, *args), lambda: control_denial_report(n, *args),
                     lambda: run_checkpoints(n, *args, [0] * 5)):
@@ -1004,6 +1006,39 @@ class TestValidation:
     def test_malformed_flag_or_outcome_is_refused_naming_it(self, run, error, match):
         with pytest.raises(error, match=f"^{re.escape(match)}$"):
             run(1, [X_AXIS], [0.1], [np.array([1.0, 0.0])])
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, 0.0, 1.0, np.float64(1.0), b"1", None],
+                             ids=repr)
+    @pytest.mark.parametrize("entry", ["run_checkpoints", "symbolic_checkpoints"])
+    def test_forced_outcome_that_is_not_an_integer_or_bit_string_is_refused(self, entry, bad):
+        """A bool or a float is not an outcome, though True == 1 and 0.0 == 0."""
+        outcomes = [0, bad, 0]
+        with pytest.raises(ValueError, match=f"^outcome must be 0 or 1, got {re.escape(repr(bad))}$"):
+            if entry == "run_checkpoints":
+                run_checkpoints(1, [X_AXIS], [0.1], [np.array([1.0, 0.0])], outcomes)
+            else:
+                symbolic_checkpoints(1, [X_AXIS], [0.1], outcomes)
+
+    def test_forced_outcomes_take_ints_numpy_ints_and_bit_strings_alike(self):
+        args = (1, [X_AXIS], [0.1], [np.array([0.6, 0.8j])])
+        want = run_checkpoints(*args, [1, 0, 1])
+        for outcomes in ([np.int64(1), np.uint8(0), 1], ["1", "0", "1"], "101"):
+            got = run_checkpoints(*args, outcomes)
+            assert [tag for tag, _ in got] == [tag for tag, _ in want]
+            assert all(np.array_equal(a.amplitudes, b.amplitudes) for (_, a), (_, b) in zip(got, want))
+
+    def test_numpy_system_count_is_reported_as_an_int(self):
+        """A numpy integer count passes the checks; the result stores it as an int, so its report
+        writes, byte for byte as for the Python int."""
+        args = ([X_AXIS], [0.1], [np.array([0.6, 0.8])])
+        reports = []
+        for n in (np.int64(1), 1):
+            result = run_crio(n, *args)
+            assert type(result.n_systems) is int
+            payload = {**result.summary_json(), "branches": result.branches}
+            reports.append("".join(json_report(payload)))
+        assert reports[0] == reports[1] and json.loads(reports[0])["n_systems"] == 1
+        assert type(control_denial_report(np.int64(1), *args).n_systems) is int
 
 
 class TestPartialControl:

@@ -8,6 +8,7 @@ from crio.qcore import (
     HADAMARD,
     IDENTITY_2,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     PauliAxis,
     QuantumState,
@@ -86,6 +87,44 @@ class TestPauliAxis:
             assert np.max(np.abs(m @ m - IDENTITY_2)) <= 1e-12
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
             assert abs(np.trace(m)) <= 1e-12
+
+
+SIGNED_UNIT_AXES = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+class TestScalarGates:
+    """pauli_axis_matrix and rotation are built from Python scalars; the reference is the sum of
+    scaled 2x2 arrays they replaced.  Bit for bit on axes with no zero component; where a component
+    is zero only the sign of a zero may differ, which np.array_equal ignores."""
+
+    @staticmethod
+    def reference_sigma(axis):
+        return axis.x * PAULI_X + axis.y * PAULI_Y + axis.z * PAULI_Z
+
+    @classmethod
+    def reference_rotation(cls, axis, alpha):
+        return math.cos(alpha) * IDENTITY_2 + 1j * math.sin(alpha) * cls.reference_sigma(axis)
+
+    def test_bit_equal_on_random_axes_and_angles(self):
+        rng = np.random.default_rng(33)
+        for i in range(2000):
+            axis = random_axis(rng)
+            if i % 2:  # Python floats as well as random_axis's numpy floats
+                axis = PauliAxis(float(axis.x), float(axis.y), float(axis.z))
+            alpha = float(rng.uniform(-4 * math.pi, 4 * math.pi))
+            assert 0 not in (axis.x, axis.y, axis.z)
+            for got, want in ((pauli_axis_matrix(axis), self.reference_sigma(axis)),
+                              (rotation(axis, alpha), self.reference_rotation(axis, alpha))):
+                assert got.dtype == want.dtype and got.shape == want.shape == (2, 2)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (axis, alpha)
+
+    @pytest.mark.parametrize("xyz", SIGNED_UNIT_AXES, ids=str)
+    @pytest.mark.parametrize("as_float", [False, True], ids=["int", "float"])
+    def test_equal_on_signed_unit_axes(self, xyz, as_float):
+        axis = PauliAxis(*map(float, xyz)) if as_float else PauliAxis(*xyz)
+        assert np.array_equal(pauli_axis_matrix(axis), self.reference_sigma(axis))
+        for alpha in (0, 3, 0.0, 0.7, -math.pi / 2, math.pi):
+            assert np.array_equal(rotation(axis, alpha), self.reference_rotation(axis, alpha))
 
 
 class TestRotation:

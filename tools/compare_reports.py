@@ -43,8 +43,9 @@ import tempfile
 
 TOLERANCE = 1e-12
 H5_EDGES = ((0, 1), (0, 3), (1, 2), (2, 3), (2, 4))  # the N=2 channel graph on a1..a5
-# The `run-protocol --config` inputs: an N=3 enumeration that wires no optional group, and an N=2
-# sample run with one target written to eight decimals, which the run divides by its norm.
+# The `run-protocol --config` inputs: an N=3 enumeration that wires no optional group, an N=2
+# sample run with one target written to eight decimals, which the run divides by its norm, and an
+# N=2 enumeration written in integers, so its PauliAxis components are ints.
 RUN_CONFIGS = {
     "base_group_only.json": {
         "n_systems": 3, "axes": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "betas": [0.4, 1.3, 2.2],
@@ -54,6 +55,10 @@ RUN_CONFIGS = {
         "n_systems": 2, "axes": [[0.0, 1.0, 0.0], [0.6, 0.0, 0.8]], "betas": [0.7, 2.9],
         "targets": [[[0.70710678, 0], [0.70710678, 0]], [[0.6, 0.0], [0.0, 0.8]]],
         "mode": "sample", "seed": 11, "permitted": True, "controlled_groups": None},
+    "integer_valued.json": {
+        "n_systems": 2, "axes": [[1, 0, 0], [0, 0, -1]], "betas": [0, 3],
+        "targets": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        "mode": "enumerate", "seed": 7, "permitted": True, "controlled_groups": None},
 }
 # The matrix reports whose config hash version 0.2.0 moved, each tagged with its FOUND line of
 # CHANGES.md: 48, the resolved N of a fixed-size family is hashed; 51, gm --state refuses --family,
