@@ -368,8 +368,13 @@ def cmd_verify_all(args) -> int:
     kets = povm_mod.random_valid_kets(rng, 200)
     flat = bool(np.all(np.abs(povm_mod.outcome_probabilities(kets) - 0.25) < 1e-10))
     checks.append(("POVM outcome probabilities are flat at 1/4", flat))
-    checks.append(("success rate dichotomy",
-                   povm_mod.success_rate(3 * math.pi / 4) == 0.5 and povm_mod.success_rate(0.7) == 0.25))
+    dichotomy = True
+    for alpha, rate in ((3 * math.pi / 4, 0.5), (0.7, 0.25)):  # the witness enacts alpha on as many branches as classified
+        found = povm_mod.control_power_report(alpha)
+        witness = povm_mod.PovmParams(**{k: v for k, v in found["witness_params"].items() if k != "family"})
+        enacting = sum(b is not None and povm_mod.angle_in_set(alpha, b) for b in povm_mod.classify_branches(witness))
+        dichotomy &= found["success_rate"] == rate and enacting == 4 * rate
+    checks.append(("success rate dichotomy", dichotomy))
 
     axes, targets = [random_axis(rng)], [np.array([1.0, 0.0], dtype=complex)]
     denial = proto.control_denial_report(1, axes, [0.8], targets)

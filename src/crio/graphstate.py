@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .qcore import QuantumState, check_register_size, is_finite_number, is_int
-from .report import _float_column, _nested, _pick, row_blocks
+from .report import _float_column, _nested, _pick, json_list, row_blocks
 
 # glibc keeps freed heap memory below its trim threshold (16 MiB once an 8 MiB vector was freed)
 # resident; build_graph_state returns it before a larger state, whose peak it would add to.
@@ -271,37 +271,25 @@ class Amplitudes:
 
     def json_blocks(self):
         """[[re, im], ...] as json.dumps(report, sort_keys=True, indent=2) writes it under report["state"]["amplitudes"]."""
-        opener, mid, closer = _nested([..., ...], 3)
-        blocks = self._rows(float.__repr__, [",\n" + opener, mid, closer])
-        yield "[" + next(blocks)[1:]  # the list opens where every later row has its separator
-        yield from blocks
-        yield "\n    ]"
+        pairs = self.values.view(np.float64).reshape(-1, 2)
+        return json_list(_nested([..., ...], 3), len(pairs), lambda block: _float_column(pairs[block]))
 
     def csv_blocks(self):
         """The index,real,imag CSV, floats as format(v, ".17g"); an index is its thousands, one string
         per distinct value in a block, then its last three digits, picked from a table."""
+        pairs = self.values.view(np.float64).reshape(-1, 2)
         last = np.array([str(k) for k in range(1000)] + [f"{k:03d}" for k in range(1000)], dtype=object)
 
-        def index(start: int, n: int) -> tuple:
-            i = np.arange(start, start + n)
-            heads = [str(h) if h else "" for h in range(start // 1000, (start + n - 1) // 1000 + 1)]
-            return _pick(heads, i // 1000 - start // 1000), last[i % 1000 + 1000 * (i >= 1000)]
-        yield "index,real,imag\n"
-        yield from self._rows(lambda v: format(v, ".17g"), ["", "", ",", ",", "\n"], index)
-
-    def _rows(self, render, frame: list, lead=lambda start, n: ()):
-        """report.row_blocks of the rows: frame's pieces, with lead(start, n)'s columns for the n rows
-        from `start`, then re and im, between them."""
-        pairs, frame = self.values.view(np.float64).reshape(-1, 2), np.array(frame, dtype=object)
-
         def rows(block: slice) -> np.ndarray:
-            floats = _float_column(pairs[block], render)
-            table = np.empty((len(floats), 2 * len(frame) - 1), dtype=object)
-            table[:, 0::2], table[:, -4::2] = frame, floats
-            for j, column in enumerate(lead(block.start, len(floats))):
-                table[:, 2 * j + 1] = column
+            floats = _float_column(pairs[block], lambda v: format(v, ".17g"))
+            i = np.arange(block.start, block.start + len(floats))
+            heads = [str(h) if h else "" for h in range(i[0] // 1000, i[-1] // 1000 + 1)]
+            table = np.empty((len(floats), 7), dtype=object)
+            table[:, 0], table[:, 1] = _pick(heads, i // 1000 - i[0] // 1000), last[i % 1000 + 1000 * (i >= 1000)]
+            table[:, 2::2], table[:, 3::2] = [",", ",", "\n"], floats
             return table
-        return row_blocks(len(pairs), rows)
+        yield "index,real,imag\n"
+        yield from row_blocks(len(pairs), rows)
 
 
 def state_to_json_dict(state: QuantumState) -> dict:
@@ -321,6 +309,8 @@ def state_from_json_dict(data: dict) -> QuantumState:
             raise ValueError(f"state {key} must be a list, got {type(data[key]).__name__}")
     if not data["labels"]:
         raise ValueError("state labels must name at least one qubit")
+    if bad := [label for label in data["labels"] if not isinstance(label, str)]:
+        raise ValueError(f"state labels must be strings, got {bad[0]!r}")
     for pair in data["amplitudes"]:
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_finite_number, pair))):
             raise ValueError(f"state amplitudes must be [re, im] pairs of finite numbers, got {pair!r}")

@@ -83,11 +83,12 @@ from .qcore import (
     check_register_size,
     is_finite_number,
     is_int,
+    is_real,
     pauli_axis_matrix,
     purity,
     rotation,
 )
-from .report import _float_column, _nested, row_blocks
+from .report import _float_column, _nested, json_list, string_list
 from .stator import Stator
 
 FIDELITY_TOL = 1e-10
@@ -156,37 +157,20 @@ class Branches(Sequence):
                                tuple(chain.from_iterable(m for _, m in picked)))
 
     def json_blocks(self):
-        """The branch list as json.dumps(report, sort_keys=True, indent=2) writes it under a
-        top-level key, in strings of at most report.BLOCK_ROWS branches.  A branch is a fixed sequence
-        of columns, each an object array of shared strings, so no Python code runs per branch; a
-        block joins its rows of the table."""
-        if not len(self):
-            yield "[]"
-            return
+        """The branch list as json.dumps(report, sort_keys=True, indent=2) writes it under a top-level key
+        (`report.json_list`).  A branch's values are a row of whole-column object arrays of shared strings,
+        so no Python code runs per branch."""
         quoted = np.full((len(self), self.bits.shape[1] + 3), ord('"'), dtype=np.uint8)  # '"bits"\n' per row
         quoted[:, 1:-2], quoted[:, -1] = self.bits + ord("0"), ord("\n")
         values = (_float_column(self.fidelities), np.array(quoted.tobytes().decode("ascii").split(), dtype=object),
                   _float_column(self.probabilities))  # in _BRANCH_FRAME's key order
-        table = np.empty((len(self), 2 * len(values) + 1), dtype=object)
-        table[:, 0::2] = [",\n" + _BRANCH_FRAME[0], *_BRANCH_FRAME[1:]]  # a frame column shares one string
-        table[:, 1::2] = np.stack(values, axis=1)
-        table[0, 0] = "[\n" + _BRANCH_FRAME[0]
-        yield from row_blocks(len(table), table.__getitem__)
-        yield "\n  ]"
+        return json_list(_BRANCH_FRAME, len(self), np.stack(values, axis=1).__getitem__)
 
 
 # a branch's JSON object two levels deep, split around its values, in sorted key order
 _BRANCH_FRAME = _nested(dict.fromkeys(("fidelity", "outcomes", "probability"), ...), 2)
-# a measured step's JSON object likewise, and the opening, comma and closing of a list of strings in it
+# a measured step's JSON object likewise, whose lists' strings are four levels deep
 _STEP_FRAME = _nested(dict.fromkeys(("basis", "from", "on_one", "qubit", "step", "to"), ...), 2)
-_OPEN, _COMMA, _CLOSE = _nested([..., ...], 3)
-
-
-def _string_list(items) -> str:
-    """A list of strings as json.dumps(indent=2) writes it as a value of a measured step's object."""
-    if not items:
-        return "[]"
-    return _OPEN.lstrip(" ") + _COMMA.join(map(encode_basestring_ascii, items)) + _CLOSE
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,14 +187,10 @@ class MeasuredSteps:
 
     def json_blocks(self):
         """The list as json.dumps(report, sort_keys=True, indent=2) writes it under a top-level key."""
-        if not self.steps:
-            yield "[]"
-            return
         q = encode_basestring_ascii
-        rows = ((q(s.basis), q(s.actor), _string_list([label for _, label in s.on_one]), q(s.qubit), q(s.tag),
-                 _string_list(s.messages_to)) for s in self.steps)  # in _STEP_FRAME's key order
-        objects = ("".join(chain.from_iterable(zip(_STEP_FRAME, row))) + _STEP_FRAME[-1] for row in rows)
-        yield "[\n" + ",\n".join(objects) + "\n  ]"
+        values = np.array([(q(s.basis), q(s.actor), string_list([label for _, label in s.on_one], 4), q(s.qubit),
+                            q(s.tag), string_list(s.messages_to, 4)) for s in self.steps], dtype=object)
+        return json_list(_STEP_FRAME, len(self.steps), values.__getitem__)  # values in _STEP_FRAME's key order
 
 
 @dataclass
@@ -298,6 +278,8 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
         raise TypeError(f"permitted must be True or False, got {permitted!r}")
     if len(betas) != n_systems or targets is not None and len(targets) != n_systems:
         raise ValueError("axes, betas and targets must each have one entry per system")
+    if not all(map(is_real, betas)):
+        raise TypeError(f"betas must be real numbers, got {list(betas)!r}")
     if not all(map(math.isfinite, betas)):
         raise ValueError("betas must be finite")
     target_vecs = None if targets is None else [
@@ -577,6 +559,8 @@ def run_crio(
     n_systems = int(n_systems)  # a numpy integer count, and the systems it numbers, are reported as JSON numbers
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
+    if seed is not None and not is_int(seed):
+        raise TypeError(f"seed must be an integer or None, got {seed!r}")
     if mode == "sample" and seed is None:
         raise ValueError("sample mode needs a seed: without one its outcomes cannot be reproduced")
     kets = _expected_kets(n_systems, axes, betas, target_vecs, ks)
@@ -707,6 +691,9 @@ def symbolic_checkpoints(n_systems, axes, betas, outcomes: Sequence[int]):
 # ----------------------------------------------------------------------
 # run-configuration files
 
+_CONFIG_KEYS = ("n_systems", "axes", "betas", "targets", "mode", "seed", "permitted", "controlled_groups")
+
+
 def run_config_to_dict(n_systems, axes, betas, targets, mode, seed, permitted, controlled_groups) -> dict:
     return {
         "n_systems": n_systems,
@@ -733,6 +720,8 @@ def run_config_from_dict(data: dict) -> dict:
     missing = [key for key in ("n_systems", "axes", "betas", "targets") if key not in data]
     if missing:
         raise ValueError(f"run configuration is missing {', '.join(missing)}")
+    if unknown := sorted(data.keys() - set(_CONFIG_KEYS)):
+        raise ValueError(f"run configuration: {unknown[0]} is not a key; the keys are {', '.join(_CONFIG_KEYS)}")
     axes, targets = data["axes"], data["targets"]
     seed, permitted = data.get("seed"), data.get("permitted", True)
     groups = data.get("controlled_groups")

@@ -1,9 +1,10 @@
-"""The text layout of crio's reports; it imports nothing from crio.  A report's long lists (a
-run's branches, a state's amplitudes) are tables of shared strings, one row per item, joined in
-blocks of BLOCK_ROWS rows, so no Python code runs per item and no full-size copy is made."""
+"""The text layout of crio's reports, the one writer of a JSON list's brackets; it imports nothing from crio.
+A report's long lists (a run's branches, a state's amplitudes) are tables of shared strings, one row per
+item, joined in blocks of BLOCK_ROWS rows, so no Python code runs per item and no full-size copy is made."""
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -39,9 +40,38 @@ def _float_column(values: np.ndarray, render=float.__repr__) -> np.ndarray:
     """render(v) of each value, once per bit pattern, so -0.0 and NaN keep their own text (float.__repr__
     is json's).  Not np.unique: it argsorts for an inverse, and without one it hashes, raising peak RSS."""
     patterns = np.sort(values.view(np.uint64), axis=None)
-    patterns = patterns[np.concatenate(([True], patterns[1:] != patterns[:-1]))]
+    patterns = np.concatenate((patterns[:1], patterns[1:][patterns[1:] != patterns[:-1]]))
     return _pick([render(v) for v in patterns.view(np.float64).tolist()],
                  np.searchsorted(patterns, values.view(np.uint64)))
+
+
+def json_list(frame: list, count: int, columns):
+    """A list of `count` items as json.dumps(sort_keys=True, indent=2) writes it where an item has frame's indent:
+    "[]", or the opening, blocks of at most BLOCK_ROWS items with their separators, and the closing.  frame is
+    one item's pieces around its values (from _nested); columns(block), for a slice of item indices, is those
+    items' values as an object array of strings, one row per item and one column per hole of the frame."""
+    if not count:
+        yield "[]"
+        return
+    indent = frame[0][:len(frame[0]) - len(frame[0].lstrip(" "))]  # an item's; the list's is two spaces less
+    pieces = [",\n" + frame[0], *frame[1:]]  # a frame column shares one string
+
+    def rows(block: slice) -> np.ndarray:
+        values = columns(block)
+        table = np.empty((len(values), 2 * len(frame) - 1), dtype=object)
+        table[:, 0::2], table[:, 1::2] = pieces, values
+        if not block.start:
+            table[0, 0] = "[\n" + frame[0]
+        return table
+    yield from row_blocks(count, rows)
+    yield "\n" + indent[2:] + "]"
+
+
+def string_list(strings, depth: int) -> str:
+    """A list of strings as json_list writes it where an item is `depth` levels deep, in one join: for
+    the short lists inside a measured step, where building a table costs more than the join."""
+    indent = "\n" + "  " * depth
+    return f"[{indent}{(',' + indent).join(map(encode_basestring_ascii, strings))}{indent[:-2]}]" if strings else "[]"
 
 
 def row_blocks(count: int, rows):

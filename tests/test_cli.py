@@ -239,6 +239,7 @@ class TestRunProtocol:
             ("seed", -1),
             ("targets", [[[10**400, 0.0], [0.0, 0.0]]]),
             ("permitted", "false"),
+            ("controled_groups", [3]),  # a misspelled key, which would run at full control if ignored
         ],
     )
     def test_config_malformed_value_exits_2(self, tmp_path, capsys, key, value):
@@ -305,6 +306,7 @@ class TestReports:
             ([[1.0, 0.0], [0.0, 0.0]], "labels and amplitudes"),
             ({"labels": [], "amplitudes": [[1.0, 0.0]]}, "labels"),
             ({"labels": ["a"], "amplitudes": [[10**400, 0.0], [0.0, 0.0]]}, "amplitudes"),
+            ({"labels": [None, True], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, "labels"),
         ],
     )
     def test_malformed_state_file_exits_2(self, tmp_path, capsys, data, named):

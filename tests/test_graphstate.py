@@ -437,6 +437,7 @@ class TestSerialization:
             ({"labels": ["a"], "amplitudes": [[1.0, 0.0], [float("nan"), 0.0]]}, "amplitudes"),
             ({"labels": ["a"], "amplitudes": [[1.0, 0.0], [True, 0.0]]}, "amplitudes"),
             ([], "labels and amplitudes"),
+            ({"labels": [None, True], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, "labels"),
         ],
     )
     def test_state_schema_errors_name_the_key(self, data, named):

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 import dense_walk
 from conftest import random_qubit
 from crio import protocol
-from crio.graphstate import CrioTopology, crio_channel_state
+from crio.gm import gm_optimize
+from crio.graphstate import CrioTopology, Graph, crio_channel_state
+from crio.povm import PovmParams
 from crio.protocol import (
     BranchRecord,
     ClassicalMessage,
@@ -906,6 +908,45 @@ class TestOwnership:
             run_crio(2, *random_inputs(np.random.default_rng(311), 2))
 
 
+_BOOLS = st.sampled_from([True, False, np.True_])
+_CONFUSED = {  # the type-confused values drawn for an argument of each kind
+    "int": _BOOLS,
+    "count": st.one_of(_BOOLS, st.floats(0.01, 99.99).filter(lambda v: not v.is_integer())),
+    "flag": st.text(max_size=5),
+    "angle": st.one_of(st.booleans(), st.text(max_size=5)),
+}
+_CONFUSED["betas"] = st.tuples(st.integers(0, 1), _CONFUSED["angle"]).map(
+    lambda drawn: [drawn[1] if i == drawn[0] else 0.3 for i in range(2)])  # one beta of two confused
+
+
+def _type_confused_calls() -> list:
+    """(entry point, argument, kind, call): call(value) passes valid N=2 arguments but value for the argument."""
+    axes, betas, targets, outcomes = [X_AXIS, Z_AXIS], [0.3, 1.2], [np.array([1.0, 0.0])] * 2, [0] * 5
+    state, povm = crio_channel_state(CrioTopology(1)), vars(PovmParams.from_free(math.pi / 4, 0.0, 0.3, math.pi / 2))
+    protocol_calls = {
+        "run_crio": lambda n=2, b=betas, **kw: run_crio(n, axes, b, targets, **kw),
+        "control_denial_report": lambda n=2, b=betas: control_denial_report(n, axes, b, targets),
+        "run_checkpoints": lambda n=2, b=betas, **kw: run_checkpoints(n, axes, b, targets, outcomes, **kw),
+        "symbolic_checkpoints": lambda n=2, b=betas: symbolic_checkpoints(n, axes, b, outcomes),
+    }
+    return [
+        *((entry, "n_systems", "count", lambda v, f=f: f(n=v)) for entry, f in protocol_calls.items()),
+        *((entry, "betas", "betas", lambda v, f=f: f(b=v)) for entry, f in protocol_calls.items()),
+        *((entry, "permitted", "flag", lambda v, f=protocol_calls[entry]: f(permitted=v))
+          for entry in ("run_crio", "run_checkpoints")),
+        ("run_crio", "seed", "int", lambda v: run_crio(2, axes, betas, targets, mode="sample", seed=v)),
+        ("step1_stator", "n_systems", "count", lambda v: step1_stator(v, axes)),
+        ("Graph", "num_vertices", "count", lambda v: Graph.of(v, [(1, 2)])),
+        ("CrioTopology", "n_systems", "count", CrioTopology),
+        ("gm_optimize", "restarts", "count", lambda v: gm_optimize(state, restarts=v)),
+        ("gm_optimize", "seed", "int", lambda v: gm_optimize(state, seed=v)),
+        *(("PovmParams", field, "angle", lambda v, field=field: PovmParams(**{**povm, field: v})) for field in povm),
+    ]
+
+
+_TYPE_CONFUSED_CALLS = _type_confused_calls()
+
+
 class TestValidation:
     def test_unnormalized_target_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -1018,6 +1059,16 @@ class TestValidation:
                 run_checkpoints(1, [X_AXIS], [0.1], [np.array([1.0, 0.0])], outcomes)
             else:
                 symbolic_checkpoints(1, [X_AXIS], [0.1], outcomes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_type_confused_argument_is_refused_naming_it(self, data):
+        """One argument of a library entry point drawn type-confused, the others valid: a ValueError or
+        TypeError that names the argument, never a result."""
+        entry, name, kind, call = data.draw(st.sampled_from(_TYPE_CONFUSED_CALLS))
+        value = data.draw(_CONFUSED[kind], label=f"{entry}({name}=...)")
+        with pytest.raises((TypeError, ValueError), match=name):
+            call(value)
 
     def test_forced_outcomes_take_ints_numpy_ints_and_bit_strings_alike(self):
         args = (1, [X_AXIS], [0.1], [np.array([0.6, 0.8j])])

@@ -131,6 +131,9 @@ def report_matrix() -> list:
         # 2**17 amplitudes, written in many blocks of rows
         ["build-state", "--edge-list", "random17.txt"],
         ["build-state", "--edge-list", "random17.txt", "--format", "csv"],
+        # two amplitudes: one block, the first and also the last
+        ["build-state", "--edge-list", "one.txt"],
+        ["build-state", "--edge-list", "one.txt", "--format", "csv"],
     ]
     return runs
 
@@ -139,7 +142,8 @@ def write_state_files(directory: str) -> None:
     """The matrix's input files: for `gm --state`, h5.json, the graph state of
     H5_EDGES, whose amplitudes are those of `build-state h5` bit for bit, and
     random7.json, a seeded 7-qubit state with complex amplitudes; for
-    `build-state --edge-list`, random17.txt, a seeded graph on 17 vertices; for
+    `build-state --edge-list`, random17.txt, a seeded graph on 17 vertices, and
+    one.txt, a graph of one vertex; for
     `run-protocol --config`, the files of RUN_CONFIGS."""
     h5 = [(-1) ** sum((i >> (4 - u)) & (i >> (4 - v)) & 1 for u, v in H5_EDGES) * 2 ** -2.5 for i in range(32)]
     rng = random.Random(22)
@@ -154,6 +158,8 @@ def write_state_files(directory: str) -> None:
     edges = [(u, v) for u in range(1, 18) for v in range(u + 1, 18) if rng.random() < 0.2]
     with open(os.path.join(directory, "random17.txt"), "w", encoding="utf-8") as fh:
         fh.write("n=17\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    with open(os.path.join(directory, "one.txt"), "w", encoding="utf-8") as fh:
+        fh.write("n=1\n")
     for name, config in RUN_CONFIGS.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             json.dump(config, fh)
