@@ -374,6 +374,7 @@ def cmd_verify_all(args) -> int:
         witness = povm_mod.PovmParams(**{k: v for k, v in found["witness_params"].items() if k != "family"})
         enacting = sum(b is not None and povm_mod.angle_in_set(alpha, b) for b in povm_mod.classify_branches(witness))
         dichotomy &= found["success_rate"] == rate and enacting == 4 * rate
+        dichotomy &= povm_mod.guess_probability(witness.lambda1) <= 0.25  # claim 4: the holder guesses at most 1/4
     checks.append(("success rate dichotomy", dichotomy))
 
     axes, targets = [random_axis(rng)], [np.array([1.0, 0.0], dtype=complex)]

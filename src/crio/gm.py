@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphstate import CrioTopology, crio_channel_state, phi_state
-from .qcore import HADAMARD, QuantumState, apply_1q, is_int
+from .qcore import HADAMARD, QuantumState, apply_1q, checked_int
 
 OBJECTIVE_TOL = 1e-8  # a restart stops when a sweep gains under a tenth of it
 MAX_SWEEPS = 300      # per restart
@@ -163,14 +163,8 @@ def gm_optimize(state: QuantumState, mode: str = "nonneg", restarts: int = 64, s
     sweep in blocks of max(1, BLOCK_AMPLITUDES >> n) rows; no row depends on its block."""
     if mode not in ("nonneg", "general"):
         raise ValueError("mode must be 'nonneg' or 'general'")
-    for name, value in (("restarts", restarts), ("seed", seed)):
-        if not is_int(value):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-    restarts = int(restarts)  # the report writes it as a JSON number
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if restarts > MAX_RESTARTS:
-        raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
+    restarts = checked_int(restarts, "restarts", 1, MAX_RESTARTS)  # an int: the report writes it as a JSON number
+    seed = checked_int(seed, "seed", low=0)
     amps = state.amplitudes
     if mode == "nonneg" and (np.max(np.abs(amps.imag)) > 1e-12 or np.min(amps.real) < -1e-12):
         raise ValueError("non-negative mode needs a non-negative state; reduce it first")
@@ -205,6 +199,7 @@ def closed_form_overlap(n_systems: int, thetas: Sequence[float]) -> float:
     with the whole bracket under the prefactor; cross-checked against the
     exact inner product in the tests.
     """
+    n_systems = checked_int(n_systems, "n_systems", low=1)
     t = np.asarray(thetas, dtype=float).reshape(-1)
     if t.shape != (2 * n_systems + 1,):
         raise ValueError(f"need {2 * n_systems + 1} angles")

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcore import QuantumState, check_register_size, is_finite_number, is_int
+from .qcore import QuantumState, check_register_size, checked_int, is_finite_number, is_int, is_real
 from .report import _float_column, _nested, _pick, json_list, row_blocks
 
 # glibc keeps freed heap memory below its trim threshold (16 MiB once an 8 MiB vector was freed)
@@ -42,25 +42,22 @@ class Graph:
     edges: frozenset  # of (u, v) pairs with 1 <= u < v <= num_vertices
 
     def __post_init__(self) -> None:
-        if not is_int(self.num_vertices):
-            raise TypeError(f"num_vertices must be an integer, got {self.num_vertices!r}")
-        object.__setattr__(self, "num_vertices", int(self.num_vertices))
-        if self.num_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
-        for e in self.edges:
-            u, v = e
-            if not (1 <= u < v <= self.num_vertices):
-                raise ValueError(f"invalid edge {e}")
+        n, name = checked_int(self.num_vertices, "num_vertices", low=1), "a vertex of edges"
+        # each endpoint is checked here, once, for Graph.of's pairs too, and stored as an int
+        edges = frozenset((checked_int(u, name), checked_int(v, name)) for u, v in self.edges)
+        if bad := [e for e in edges if not 1 <= e[0] < e[1] <= n]:
+            raise ValueError(f"invalid edge {bad[0]}")
+        object.__setattr__(self, "num_vertices", n)
+        object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def of(num_vertices: int, edges: Iterable) -> "Graph":
         normalized = set()
         for u, v in edges:
-            u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            normalized.add((min(u, v), max(u, v)))
-        return Graph(num_vertices, frozenset(normalized))
+            normalized.add((v, u) if is_real(u) and is_real(v) and v < u else (u, v))  # Graph names a non-number
+        return Graph(num_vertices, normalized)  # which Graph freezes
 
     def sorted_edges(self):
         return sorted(self.edges)
@@ -79,17 +76,18 @@ class CrioTopology:
     controlled_groups: frozenset = None
 
     def __post_init__(self) -> None:
-        if not is_int(self.n_systems):
-            raise TypeError(f"n_systems must be an integer, got {self.n_systems!r}")
-        n = int(self.n_systems)
+        n, groups = checked_int(self.n_systems, "n_systems"), self.controlled_groups
         if not 1 <= n <= MAX_SYSTEMS:  # before the O(N) group set below
             raise ValueError(f"a channel needs 1 to {MAX_SYSTEMS} remote systems, got {n}")
+        if groups is not None and (isinstance(groups, str) or not isinstance(groups, Iterable)):
+            raise TypeError(f"controlled_groups must be a collection of group numbers or None, got {groups!r}")
         full = frozenset(range(3, n + 2))
-        groups = full if self.controlled_groups is None else frozenset(self.controlled_groups)
-        if bad := sorted(groups - full, key=lambda g: (type(g).__name__, g)):  # by type first: mixed types never compare
+        groups = full if groups is None else frozenset(groups)  # a given group is an integer (3.0, True or "3" is not)
+        bad = () if groups is full else {g for g in groups if not is_int(g)} | (groups - full)
+        if bad := sorted(bad, key=lambda g: (type(g).__name__, g)):  # by type first: mixed types never compare
             raise ValueError(f"controlled groups must lie in 3..{n + 1}, not {', '.join(map(str, bad))}")
         object.__setattr__(self, "n_systems", n)
-        object.__setattr__(self, "controlled_groups", groups)
+        object.__setattr__(self, "controlled_groups", groups if groups is full else frozenset(map(int, groups)))
 
     @property
     def groups(self) -> list:
@@ -108,7 +106,7 @@ class CrioTopology:
 
 
 def crio_graph(topology: CrioTopology) -> Graph:
-    return Graph.of(2 * topology.n_systems + 1, topology.edges)
+    return Graph(2 * topology.n_systems + 1, frozenset(topology.edges))  # each edge is a distinct (u, v), u < v
 
 
 def qubit_labels(n_systems: int) -> tuple:
@@ -210,8 +208,7 @@ def amplitude_oracle(n_systems: int, bits):
     """Direct amplitude (-1)^f(x) * 2 ** (-(2N+1)/2) of the full-control channel state,
     for one bitstring or for each column of a bit array, as sign_exponent reads them.
     The magnitude is the float build_graph_state starts from, so the two agree bit for bit."""
-    if n_systems < 1:
-        raise ValueError("need at least one remote system")
+    n_systems = checked_int(n_systems, "n_systems", low=1)
     return (1 - 2 * sign_exponent(n_systems, bits)) * 2 ** (-(2 * n_systems + 1) / 2)
 
 
@@ -223,8 +220,7 @@ def crio_channel_state(topology: CrioTopology) -> QuantumState:
 
 def phi_state(n_systems: int) -> QuantumState:
     """(1/sqrt(2^N)) sum_q |q, q> on 2N qubits (the controller-free resource)."""
-    if n_systems < 1:
-        raise ValueError("need at least one remote system")
+    n_systems = checked_int(n_systems, "n_systems", low=1)
     n = 2 * n_systems
     check_register_size(n)
     amps = np.zeros(2 ** n, dtype=complex)

@@ -537,6 +537,8 @@ def control_power_report(target_alpha: float) -> dict:
     branches enacting the angle, read from each row's computed alphas; the
     scan stops at the proven maximum of MAX_SHARED_BRANCHES.
     """
+    if not is_real(target_alpha):  # a bool too: True would run as 1.0
+        raise TypeError(f"target_alpha must be a number, got {target_alpha!r}")
     if not math.isfinite(target_alpha):
         raise ValueError(f"target_alpha must be finite, got {target_alpha!r}")
     best = None

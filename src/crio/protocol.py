@@ -81,9 +81,11 @@ from .qcore import (
     _apply_controlled,
     _basis_components,
     check_register_size,
+    checked_int,
     is_finite_number,
     is_int,
     is_real,
+    outcome_bit,
     pauli_axis_matrix,
     purity,
     rotation,
@@ -256,11 +258,7 @@ class Step:
 
 def check_system_count(n_systems: int) -> None:
     """Refuse a non-integer N, N < 1, or a channel plus targets (3N+1 qubits) above MAX_QUBITS."""
-    if not is_int(n_systems):
-        raise TypeError(f"n_systems must be an integer, got {n_systems!r}")
-    if n_systems < 1:
-        raise ValueError("need at least one remote system")
-    check_register_size(3 * n_systems + 1)
+    check_register_size(3 * checked_int(n_systems, "n_systems", low=1) + 1)
 
 
 def _check_axes(n_systems, axes) -> None:
@@ -339,12 +337,9 @@ def _drawn(rng: np.random.Generator):
 
 
 def _next_outcome(bits) -> int:
-    """The next of an iterator of forced outcomes: the integer 0 or 1 (a numpy integer too, a bool
-    not) or the string "0" or "1".  Running out, or any other value, is a ValueError."""
+    """The next of an iterator of forced outcomes, each read by `qcore.outcome_bit`.  Running out is a ValueError."""
     for outcome in bits:
-        if not (is_int(outcome) and outcome in (0, 1) or isinstance(outcome, str) and outcome in ("0", "1")):
-            raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-        return int(outcome)
+        return outcome_bit(outcome)
     raise ValueError("too few outcomes: the plan measures more qubits")
 
 
@@ -559,8 +554,7 @@ def run_crio(
     n_systems = int(n_systems)  # a numpy integer count, and the systems it numbers, are reported as JSON numbers
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
-    if seed is not None and not is_int(seed):
-        raise TypeError(f"seed must be an integer or None, got {seed!r}")
+    seed = None if seed is None else checked_int(seed, "seed", low=0)
     if mode == "sample" and seed is None:
         raise ValueError("sample mode needs a seed: without one its outcomes cannot be reproduced")
     kets = _expected_kets(n_systems, axes, betas, target_vecs, ks)

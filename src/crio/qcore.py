@@ -65,6 +65,24 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def checked_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """value as an int; a bool or non-integer is a TypeError, a value outside low..high a ValueError."""
+    if not is_int(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return int(value)
+
+
+def outcome_bit(value) -> int:
+    """A measurement outcome: the integer 0 or 1 (a numpy integer too, a bool not) or the string "0" or "1"."""
+    if not (is_int(value) and value in (0, 1) or isinstance(value, str) and value in ("0", "1")):
+        raise ValueError(f"outcome must be 0 or 1, got {value!r}")
+    return int(value)
+
+
 def is_real(value) -> bool:
     """An int or a float, numpy's included, of any value; no bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
@@ -321,9 +339,7 @@ def measure(
     """
     c, probs = _components(state, qubit, basis)
     if forced_outcome is not None:
-        outcome = int(forced_outcome)
-        if outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
+        outcome = outcome_bit(forced_outcome)
         if probs[outcome] <= 1e-12:
             raise ValueError(
                 f"forcing a zero-probability outcome ({qubit}, basis {basis}, outcome {outcome})"

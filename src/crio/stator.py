@@ -24,6 +24,7 @@ from .qcore import (
     QuantumState,
     X_AXIS,
     _basis_kets,
+    outcome_bit,
     pauli_axis_matrix,
     rotation,
 )
@@ -131,9 +132,7 @@ class Stator:
 
     def project_control(self, qubit: str, basis: str, outcome: int) -> "Stator":
         """Project one control qubit onto a Z/X basis outcome and drop it."""
-        kets, outcome = _basis_kets(basis), int(outcome)
-        if outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
+        kets, outcome = _basis_kets(basis), outcome_bit(outcome)
         pos = self._pos(qubit)
         out = np.tensordot(kets[outcome].conj(), self.coeffs, axes=([0], [pos]))
         labels = self.control_labels[:pos] + self.control_labels[pos + 1 :]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crio import povm
 from crio import protocol as proto
 from crio import report
 from crio.cli import _report, _write_report, build_parser, format_angle, main, parse_angle, parse_axis
@@ -847,6 +848,18 @@ def test_verify_all_holds_denial_to_its_closed_form(monkeypatch, capsys):
     monkeypatch.setattr(proto, "denial_fidelity", lambda axes, targets: exact(axes, targets) + 1e-9)
     assert main(["verify-all", "--seed", "2"]) == 2
     assert "[FAIL] control denial defeats every guess" in capsys.readouterr().out
+
+
+def test_verify_all_holds_each_witness_to_the_quarter_guess_bound(monkeypatch, capsys):
+    """The success-rate check asks guess_probability of each witness's lambda1: 1/4 at 3pi/4 and 1/8 at
+    0.7 (claim 4, the holder guesses the angle with probability at most 1/4).  A bound of 1/2 fails it."""
+    exact, seen = povm.guess_probability, []
+    monkeypatch.setattr(povm, "guess_probability", lambda lambda1: seen.append(exact(lambda1)) or seen[-1])
+    assert main(["verify-all", "--seed", "2"]) == 0
+    assert seen == [0.25, 0.125]
+    monkeypatch.setattr(povm, "guess_probability", lambda lambda1: 0.5)
+    assert main(["verify-all", "--seed", "2"]) == 2
+    assert "[FAIL] success rate dichotomy" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

@@ -285,6 +285,15 @@ class TestChannelShape:
         assert crio_graph(topology) == crio_graph(CrioTopology(int(count)))
         assert graph == Graph.of(int(count), [(1, 2)])
 
+    def test_numpy_groups_and_endpoints_are_stored_as_ints(self):
+        """As counts are: a group or an endpoint passes as a numpy integer and is kept as an int, in order."""
+        topology = CrioTopology(3, [np.int64(4), np.uint8(3)])
+        assert topology.groups == [2, 3, 4] and {type(g) for g in topology.controlled_groups} == {int}
+        for graph in (Graph.of(3, [(np.int64(3), 1), (2, np.uint8(1))]),
+                      Graph(3, frozenset({(np.int32(1), 3), (1, 2)}))):
+            assert graph.sorted_edges() == [(1, 2), (1, 3)]
+            assert {type(w) for edge in graph.edges for w in edge} == {int}
+
 
 class TestAmplitudeOracle:
     def test_all_zero_string(self):

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import dense_walk
 from conftest import random_qubit
 from crio import protocol
-from crio.gm import gm_optimize
-from crio.graphstate import CrioTopology, Graph, crio_channel_state
-from crio.povm import PovmParams
+from crio.gm import closed_form_overlap, gm_optimize, gm_phi
+from crio.graphstate import CrioTopology, Graph, amplitude_oracle, crio_channel_state, phi_state
+from crio.povm import PovmParams, control_power_report
 from crio.protocol import (
     BranchRecord,
     ClassicalMessage,
@@ -917,12 +917,20 @@ _CONFUSED = {  # the type-confused values drawn for an argument of each kind
 }
 _CONFUSED["betas"] = st.tuples(st.integers(0, 1), _CONFUSED["angle"]).map(
     lambda drawn: [drawn[1] if i == drawn[0] else 0.3 for i in range(2)])  # one beta of two confused
+_CONFUSED["vertex"] = st.one_of(_CONFUSED["count"], st.sampled_from([1.0, 3.0]), st.text(max_size=3))
+_CONFUSED["collection"] = st.one_of(st.text(max_size=5), st.integers(), _BOOLS)  # for a collection of integers
+_CONFUSED["group"] = st.one_of(_BOOLS, st.sampled_from([3.0, 4.0]), st.text(max_size=2)).map(lambda g: {g})
+_CONFUSED["negative"] = st.integers(-2 ** 40, -1)
+_CONFUSED["outcome"] = st.one_of(_BOOLS, st.sampled_from([0.0, 1.0, 1.5, 2, "x"]))
+_ONE_CONFUSED = {"int": True, "count": 2.5, "flag": "yes", "angle": True, "betas": [True, 0.3], "vertex": 1.5,
+                 "collection": "34", "group": {3.0}, "negative": -1, "outcome": True}  # a value of each kind
 
 
 def _type_confused_calls() -> list:
     """(entry point, argument, kind, call): call(value) passes valid N=2 arguments but value for the argument."""
     axes, betas, targets, outcomes = [X_AXIS, Z_AXIS], [0.3, 1.2], [np.array([1.0, 0.0])] * 2, [0] * 5
     state, povm = crio_channel_state(CrioTopology(1)), vars(PovmParams.from_free(math.pi / 4, 0.0, 0.3, math.pi / 2))
+    stator = step1_stator(1, [X_AXIS])
     protocol_calls = {
         "run_crio": lambda n=2, b=betas, **kw: run_crio(n, axes, b, targets, **kw),
         "control_denial_report": lambda n=2, b=betas: control_denial_report(n, axes, b, targets),
@@ -941,6 +949,19 @@ def _type_confused_calls() -> list:
         ("gm_optimize", "restarts", "count", lambda v: gm_optimize(state, restarts=v)),
         ("gm_optimize", "seed", "int", lambda v: gm_optimize(state, seed=v)),
         *(("PovmParams", field, "angle", lambda v, field=field: PovmParams(**{**povm, field: v})) for field in povm),
+        ("CrioTopology", "controlled_groups", "collection", lambda v: CrioTopology(3, v)),
+        ("CrioTopology", "controlled groups", "group", lambda v: CrioTopology(3, v)),  # one non-integer group
+        ("Graph", "edges", "vertex", lambda v: Graph(3, frozenset({(v, 2)}))),
+        ("Graph.of", "edges", "vertex", lambda v: Graph.of(3, [(v, 2)])),
+        *((entry, "n_systems", "count", f) for entry, f in (
+            ("phi_state", phi_state), ("gm_phi", lambda v: gm_phi(v, restarts=2)),
+            ("amplitude_oracle", lambda v: amplitude_oracle(v, "000")),
+            ("closed_form_overlap", lambda v: closed_form_overlap(v, [0.3] * 3)))),
+        ("measure", "outcome", "outcome", lambda v: measure(state, "a1", "Z", forced_outcome=v)),
+        ("Stator.project_control", "outcome", "outcome", lambda v: stator.project_control("a1", "Z", v)),
+        ("run_crio", "seed", "negative", lambda v: run_crio(2, axes, betas, targets, mode="sample", seed=v)),
+        ("gm_optimize", "seed", "negative", lambda v: gm_optimize(state, seed=v)),
+        ("control_power_report", "target_alpha", "angle", control_power_report),
     ]
 
 
@@ -1070,6 +1091,13 @@ class TestValidation:
         with pytest.raises((TypeError, ValueError), match=name):
             call(value)
 
+    @pytest.mark.parametrize("entry, name, kind, call", _TYPE_CONFUSED_CALLS,
+                             ids=[f"{entry}-{name}-{kind}" for entry, name, kind, _ in _TYPE_CONFUSED_CALLS])
+    def test_each_row_refuses_one_confused_value_naming_it(self, entry, name, kind, call):
+        """Every row of the table, with one fixed value of its kind, whichever rows the draws above reach."""
+        with pytest.raises((TypeError, ValueError), match=name):
+            call(_ONE_CONFUSED[kind])
+
     def test_forced_outcomes_take_ints_numpy_ints_and_bit_strings_alike(self):
         args = (1, [X_AXIS], [0.1], [np.array([0.6, 0.8j])])
         want = run_checkpoints(*args, [1, 0, 1])
@@ -1090,6 +1118,17 @@ class TestValidation:
             reports.append("".join(json_report(payload)))
         assert reports[0] == reports[1] and json.loads(reports[0])["n_systems"] == 1
         assert type(control_denial_report(np.int64(1), *args).n_systems) is int
+
+    def test_numpy_groups_are_reported_as_ints(self):
+        """CrioTopology stores numpy integer groups as ints, so the participating systems they number write
+        the same report bytes as Python int groups."""
+        args = (2, [X_AXIS] * 2, [0.1, 0.2], [np.array([0.6, 0.8])] * 2)
+        reports = []
+        for groups in (frozenset({np.int64(3)}), frozenset({3})):
+            result = run_crio(*args, controlled_groups=groups)
+            assert result.participating_systems == (4, 5) and {type(k) for k in result.participating_systems} == {int}
+            reports.append("".join(json_report({**result.summary_json(), "branches": result.branches})))
+        assert reports[0] == reports[1]
 
 
 class TestPartialControl:

@@ -1,4 +1,7 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +21,11 @@ from crio.qcore import (
     apply_2q_cz,
     apply_controlled_op,
     MAX_QUBITS,
+    checked_int,
     fidelity_up_to_phase,
     measure,
     measurement_probabilities,
+    outcome_bit,
     pauli_axis_matrix,
     product_state,
     purity,
@@ -414,3 +419,71 @@ class TestRegisterBound:
         b = plus_state([f"b{i}" for i in range(MAX_QUBITS + 1 - half)])
         with pytest.raises(ValueError, match="limit"):
             tensor(a, b)
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "crio"
+# where is_int may be called outside qcore: a set of groups, and a JSON file's values, are checked whole
+_IS_INT_CALLERS = {("graphstate.py", "CrioTopology.__post_init__"), ("protocol.py", "run_config_from_dict")}
+
+
+def _is_int_callers(path: Path) -> set:
+    """(file, enclosing Class.function) of every is_int call in a source file."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if getattr(func, "id", None) == "is_int" or getattr(func, "attr", None) == "is_int":  # or qcore.is_int
+                found.add((path.name, scope))
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.int32(-3)])
+    def test_integers_pass_as_int(self, value):
+        got = checked_int(value, "n")
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 3.0, 2.5, np.float64(3.0), "3", None, [3]],
+                             ids=repr)
+    def test_bool_or_non_integer_is_a_type_error_naming_the_argument(self, value):
+        with pytest.raises(TypeError, match=f"^count must be an integer, got {re.escape(repr(value))}$"):
+            checked_int(value, "count", low=0, high=9)
+
+    @pytest.mark.parametrize("value, message", [(0, "n must be at least 1, got 0"),
+                                                (np.int64(-4), "n must be at least 1, got -4"),
+                                                (11, "n must be at most 10, got 11")])
+    def test_out_of_range_is_a_value_error_naming_the_bound(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            checked_int(value, "n", low=1, high=10)
+
+    def test_bounds_are_inclusive_and_optional(self):
+        assert [checked_int(v, "n", low=1, high=10) for v in (1, 10)] == [1, 10]
+        assert checked_int(-2 ** 70, "n") == -2 ** 70 and checked_int(2 ** 70, "n", low=0) == 2 ** 70
+
+    @pytest.mark.parametrize("value, bit", [(0, 0), (1, 1), ("0", 0), ("1", 1), (np.int64(1), 1), (np.uint8(0), 0)])
+    def test_outcome_bit_takes_integer_or_string_bits(self, value, bit):
+        got = outcome_bit(value)
+        assert type(got) is int and got == bit
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 0.0, 1.0, 2, -1, "2", "01", b"1", None], ids=repr)
+    def test_outcome_bit_refuses_anything_else_naming_it(self, value):
+        with pytest.raises(ValueError, match=f"^outcome must be 0 or 1, got {re.escape(repr(value))}$"):
+            outcome_bit(value)
+
+    def test_the_rule_is_written_only_in_qcore(self):
+        """No module but qcore checks an integer by hand: is_int is called elsewhere only where a whole
+        collection is checked, and no other module spells out the integer message."""
+        modules = sorted(_SRC.glob("*.py"))
+        assert {path.name for path in modules} >= {"qcore.py", "graphstate.py", "protocol.py", "gm.py", "stator.py"}
+        callers = set().union(*(_is_int_callers(path) for path in modules if path.name != "qcore.py"))
+        assert callers <= _IS_INT_CALLERS, sorted(callers - _IS_INT_CALLERS)
+        spelled = [path.name for path in modules
+                   if path.name != "qcore.py" and "must be an integer" in path.read_text(encoding="utf-8")]
+        assert spelled == []
