@@ -45,19 +45,15 @@ class Graph:
         n, name = checked_int(self.num_vertices, "num_vertices", low=1), "a vertex of edges"
         # each endpoint is checked here, once, for Graph.of's pairs too, and stored as an int
         edges = frozenset((checked_int(u, name), checked_int(v, name)) for u, v in self.edges)
-        if bad := [e for e in edges if not 1 <= e[0] < e[1] <= n]:
-            raise ValueError(f"invalid edge {bad[0]}")
+        if bad := next(((u, v) for u, v in edges if not 1 <= u < v <= n), None):
+            raise ValueError(f"self-loop at vertex {bad[0]}" if bad[0] == bad[1] else f"invalid edge {bad}")
         object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def of(num_vertices: int, edges: Iterable) -> "Graph":
-        normalized = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            normalized.add((v, u) if is_real(u) and is_real(v) and v < u else (u, v))  # Graph names a non-number
-        return Graph(num_vertices, normalized)  # which Graph freezes
+        """The Graph of pairs given in either order: Graph checks each end, so only numbers are ordered here."""
+        return Graph(num_vertices, {(v, u) if is_real(u) and is_real(v) and v < u else (u, v) for u, v in edges})
 
     def sorted_edges(self):
         return sorted(self.edges)
@@ -184,7 +180,8 @@ def _flip_signs(words: np.ndarray, depth: int) -> None:
 
 def basis_bits(num_qubits: int) -> np.ndarray:
     """The (num_qubits, 2**num_qubits) 0/1 array of every basis index: column x holds
-    the bits of x, most significant first, so row i runs over qubit i+1."""
+    the bits of x, most significant first, so row i runs over qubit i+1.  A count above MAX_QUBITS is refused."""
+    check_register_size(num_qubits := checked_int(num_qubits, "num_qubits", low=0))
     return (np.arange(2 ** num_qubits) >> np.arange(num_qubits - 1, -1, -1)[:, None]) & 1
 
 
@@ -194,6 +191,7 @@ def sign_exponent(n_systems: int, bits):
     `bits` is a bitstring, or a 0/1 array whose first axis runs over
     a1..a(2N+1); f is an int for one bitstring and an array over the
     remaining axes otherwise."""
+    n_systems = checked_int(n_systems, "n_systems", low=1)
     q = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0") if isinstance(bits, str) else np.asarray(bits)
     if q.shape[:1] != (2 * n_systems + 1,) or not np.isin(q, (0, 1)).all():
         raise ValueError(f"expected {2 * n_systems + 1} bits of 0 or 1, got {bits!r}")

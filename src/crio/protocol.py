@@ -40,15 +40,17 @@ So a block holds a row only for each pattern of the bits that touch it; on a
 permitted run these are the controller's bit and its own two, at most 8 rows
 at any N, where a run has 2**(2N+1) branches.  Keeping one outcome adds no
 axis.  Blocks are never normalised: the register carries one joint squared
-norm, norm2, over the branch axes, and each outcome probability is a ratio to
-it; as the register starts at unit norm, norm2 ends as each branch's
-probability.  An outcome of probability at most 1e-12 is refused; no protocol
-run meets one, as each of its measurements is unbiased.  On a permitted run the
-controller's step-3 outcome zeroes one term on every branch.  A run's branches
-are a `Branches` table, rows in depth-first order; each branch's corrections
-and messages follow from its outcome bits, and its dense final state is
-gathered from the blocks' slices on demand.  The symbolic checkpoints follow
-the same plan on stators.
+norm, norm2, over the branch axes; as the register starts at unit norm, it ends
+as each branch's probability.  An outcome of probability at most 1e-12 is
+refused.  A rule that keeps one outcome reads each outcome probability, a ratio
+to norm2, at its measurement; an enumeration reads norm2 once, after its last
+measurement, and walks the plan again step by step if a branch is at most 2e-12.
+No protocol run meets such an outcome, as each of its measurements is unbiased.
+On a permitted run the controller's step-3 outcome zeroes one term on every
+branch.  A run's branches are a `Branches` table, rows in depth-first order;
+each branch's corrections and messages follow from its outcome bits, and its
+dense final state is gathered from the blocks' slices on demand.  The symbolic
+checkpoints follow the same plan on stators.
 """
 from __future__ import annotations
 
@@ -282,13 +284,13 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
         raise ValueError("betas must be finite")
     target_vecs = None if targets is None else [
         t.amplitudes if isinstance(t, QuantumState) else np.asarray(t, dtype=complex).reshape(-1) for t in targets]
-    for i, v in enumerate(target_vecs or ()):
-        if v.shape != (2,):
-            raise ValueError("target systems are single qubits")
-        with np.errstate(over="ignore"):  # a norm beyond the float range reads inf and is refused
+    with np.errstate(over="ignore"):  # a norm beyond the float range reads inf and is refused
+        for i, v in enumerate(target_vecs or ()):
+            if v.shape != (2,):
+                raise ValueError("target systems are single qubits")
             if not abs((norm := np.linalg.norm(v)) - 1.0) <= 1e-8:  # so is a NaN norm
                 raise ValueError("target states must be normalized")
-        target_vecs[i] = v / norm  # so the register starts at unit norm
+            target_vecs[i] = v / norm  # so the register starts at unit norm
     ks = CrioTopology(n_systems, controlled_groups).groups
     return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
 
@@ -397,13 +399,16 @@ def _register(n_systems, ks, target_vecs) -> _Register:
     return _Register(order, labels, blocks, [a.conj() @ a.T for a in blocks], np.ones(()))
 
 
-def _apply(a: np.ndarray, labels: tuple, step: Step) -> np.ndarray:
+def _apply(a: np.ndarray, labels: tuple, step: Step, out: np.ndarray | None = None) -> np.ndarray:
     """Gate `step` on the last axis of `a`, over qubits `labels`, for every leading index (both
-    terms on every branch axis of a block), as a new array."""
+    terms on every branch axis of a block), into `out` (a contiguous array of a's shape) or a new array."""
     at, m = labels.index(step.qubit), step.matrix
     if step.control is not None:
-        return _apply_controlled(a.reshape(-1, a.shape[-1]), labels.index(step.control), at, m).reshape(a.shape)
-    return np.einsum("ij,...hjl->...hil", m, a.reshape(a.shape[:-1] + (1 << at, 2, -1))).reshape(a.shape)
+        rows = (-1, a.shape[-1])
+        return _apply_controlled(a.reshape(rows), labels.index(step.control), at, m,
+                                 None if out is None else out.reshape(rows)).reshape(a.shape)
+    v = a.reshape(a.shape[:-1] + (1 << at, 2, -1))
+    return np.einsum("ij,...hjl->...hil", m, v, out=None if out is None else out.reshape(v.shape)).reshape(a.shape)
 
 
 def _padded(a: np.ndarray, axes: int) -> np.ndarray:
@@ -420,39 +425,46 @@ def _run(reg: _Register, plan, rule):
     front, outcome 0 first: on block i (its components), on the joint arrays (num becomes norm2)
     and on each block an outcome-1 fix acts on ([b, fix(b)]).
     Every other array keeps size 1 there, and blocks stay unnormalised, so no block is copied per
-    branch.  Keeping one outcome adds no axis.  A step that crosses blocks is refused.  Returns
-    the register after the plan, whose norm2 is each branch's squared norm (its probability, from
-    a register of unit norm), the branches' outcome bits, rows in the order of a depth-first walk
-    with outcome 0 first, and the measured steps; `reg` itself is left as it was."""
+    branch.  Keeping one outcome adds no axis.  A step that crosses blocks is refused.  `_keep_both`
+    weighs only the last measurement, whose num, over the final Gram matrices, is the final norm2; a
+    kept outcome of probability at most 1e-12 leaves a branch at most about that, so a final norm2
+    not above 2e-12 walks the plan again, weighing each step.  Returns the register after the plan,
+    whose norm2 is each branch's squared norm (its probability, from a register of unit norm), the
+    branches' outcome bits, rows in the order of a depth-first walk with outcome 0 first, and the
+    measured steps; `reg` itself is left as it was."""
     labels, blocks, grams, norm2 = list(reg.labels), list(reg.blocks), list(reg.grams), reg.norm2
     where = {q: i for i, block in enumerate(labels) for q in block}
-    kept, measured = [], []
-    for step in plan:
+    kept, measured, axes = [], [], 0  # axes counts the branch axes
+    last = max((s for s, step in enumerate(plan) if step.basis is not None), default=None)
+    for s, step in enumerate(plan):
         i = where.get(step.qubit)
         if i is None or step.control is not None and where.get(step.control) != i:
             raise ValueError(f"no block holds {step.qubit}" + (f" and {step.control}" if step.control else ""))
         if step.basis is None:
             blocks[i] = _apply(blocks[i], labels[i], step)
             continue
-        at, axes = labels[i].index(step.qubit), norm2.ndim  # norm2 spans every branch axis
+        at = labels[i].index(step.qubit)
         a = _padded(blocks[i], axes)
         c = _basis_components(a.reshape(a.shape[:-1] + (1 << at, 2, -1)), step.basis)  # [..., w, high, outcome, low]
         c = c.transpose((c.ndim - 2, *range(c.ndim - 2), c.ndim - 1)).reshape((2,) + a.shape[:-1] + (-1,))
         overlaps = np.einsum("...wi,...vi->...wv", c.conj(), c)  # c and overlaps lead with the outcome
-        others = grams[:i] + grams[i + 1:]
-        weight = reduce(np.multiply, others) if others else np.ones((2, 2))  # the other blocks' [..., w, w']
-        num = np.einsum("...wv,...wv->...", overlaps, weight).real
-        p = num / norm2
-        outcomes = rule(step, p)
+        if rule is _keep_both and s != last:
+            outcomes, num = (0, 1), None
+        else:
+            others = grams[:i] + grams[i + 1:]
+            weight = reduce(np.multiply, others) if others else np.ones((2, 2))  # the other blocks' [..., w, w']
+            num = np.einsum("...wv,...wv->...", overlaps, weight).real
+            p = num / norm2
+            outcomes = rule(step, p)
         both = len(outcomes) == 2
         keep = slice(None) if both else outcomes[0]
-        if p[keep].min() <= 1e-12:
+        if rule is not _keep_both and p[keep].min() <= 1e-12:
             outcome = next(o for o in outcomes if p[o].min() <= 1e-12)
             raise ValueError(f"cannot keep a zero-probability outcome ({step.qubit}, basis {step.basis}, "
                              f"outcome {outcome})")
         del where[step.qubit]
         labels[i] = labels[i][:at] + labels[i][at + 1:]
-        blocks[i], grams[i], norm2 = c[keep], overlaps[keep], num[keep]
+        blocks[i], grams[i], norm2 = c[keep], overlaps[keep], norm2 if num is None else num[keep]
         split = {i}  # the blocks with size 2 on this measurement's axis
         for fix, _ in step.on_one if outcomes[-1] == 1 else ():  # on the outcome-1 branches
             j = where[fix.qubit]
@@ -460,10 +472,15 @@ def _run(reg: _Register, plan, rule):
                 blocks[j] = _apply(blocks[j], labels[j], fix)
                 continue
             b = blocks[j] if j in split else _padded(blocks[j], axes + 1)
-            blocks[j] = np.concatenate((b[:1], _apply(b[-1:], labels[j], fix)))  # a fix is unitary: grams[j] stays
+            blocks[j] = np.empty((2,) + b.shape[1:], dtype=b.dtype)
+            blocks[j][0] = b[0]
+            _apply(b[-1:], labels[j], fix, out=blocks[j][1:])  # a fix is unitary: grams[j] stays
             split.add(j)
+        axes += both
         kept.append(outcomes)
         measured.append(step)
+    if rule is _keep_both and not norm2.min() > 2e-12:  # a NaN too
+        return _run(reg, plan, lambda step, p: (0, 1))
     out = _Register(tuple(q for q in reg.order if q in where), labels, blocks, grams, norm2)
     return out, _bits(kept), measured
 

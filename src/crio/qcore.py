@@ -255,9 +255,9 @@ def _gate(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_controlled(amps: np.ndarray, ac: int, at: int, m: np.ndarray) -> np.ndarray:
-    """|0><0| (x) I + |1><1| (x) m from qubit position ac onto at, on each row of a (..., 2**n) array."""
-    out = np.empty_like(amps)
+def _apply_controlled(amps: np.ndarray, ac: int, at: int, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|0><0| (x) I + |1><1| (x) m from qubit position ac onto at, on each row of a (..., 2**n) array, into `out`."""
+    out = np.empty_like(amps) if out is None else out
     v, w = _pair_view(amps, ac, at), _pair_view(out, ac, at)
     w[:, 0] = v[:, 0]
     _mix(m, v[:, 1, :, 0], v[:, 1, :, 1], w[:, 1, :, 0], w[:, 1, :, 1])

@@ -54,6 +54,19 @@ class TestGraph:
         g = Graph.of(3, [(2, 1), (1, 2), (3, 1)])
         assert g.sorted_edges() == [(1, 2), (1, 3)]
 
+    @pytest.mark.parametrize("build", [Graph.of, lambda n, edges: Graph(n, frozenset(edges))],
+                             ids=["Graph.of", "Graph"])
+    def test_self_loop_and_bad_edge_messages_name_the_checked_ints(self, build):
+        """Both constructors refuse a self-loop the same way, after each end is checked as an integer."""
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+            build(3, [(2, 2)])
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+            build(3, [(np.int64(2), 2)])
+        with pytest.raises(ValueError, match=r"^invalid edge \(1, 4\)$"):
+            build(3, [(1, 4)])
+        with pytest.raises(TypeError, match=r"^a vertex of edges must be an integer, got 2\.0$"):
+            build(3, [(2.0, 2)])
+
 
 class TestBuildGraphState:
     def test_duplicate_labels_refused(self):
@@ -348,6 +361,21 @@ class TestAmplitudeOracle:
     def test_malformed_bits_rejected(self, bits):
         with pytest.raises(ValueError, match="expected 3 bits of 0 or 1"):
             sign_exponent(1, bits)
+
+    def test_basis_bits_refuses_a_register_above_the_bound(self, monkeypatch):
+        """The bound is checked before the (n, 2**n) table is allocated; MAX_QUBITS is lowered to 4, so
+        the refused count stands in for one too large to allocate."""
+        monkeypatch.setattr("crio.qcore.MAX_QUBITS", 4)
+        assert basis_bits(4).shape == (4, 16)
+        with pytest.raises(ValueError, match="5-qubit register exceeds the limit of 4 qubits"):
+            basis_bits(5)
+
+    @pytest.mark.parametrize("call, name", [(lambda v: sign_exponent(v, "000"), "n_systems"),
+                                            (basis_bits, "num_qubits")], ids=["sign_exponent", "basis_bits"])
+    @pytest.mark.parametrize("count", [True, 1.0], ids=repr)
+    def test_count_that_is_not_an_integer_is_refused_naming_it(self, call, name, count):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            call(count)
 
 
 class TestPhiState:

@@ -14,7 +14,15 @@ import dense_walk
 from conftest import random_qubit
 from crio import protocol
 from crio.gm import closed_form_overlap, gm_optimize, gm_phi
-from crio.graphstate import CrioTopology, Graph, amplitude_oracle, crio_channel_state, phi_state
+from crio.graphstate import (
+    CrioTopology,
+    Graph,
+    amplitude_oracle,
+    basis_bits,
+    crio_channel_state,
+    phi_state,
+    sign_exponent,
+)
 from crio.povm import PovmParams, control_power_report
 from crio.protocol import (
     BranchRecord,
@@ -540,6 +548,74 @@ class TestBatchedEnumeration:
             assert_same_branch(enumerated[sampled.outcomes], sampled)
 
 
+def weigh_each_step(step, p):
+    """Both outcomes, as `_keep_both` keeps them, but not that rule: the engine weighs every measurement."""
+    return (0, 1)
+
+
+def assert_same_run(got, want):
+    """Two `_run` results, byte for byte: registers (shapes included), outcome bits and measured steps."""
+    (reg, bits, measured), (ref, ref_bits, ref_measured) = got, want
+    assert (reg.order, reg.labels, measured) == (ref.order, ref.labels, ref_measured)
+    for a, b in zip([reg.norm2, bits, *reg.blocks, *reg.grams], [ref.norm2, ref_bits, *ref.blocks, *ref.grams],
+                    strict=True):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestDeferredEnumeration:
+    """An enumeration weighs the blocks only at its last measurement; weighing every step, as the other
+    rules do, gives the same register bit for bit, and the same refusals."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), control=st.sampled_from(["full", "partial", "denied"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_deferred_walk_is_the_per_step_walk(self, n, control, seed):
+        rng = np.random.default_rng(seed)
+        axes, betas, targets = random_inputs(rng, n)
+        groups = frozenset(int(g) for g in range(3, n + 2) if rng.random() < 0.5) if control == "partial" else None
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups, control != "denied")
+        register = protocol._register(n, ks, vecs)
+        assert_same_run(protocol._run(register, plan, protocol._keep_both),
+                        protocol._run(register, plan, weigh_each_step))
+        if control == "full":  # control_denial_report's two guesses, from the register before step 3
+            lead = first_measurement(plan)
+            reg = protocol._run(register, plan[:lead], protocol._keep_both)[0]
+            fixes = [fix for fix, _ in plan[lead].on_one]
+            for guess in ([], fixes):
+                assert_same_run(protocol._run(reg, guess + plan[lead + 1:], protocol._keep_both),
+                                protocol._run(reg, guess + plan[lead + 1:], weigh_each_step))
+
+    def test_low_final_branch_is_walked_again_step_by_step(self, monkeypatch):
+        """No step keeps an outcome of probability at most 1e-12 (a reads 1 with probability 1.5e-12), but
+        the final branches below it are at most 2e-12, so the enumeration walks the plan again, weighing
+        each step: it returns the per-step branches, those of the reference walk."""
+        rng = np.random.default_rng(136)
+        state, plan = biased_plan(rng, a=(math.sqrt(1 - 1.5e-12), math.sqrt(1.5e-12)),
+                                  b=(math.cos(0.3), math.sin(0.3)))
+        expected = product_state(("e",), [random_qubit(rng)])
+        register, least = dense_walk.one_block(state), []
+        protocol._run(register, plan, lambda step, p: least.append(p.min()) or (0, 1))
+        assert min(least) > 1e-12
+        runs, run = [], protocol._run
+        monkeypatch.setattr(protocol, "_run", lambda reg, plan, rule: runs.append(rule) or run(reg, plan, rule))
+        got = engine_branches(state, plan, expected, protocol._keep_both)
+        assert runs[0] is protocol._keep_both and len(runs) == 2 and runs[1] is not protocol._keep_both
+        assert got.probabilities.min() <= 2e-12
+        assert_same_run(run(register, plan, protocol._keep_both), run(register, plan, weigh_each_step))
+        assert_same_branches(got, reference_walk(state, plan, expected))
+
+    def test_controlled_outcome_one_fix_matches_reference_walk(self):
+        """An outcome-1 fix that is a controlled gate is written into the kept-both block's outcome-1 half
+        as a plain one is."""
+        rng = np.random.default_rng(137)
+        state, plan = biased_plan(rng, a=(math.sqrt(0.91), 0.3), b=(math.cos(0.3), math.sin(0.3)))
+        plan[1].on_one = ((Step("f", "P", "d", PAULI_X, control="c"), "cx c d"),)
+        expected = product_state(("e",), [random_qubit(rng)])
+        got = engine_branches(state, plan, expected, protocol._keep_both)
+        assert len(got) == 8
+        assert_same_branches(got, reference_walk(state, plan, expected))
+
+
 SPECIAL_BETAS = (0.0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
@@ -922,8 +998,9 @@ _CONFUSED["collection"] = st.one_of(st.text(max_size=5), st.integers(), _BOOLS) 
 _CONFUSED["group"] = st.one_of(_BOOLS, st.sampled_from([3.0, 4.0]), st.text(max_size=2)).map(lambda g: {g})
 _CONFUSED["negative"] = st.integers(-2 ** 40, -1)
 _CONFUSED["outcome"] = st.one_of(_BOOLS, st.sampled_from([0.0, 1.0, 1.5, 2, "x"]))
+_CONFUSED["loop"] = st.sampled_from([2.0, np.float64(2.0), np.float32(2.0)])  # equal to the other end, 2
 _ONE_CONFUSED = {"int": True, "count": 2.5, "flag": "yes", "angle": True, "betas": [True, 0.3], "vertex": 1.5,
-                 "collection": "34", "group": {3.0}, "negative": -1, "outcome": True}  # a value of each kind
+                 "collection": "34", "group": {3.0}, "negative": -1, "outcome": True, "loop": 2.0}  # one per kind
 
 
 def _type_confused_calls() -> list:
@@ -962,6 +1039,9 @@ def _type_confused_calls() -> list:
         ("run_crio", "seed", "negative", lambda v: run_crio(2, axes, betas, targets, mode="sample", seed=v)),
         ("gm_optimize", "seed", "negative", lambda v: gm_optimize(state, seed=v)),
         ("control_power_report", "target_alpha", "angle", control_power_report),
+        ("sign_exponent", "n_systems", "count", lambda v: sign_exponent(v, "000")),
+        ("basis_bits", "num_qubits", "count", basis_bits),
+        ("Graph.of", "edges", "loop", lambda v: Graph.of(3, [(v, 2)])),  # a float self-loop names its end
     ]
 
 
