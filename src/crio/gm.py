@@ -43,6 +43,8 @@ class ProductAnsatz:
                 raise ValueError("phis must match thetas in length")
         elif np.any(self.thetas < -1e-12) or np.any(self.thetas > math.pi / 2 + 1e-12):
             raise ValueError("non-negative mode keeps every theta in [0, pi/2]")
+        if not (np.isfinite(self.thetas).all() and (self.phis is None or np.isfinite(self.phis).all())):
+            raise ValueError("thetas and phis must be finite")  # NaN passes the range check above
 
     @property
     def num_qubits(self) -> int:

@@ -22,6 +22,7 @@ from .qcore import (
     PauliAxis,
     X_AXIS,
     apply_controlled_op,
+    checked_int,
     is_real,
     pauli_axis_matrix,
     product_state,
@@ -397,7 +398,8 @@ def sample_outcomes(
     distribution is flat at 1/4.  A pinned target samples its conditional
     distribution instead.
     """
-    rng = np.random.default_rng(seed)
+    n_samples = checked_int(n_samples, "n_samples", low=0)
+    rng = np.random.default_rng(checked_int(seed, "seed", low=0))
     maps = _dense_maps(params, axis)
     if target_vec is not None:
         probs = np.sum(np.abs(maps @ product_state(["O3"], [target_vec]).amplitudes) ** 2, axis=1)

@@ -47,10 +47,10 @@ to norm2, at its measurement; an enumeration reads norm2 once, after its last
 measurement, and walks the plan again step by step if a branch is at most 2e-12.
 No protocol run meets such an outcome, as each of its measurements is unbiased.
 On a permitted run the controller's step-3 outcome zeroes one term on every
-branch.  A run's branches are a `Branches` table, rows in depth-first order;
-each branch's corrections and messages follow from its outcome bits, and its
-dense final state is gathered from the blocks' slices on demand.  The symbolic
-checkpoints follow the same plan on stators.
+branch.  A run's branches are a `Branches` table of columns, rows in depth-first
+order; a branch's corrections and messages follow from its outcome bits and the
+measured steps' fixes and recipients, so no per-branch object is built.  The
+symbolic checkpoints follow the same plan on stators.
 """
 from __future__ import annotations
 
@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
-from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
@@ -102,35 +101,16 @@ class LocalityError(ValueError):
     """A party attempted an operation on a qubit it does not own."""
 
 
-@dataclass(frozen=True)
-class ClassicalMessage:
-    sender: str
-    recipient: str
-    step: str
-    payload: int  # a single outcome bit; never angles or axes
-
-
-@dataclass
-class BranchRecord:
-    outcomes: str
-    probability: float
-    corrections: tuple
-    final_state: QuantumState
-    fidelity: float
-    transcript: tuple
-
-
 @dataclass(frozen=True, eq=False)
-class Branches(Sequence):
+class Branches:
     """The branches a run kept, as columns: row r of each array is branch r, in
     the order of a depth-first walk with outcome 0 first.
 
-    A branch's corrections and messages follow from its outcome bits and the
-    measured steps (`outcome_records`), so they are not stored: `branches[r]`,
-    slices and iteration pick each branch's records by its bits row.  The block
-    factors keep the engine's broadcast branch axes (see `_Register`) and are not
-    normalised: a branch's final state gathers each block's slice on its row,
-    multiplies them out and divides by the square root of its probability."""
+    A branch's corrections and messages follow from its bits row and the measured
+    steps (on bit 1, each step's `on_one` fixes; on either bit, one message to each
+    of its `messages_to`), so they are not stored.  The block factors keep the
+    engine's broadcast branch axes (see `_Register`) and are not normalised:
+    `_dense` gathers a branch's final state from each block's slice on its row."""
 
     steps: tuple               # the measured Steps, in the order of each row's bits
     bits: np.ndarray           # (B, m) uint8 outcome bits
@@ -141,24 +121,6 @@ class Branches(Sequence):
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def __getitem__(self, r):
-        if isinstance(r, slice):
-            return list(self._records(r))
-        r = range(len(self))[r]  # IndexError past either end, as for a list
-        return next(self._records(slice(r, r + 1)))
-
-    def __iter__(self):
-        return self._records(slice(None))
-
-    def _records(self, rows: slice):
-        records, probs = [outcome_records(step) for step in self.steps], self.probabilities
-        for row, amps, p, fidelity in zip(self.bits[rows].tolist(), _dense(self.factors, self.labels, probs, rows),
-                                          probs[rows].tolist(), self.fidelities[rows].tolist()):
-            picked = list(map(getitem, records, row))
-            yield BranchRecord("".join(map(str, row)), p, tuple(chain.from_iterable(c for c, _ in picked)),
-                               QuantumState._trusted(self.labels, amps), fidelity,
-                               tuple(chain.from_iterable(m for _, m in picked)))
 
     def json_blocks(self):
         """The branch list as json.dumps(report, sort_keys=True, indent=2) writes it under a top-level key
@@ -282,17 +244,23 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
         raise TypeError(f"betas must be real numbers, got {list(betas)!r}")
     if not all(map(math.isfinite, betas)):
         raise ValueError("betas must be finite")
-    target_vecs = None if targets is None else [
-        t.amplitudes if isinstance(t, QuantumState) else np.asarray(t, dtype=complex).reshape(-1) for t in targets]
+    target_vecs = None if targets is None else _unit_kets(targets)
+    ks = CrioTopology(n_systems, controlled_groups).groups
+    return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
+
+
+def _unit_kets(targets) -> list:
+    """Each target ket (a QuantumState or a 2-vector) divided by its norm, so a register starts at unit
+    norm; a target that is not one qubit, or not within 1e-8 of unit norm, is refused."""
+    vecs = [t.amplitudes if isinstance(t, QuantumState) else np.asarray(t, dtype=complex).reshape(-1) for t in targets]
     with np.errstate(over="ignore"):  # a norm beyond the float range reads inf and is refused
-        for i, v in enumerate(target_vecs or ()):
+        for i, v in enumerate(vecs):
             if v.shape != (2,):
                 raise ValueError("target systems are single qubits")
             if not abs((norm := np.linalg.norm(v)) - 1.0) <= 1e-8:  # so is a NaN norm
                 raise ValueError("target states must be normalized")
-            target_vecs[i] = v / norm  # so the register starts at unit norm
-    ks = CrioTopology(n_systems, controlled_groups).groups
-    return ks, _plan(n_systems, axes, betas, ks, permitted), target_vecs
+            vecs[i] = v / norm
+    return vecs
 
 
 def owner(qubit: str) -> str:
@@ -540,14 +508,6 @@ def _fidelities(factors, kets: dict, norm2: np.ndarray) -> np.ndarray:
     return np.ravel((np.linalg.norm(_terms(contracted).sum(axis=-2), axis=-1) / np.sqrt(norm2)).T)
 
 
-def outcome_records(step: Step) -> tuple:
-    """What outcomes 0 and 1 of measurement `step` append to a branch: a
-    (corrections, messages) pair for each."""
-    labels = tuple(label for _, label in step.on_one)
-    return tuple((labels if bit else (), tuple(ClassicalMessage(step.actor, r, step.tag, bit) for r in step.messages_to))
-                 for bit in (0, 1))
-
-
 def _branches(reg: _Register, plan, kets: dict, rule) -> Branches:
     """The branches of `plan` that `rule` keeps, with their fidelity to the expected kets."""
     reg, bits, measured = _run(reg, plan, rule)
@@ -638,8 +598,11 @@ def denial_fidelity(axes, targets) -> float:
     After the denied plan the w = 0 term holds the expected targets A and the w = 1 term B = (x)_k sigma_{n_k} A
     (sigma_n commutes with exp(i*beta*sigma_n)); tracing a1 leaves their equal mixture, so
     F**2 = (1 + <A|B>**2) / 2 with <A|B> = z.  So denial defeats control unless |z| = 1, which holds
-    exactly when every target is an eigenstate of its sigma_n: then each rotation is only a phase."""
-    z = math.prod(np.vdot(t, pauli_axis_matrix(axis) @ t).real for axis, t in zip(axes, targets))
+    exactly when every target is an eigenstate of its sigma_n: then each rotation is only a phase.
+    The targets are checked as `_setup` checks them; one per axis, and at least one."""
+    if not len(axes) == len(targets) > 0:
+        raise ValueError(f"one target per axis and at least one axis, got {len(axes)} axes and {len(targets)} targets")
+    z = math.prod(np.vdot(t, pauli_axis_matrix(axis) @ t).real for axis, t in zip(axes, _unit_kets(targets)))
     return math.sqrt((1 + z * z) / 2)
 
 

@@ -48,6 +48,8 @@ class Stator:
 
     def __init__(self, control_labels, target_axes, coeffs):
         self.control_labels = tuple(str(l) for l in control_labels)
+        if len(set(self.control_labels)) != len(self.control_labels):
+            raise ValueError("duplicate control labels")
         self.target_axes = tuple(target_axes)
         coeffs = np.asarray(coeffs, dtype=complex)
         shape = (2,) * (len(self.control_labels) + len(self.target_axes))

@@ -5,9 +5,11 @@ The register is one dense vector; a run holds a (B, 2**n) array with one row per
 measurement asks the same outcome rules (`protocol._keep_both`, `_drawn`, `_forced`) which
 outcomes every row keeps, splits every row into them (outcome 0 first) and corrects the
 outcome-1 rows.  `initial_state` builds the register after a lead of step-1 and step-2 gates as
-one product of the channel graph state and a table of target kets.
+one product of the channel graph state and a table of target kets.  `records` reads a branch
+table's rows as `Branch` tuples, the form the per-node reference walk of the tests builds.
 """
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,3 +134,39 @@ def branches(state: QuantumState, plan, expected: QuantumState, rule) -> protoco
     block = np.stack([scaled, np.zeros_like(scaled)], axis=1).reshape((2,) * axes + (2, -1))
     factors = ((labels, block.transpose([*range(axes)][::-1] + [axes, axes + 1])),)
     return protocol.Branches(tuple(measured), bits, probs, fidelities(rows, labels, expected), labels, factors)
+
+
+class Message(NamedTuple):
+    """One broadcast bit: a measured step's actor sends its outcome to one recipient."""
+    sender: str
+    recipient: str
+    step: str
+    payload: int  # a single outcome bit; never angles or axes
+
+
+class Branch(NamedTuple):
+    """One branch of a run: its outcome string, probability, corrections, dense final state,
+    fidelity and transcript of messages, in measurement order."""
+    outcomes: str
+    probability: float
+    corrections: tuple
+    final_state: QuantumState
+    fidelity: float
+    transcript: tuple
+
+
+def records(branches: protocol.Branches, rows=slice(None)) -> list:
+    """The given rows (a slice or row indices) of a branch table as `Branch` tuples: each row's
+    corrections and messages rebuilt from its bits and the measured steps (outcome 1 applies a
+    step's `on_one` fixes; either outcome is sent to each of its `messages_to`), and its final state
+    from the block factors by `protocol._dense`."""
+    finals = protocol._dense(branches.factors, branches.labels, branches.probabilities, rows)
+    out = []
+    for row, p, f, amps in zip(branches.bits[rows].tolist(), branches.probabilities[rows].tolist(),
+                               branches.fidelities[rows].tolist(), finals):
+        picked = list(zip(branches.steps, row))
+        corrections = tuple(label for step, bit in picked if bit for _, label in step.on_one)
+        transcript = tuple(Message(step.actor, r, step.tag, bit) for step, bit in picked for r in step.messages_to)
+        out.append(Branch("".join(map(str, row)), p, corrections, QuantumState._trusted(branches.labels, amps), f,
+                          transcript))
+    return out

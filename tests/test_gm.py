@@ -99,6 +99,14 @@ class TestOverlap:
         with pytest.raises(ValueError):
             overlap(plus_state(("a", "b")), ProductAnsatz([0.1]))
 
+    @pytest.mark.parametrize("thetas, phis", [([math.nan], None), ([0.3, math.nan], None), ([math.inf], [0.0]),
+                                              ([0.3], [math.nan]), ([0.3, 0.1], [0.0, -math.inf])], ids=repr)
+    def test_non_finite_angles_are_refused(self, thetas, phis):
+        """A NaN theta compares False with the non-negative mode's range, so it is refused by name, not
+        carried into an overlap of nan."""
+        with pytest.raises(ValueError, match="^thetas and phis must be finite$"):
+            ProductAnsatz(thetas, phis)
+
     def test_phase_aware_overlap(self):
         state = QuantumState(("a",), np.array([1, 1j]) / math.sqrt(2))
         val = overlap(state, ProductAnsatz([math.pi / 4], [math.pi / 2]))

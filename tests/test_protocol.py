@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_walk
 from conftest import random_qubit
+from dense_walk import records
 from crio import protocol
 from crio.gm import closed_form_overlap, gm_optimize, gm_phi
 from crio.graphstate import (
@@ -23,10 +24,8 @@ from crio.graphstate import (
     phi_state,
     sign_exponent,
 )
-from crio.povm import PovmParams, control_power_report
+from crio.povm import PovmParams, control_power_report, sample_outcomes
 from crio.protocol import (
-    BranchRecord,
-    ClassicalMessage,
     LocalityError,
     Step,
     control_denial_report,
@@ -87,7 +86,7 @@ class TestSingleSystem:
     def test_controller_minus_branch_triggers_sigma_x(self):
         rng = np.random.default_rng(61)
         res = run_crio(1, [random_axis(rng)], [1.1], [random_qubit(rng)])
-        for branch in res.branches:
+        for branch in records(res.branches):
             if branch.outcomes[0] == "1":
                 assert "sigma_x a2" in branch.corrections
             else:
@@ -99,7 +98,7 @@ class TestSingleSystem:
         oracle = rotation(X_AXIS, math.pi / 2) @ np.array([1.0, 0.0])
         np.testing.assert_allclose(np.abs(oracle), [0, 1], atol=1e-12)
         target = product_state(("O3",), [np.array([0.0, 1.0])])
-        for branch in res.branches:
+        for branch in records(res.branches):
             assert fidelity_up_to_phase(branch.final_state, target) >= 1 - 1e-10
 
     def test_final_stator_matches_pair_form(self):
@@ -120,7 +119,7 @@ class TestTwoSystems:
         # direct application oracle on the two target qubits
         oracle = np.kron(rotation(axes[0], alpha) @ t1, rotation(axes[1], beta) @ t2)
         expected = QuantumState(("O4", "O5"), oracle)
-        for branch in res.branches:
+        for branch in records(res.branches):
             assert fidelity_up_to_phase(branch.final_state, expected) >= 1 - 1e-10
 
     def test_post_hadamard_stator_term_set(self):
@@ -145,7 +144,7 @@ class TestTwoSystems:
         rng = np.random.default_rng(66)
         res = run_crio(2, [random_axis(rng), random_axis(rng)], [0.4, 1.9],
                        [random_qubit(rng), random_qubit(rng)])
-        for branch in res.branches:
+        for branch in records(res.branches):
             # outcome order: a1, a4, a5, a2, a3
             assert ("sigma_z a2" in branch.corrections) == (branch.outcomes[1] == "1")
             assert ("sigma_z a3" in branch.corrections) == (branch.outcomes[2] == "1")
@@ -155,7 +154,7 @@ class TestTwoSystems:
         t1, t2 = random_qubit(rng), random_qubit(rng)
         res = run_crio(2, [random_axis(rng), random_axis(rng)], [0.0, 0.0], [t1, t2])
         expected = product_state(("O4", "O5"), [t1, t2])
-        for branch in res.branches:
+        for branch in records(res.branches):
             assert fidelity_up_to_phase(branch.final_state, expected) >= 1 - 1e-10
 
 
@@ -176,7 +175,7 @@ class TestBranchBookkeeping:
         rng = np.random.default_rng(74)
         n = 2
         res = run_crio(n, [random_axis(rng)] * n, [0.5, 1.2], [random_qubit(rng)] * n)
-        for branch in res.branches:
+        for branch in records(res.branches):
             assert branch.corrections == expected_corrections(n, branch.outcomes, [2, 3])
 
     def test_message_audit(self):
@@ -184,7 +183,7 @@ class TestBranchBookkeeping:
         n = 2
         res = run_crio(n, [random_axis(rng)] * n, [0.5, 1.2], [random_qubit(rng)] * n)
         assert res.measurement_count == 1 + 2 * n
-        for branch in res.branches:
+        for branch in records(res.branches):
             assert len(branch.transcript) == 3 * n  # broadcast fan-out + step4 + step6
             for msg in branch.transcript:
                 assert msg.payload in (0, 1)  # outcome bits only, never angles or axes
@@ -196,15 +195,13 @@ class TestBranchBookkeeping:
         rng = np.random.default_rng(76)
         args = (2, [random_axis(rng), random_axis(rng)], [0.3, 0.9],
                 [random_qubit(rng), random_qubit(rng)])
-        a = run_crio(*args, mode="sample", seed=123)
-        b = run_crio(*args, mode="sample", seed=123)
-        assert len(a.branches) == len(b.branches) == 1
-        assert a.branches[0].outcomes == b.branches[0].outcomes
-        assert a.branches[0].transcript == b.branches[0].transcript
-        np.testing.assert_allclose(
-            a.branches[0].final_state.amplitudes, b.branches[0].final_state.amplitudes, atol=1e-15
-        )
-        assert a.branches[0].fidelity >= 1 - 1e-10
+        a = records(run_crio(*args, mode="sample", seed=123).branches)
+        b = records(run_crio(*args, mode="sample", seed=123).branches)
+        assert len(a) == len(b) == 1
+        assert a[0].outcomes == b[0].outcomes
+        assert a[0].transcript == b[0].transcript
+        np.testing.assert_allclose(a[0].final_state.amplitudes, b[0].final_state.amplitudes, atol=1e-15)
+        assert a[0].fidelity >= 1 - 1e-10
 
     def test_sample_mode_without_a_seed_is_refused(self):
         """A draw from OS entropy could not be repeated, so sample mode needs a seed; enumeration draws nothing."""
@@ -213,22 +210,6 @@ class TestBranchBookkeeping:
             with pytest.raises(ValueError, match="sample mode needs a seed"):
                 run_crio(2, *args, mode="sample", **kwargs)
         assert len(run_crio(2, *args, mode="enumerate", seed=None).branches) == 32
-
-    @pytest.mark.parametrize("rows", [slice(1, 3), slice(None, None, -3), slice(5, 2), slice(-4, None)])
-    def test_slice_lists_the_records_of_its_rows(self, rows):
-        """A slice of the branch table is the list of its rows' records, as it
-        was when the branches were a list."""
-        res = run_crio(2, *random_inputs(np.random.default_rng(78), 2))
-        got, ref = res.branches[rows], list(res.branches)[rows]
-        assert isinstance(got, list) and len(got) == len(ref)
-        for g, r in zip(got, ref):
-            assert_same_branch(g, r)
-
-    def test_slices_of_a_sampled_run(self):
-        """A single-branch table keeps no branch axis; an empty slice of it is still empty."""
-        res = run_crio(2, *random_inputs(np.random.default_rng(79), 2), mode="sample", seed=3)
-        assert res.branches[1:] == [] and res.branches[5:2] == []
-        assert_same_branch(res.branches[-1:][0], res.branches[0])
 
     def test_checkpoints_cover_all_steps(self):
         rng = np.random.default_rng(77)
@@ -283,10 +264,8 @@ class TestWalkMatchesCheckpoints:
         betas = list(rng.uniform(0, 2 * math.pi, n))
         targets = [random_qubit(rng) for _ in range(n)]
         res = run_crio(n, axes, betas, targets, permitted=permitted, controlled_groups=groups)
-        branches = res.branches
-        if n == 4:
-            branches = [branches[i] for i in sorted(rng.choice(len(branches), 32, replace=False))]
-        for branch in branches:
+        rows = sorted(rng.choice(len(res.branches), 32, replace=False)) if n == 4 else slice(None)
+        for branch in records(res.branches, rows):
             bits = [int(b) for b in branch.outcomes]
             tag, final = run_checkpoints(n, axes, betas, targets, bits, permitted, groups)[-1]
             assert tag == "step6"
@@ -343,7 +322,8 @@ def reference_walk(state, plan, expected, rule=protocol._keep_both):
             state = apply_step(state, plan[idx])
             idx += 1
         if idx == len(plan):
-            yield BranchRecord(outcomes, prob, corrections, state, reference_fidelity(state, expected), transcript)
+            yield dense_walk.Branch(outcomes, prob, corrections, state, reference_fidelity(state, expected),
+                                    transcript)
             return
         step = plan[idx]
         probs = measurement_probabilities(state, step.qubit, step.basis)
@@ -354,7 +334,7 @@ def reference_walk(state, plan, expected, rule=protocol._keep_both):
             applied = step.on_one if outcome == 1 else ()
             for fix, _ in applied:
                 post = apply_step(post, fix)
-            msgs = tuple(ClassicalMessage(step.actor, r, step.tag, outcome) for r in step.messages_to)
+            msgs = tuple(dense_walk.Message(step.actor, r, step.tag, outcome) for r in step.messages_to)
             yield from visit(post, idx + 1, prob * record.probability, outcomes + str(outcome),
                              corrections + tuple(label for _, label in applied), transcript + msgs)
 
@@ -435,7 +415,7 @@ class TestBatchedEnumeration:
         ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups, permitted)
         walked = reference_walk(dense_walk.initial_state(n, ks, vecs), plan, result.expected_target)
         assert len(result.branches) == 2 ** result.measurement_count
-        assert_same_branches(result.branches, walked)
+        assert_same_branches(records(result.branches), walked)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_denial_guesses_match_reference_walk(self, n):
@@ -450,7 +430,7 @@ class TestBatchedEnumeration:
         for guess in (0, 1):
             guessed = plan[:i] + [fix for fix, _ in plan[i].on_one if guess] + plan[i + 1:]
             walked = reference_walk(dense_walk.initial_state(n, ks, vecs), guessed, expected)
-            assert_same_branches(report.guess_branches[guess], walked)
+            assert_same_branches(records(report.guess_branches[guess]), walked)
             worst[guess] = min(b.fidelity for b in walked)
         assert report.best_guess == max(worst, key=worst.get)
         assert report.best_guess_min_fidelity == pytest.approx(worst[report.best_guess], abs=1e-12)
@@ -472,7 +452,7 @@ class TestBatchedEnumeration:
         got = engine_branches(state, plan, expected, protocol._keep_both)
         assert len(got) == 8
         assert np.ptp(got.probabilities) > 0.1
-        assert_same_branches(got, reference_walk(state, plan, expected))
+        assert_same_branches(records(got), reference_walk(state, plan, expected))
 
     @pytest.mark.parametrize("outcomes, qubit, basis, bit", [("100", "a", "Z", 1), ("010", "b", "X", 1)])
     def test_forcing_a_zero_probability_outcome_raises(self, outcomes, qubit, basis, bit):
@@ -496,7 +476,7 @@ class TestBatchedEnumeration:
         rng = np.random.default_rng(132)
         state, plan = biased_plan(rng, a=(math.sqrt(0.91), 0.3), b=(math.cos(0.3), math.sin(0.3)))
         expected = product_state(("e",), [random_qubit(rng)])
-        assert_same_branches(dense_walk.branches(state, plan, expected, protocol._keep_both),
+        assert_same_branches(records(dense_walk.branches(state, plan, expected, protocol._keep_both)),
                              reference_walk(state, plan, expected))
 
     @pytest.mark.parametrize("permitted", [True, False])
@@ -518,15 +498,15 @@ class TestBatchedEnumeration:
         mixed = protocol._branches(protocol._register(n, ks, vecs), plan, kets, rule)
         rows = [r for r in range(len(full)) if all(full.bits[r, i] == bit for i, bit in forced.items())]
         assert len(mixed) == 2 ** (sum(step.basis is not None for step in plan) - len(forced)) == len(rows)
-        assert_same_branches(mixed, [full[r] for r in rows])
+        assert_same_branches(records(mixed), records(full, rows))
 
     @pytest.mark.parametrize("n,groups,permitted", [(1, None, True), (2, frozenset(), True), (3, None, False)])
     def test_sample_draws_as_measure_draws(self, n, groups, permitted):
         axes, betas, targets = random_inputs(np.random.default_rng(150 + n), n)
         ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups, permitted)
         for seed in range(8):
-            (sampled,) = run_crio(n, axes, betas, targets, mode="sample", seed=seed, permitted=permitted,
-                                  controlled_groups=groups).branches
+            (sampled,) = records(run_crio(n, axes, betas, targets, mode="sample", seed=seed, permitted=permitted,
+                                          controlled_groups=groups).branches)
             outcomes, final = reference_sample(dense_walk.initial_state(n, ks, vecs), plan,
                                                np.random.default_rng(seed))
             assert sampled.outcomes == outcomes
@@ -541,10 +521,10 @@ class TestBatchedEnumeration:
         groups = frozenset(int(g) for g in range(3, n + 2) if rng.random() < 0.5) if control == "partial" else None
         kwargs = {"permitted": control != "denied", "controlled_groups": groups}
         result = run_crio(n, *args, **kwargs)
-        enumerated = {b.outcomes: b for b in result.branches}
+        enumerated = {b.outcomes: b for b in records(result.branches)}
         assert len(enumerated) == 2 ** result.measurement_count
         for sample_seed in range(4):
-            (sampled,) = run_crio(n, *args, mode="sample", seed=sample_seed, **kwargs).branches
+            (sampled,) = records(run_crio(n, *args, mode="sample", seed=sample_seed, **kwargs).branches)
             assert_same_branch(enumerated[sampled.outcomes], sampled)
 
 
@@ -602,7 +582,7 @@ class TestDeferredEnumeration:
         assert runs[0] is protocol._keep_both and len(runs) == 2 and runs[1] is not protocol._keep_both
         assert got.probabilities.min() <= 2e-12
         assert_same_run(run(register, plan, protocol._keep_both), run(register, plan, weigh_each_step))
-        assert_same_branches(got, reference_walk(state, plan, expected))
+        assert_same_branches(records(got), reference_walk(state, plan, expected))
 
     def test_controlled_outcome_one_fix_matches_reference_walk(self):
         """An outcome-1 fix that is a controlled gate is written into the kept-both block's outcome-1 half
@@ -613,7 +593,7 @@ class TestDeferredEnumeration:
         expected = product_state(("e",), [random_qubit(rng)])
         got = engine_branches(state, plan, expected, protocol._keep_both)
         assert len(got) == 8
-        assert_same_branches(got, reference_walk(state, plan, expected))
+        assert_same_branches(records(got), reference_walk(state, plan, expected))
 
 
 SPECIAL_BETAS = (0.0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -675,6 +655,32 @@ class TestDenialClosedForm:
                 np.testing.assert_allclose(branches.fidelities, fidelity, rtol=0, atol=1e-12)
             assert (abs(fidelity - 1) <= 1e-12) == (inputs is eigenstate_inputs)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target, match", [([2, 0], "target states must be normalized"),
+                                               ([math.nan, 0.0], "target states must be normalized"),
+                                               ([1e300, 1e300], "target states must be normalized"),
+                                               ([1.0, 0.0, 0.0], "target systems are single qubits")], ids=repr)
+    def test_denial_fidelity_refuses_the_targets_setup_refuses(self, target, match):
+        """One check of the targets serves both: an unnormalized ket is not read as a fidelity above 1."""
+        for call in (lambda: protocol.denial_fidelity([Z_AXIS], [np.array(target)]),
+                     lambda: control_denial_report(1, [Z_AXIS], [0.3], [np.array(target)])):
+            with pytest.raises(ValueError, match=f"^{match}$"):
+                call()
+
+    @pytest.mark.parametrize("axes, targets", [([Z_AXIS, X_AXIS], [np.array([1.0, 0.0])]),
+                                               ([Z_AXIS], [np.array([1.0, 0.0])] * 2), ([], [])])
+    def test_denial_fidelity_refuses_unequal_or_empty_lists(self, axes, targets):
+        """zip would drop the unmatched entries, and an empty product would read as fidelity 1."""
+        with pytest.raises(ValueError, match="^one target per axis and at least one axis, got "):
+            protocol.denial_fidelity(axes, targets)
+
+    def test_denial_fidelity_reads_each_target_divided_by_its_norm(self):
+        """A ket within 1e-8 of unit norm is divided by its norm, as `_setup` divides the run's targets."""
+        axes, _, targets = random_inputs(np.random.default_rng(340), 3)
+        scaled = [t * (1 + 5e-9) for t in targets]
+        assert protocol.denial_fidelity(axes, scaled) == pytest.approx(protocol.denial_fidelity(axes, targets),
+                                                                       rel=0, abs=1e-15)
+
 
 class TestParticipatingRegister:
     """Runs build and walk only a1 and the participating groups.  The oracle is
@@ -695,8 +701,8 @@ class TestParticipatingRegister:
                 lead = first_measurement(plan)
                 for step in plan[:lead]:
                     full = apply_step(full, step)
-                oracle = dense_walk.branches(full, plan[lead:], result.expected_target, protocol._keep_both)
-                got = result.branches
+                oracle = records(dense_walk.branches(full, plan[lead:], result.expected_target, protocol._keep_both))
+                got = records(result.branches)
                 assert [(b.outcomes, b.corrections, b.transcript) for b in got] == \
                     [(b.outcomes, b.corrections, b.transcript) for b in oracle]
                 for field in ("probability", "fidelity"):
@@ -1006,7 +1012,8 @@ _ONE_CONFUSED = {"int": True, "count": 2.5, "flag": "yes", "angle": True, "betas
 def _type_confused_calls() -> list:
     """(entry point, argument, kind, call): call(value) passes valid N=2 arguments but value for the argument."""
     axes, betas, targets, outcomes = [X_AXIS, Z_AXIS], [0.3, 1.2], [np.array([1.0, 0.0])] * 2, [0] * 5
-    state, povm = crio_channel_state(CrioTopology(1)), vars(PovmParams.from_free(math.pi / 4, 0.0, 0.3, math.pi / 2))
+    state, params = crio_channel_state(CrioTopology(1)), PovmParams.from_free(math.pi / 4, 0.0, 0.3, math.pi / 2)
+    povm = vars(params)
     stator = step1_stator(1, [X_AXIS])
     protocol_calls = {
         "run_crio": lambda n=2, b=betas, **kw: run_crio(n, axes, b, targets, **kw),
@@ -1042,6 +1049,10 @@ def _type_confused_calls() -> list:
         ("sign_exponent", "n_systems", "count", lambda v: sign_exponent(v, "000")),
         ("basis_bits", "num_qubits", "count", basis_bits),
         ("Graph.of", "edges", "loop", lambda v: Graph.of(3, [(v, 2)])),  # a float self-loop names its end
+        ("sample_outcomes", "n_samples", "count", lambda v: sample_outcomes(params, v, seed=1)),
+        ("sample_outcomes", "n_samples", "negative", lambda v: sample_outcomes(params, v, seed=1)),
+        ("sample_outcomes", "seed", "int", lambda v: sample_outcomes(params, 10, seed=v)),
+        ("sample_outcomes", "seed", "negative", lambda v: sample_outcomes(params, 10, seed=v)),
     ]
 
 
@@ -1237,7 +1248,7 @@ class TestDenial:
         res = run_crio(1, [X_AXIS], [0.7], [random_qubit(rng)], permitted=False)
         assert not res.permitted
         assert res.measurement_count == 2  # no controller measurement happened
-        assert all(m.step != "step3" for b in res.branches for m in b.transcript)
+        assert all(m.step != "step3" for b in records(res.branches) for m in b.transcript)
         assert res.min_fidelity() < 1 - 1e-6
 
     def test_generic_angle_defeats_every_guess(self):
@@ -1247,7 +1258,7 @@ class TestDenial:
         assert rep.best_guess_min_fidelity < 1 - 1e-6
         assert not rep.control_defeated
         for branches in rep.guess_branches.values():
-            assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-10)
+            assert sum(b.probability for b in records(branches)) == pytest.approx(1.0, abs=1e-10)
 
     def test_best_guess_is_the_guess_with_the_higher_worst_fidelity(self, monkeypatch):
         """The two guesses tie on every branch (TestDenialClosedForm), so guess 1's

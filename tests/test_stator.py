@@ -345,6 +345,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Stator(("b",), (X_AXIS,), coeffs)
 
+    @pytest.mark.parametrize("build", [lambda: Stator(["a", "a"], [], np.ones((2, 2))),
+                                       lambda: Stator(["a", 1, "1"], [], np.ones((2, 2, 2))),
+                                       lambda: diagonal_stator(["a", "a"], [X_AXIS, Z_AXIS])],
+                             ids=["array", "labels-read-as-strings", "diagonal"])
+    def test_duplicate_control_labels_are_refused(self, build):
+        """As QuantumState refuses duplicate qubit labels: otherwise project_control("a", ...) would act
+        on the first "a" only."""
+        with pytest.raises(ValueError, match="^duplicate control labels$"):
+            build()
+
     def test_terms_and_array_are_read_only(self):
         s = pair_stator(X_AXIS)
         with pytest.raises(TypeError):
