@@ -24,11 +24,10 @@ and checkpoint states do not list the unwired groups' qubits.
 
 The steps are written out once, as the step plan built by `_plan`; every
 entry point checks its inputs once, in `_setup`, which builds it.  One block
-engine, `_run`, runs a plan.  With h, u, v the Z values of a1, a2, a_{N+2},
-w = u xor v, and x_k, y_k those of a group's a_k, a_{k+N}, the channel's sign
-exponent is h*w + sum_k x_k*(w + y_k).  So the register is a sum of two terms,
-w = 0 and 1, each a product of a hub block (a1, a2, a_{N+2}, O_{N+2}) and one
-block (a_k, a_{k+N}, O_{k+N}) per group, and no step couples two blocks.
+engine, `_run`, runs a plan on blocks that `_register` derives from the channel
+graph: a2 and a_{N+2} share their neighbours, so the register is two terms,
+w = 0 and 1 (their parity), each a product of a hub block (a1, a2, a_{N+2},
+O_{N+2}) and one block (a_k, a_{k+N}, O_{k+N}) per group, coupled by no step.
 A measurement projects one block, weighing its terms' overlaps by the other
 blocks' 2x2 Gram matrices, and asks an outcome rule which outcomes to keep:
 both (enumeration, control-denial guesses), one drawn from a seeded generator
@@ -58,7 +57,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -336,33 +335,39 @@ class _Register(NamedTuple):
     norm2: np.ndarray
 
 
-# The sign rule's block factors, one row per term w: the hub's Phi_w[h, u, v] = (-1)^(h*w) [u xor v = w]
-# and a group's g_w[x, y] = (-1)^(x*(w xor y)), each over its channel qubits' basis in index order.
-_HUB_TERMS = np.array([[1, 0, 0, 1, 1, 0, 0, 1], [0, 1, 1, 0, 0, -1, -1, 0]]) * 2 ** -1.5
-_GROUP_TERMS = np.array([[1, 1, 1, -1], [1, 1, -1, 1]]) / 2
+@cache
+def _block_terms(q: int, edges: tuple, touching: tuple, hub: bool) -> np.ndarray:
+    """A block's terms w = 0, 1 over its q channel qubits' basis, 2**(-q/2) (-1)^(e + w*t), e (t) the number of its
+    `edges` (`touching` qubits, those next to the separator) whose ends all read 1; the hub's last two qubits, the
+    separator, also carry [their xor = w].  Scaled last, so each zero is +0.0; read-only, as blocks share it."""
+    x, w = np.arange(1 << q)[:, None] >> np.arange(q - 1, -1, -1) & 1, np.arange(2)[:, None]  # x[i, qubit]
+    signs = 1 - 2 * (sum(x[:, i] & x[:, j] for i, j in edges) + w * x[:, list(touching)].sum(axis=1) & 1)
+    (terms := signs * ((x[:, -2] ^ x[:, -1]) == w if hub else 1) * 2 ** (-q / 2)).flags.writeable = False
+    return terms
 
 
 def _register(n_systems, ks, target_vecs) -> _Register:
-    """The participating register before step 1, with its targets.  The blocks are read off the
-    participating channel graph's edges (`CrioTopology(len(ks)).edges`, the full-control edge list
-    that `crio_graph` wraps): the hub's a1, a2 and a_{N+2} must have the sign rule's edges, and
-    removing them leave one pair (a_k, a_{k+N}) per group.
-    The hub block carries 2**-1.5 (its four nonzero entries, and 1/sqrt(2) for the two terms) and
-    each group block 1/2, so the product has the channel's amplitudes +-2**-(2N'+1)/2."""
-    m, js = len(ks), [k + n_systems for k in ks]
+    """The participating register before step 1, read off the participating channel graph's edges in one pass
+    (`CrioTopology(len(ks)).edges`, which `crio_graph` wraps): the separator {a2, a_{N+2}} must have one neighbour
+    set, and without it a1 must stand alone and each group (a_k, a_{k+N}) be one pair, else a ValueError names
+    the edges at fault.  Each part is a block of `_block_terms` (the hub: a1 and the separator) and its target."""
+    m, js, labels, blocks = len(ks), [k + n_systems for k in ks], [], []
     name = dict(enumerate([f"a{v}" for v in [1, *ks, *js]], 1))  # the graph's vertices
-    pairs = {(k, k + m) for k in range(3, m + 2)}
-    hub = {(1, 2), (1, m + 2), *((2, k) for k in range(3, m + 2)), *((k, m + 2) for k in range(3, m + 2))}
-    edges = set(CrioTopology(m).edges)
-    rest = {edge for edge in edges if not {1, 2, m + 2} & set(edge)}
-    for found, rule, what in ((rest, pairs, "without a1, a2 and a_{N+2} the channel graph is not one pair per group"),
-                              (edges - rest, hub, "the channel graph's hub edges differ from the sign rule's")):
-        if found != rule:
-            raise ValueError(f"{what}: " + ", ".join(f"{name[u]}-{name[v]}" for u, v in sorted(found ^ rule)))
-    labels = [("a1", name[2], name[m + 2], target_label(js[0]))]
-    labels += [(name[k], name[k + m], target_label(js[k - 2])) for k in range(3, m + 2)]
-    blocks = [(terms[:, :, None] * target_vecs[k - 2]).reshape(2, -1)
-              for terms, k in zip([_HUB_TERMS] + [_GROUP_TERMS] * (m - 1), ks)]
+    near, sep, parts = [set() for _ in range(2 * m + 2)], {2, m + 2}, [(1,), *((k, k + m) for k in range(3, m + 2))]
+    for u, v in CrioTopology(m).edges:
+        near[u].add(v), near[v].add(u)
+    for what, odd in (("the channel graph's hub edges differ from the sign rule's",  # an edge one end of sep lacks
+                       {tuple(sorted(sep if x in sep else {x, *sep - near[x]})) for x in near[2] ^ near[m + 2]}),
+                      ("without a2 and a_{N+2}, besides a1 alone, the channel graph is not one pair per group",
+                       {(v, x) for part in parts for v in part for x in near[v] - sep ^ set(part) - {v} if v < x})):
+        if odd:
+            raise ValueError(f"{what}: " + ", ".join(f"{name[u]}-{name[v]}" for u, v in sorted(odd)))
+    for t, part in enumerate(parts):  # part t's last qubit, a_{N+2} or a group's a_{k+N}, holds target t
+        qubits = (*part, 2, m + 2) if (hub := part == (1,)) else part
+        edges = tuple((i, j) for j, v in enumerate(part) for i in range(j) if part[i] in near[v])
+        terms = _block_terms(len(qubits), edges, tuple(i for i, v in enumerate(part) if v in near[2]), hub)
+        labels.append((*map(name.get, qubits), target_label(js[t])))
+        blocks.append((terms[:, :, None] * target_vecs[ks[t] - 2]).reshape(2, -1))
     order = (*name.values(), *map(target_label, js))
     return _Register(order, labels, blocks, [a.conj() @ a.T for a in blocks], np.ones(()))
 

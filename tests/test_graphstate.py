@@ -259,11 +259,16 @@ class TestChannelShape:
         assert CrioTopology(4, frozenset()).groups == [2]
 
     def test_thousand_systems_build_in_under_50_ms(self):
-        start = time.perf_counter()
-        topology = CrioTopology(1000)
-        graph, groups, colour = crio_graph(topology), topology.groups, topology.colour_class
-        assert time.perf_counter() - start < 0.05
-        assert (graph.num_vertices, len(graph.edges), len(groups), len(colour)) == (2001, 3 * 999 + 2, 1000, 1000)
+        """The best of three builds, as one build on a loaded machine can stall well past the bound."""
+        def build():
+            start = time.perf_counter()
+            topology = CrioTopology(1000)
+            graph, groups, colour = crio_graph(topology), topology.groups, topology.colour_class
+            return time.perf_counter() - start, (graph.num_vertices, len(graph.edges), len(groups), len(colour))
+
+        runs = [build() for _ in range(3)]
+        assert min(seconds for seconds, _ in runs) < 0.05
+        assert all(sizes == (2001, 3 * 999 + 2, 1000, 1000) for _, sizes in runs)
 
     def test_shape_past_the_dense_bound_has_no_state(self):
         assert crio_graph(CrioTopology(13)).num_vertices == 27

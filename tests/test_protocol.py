@@ -726,8 +726,37 @@ def tensored_out(register):
     return QuantumState(labels, sum(reduce(np.kron, [block[w] for block in register.blocks]) for w in (0, 1)))
 
 
+# The sign rule's block tables, one row per term w, over the block's channel qubits' basis in index order: the
+# hub's Phi_w[h, u, v] = (-1)^(h*w) [u xor v = w] and a group's g_w[x, y] = (-1)^(x*(w xor y)).
+HUB_TERMS = np.array([[1, 0, 0, 1, 1, 0, 0, 1], [0, 1, 1, 0, 0, -1, -1, 0]]) * 2 ** -1.5
+GROUP_TERMS = np.array([[1, 1, 1, -1], [1, 1, -1, 1]]) / 2
+
+
 class TestBlockForm:
     """The register as two terms of block products, against the graph state and the control function."""
+
+    @pytest.mark.parametrize("n,groups", [(1, None), (2, None), (3, None), (5, None), (9, None),
+                                          (5, frozenset({4, 6}))])
+    def test_derived_tables_are_the_sign_rule_bit_for_bit(self, n, groups):
+        """The tables `_register` reads off the graph, at m = 1, 2, 3, 5 and 9 participating groups and
+        one partial-control shape, against the sign rule's as uint64: with every target |0>, a block's
+        entries on target 0 are its table, as x * (1 + 0j) has real part x, signed zeros too."""
+        ks = CrioTopology(n, groups).groups
+        reg = protocol._register(n, ks, [np.array([1, 0], dtype=complex)] * n)
+        assert len(reg.blocks) == len(ks)
+        for block, reference in zip(reg.blocks, [HUB_TERMS] + [GROUP_TERMS] * (len(ks) - 1)):
+            table = np.ascontiguousarray(block.reshape(2, -1, 2)[..., 0].real)
+            np.testing.assert_array_equal(table.view(np.uint64), reference.view(np.uint64))
+
+    def test_register_past_the_dense_bound(self):
+        """`_register` at N=1000, far past the dense bound, with one target ket throughout: 1000 blocks,
+        each bit-equal to N=2's block of its kind, and the last group's holding a1001, a2001 and O2001."""
+        ket = random_qubit(np.random.default_rng(243))
+        small = protocol._register(2, [2, 3], [ket] * 2)
+        reg = protocol._register(1000, list(range(2, 1002)), [ket] * 1000)
+        assert len(reg.blocks) == 1000 and reg.labels[-1] == ("a1001", "a2001", "O2001")
+        for i, block in enumerate(reg.blocks):
+            np.testing.assert_array_equal(block.view(np.uint64), small.blocks[min(i, 1)].view(np.uint64))
 
     @pytest.mark.parametrize("n,groups", control_subsets(5))
     def test_factors_tensor_out_to_the_graph_state(self, n, groups):
@@ -840,8 +869,8 @@ class TestBlockForm:
                 run()
 
     def test_dropped_hub_edge_is_refused(self, monkeypatch):
-        """A mutant channel graph without the sign rule's edge a2-a3 is refused, though its
-        groups still split into pairs: the block factors come from the sign rule, not the graph."""
+        """A mutant channel graph without the edge a2-a3 is refused, though its groups still split
+        into pairs: a2 and a4 no longer have one neighbour set, so the graph has no two-term block form."""
         class Mutant(CrioTopology):
             @property
             def edges(self):
@@ -852,6 +881,24 @@ class TestBlockForm:
         for run in (lambda: run_crio(n, *args), lambda: control_denial_report(n, *args),
                     lambda: run_checkpoints(n, *args, [0] * 5)):
             with pytest.raises(ValueError, match=r"hub edges differ from the sign rule's: a2-a3$"):
+                run()
+
+    @pytest.mark.parametrize("edge, match", [
+        ((2, 4), r"hub edges differ from the sign rule's: a2-a4$"),  # inside the separator {a2, a4}
+        ((1, 3), r"besides a1 alone, the channel graph is not one pair per group: a1-a3$"),  # a1 into a group
+    ], ids=["separator", "a1-group"])
+    def test_mutant_edge_is_refused_by_name(self, monkeypatch, edge, match):
+        """A mutant N=2 channel graph with one more edge is refused, and the edge is named."""
+        class Mutant(CrioTopology):
+            @property
+            def edges(self):
+                return [*super().edges, edge]
+
+        monkeypatch.setattr(protocol, "CrioTopology", Mutant)
+        n, args = 2, random_inputs(np.random.default_rng(244), 2)
+        for run in (lambda: run_crio(n, *args), lambda: control_denial_report(n, *args),
+                    lambda: run_checkpoints(n, *args, [0] * 5)):
+            with pytest.raises(ValueError, match=match):
                 run()
 
     @pytest.mark.parametrize("step, match", [

@@ -98,6 +98,9 @@ def report_matrix() -> list:
         ["run-protocol", "--n", "6", "--groups", "3,5", "--permitted", "false", "--mode", "sample"],
         ["run-protocol", "--n", "7", "--mode", "sample"],
         ["run-protocol", "--n", "7", "--groups", "3,6", "--permitted", "false", "--mode", "sample"],
+        # the last group alone wired: the far end of the block-to-target mapping
+        ["run-protocol", "--n", "8", "--groups", "9", "--mode", "sample"],
+        ["run-protocol", "--n", "8", "--mode", "sample", "--permitted", "false"],
         # special angles, where a degenerate outcome would show first
         ["run-protocol", "--n", "2", "--axis", "z", "--alpha", "pi/2"],
         ["run-protocol", "--n", "3", "--axis", "x", "--alpha", "0", "--permitted", "false"],
