@@ -313,4 +313,5 @@ def state_from_json_dict(data: dict) -> QuantumState:
 
 
 def all_bitstrings(n: int):
+    n = checked_int(n, "n", low=0)
     return ("".join(map(str, bits)) for bits in product((0, 1), repeat=n))

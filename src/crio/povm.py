@@ -129,7 +129,7 @@ def random_valid_kets(rng: np.random.Generator, count: int) -> np.ndarray:
     them, as one (count, 4, 2) array: the same doubles from one uniform call, which
     leaves `rng` in the same state, and from_free's angles, so each row equals that
     draw's _kets() bit for bit.  Every row passes the completeness check."""
-    free = rng.uniform(0, FREE_BOUNDS, size=(count, 4))
+    free = rng.uniform(0, FREE_BOUNDS, size=(checked_int(count, "count", low=0), 4))
     theta, phi, lam, omega = free.T
     angles = np.stack([*_party_angles(theta, phi), *_party_angles(lam, omega)], axis=1)
     kets = _ket_array(angles)

@@ -182,12 +182,13 @@ class QuantumState:
 
 
 def _bit_string(bits, length: int) -> str:
-    if isinstance(bits, str):
-        s = bits
-    else:
-        s = "".join(str(int(b)) for b in bits)
-    if len(s) != length or any(c not in "01" for c in s):
-        raise ValueError(f"expected a bitstring of length {length}, got {bits!r}")
+    """bits as a string of length `length`; a sequence's elements read as `outcome_bit` reads one."""
+    try:
+        s = bits if isinstance(bits, str) else "".join(str(outcome_bit(b)) for b in bits)
+        if len(s) != length or any(c not in "01" for c in s):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"expected a bitstring of length {length}, got {bits!r}") from None
     return s
 
 
@@ -372,6 +373,8 @@ def fidelity_up_to_phase(s1: QuantumState, s2: QuantumState) -> float:
 def reduced_density(state: QuantumState, keep_labels: Sequence[str]) -> np.ndarray:
     """Density matrix of the listed qubits with everything else traced out."""
     keep = [state.axis_of(l) for l in keep_labels]
+    if len(set(keep)) != len(keep):
+        raise ValueError("duplicate qubit labels")
     rest = [i for i in range(state.num_qubits) if i not in keep]
     t = state.tensor_view().transpose(keep + rest).reshape(2 ** len(keep), -1)
     return t @ t.conj().T

@@ -7,8 +7,7 @@ systems and exponent 0 means the identity.  Entries at or below PRUNE_TOL
 are stored as zero; the nonzero entries are the stator's terms, keyed
 (bits, word) and listed in C order, which is lexicographic in (bits, word).
 Viewed as a matrix, a stator maps the target space into control (x) target
-space.  The constructor takes the array; `Stator.from_terms` is the one
-parser of hand-written (bits, word, coeff) lists.
+space.  The constructor takes the array.
 """
 from __future__ import annotations
 
@@ -21,9 +20,9 @@ import numpy as np
 from .qcore import (
     IDENTITY_2,
     PauliAxis,
-    QuantumState,
     X_AXIS,
     _basis_kets,
+    is_real,
     outcome_bit,
     pauli_axis_matrix,
     rotation,
@@ -63,20 +62,6 @@ class Stator:
         self.coeffs = np.where(kept, coeffs, 0) + 0j  # + 0j turns -0.0 parts into 0.0
         self.coeffs.flags.writeable = False
 
-    @classmethod
-    def from_terms(cls, control_labels, target_axes, terms) -> "Stator":
-        """Stator from (bits, word, coeff) triples; duplicate terms add up."""
-        n_c, n_t = len(control_labels), len(target_axes)
-        coeffs = np.zeros((2,) * (n_c + n_t), dtype=complex)
-        for bits, word, coeff in terms:
-            bits, word = str(bits), tuple(int(w) for w in word)
-            if len(bits) != n_c or any(c not in "01" for c in bits):
-                raise ValueError(f"bad control bitstring {bits!r}")
-            if len(word) != n_t or any(w not in (0, 1) for w in word):
-                raise ValueError(f"bad operator word {word!r}")
-            coeffs[tuple(map(int, bits)) + word] += complex(coeff)
-        return cls(control_labels, target_axes, coeffs)
-
     # -- shape ----------------------------------------------------------
 
     @property
@@ -104,9 +89,6 @@ class Stator:
             ("".join(map(str, pos[:n_c])), tuple(pos[n_c:])): coeff
             for pos, coeff in zip(np.transpose(index).tolist(), self.coeffs[index].tolist())
         })
-
-    def coefficient(self, bits: str, word) -> complex:
-        return self.terms.get((bits, tuple(int(w) for w in word)), 0j)
 
     # -- linear algebra ---------------------------------------------------
 
@@ -165,7 +147,11 @@ class Stator:
         Pairs the i-th control qubit with the i-th target system, so the
         stator must have equally many of each.
         """
-        alphas = [float(a) for a in alphas]
+        alphas = list(alphas)
+        if not all(map(is_real, alphas)):
+            raise TypeError(f"alphas must be real numbers, got {alphas!r}")
+        if not all(map(math.isfinite, alphas)):
+            raise ValueError("alphas must be finite")
         if len(alphas) != self.n_controls or self.n_controls != self.n_targets:
             raise ValueError("need one angle per control qubit, with controls matching targets")
         m = self.as_matrix()
@@ -213,14 +199,13 @@ def stator_from_state(
 ) -> Stator:
     """Recover the unique stator S with joint_p = S |probe_p> for every pair.
 
-    `joint` is one QuantumState or a sequence of them; `probes` are the
-    matching target-space states.  Coefficients are solved per control
+    `joint` is a sequence of QuantumStates; `probes` are the matching
+    target-space states.  Coefficients are solved per control
     bitstring by stacked least squares; a residual above FIT_TOL means the
     state is not of stator form, and rank-deficient probe sets are
     rejected as non-identifying.
     """
-    joints = [joint] if isinstance(joint, QuantumState) else list(joint)
-    probe_list = [probes] if isinstance(probes, QuantumState) else list(probes)
+    joints, probe_list = list(joint), list(probes)
     if len(joints) != len(probe_list) or not joints:
         raise ValueError("need equally many joint states and probe states")
     controls = tuple(controls)

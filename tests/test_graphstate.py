@@ -376,11 +376,18 @@ class TestAmplitudeOracle:
             basis_bits(5)
 
     @pytest.mark.parametrize("call, name", [(lambda v: sign_exponent(v, "000"), "n_systems"),
-                                            (basis_bits, "num_qubits")], ids=["sign_exponent", "basis_bits"])
+                                            (basis_bits, "num_qubits"), (all_bitstrings, "n")],
+                             ids=["sign_exponent", "basis_bits", "all_bitstrings"])
     @pytest.mark.parametrize("count", [True, 1.0], ids=repr)
     def test_count_that_is_not_an_integer_is_refused_naming_it(self, call, name, count):
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
             call(count)
+
+    def test_all_bitstrings_checks_its_count_when_called(self):
+        """Before the first string is drawn, as for any other count."""
+        with pytest.raises(ValueError, match="^n must be at least 0, got -1$"):
+            all_bitstrings(-1)
+        assert list(all_bitstrings(0)) == [""] and list(all_bitstrings(np.int64(1))) == ["0", "1"]
 
 
 class TestPhiState:

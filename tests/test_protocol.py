@@ -18,13 +18,14 @@ from crio.gm import closed_form_overlap, gm_optimize, gm_phi
 from crio.graphstate import (
     CrioTopology,
     Graph,
+    all_bitstrings,
     amplitude_oracle,
     basis_bits,
     crio_channel_state,
     phi_state,
     sign_exponent,
 )
-from crio.povm import PovmParams, control_power_report, sample_outcomes
+from crio.povm import PovmParams, control_power_report, random_valid_kets, sample_outcomes
 from crio.protocol import (
     LocalityError,
     Step,
@@ -131,13 +132,13 @@ class TestTwoSystems:
         s2 = sym["step2"]
         plus_terms = {("0000", (0, 0)), ("0101", (0, 1)), ("1010", (1, 0)), ("1111", (1, 1))}
         minus_terms = {("1100", (0, 0)), ("1001", (0, 1)), ("0110", (1, 0)), ("0011", (1, 1))}
-        ref = s2.coefficient("0" + "0000", (0, 0))
+        ref = s2.terms.get(("0" + "0000", (0, 0)), 0)
         for bits, word in plus_terms:
-            assert s2.coefficient("0" + bits, word) == pytest.approx(ref, abs=1e-12)
-            assert s2.coefficient("1" + bits, word) == pytest.approx(ref, abs=1e-12)
+            assert s2.terms.get(("0" + bits, word), 0) == pytest.approx(ref, abs=1e-12)
+            assert s2.terms.get(("1" + bits, word), 0) == pytest.approx(ref, abs=1e-12)
         for bits, word in minus_terms:
-            assert s2.coefficient("0" + bits, word) == pytest.approx(ref, abs=1e-12)
-            assert s2.coefficient("1" + bits, word) == pytest.approx(-ref, abs=1e-12)
+            assert s2.terms.get(("0" + bits, word), 0) == pytest.approx(ref, abs=1e-12)
+            assert s2.terms.get(("1" + bits, word), 0) == pytest.approx(-ref, abs=1e-12)
         assert len(s2.terms) == 16
 
     def test_holder_minus_outcomes_trigger_partner_sigma_z(self):
@@ -1100,6 +1101,13 @@ def _type_confused_calls() -> list:
         ("sample_outcomes", "n_samples", "negative", lambda v: sample_outcomes(params, v, seed=1)),
         ("sample_outcomes", "seed", "int", lambda v: sample_outcomes(params, 10, seed=v)),
         ("sample_outcomes", "seed", "negative", lambda v: sample_outcomes(params, 10, seed=v)),
+        ("Stator.eigenoperator_residual", "alphas", "angle",
+         lambda v: diagonal_stator(["a2"], [X_AXIS]).eigenoperator_residual([v])),
+        ("QuantumState.amplitude", "bits", "outcome", lambda v: state.amplitude([v, 0, 0])),
+        ("all_bitstrings", "n", "count", all_bitstrings),
+        ("all_bitstrings", "n", "negative", all_bitstrings),
+        ("random_valid_kets", "count", "count", lambda v: random_valid_kets(np.random.default_rng(1), v)),
+        ("random_valid_kets", "count", "negative", lambda v: random_valid_kets(np.random.default_rng(1), v)),
     ]
 
 

@@ -345,12 +345,26 @@ class TestFidelityAndDensity:
         bell = QuantumState(("a", "b"), np.array([1, 0, 0, 1]) / math.sqrt(2))
         assert purity(reduced_density(bell, ("a",))) == pytest.approx(0.5, abs=1e-12)
 
+    def test_reduced_density_refuses_a_repeated_label(self):
+        bell = QuantumState(("a", "b"), np.array([1, 0, 0, 1]) / math.sqrt(2))
+        with pytest.raises(ValueError, match="^duplicate qubit labels$"):
+            reduced_density(bell, ["a", "a"])
+
 
 class TestStateConstruction:
     def test_big_endian_indexing(self):
         state = product_state(("a", "b"), [E1, E0])
         assert state.amplitude("10") == pytest.approx(1.0)
         assert np.argmax(np.abs(state.amplitudes)) == 2  # first label is the most significant bit
+        for bits in ([1, 0], [np.int64(1), np.uint8(0)], ["1", "0"]):
+            assert state.amplitude(bits) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bits", [[1.7, 0], [True, False], [1.0, 0.0], [2, 0], ["10"], "1x", [1]], ids=repr)
+    def test_amplitude_refuses_bits_that_are_not_0_or_1(self, bits):
+        """Each element reads as an outcome does: 1.7 is not read as 1, nor True as 1."""
+        state = product_state(("a", "b"), [E1, E0])
+        with pytest.raises(ValueError, match=f"^expected a bitstring of length 2, got {re.escape(repr(bits))}$"):
+            state.amplitude(bits)
 
     def test_tensor_and_duplicate_labels(self):
         a = plus_state(("a",))
