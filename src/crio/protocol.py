@@ -22,43 +22,41 @@ Runs therefore build and walk only the participating register: a1 and, for
 each participating group k, a_k, a_{k+N} and O_{k+N}.  Their final states
 and checkpoint states do not list the unwired groups' qubits.
 
-The steps are written out once, as the step plan built by `_plan`; every
-entry point checks its inputs once, in `_setup`, which builds it.  One block
-engine, `_run`, runs a plan on blocks that `_register` derives from the channel
-graph: a2 and a_{N+2} share their neighbours, so the register is two terms,
-w = 0 and 1 (their parity), each a product of a hub block (a1, a2, a_{N+2},
-O_{N+2}) and one block (a_k, a_{k+N}, O_{k+N}) per group, coupled by no step.
-A measurement projects one block, weighing its terms' overlaps by the other
-blocks' 2x2 Gram matrices, and asks an outcome rule which outcomes to keep:
-both (enumeration, control-denial guesses), one drawn from a seeded generator
-(sample mode) or one forced (checkpoints).  Every kept branch is carried at
-once (deferred measurement), on broadcast branch axes: a measurement that
-keeps both outcomes adds one axis, of size 2 on the arrays it or one of its
-outcome-1 fixes touches and of size 1, which numpy broadcasts, on all others.
-So a block holds a row only for each pattern of the bits that touch it; on a
-permitted run these are the controller's bit and its own two, at most 8 rows
-at any N, where a run has 2**(2N+1) branches.  Keeping one outcome adds no
-axis.  Blocks are never normalised: the register carries one joint squared
-norm, norm2, over the branch axes; as the register starts at unit norm, it ends
-as each branch's probability.  An outcome of probability at most 1e-12 is
-refused.  A rule that keeps one outcome reads each outcome probability, a ratio
-to norm2, at its measurement; an enumeration reads norm2 once, after its last
-measurement, and walks the plan again step by step if a branch is at most 2e-12.
-No protocol run meets such an outcome, as each of its measurements is unbiased.
-On a permitted run the controller's step-3 outcome zeroes one term on every
-branch.  A run's branches are a `Branches` table of columns, rows in depth-first
-order; a branch's corrections and messages follow from its outcome bits and the
-measured steps' fixes and recipients, so no per-branch object is built.  The
-symbolic checkpoints follow the same plan on stators.
+The steps are written out once, as the step plan built by `_plan`; every entry
+point checks its inputs once, in `_setup`, which builds it.  One block engine,
+`_run`, runs a plan on blocks that `_register` derives from the channel graph:
+a2 and a_{N+2} share their neighbours, so the register is two terms, w = 0 and
+1 (their parity), each a product of a hub block (a1, a2, a_{N+2}, O_{N+2}) and
+one block (a_k, a_{k+N}, O_{k+N}) per group, coupled by no step.  A measurement
+projects one block, weighing its terms' overlaps by the other blocks' 2x2 Gram
+matrices, and asks an outcome rule which outcomes to keep: both (enumeration,
+control-denial guesses), one drawn from a seeded generator (sample mode) or one
+forced (checkpoints).  Every kept branch is carried at once (deferred
+measurement), on broadcast branch axes: a measurement that keeps both outcomes
+adds one axis, of size 2 only on the blocks it or one of its outcome-1 fixes
+touches.  So a block holds a row only for each pattern of the bits that touch
+it; on a permitted run these are the controller's bit and its own two, at most
+8 rows at any N, where a run has 2**(2N+1) branches.  Blocks are never
+normalised: the register's joint squared norm ends as each branch's
+probability.  Each step tag acts at one position of every group's block, so the
+groups run stacked: one numpy call per tag on their (members, ..., 2, d) stack,
+each member holding its own branch axes only.  Once step 3 measures a1, the hub
+(a2, a_{N+2}, O_{N+2}) has a group's shape and joins the stack; a denied run
+keeps a1, and its hub runs alone.  The step-3 outcome zeroes one term on every
+branch.  A run's branches are a `Branches` table of columns, rows in
+depth-first order; a branch's corrections and messages follow from its outcome
+bits and the measured steps' fixes and recipients, so no per-branch object is
+built.  The symbolic checkpoints follow the same plan on stators.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import accumulate, chain
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -241,7 +239,7 @@ def _setup(n_systems, axes, betas, targets=None, controlled_groups=None, permitt
         raise ValueError("axes, betas and targets must each have one entry per system")
     if not all(map(is_real, betas)):
         raise TypeError(f"betas must be real numbers, got {list(betas)!r}")
-    if not all(map(math.isfinite, betas)):
+    if not all(abs(b if isinstance(b, int) else float(b)) <= sys.float_info.max for b in betas):  # NaN fails too
         raise ValueError("betas must be finite")
     target_vecs = None if targets is None else _unit_kets(targets)
     ks = CrioTopology(n_systems, controlled_groups).groups
@@ -319,14 +317,14 @@ def _forced(outcomes):
 
 
 class _Register(NamedTuple):
-    """The participating register as two terms, w = 0 and 1, of block products (see the module
-    docstring), unnormalised.  Block i holds qubits labels[i] as an (*axes, 2, 2**q) array whose
-    [..., w, :] is term w's factor, and grams[i] holds its (*axes, 2, 2) Gram matrices
-    [..., w, w'] = <g_w|g_w'>, which gates leave unchanged.  The leading axes are branch axes, one
-    per measurement that kept both outcomes, the newest first; they align from the right, as numpy
-    broadcasts them, and an array has size 2 on a measurement's axis only if that measurement or
-    one of its outcome-1 fixes touched it.  norm2 is the register's squared norm over all the branch
-    axes (1 before any measurement).  `order` lists the qubits as a dense state lists them."""
+    """The participating register as two terms, w = 0 and 1, of block products (see the module docstring),
+    unnormalised.  Block i holds qubits labels[i] as an (*axes, 2, 2**q) array whose [..., w, :] is term w's factor,
+    and grams[i] holds its (*axes, 2, 2) Gram matrices [..., w, w'] = <g_w|g_w'>, which gates leave unchanged.  The
+    leading axes are branch axes, one per measurement that kept both outcomes, the newest first; they align from the
+    right, as numpy broadcasts them, and an array has size 2 on a measurement's axis only if that measurement or one
+    of its outcome-1 fixes touched it.  norm2 is the register's squared norm over all the branch axes (1 before any
+    measurement).  `order` lists the qubits as a dense state lists them.  `_run` keeps blocks of one shape as rows of
+    stacks, each with its own branch axes only, and returns views of them."""
 
     order: tuple
     labels: list
@@ -372,101 +370,122 @@ def _register(n_systems, ks, target_vecs) -> _Register:
     return _Register(order, labels, blocks, [a.conj() @ a.T for a in blocks], np.ones(()))
 
 
-def _apply(a: np.ndarray, labels: tuple, step: Step, out: np.ndarray | None = None) -> np.ndarray:
-    """Gate `step` on the last axis of `a`, over qubits `labels`, for every leading index (both
-    terms on every branch axis of a block), into `out` (a contiguous array of a's shape) or a new array."""
-    at, m = labels.index(step.qubit), step.matrix
-    if step.control is not None:
-        rows = (-1, a.shape[-1])
-        return _apply_controlled(a.reshape(rows), labels.index(step.control), at, m,
-                                 None if out is None else out.reshape(rows)).reshape(a.shape)
+def _apply(a: np.ndarray, labels: tuple, step: Step, m: np.ndarray) -> np.ndarray:
+    """Gate `step` on stacked blocks a (G, ..., 2, d) over qubits `labels`, as a new array, with m one 2x2 matrix
+    for all G blocks or a (G, 2, 2) stack of one each."""
+    at = labels.index(step.qubit)
+    if step.control is not None:  # one m for all rows, or one per block, broadcast over its rows
+        rows, m = ((-1,), m) if m.ndim == 2 else ((len(a), -1), m.transpose(1, 2, 0).reshape(2, 2, -1, 1, 1, 1, 1))
+        return _apply_controlled(a.reshape(rows + a.shape[-1:]), labels.index(step.control), at, m).reshape(a.shape)
     v = a.reshape(a.shape[:-1] + (1 << at, 2, -1))
-    return np.einsum("ij,...hjl->...hil", m, v, out=None if out is None else out.reshape(v.shape)).reshape(a.shape)
-
-
-def _padded(a: np.ndarray, axes: int) -> np.ndarray:
-    """Block array `a` with size-1 branch axes in front, up to `axes` of them."""
-    return a if a.ndim == axes + 2 else a.reshape((1,) * (axes + 2 - a.ndim) + a.shape)
+    return np.einsum("ij,...hjl->...hil" if m.ndim == 2 else "gij,g...hjl->g...hil", m, v).reshape(a.shape)
 
 
 def _run(reg: _Register, plan, rule):
     """The one executor of a plan: every branch that `rule` keeps, at once, on the block form.
 
-    A measurement on block i weighs each outcome's component of block i by the other blocks' Gram
-    matrices, num, and asks `rule(step, p)` which outcomes to keep, where p = num / norm2 holds
-    outcome o's probability on every branch at p[o].  Keeping both puts a new branch axis in
-    front, outcome 0 first: on block i (its components), on the joint arrays (num becomes norm2)
-    and on each block an outcome-1 fix acts on ([b, fix(b)]).
-    Every other array keeps size 1 there, and blocks stay unnormalised, so no block is copied per
-    branch.  Keeping one outcome adds no axis.  A step that crosses blocks is refused.  `_keep_both`
-    weighs only the last measurement, whose num, over the final Gram matrices, is the final norm2; a
-    kept outcome of probability at most 1e-12 leaves a branch at most about that, so a final norm2
-    not above 2e-12 walks the plan again, weighing each step.  Returns the register after the plan,
-    whose norm2 is each branch's squared norm (its probability, from a register of unit norm), the
-    branches' outcome bits, rows in the order of a depth-first walk with outcome 0 first, and the
-    measured steps; `reg` itself is left as it was."""
-    labels, blocks, grams, norm2 = list(reg.labels), list(reg.blocks), list(reg.grams), reg.norm2
+    A measurement on block i weighs each outcome's component of block i by the other blocks' Gram matrices, num, and
+    asks `rule(step, p)` which outcomes to keep, where p = num / norm2 holds outcome o's probability on every branch
+    at p[o].  Keeping both puts a new branch axis in front, outcome 0 first, on block i (its components), on the
+    joint arrays (num becomes norm2) and on each block an outcome-1 fix acts on ([b, fix(b)]); every other array
+    keeps size 1 there, and blocks stay unnormalised.  Keeping one outcome adds no axis.  A step that crosses blocks
+    is refused.  `_keep_both` weighs only the last measurement, whose num is the final norm2, and each block's Gram
+    matrices only at its last measurement; a final norm2 not above 2e-12 (as a kept outcome of probability at most
+    1e-12 may leave) walks the plan again, weighing each step.  Consecutive steps, then a measurement's fixes, of
+    one tag and kind at one position of blocks of one shape, touching no block twice, run as one call on the blocks'
+    (G, ..., 2, d) stack, which holds each one's own branch axes only; so the hub joins the groups' stack once a1 is
+    measured.  Returns the register after the plan, its blocks views of their stacks, whose norm2 is each branch's
+    probability from unit norm, the bits, rows depth-first with outcome 0 first, and the measured steps; `reg` is
+    left as it was."""
+    labels, grams, norm2 = list(reg.labels), list(reg.grams), reg.norm2
     where = {q: i for i, block in enumerate(labels) for q in block}
-    kept, measured, axes = [], [], 0  # axes counts the branch axes
-    last = max((s for s, step in enumerate(plan) if step.basis is not None), default=None)
-    for s, step in enumerate(plan):
-        i = where.get(step.qubit)
-        if i is None or step.control is not None and where.get(step.control) != i:
-            raise ValueError(f"no block holds {step.qubit}" + (f" and {step.control}" if step.control else ""))
-        if step.basis is None:
-            blocks[i] = _apply(blocks[i], labels[i], step)
-            continue
-        at = labels[i].index(step.qubit)
-        a = _padded(blocks[i], axes)
-        c = _basis_components(a.reshape(a.shape[:-1] + (1 << at, 2, -1)), step.basis)  # [..., w, high, outcome, low]
-        c = c.transpose((c.ndim - 2, *range(c.ndim - 2), c.ndim - 1)).reshape((2,) + a.shape[:-1] + (-1,))
-        overlaps = np.einsum("...wi,...vi->...wv", c.conj(), c)  # c and overlaps lead with the outcome
-        if rule is _keep_both and s != last:
-            outcomes, num = (0, 1), None
-        else:
-            others = grams[:i] + grams[i + 1:]
-            weight = reduce(np.multiply, others) if others else np.ones((2, 2))  # the other blocks' [..., w, w']
-            num = np.einsum("...wv,...wv->...", overlaps, weight).real
-            p = num / norm2
-            outcomes = rule(step, p)
-        both = len(outcomes) == 2
-        keep = slice(None) if both else outcomes[0]
-        if rule is not _keep_both and p[keep].min() <= 1e-12:
-            outcome = next(o for o in outcomes if p[o].min() <= 1e-12)
-            raise ValueError(f"cannot keep a zero-probability outcome ({step.qubit}, basis {step.basis}, "
-                             f"outcome {outcome})")
-        del where[step.qubit]
-        labels[i] = labels[i][:at] + labels[i][at + 1:]
-        blocks[i], grams[i], norm2 = c[keep], overlaps[keep], norm2 if num is None else num[keep]
-        split = {i}  # the blocks with size 2 on this measurement's axis
-        for fix, _ in step.on_one if outcomes[-1] == 1 else ():  # on the outcome-1 branches
-            j = where[fix.qubit]
-            if not both:
-                blocks[j] = _apply(blocks[j], labels[j], fix)
+    rows, lead = [(a[None], 0) for a in reg.blocks], [()] * len(labels)  # block i: (stack, its row); axis sizes
+    kept, measured, axes, run, busy, items = [], [], 0, [], set(), [(*item, None) for item in enumerate(plan)][::-1]
+    final = {where.get(step.qubit): s for s, step in enumerate(plan if rule is _keep_both else ()) if step.basis}
+    last = max(final.values(), default=None)  # final: an enumeration's last measurement of each block
+
+    while items or run:  # the plan's steps and, once a measurement is taken, its fixes (items: the next last), as runs
+        if items:
+            s, step, mode = item = items.pop()
+            i = where.get(step.qubit)
+            key = i is not None and (step.control is None or where.get(step.control) == i) and (
+                step.tag, step.basis, mode, labels[i].index(step.qubit), step.control and labels[i].index(step.control),
+                rows[i][0].shape[1:])  # what the steps of one run share
+            hit = [i, *[where.get(f.qubit) for f, _ in step.on_one]] if step.on_one else (i,)  # the blocks it touches
+            if not run or key == head and busy.isdisjoint(hit):
+                if not key:
+                    raise ValueError(f"no block holds {step.qubit}" + (f" and {step.control}" * bool(step.control)))
+                run, head, busy = run + [(s, step, mode, i)], key, busy.union(hit)
                 continue
-            b = blocks[j] if j in split else _padded(blocks[j], axes + 1)
-            blocks[j] = np.empty((2,) + b.shape[1:], dtype=b.dtype)
-            blocks[j][0] = b[0]
-            _apply(b[-1:], labels[j], fix, out=blocks[j][1:])  # a fix is unitary: grams[j] stays
-            split.add(j)
-        axes += both
-        kept.append(outcomes)
-        measured.append(step)
+            items.append(item)
+        (a, g), (_, step, half, i) = rows[run[0][3]], run[0]  # the run's blocks as one stack: a slice, or a copy
+        if len(run) > 1 and not all(rows[r[3]][0] is a and rows[r[3]][1] == g + n for n, r in enumerate(run)):
+            a, g = np.concatenate([b[h:h + 1] for b, h in (rows[r[3]] for r in run)]), 0
+        b, at, parts, fixes = a[g:g + len(run)], labels[i].index(step.qubit), {}, []
+        if step.basis is None:  # a gate on each block, or a fix in place into the 1 half of the axis this run made
+            m = step.matrix if len(run) == 1 or all(r[1].matrix is step.matrix for r in run) else np.array(
+                [r[1].matrix for r in run])
+            if half:
+                b[:, 1] = _apply(b[:, 1], labels[i], step, m)
+            else:
+                a, g = _apply(b, labels[i], step, m), 0
+            for n, r in enumerate(run):
+                rows[r[3]] = (a, g + n)
+            run, busy = [], set()
+            continue
+        c = _basis_components(b.reshape(b.shape[:-1] + (1 << at, 2, -1)), step.basis)  # [g, ..., w, high, outcome, low]
+        c = c.transpose((0, c.ndim - 2, *range(1, c.ndim - 2), c.ndim - 1)).reshape((len(b), 2) + b.shape[1:-1] + (-1,))
+        overlaps = np.einsum("...wi,...vi->...wv", c.conj(), c) if rule is not _keep_both or any(
+            s == final[i] for s, _, _, i in run) else None  # c and overlaps lead with the block and the outcome
+        for g, (s, step, _, i) in enumerate(run):  # each block in plan order
+            pad = (1,) * (axes - len(lead[i])) + lead[i]
+            ov = None if overlaps is None else overlaps[g].reshape((2,) + pad + (2, 2))
+            if rule is _keep_both and s != last:
+                outcomes, num = (0, 1), None
+            else:
+                others = grams[:i] + grams[i + 1:]
+                weight = reduce(np.multiply, others) if others else np.ones((2, 2))  # the other blocks' [..., w, w']
+                num = np.einsum("...wv,...wv->...", ov, weight).real
+                p = num / norm2
+                outcomes = rule(step, p)
+            both, keep = len(outcomes) == 2, slice(None) if len(outcomes) == 2 else outcomes[0]
+            if rule is not _keep_both and p[keep].min() <= 1e-12:
+                outcome = next(o for o in outcomes if p[o].min() <= 1e-12)
+                raise ValueError(f"cannot keep a zero-probability outcome ({step.qubit}, basis {step.basis}, "
+                                 f"outcome {outcome})")
+            del where[step.qubit]
+            labels[i] = labels[i][:at] + labels[i][at + 1:]
+            grams[i] = grams[i] if ov is None else ov[keep]
+            norm2, lead[i], split = norm2 if num is None else num[keep], (2,) * both + pad, {i}
+            rows[i] = (parts.setdefault(outcomes, c[:, keep]), g)  # blocks that kept the same outcomes share a stack
+            for fix, _ in step.on_one if outcomes[-1] == 1 else ():  # on the outcome-1 branches, after the run
+                j = where[fix.qubit]
+                fixes.append((s, fix, both))  # a fix is unitary: grams[j] stays
+                if both and j not in split:  # j takes the new axis, as [b, b] until the fix
+                    (x, h), lead[j] = rows[j], (2,) + (1,) * (axes - len(lead[j])) + lead[j]
+                    rows[j] = (x[h:h + 1, None].repeat(2, axis=1), 0)
+                    split.add(j)
+            axes += both
+            kept.append(outcomes)
+            measured.append(step)
+        items.extend(reversed(fixes))
+        run, busy = [], set()
     if rule is _keep_both and not norm2.min() > 2e-12:  # a NaN too
         return _run(reg, plan, lambda step, p: (0, 1))
-    out = _Register(tuple(q for q in reg.order if q in where), labels, blocks, grams, norm2)
-    return out, _bits(kept), measured
+    blocks = [a[g].reshape(lead[i] + a.shape[-2:]) for i, (a, g) in enumerate(rows)]
+    return _Register(tuple(q for q in reg.order if q in where), labels, blocks, grams, norm2), _bits(kept), measured
 
 
 def _bits(kept) -> np.ndarray:
-    """The (B, m) outcome bits of a run whose m measurements kept the outcome tuples `kept`, rows in
-    depth-first order: a kept-both measurement's bit is the row index's bit at its branch axis, whose
-    place is the number of kept-both measurements after it; a kept-one measurement's is its outcome."""
-    both, first = [len(t) - 1 for t in kept], [t[0] for t in kept]
+    """The (B, m) outcome bits of a run whose m measurements kept the outcome tuples `kept`, rows in depth-first
+    order: a kept-both measurement's bit is the row index's bit at its branch axis, whose place is the number of
+    kept-both measurements after it, unpacked from the index's big-endian bytes; a kept-one one's is its outcome."""
+    both, first = [len(t) == 2 for t in kept], [t[0] for t in kept]
     if not any(both):  # one branch
         return np.array([first], dtype=np.uint8)
-    place, mask, first = np.array([list(accumulate(both[::-1], initial=0))[-2::-1], both, first], dtype=np.int32)
-    return (np.arange(1 << sum(both), dtype=np.int32)[:, None] >> place & mask | first).astype(np.uint8)
+    index = (np.arange(1 << sum(both), dtype=np.uint32) << (32 - sum(both))).astype(">u4").view(np.uint8)
+    bits, ones = np.unpackbits(index.reshape(-1, 4), axis=1, count=sum(both)), [j for j, b in enumerate(both) if not b]
+    return np.insert(bits, np.subtract(ones, range(len(ones))), [first[j] for j in ones], axis=1) if ones else bits
 
 
 def _gather(a: np.ndarray, rows: np.ndarray, axes: int) -> np.ndarray:

@@ -233,13 +233,13 @@ def _check_unitary(matrix, dim: int) -> np.ndarray:
 # the vector as (2**ax, 2, rest).  The underscored forms trust their matrix.
 
 def _pair_view(amps: np.ndarray, first: int, second: int) -> np.ndarray:
-    """5-d view of a (..., 2**n) array: qubit `first` on axis 1, `second` on axis 3, rows folded into axis 0."""
+    """View of a (..., 2**n) array whose last five axes are (higher qubits, `first`, middle, `second`, lower)."""
     if first == second:
         raise ValueError("a two-qubit gate needs two distinct qubits")
     lo, hi = sorted((first, second))
     tail = amps.shape[-1] >> (hi + 1)  # also right for a float64 view, whose rows are twice as long
-    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, tail)
-    return v if first < second else v.transpose(0, 3, 2, 1, 4)
+    v = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << (hi - lo - 1), 2, tail))
+    return v if first < second else v.swapaxes(-4, -2)
 
 
 def _mix(m: np.ndarray, t0, t1, out0, out1) -> None:
@@ -256,18 +256,18 @@ def _gate(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_controlled(amps: np.ndarray, ac: int, at: int, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|0><0| (x) I + |1><1| (x) m from qubit position ac onto at, on each row of a (..., 2**n) array, into `out`."""
-    out = np.empty_like(amps) if out is None else out
+def _apply_controlled(amps: np.ndarray, ac: int, at: int, m: np.ndarray) -> np.ndarray:
+    """|0><0| (x) I + |1><1| (x) m from qubit position ac onto at, on each row of a (..., 2**n) array; m broadcasts."""
+    out = np.empty_like(amps)
     v, w = _pair_view(amps, ac, at), _pair_view(out, ac, at)
-    w[:, 0] = v[:, 0]
-    _mix(m, v[:, 1, :, 0], v[:, 1, :, 1], w[:, 1, :, 0], w[:, 1, :, 1])
+    w[..., 0, :, :, :] = v[..., 0, :, :, :]
+    _mix(m, v[..., 1, :, 0, :], v[..., 1, :, 1, :], w[..., 1, :, 0, :], w[..., 1, :, 1, :])
     return out
 
 
 def _cz_in_place(amps: np.ndarray, a1: int, a2: int) -> None:
     """Negate the amplitudes where qubits at positions a1 and a2 both read 1."""
-    block = _pair_view(amps.view(np.float64), a1, a2)[:, 1, :, 1]  # (re, im) pairs
+    block = _pair_view(amps.view(np.float64), a1, a2)[..., 1, :, 1, :]  # (re, im) pairs
     np.negative(block, out=block)
 
 

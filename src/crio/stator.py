@@ -12,6 +12,7 @@ space.  The constructor takes the array.
 from __future__ import annotations
 
 import math
+import sys
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -150,7 +151,7 @@ class Stator:
         alphas = list(alphas)
         if not all(map(is_real, alphas)):
             raise TypeError(f"alphas must be real numbers, got {alphas!r}")
-        if not all(map(math.isfinite, alphas)):
+        if not all(abs(a if isinstance(a, int) else float(a)) <= sys.float_info.max for a in alphas):  # NaN fails too
             raise ValueError("alphas must be finite")
         if len(alphas) != self.n_controls or self.n_controls != self.n_targets:
             raise ValueError("need one angle per control qubit, with controls matching targets")

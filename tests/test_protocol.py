@@ -4,7 +4,7 @@ import math
 import re
 import tracemalloc
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -597,6 +597,121 @@ class TestDeferredEnumeration:
         assert_same_branches(records(got), reference_walk(state, plan, expected))
 
 
+def shift_mask_bits(kept) -> np.ndarray:
+    """The outcome-bit table by the shift-and-mask formula the engine used before it unpacked bytes: a
+    kept-both measurement's bit is the row index shifted by the kept-both measurements after it, masked."""
+    both, first = [len(t) - 1 for t in kept], [t[0] for t in kept]
+    if not any(both):
+        return np.array([first], dtype=np.uint8)
+    place, mask, first = np.array([list(accumulate(both[::-1], initial=0))[-2::-1], both, first], dtype=np.int32)
+    return (np.arange(1 << sum(both), dtype=np.int32)[:, None] >> place & mask | first).astype(np.uint8)
+
+
+class TestBitTable:
+    """`_bits` unpacks the row index's bytes; the shift-and-mask formula is the reference."""
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    @pytest.mark.parametrize("kind", ["all kept", "mixed", "one branch"])
+    def test_unpacked_bits_are_the_shift_and_mask_table(self, n, kind):
+        """A permitted run's 2N+1 measurements: every one kept both, some (the controller's and every third)
+        kept one outcome, or each kept one."""
+        rng = np.random.default_rng(270 + n)
+        kept = [(0, 1)] * (2 * n + 1)
+        for j in {"all kept": [], "mixed": [0, *range(2, 2 * n + 1, 3)], "one branch": range(2 * n + 1)}[kind]:
+            kept[j] = (int(rng.integers(2)),)
+        got, want = protocol._bits(kept), shift_mask_bits(kept)
+        assert got.shape == want.shape == (2 ** sum(len(t) == 2 for t in kept), 2 * n + 1)
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+
+    def test_engine_bits_match_the_reference_on_every_rule(self):
+        """The table a run returns, for enumerate, mixed, sample and forced rules, against the reference."""
+        n = 3
+        axes, betas, targets = random_inputs(np.random.default_rng(272), n)
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets)
+        forced, count = {1: 1, 4: 0}, iter(range(100))
+        rules = [protocol._keep_both, lambda step, p: (forced[i],) if (i := next(count)) in forced else (0, 1),
+                 protocol._drawn(np.random.default_rng(3)), protocol._forced("1011010")]
+        for rule in rules:
+            kept = []
+            _, bits, _ = protocol._run(protocol._register(n, ks, vecs), plan,
+                                       lambda step, p, rule=rule: kept.append(rule(step, p)) or kept[-1])
+            assert bits.tobytes() == shift_mask_bits(kept).tobytes() and bits.shape == shift_mask_bits(kept).shape
+
+
+def interleaved(plan, labels) -> list:
+    """A protocol plan with its gates moved, each block's steps and all the measurements kept in order, so
+    that steps of one tag on different blocks are adjacent less often: each group's step-2 H right after its
+    step-1 gate, the hub's step-1 gate after those, and each block's step-5 rotation right after its step-4
+    measurement.  Only the step-6 measurements stay side by side."""
+    block = {q: i for i, qubits in enumerate(labels) for q in qubits}
+    tagged = {tag: [step for step in plan if step.tag == tag] for tag in protocol.STEPS}
+    h, rotation = ({block[step.qubit]: step for step in tagged[tag]} for tag in ("step2", "step5"))
+    out = [x for step in tagged["step1"] if block[step.qubit] in h for x in (step, h[block[step.qubit]])]
+    out += [step for step in tagged["step1"] if block[step.qubit] not in h] + tagged["step3"]
+    out += [x for step in tagged["step4"] for x in (step, rotation[block[step.qubit]])] + tagged["step6"]
+    assert sorted(map(id, out)) == sorted(map(id, plan))
+    return out
+
+
+def one_per_tag(plan) -> list:
+    """The plan with a tag of its own on every step and fix, so that no two steps share a run: all run as
+    stacks of one."""
+    def own(step, tag):
+        return dataclasses.replace(step, tag=tag, on_one=tuple((own(fix, f"{tag}.{j}"), label)
+                                                               for j, (fix, label) in enumerate(step.on_one)))
+
+    return [own(step, f"{step.tag}.{s}") for s, step in enumerate(plan)]
+
+
+def assert_same_bits(got, want):
+    """Two arrays, shape, dtype and bytes."""
+    assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestStackedRuns:
+    """The engine stacks the steps of one tag; which steps share a stack changes no bit.  The plain plan
+    against the same plan interleaved (fewer and other stacks) and retagged (stacks of one): the same
+    register, bits and branches, for the enumerate, sample and forced rules."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("control", ["full", "partial", "denied"])
+    def test_stacking_changes_no_bit(self, n, control):
+        rng = np.random.default_rng(290 + n)
+        axes, betas, targets = random_inputs(rng, n)
+        groups = frozenset(range(3, n + 2, 2)) if control == "partial" else None
+        ks, plan, vecs = protocol._setup(n, axes, betas, targets, groups, control != "denied")
+        kets, register = protocol._expected_kets(n, axes, betas, vecs, ks), protocol._register(n, ks, vecs)
+        outcomes = rng.integers(0, 2, sum(step.basis is not None for step in plan))
+        rules = {"enumerate": lambda: protocol._keep_both, "sample": lambda: protocol._drawn(np.random.default_rng(n)),
+                 "forced": lambda: protocol._forced(outcomes)}
+        for name, rule in rules.items():
+            want_reg, want_bits, want_measured = protocol._run(register, plan, rule())
+            want = protocol._branches(register, plan, kets, rule())
+            for other in (interleaved(plan, register.labels), one_per_tag(plan)):
+                reg, bits, measured = protocol._run(register, other, rule())
+                assert [step.qubit for step in measured] == [step.qubit for step in want_measured]
+                assert (reg.order, reg.labels) == (want_reg.order, want_reg.labels)
+                for a, b in zip([bits, reg.norm2, *reg.blocks, *reg.grams],
+                                [want_bits, want_reg.norm2, *want_reg.blocks, *want_reg.grams], strict=True):
+                    assert_same_bits(a, b)
+                got = protocol._branches(register, other, kets, rule())
+                for field in ("bits", "probabilities", "fidelities"):
+                    assert_same_bits(getattr(got, field), getattr(want, field))
+
+    def test_interleaving_splits_the_step_4_stack(self, monkeypatch):
+        """The interleaved plan's step-4 measurements run one at a time, the plain plan's as one stack of
+        the hub and the groups; the retagged plan runs every measurement alone."""
+        n = 4
+        ks, plan, vecs = protocol._setup(n, *random_inputs(np.random.default_rng(295), n))
+        register, sizes, components = protocol._register(n, ks, vecs), [], protocol._basis_components
+        monkeypatch.setattr(protocol, "_basis_components", lambda v, basis: sizes.append(len(v)) or components(v, basis))
+        for other, want in ((plan, [1, n, n]), (interleaved(plan, register.labels), [1] * (n + 1) + [n]),
+                            (one_per_tag(plan), [1] * (2 * n + 1))):
+            sizes.clear()
+            protocol._run(register, other, protocol._keep_both)
+            assert sizes == want  # a1, then the step-4 and step-6 stacks: the hub with the groups
+
+
 SPECIAL_BETAS = (0.0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
@@ -1053,8 +1168,10 @@ _CONFUSED["group"] = st.one_of(_BOOLS, st.sampled_from([3.0, 4.0]), st.text(max_
 _CONFUSED["negative"] = st.integers(-2 ** 40, -1)
 _CONFUSED["outcome"] = st.one_of(_BOOLS, st.sampled_from([0.0, 1.0, 1.5, 2, "x"]))
 _CONFUSED["loop"] = st.sampled_from([2.0, np.float64(2.0), np.float32(2.0)])  # equal to the other end, 2
+_CONFUSED["huge"] = st.sampled_from([10**400, -10**400, 2**1024])  # ints beyond the float range, which is finite
 _ONE_CONFUSED = {"int": True, "count": 2.5, "flag": "yes", "angle": True, "betas": [True, 0.3], "vertex": 1.5,
-                 "collection": "34", "group": {3.0}, "negative": -1, "outcome": True, "loop": 2.0}  # one per kind
+                 "collection": "34", "group": {3.0}, "negative": -1, "outcome": True, "loop": 2.0,
+                 "huge": 10**400}  # one per kind
 
 
 def _type_confused_calls() -> list:
@@ -1102,6 +1219,9 @@ def _type_confused_calls() -> list:
         ("sample_outcomes", "seed", "int", lambda v: sample_outcomes(params, 10, seed=v)),
         ("sample_outcomes", "seed", "negative", lambda v: sample_outcomes(params, 10, seed=v)),
         ("Stator.eigenoperator_residual", "alphas", "angle",
+         lambda v: diagonal_stator(["a2"], [X_AXIS]).eigenoperator_residual([v])),
+        *((entry, "betas", "huge", lambda v, f=f: f(b=[0.3, v])) for entry, f in protocol_calls.items()),
+        ("Stator.eigenoperator_residual", "alphas", "huge",
          lambda v: diagonal_stator(["a2"], [X_AXIS]).eigenoperator_residual([v])),
         ("QuantumState.amplitude", "bits", "outcome", lambda v: state.amplitude([v, 0, 0])),
         ("all_bitstrings", "n", "count", all_bitstrings),
